@@ -11,7 +11,7 @@ could not determine; tainted slots carry no stored value.
 from dataclasses import dataclass, field
 
 from .errors import MixedContext
-from .ring import CohomologyElement, basis_class, quantum_product
+from .ring import CohomologyElement, basis_class, element_from_terms, quantum_product
 from .series import Monomial, SeriesElement, series_zero
 
 
@@ -73,17 +73,12 @@ class GradedEndomorphism:
         """Image of a basis class, as (element, taint slots (to_index, q))."""
         i = self.ring.index(name)
         trunc = self.trunc if trunc is None else trunc
-        comps = {}
+        terms = {}  # j -> {monomial: c}; each (j, d) slot is one monomial
         for (i2, j, d), c in self.entries.items():
-            if i2 != i:
-                continue
-            k = self.kappa(i, j, d)
-            f = comps.get(j, series_zero(self.ring.prime, trunc))
-            comps[j] = f + SeriesElement(
-                self.ring.prime, trunc, {Monomial(d, k, 0): c}
-            )
+            if i2 == i and d <= trunc:
+                terms.setdefault(j, {})[Monomial(d, self.kappa(i, j, d), 0)] = c
         taint = {(j, d) for (i2, j, d) in self.taint if i2 == i and d <= trunc}
-        return CohomologyElement(self.ring, comps), taint
+        return element_from_terms(self.ring, trunc, terms), taint
 
     def apply(self, x, trunc=None):
         """Lambda[t]-linear application to an element.
@@ -92,7 +87,7 @@ class GradedEndomorphism:
         pairs marking undetermined output coefficients.
         """
         trunc = x.trunc if trunc is None else trunc
-        out = CohomologyElement(self.ring, {})
+        acc = {}  # j -> {monomial: unreduced coefficient}
         taint = set()
         rows = {}
         for (i, j, d), c in self.entries.items():
@@ -100,15 +95,18 @@ class GradedEndomorphism:
         for i, f in x.components.items():
             for j, d, c in rows.get(i, ()):
                 k = self.kappa(i, j, d)
-                term = f.retruncate(trunc).times_monomial(q=d, t=k, coeff=c)
-                out = out + CohomologyElement(self.ring, {j: term})
+                terms = acc.setdefault(j, {})
+                for (mq, mt, mth), v in f.terms.items():
+                    if mq + d <= trunc:
+                        m = Monomial(mq + d, mt + k, mth)
+                        terms[m] = terms.get(m, 0) + c * v
             for (i2, j, d) in self.taint:
                 if i2 != i:
                     continue
                 for mono in f.terms:
                     if mono.q + d <= trunc:
                         taint.add((j, mono.q + d))
-        return out, taint
+        return element_from_terms(self.ring, trunc, acc), taint
 
     def slot_text(self, i, j, d):
         k = self.kappa(i, j, d)
@@ -263,16 +261,15 @@ def format_endo(s):
     from .series import format_series
 
     ring = s.ring
-    pairs = {}
+    pairs = {}  # (i, j) -> {monomial: c}; each slot is one monomial
     for (i, j, d), c in s.entries.items():
-        k = s.kappa(i, j, d)
-        f = pairs.get((i, j), series_zero(ring.prime, s.trunc))
-        pairs[(i, j)] = f + SeriesElement(ring.prime, s.trunc, {Monomial(d, k, 0): c})
+        pairs.setdefault((i, j), {})[Monomial(d, s.kappa(i, j, d), 0)] = c
     lines = []
     for (i, j) in sorted(pairs):
+        f = SeriesElement(ring.prime, s.trunc, pairs[(i, j)])
         lines.append(
             "  (%s -> %s) = %s"
-            % (ring.basis[i].name, ring.basis[j].name, format_series(pairs[(i, j)]))
+            % (ring.basis[i].name, ring.basis[j].name, format_series(f))
         )
     if s.taint:
         lines.append("taint:")

@@ -530,10 +530,11 @@ def _step_taint(taint, divisor_index, ring, trunc):
     for (k, qv) in taint:
         if qv <= trunc:
             out.add((k, qv))  # the t*d/dq part
-        for d in range(trunc - qv + 1):
+        for d in ring.q_orders(divisor_index, k):
+            if qv + d > trunc:
+                break
             for k2 in ring.sc(divisor_index, k, d):
-                if qv + d <= trunc:
-                    out.add((k2, qv + d))
+                out.add((k2, qv + d))
     return out
 
 
@@ -627,13 +628,7 @@ def qst_via_generators(expr, ring, trunc=None):
         tail, tail_taint = eval_word(word[1:])
         val, val_taint = qsigma_apply(head, tail, ring, trunc)
         # push the tail's own taint through one application of QSigma_head
-        for (j, qv) in tail_taint:
-            val_taint.add((j, qv))
-            for d in range(trunc - qv + 1):
-                for j2 in ring.sc(ring.index(head), j, d):
-                    if qv + d <= trunc:
-                        val_taint.add((j2, qv + d))
-        return val, val_taint
+        return val, val_taint | _step_taint(tail_taint, ring.index(head), ring, trunc)
 
     for coeff, q_exp, factors in expr:
         val, val_taint = eval_word(tuple(factors))
@@ -679,11 +674,11 @@ def qst_auto(name, ring, trunc=None):
                 break
         if not ok:
             continue
-        sub, sub_taint, _ = qst_auto(be.name, ring)
+        sub, sub_taint, _ = qst_auto(be.name, ring, trunc)
         val, val_taint = qsigma_apply(a_name, sub.retruncate(out_trunc), ring, out_trunc)
         taint = set(val_taint)
         for d, k, c in others:
-            rest, rest_taint, _ = qst_auto(ring.basis[k].name, ring)
+            rest, rest_taint, _ = qst_auto(ring.basis[k].name, ring, trunc)
             val = val - rest.retruncate(out_trunc).times_monomial(
                 q=ring.prime * d, coeff=c
             )

@@ -202,12 +202,16 @@ def test_truncation_env_override(monkeypatch):
 
 
 def test_console_entry_point_subprocess():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # the child imports the package from src/ even when it is not installed
+    path = [os.path.join(root, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
         [sys.executable, "-m", "qsteenrod.cli", "compute", "--manifold", "builtin:s2",
          "--prime", "3", "--class", "h", "--op", "qst"],
         capture_output=True,
         text=True,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "compute_s2_p3_qst_h.txt").read_text()

@@ -6,6 +6,7 @@ from qsteenrod.errors import ManifoldFormatError, NotDivisor
 from qsteenrod.oracles import builtin_manifold, builtin_ring
 from qsteenrod.manifold_io import ring_from_data
 from qsteenrod.ring import (
+    CohomologyElement,
     basis_class,
     classical_product,
     connection_apply,
@@ -13,6 +14,7 @@ from qsteenrod.ring import (
     pfold_power,
     quantum_product,
     verify_ring,
+    zero_element,
 )
 from qsteenrod.endo import compose, multiplication_endo, multiplication_matrix
 from qsteenrod.series import series
@@ -192,3 +194,56 @@ def test_steenrod_tables():
     assert ring.full_steenrod(1, 0) == element(
         ring, 0, [("h_2", 0, 2, -1), ("h_6", 0, 0, 1)]
     )
+
+
+# -- sparse products and binary powering ---------------------------------------
+
+BUILTINS = ("s2", "cubic_surface", "quadric_intersection")
+
+
+def _dense_product(x, y):
+    """Reference product: every q-order d <= trunc, one term at a time."""
+    ring = x.ring
+    out = zero_element(ring, x.trunc)
+    for i, f in x.components.items():
+        for j, g in y.components.items():
+            fg = f * g
+            for d in range(x.trunc + 1):
+                for k, c in ring.sc(i, j, d).items():
+                    out = out + CohomologyElement(ring, {k: fg.times_monomial(q=d, coeff=c)})
+    return out
+
+
+def test_quantum_product_matches_dense_reference():
+    for name in BUILTINS:
+        for p in (2, 3, 5):
+            ring = builtin_ring(name, p)
+            trunc = ring.max_q_order() + 2
+            coeff = series(p, trunc, [(0, 0, 0, 1), (1, 1, 0, 2), (0, -1, 1, 1)])
+            for b1 in ring.basis:
+                for b2 in ring.basis:
+                    x = basis_class(ring, b1.name, trunc).times_series(coeff)
+                    y = basis_class(ring, b2.name, trunc)
+                    assert quantum_product(x, y) == _dense_product(x, y)
+                    z = basis_class(ring, b1.name, trunc)
+                    assert quantum_product(z, y) == _dense_product(z, y)
+
+
+def test_pfold_power_matches_sequential_products():
+    for name in BUILTINS:
+        for p in (2, 3, 5, 31, 211):
+            ring = builtin_ring(name, p)
+            a = ring.basis[ring.primary.index].name
+            b = basis_class(ring, a, ring.default_truncation(2))
+            loop = b
+            for _ in range(p - 1):
+                loop = quantum_product(loop, b)
+            assert pfold_power(b, ring) == loop, (name, p)
+            if p > 31:
+                continue
+            # an inhomogeneous element keeps many terms in the partial powers
+            c = b + basis_class(ring, "1", b.trunc).times_monomial(q=1, t=1, coeff=2)
+            loop = c
+            for _ in range(p - 1):
+                loop = quantum_product(loop, c)
+            assert pfold_power(c, ring) == loop, (name, p)

@@ -11,12 +11,21 @@ from qsteenrod.endo import (
     compose,
     compose_sign,
     equal_on_untainted,
+    format_endo,
     identity_endo,
     qpi,
 )
 from qsteenrod.manifold_io import ring_from_data
 from qsteenrod.oracles import builtin_manifold, builtin_ring, s2_closed_form
-from qsteenrod.ring import basis_class, connection_apply, element, quantum_product
+from qsteenrod.ring import (
+    CohomologyElement,
+    basis_class,
+    connection_apply,
+    element,
+    quantum_product,
+    zero_element,
+)
+from qsteenrod.series import Monomial, SeriesElement, format_series, series
 from qsteenrod.solver import (
     initial_layer,
     qsigma_apply,
@@ -405,3 +414,76 @@ def test_qsigma_apply_prefers_clean_routes():
     out, taint = qsigma_apply("h_2", h4, ring)
     assert not taint
     assert out.is_zero()  # QSigma_{h_2}(h_4) = 0 mod 2
+
+
+def test_qst_auto_explicit_default_truncation():
+    # an explicit trunc reaches the recursive calls; at the default it changes
+    # nothing, on the route through the generator strategy
+    ring = builtin_ring("quadric_intersection", 3)
+    plain = qst_auto("h_6", ring)
+    explicit = qst_auto("h_6", ring, ring.default_truncation(6))
+    assert plain[2].startswith("generators")
+    assert explicit == plain
+
+
+# -- one-pass assembly against the term-by-term build --------------------------
+
+
+def _slot_series(endo, i, j, d, c, trunc):
+    return SeriesElement(endo.ring.prime, trunc, {Monomial(d, endo.kappa(i, j, d), 0): c})
+
+
+def _column_term_by_term(endo, name):
+    ring = endo.ring
+    i = ring.index(name)
+    out = zero_element(ring, endo.trunc)
+    for (i2, j, d), c in endo.entries.items():
+        if i2 == i:
+            out = out + CohomologyElement(ring, {j: _slot_series(endo, i, j, d, c, endo.trunc)})
+    return out
+
+
+def _apply_term_by_term(endo, x):
+    ring = endo.ring
+    out = zero_element(ring, x.trunc)
+    for (i, j, d), c in endo.entries.items():
+        f = x.components.get(i)
+        if f is not None:
+            term = f.times_monomial(q=d, t=endo.kappa(i, j, d), coeff=c)
+            out = out + CohomologyElement(ring, {j: term})
+    return out
+
+
+def _format_endo_term_by_term(endo):
+    ring = endo.ring
+    pairs = {}
+    for (i, j, d), c in endo.entries.items():
+        f = pairs.get((i, j), SeriesElement(ring.prime, endo.trunc, {}))
+        pairs[(i, j)] = f + _slot_series(endo, i, j, d, c, endo.trunc)
+    lines = [
+        "  (%s -> %s) = %s" % (ring.basis[i].name, ring.basis[j].name, format_series(pairs[(i, j)]))
+        for (i, j) in sorted(pairs)
+    ]
+    if endo.taint:
+        lines.append("taint:")
+        lines.extend("  " + endo.slot_text(*slot) for slot in sorted(endo.taint))
+    return lines
+
+
+def test_one_pass_assembly_cubic_p211():
+    ring = builtin_ring("cubic_surface", 211)
+    endo, _ = solve_qsigma("h_2", ring)
+    per_pair = {}
+    for (i, j, d) in endo.entries:
+        per_pair[(i, j)] = per_pair.get((i, j), 0) + 1
+    assert max(per_pair.values()) > 20  # far beyond the p <= 3 goldens
+    for b in ring.basis:
+        col, _ = endo.column(b.name)
+        assert col == _column_term_by_term(endo, b.name)
+        x = basis_class(ring, b.name, endo.trunc).times_series(
+            series(211, endo.trunc, [(0, 0, 0, 1), (1, 1, 0, 5), (2, 0, 1, 7)])
+        )
+        out, _ = endo.apply(x)
+        assert out == _apply_term_by_term(endo, x)
+    lines = format_endo(endo).split("\n")
+    assert lines == _format_endo_term_by_term(endo)
