@@ -19,7 +19,7 @@ exhaustive evaluation or small linear algebra mod p.
 from dataclasses import dataclass
 
 from .errors import CapExceeded
-from .fp import fp_inv, require_prime
+from .fp import require_prime, solve_mod_p
 
 
 def _add(chain, cell, coeff, mod=None):
@@ -296,26 +296,7 @@ def is_boundary(target, degree, p, cap=9, chain_complex="product"):
         for cell, c in bfun({g: 1}).items():
             rows[index[cell]][gi] = c % p
     rhs = [target.get(c, 0) % p for c in cells]
-    return _solvable(rows, rhs, p)
-
-
-def _solvable(rows, rhs, p):
-    m = [row[:] + [r] for row, r in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((rr for rr in range(r, len(m)) if m[rr][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = fp_inv(m[r][c], p)
-        m[r] = [x * inv % p for x in m[r]]
-        for rr in range(len(m)):
-            if rr != r and m[rr][c] % p:
-                f = m[rr][c]
-                m[rr] = [(x - f * y) % p for x, y in zip(m[rr], m[r])]
-        r += 1
-    return all(m[rr][ncols] % p == 0 for rr in range(r, len(m)))
+    return solve_mod_p(rows, rhs, p) is not None
 
 
 # -- generic equivariant complexes and the corrected theta --------------------

@@ -28,7 +28,9 @@ from .manifold_io import (
     ring_from_data,
 )
 from .oracles import (
+    RationalSeries,
     builtin_manifold,
+    builtin_ring,
     expected_results,
     reduce_mod_p,
     s2_closed_form,
@@ -204,16 +206,11 @@ def _suite_oracle(ring, failures):
     if ring.name == "s2":
         xi = xi_series(20)
         lhs = xi.tqd().tqd()
-        from .oracles import RationalSeries
-
         rhs = RationalSeries(xi.trunc, {(q + 1, t): c for (q, t), c in xi.terms.items()})
         if lhs != rhs:
             failures.append("oracle: (t q d/dq)^2 xi != q xi")
         for p in (3, 5, 7, 11):
-            from .manifold_io import ring_from_data as _rfd
-
-            r_p = _rfd(builtin_manifold("s2"), p)
-            solved, rep = solve_qsigma("h", r_p)
+            solved, rep = solve_qsigma("h", builtin_ring("s2", p))
             if solved != s2_closed_form(p) or rep.taint:
                 failures.append("oracle: solver differs from the closed form at p=%d" % p)
         for p in (3, 5, 7):

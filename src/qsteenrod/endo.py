@@ -6,13 +6,18 @@ t-exponent kappa = (g + deg(e_i) - deg(e_j) - q_degree*d) / 2.  Slots with
 kappa negative or non-integral are identically zero, so only the scalar
 coefficient is stored.  The taint set lists slots whose value the solver
 could not determine; tainted slots carry no stored value.
+
+Every graded F_p matrix in the package is such a slot map {(i, j, d): c}:
+the entries of an endomorphism, the solver's per-q-order layers and the
+blocks of quantum multiplication by a divisor.  They share one product
+(_matmul), one difference (_msub) and one taint rule (_product_mask).
 """
 
 from dataclasses import dataclass, field
 
 from .errors import MixedContext
-from .ring import CohomologyElement, basis_class, element_from_terms, quantum_product
-from .series import Monomial, SeriesElement, series_zero
+from .ring import basis_class, classical_product, element_from_terms, quantum_product
+from .series import Monomial, SeriesElement, format_series
 
 
 def kappa(ring, g, i, j, d):
@@ -22,6 +27,58 @@ def kappa(ring, g, i, j, d):
         return None
     k = num // 2
     return k if k >= 0 else None
+
+
+# -- sparse graded F_p matrices: slot maps {(i, j, d): c} ----------------------
+
+
+def _matmul(x, y, p, trunc=None):
+    """Product of slot maps: (i, j, d1) times (j, k, d2) lands on (i, k, d1+d2).
+
+    x acts first (slot (i, j) sends e_i to e_j); with trunc, products above
+    q-order trunc are dropped.
+    """
+    rows = {}
+    for (j, k, d2), c in y.items():
+        rows.setdefault(j, []).append((k, d2, c))
+    out = {}
+    for (i, j, d1), c in x.items():
+        for k, d2, c2 in rows.get(j, ()):
+            if trunc is None or d1 + d2 <= trunc:
+                key = (i, k, d1 + d2)
+                out[key] = out.get(key, 0) + c * c2
+    return {s: c % p for s, c in out.items() if c % p}
+
+
+def _msub(x, y, p):
+    out = dict(x)
+    for s, c in y.items():
+        out[s] = (out.get(s, 0) - c) % p
+    return {s: c for s, c in out.items() if c}
+
+
+def _product_mask(x, x_mask, y, y_mask, trunc=None):
+    """Slots of the product x y that depend on a masked slot of either factor.
+
+    x and y are the factors' stored slots, x_mask and y_mask their masked
+    (tainted) slots; a masked slot taints its product with every stored or
+    masked slot of the other factor.
+    """
+    sides = []
+    if x_mask:
+        sides.append((x_mask, set(y) | set(y_mask)))
+    if y_mask:
+        sides.append((x, y_mask))
+    out = set()
+    for left, right in sides:
+        rows = {}
+        for (j, k, d2) in right:
+            rows.setdefault(j, []).append((k, d2))
+        for (i, j, d1) in left:
+            for k, d2 in rows.get(j, ()):
+                if trunc is None or d1 + d2 <= trunc:
+                    out.add((i, k, d1 + d2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,14 +128,8 @@ class GradedEndomorphism:
 
     def column(self, name, trunc=None):
         """Image of a basis class, as (element, taint slots (to_index, q))."""
-        i = self.ring.index(name)
         trunc = self.trunc if trunc is None else trunc
-        terms = {}  # j -> {monomial: c}; each (j, d) slot is one monomial
-        for (i2, j, d), c in self.entries.items():
-            if i2 == i and d <= trunc:
-                terms.setdefault(j, {})[Monomial(d, self.kappa(i, j, d), 0)] = c
-        taint = {(j, d) for (i2, j, d) in self.taint if i2 == i and d <= trunc}
-        return element_from_terms(self.ring, trunc, terms), taint
+        return self.apply(basis_class(self.ring, name, trunc), trunc)
 
     def apply(self, x, trunc=None):
         """Lambda[t]-linear application to an element.
@@ -154,13 +205,11 @@ def multiplication_endo(x, trunc=None, classical_only=False, degree=None):
         raise ValueError("multiplication by an inhomogeneous element")
     if trunc is None:
         trunc = (g + ring.dimension_top) // ring.q_degree
+    product = classical_product if classical_only else quantum_product
     entries = {}
     for i, b in enumerate(ring.basis):
         e_i = basis_class(ring, b.name, trunc)
-        if classical_only:
-            v = _cup(x, e_i)
-        else:
-            v = quantum_product(x.retruncate(trunc), e_i)
+        v = product(x.retruncate(trunc), e_i)
         for j, f in v.components.items():
             for mono, c in f.terms.items():
                 if mono.theta:
@@ -172,17 +221,6 @@ def multiplication_endo(x, trunc=None, classical_only=False, degree=None):
                     )
                 entries[(i, j, mono.q)] = (entries.get((i, j, mono.q), 0) + c) % ring.prime
     return GradedEndomorphism(ring, g, trunc, entries)
-
-
-def _cup(x, e_i):
-    ring = x.ring
-    i = next(iter(e_i.components))
-    comps = {}
-    for m, f in x.components.items():
-        for k, c in ring.sc(m, i, 0).items():
-            g = comps.get(k, series_zero(ring.prime, f.trunc))
-            comps[k] = g + f.scale(c)
-    return CohomologyElement(ring, comps)
 
 
 def multiplication_matrix(divisor_name, ring, trunc=None):
@@ -209,24 +247,8 @@ def compose(s1, s2):
         trunc = (g + ring.dimension_top) // ring.q_degree
     else:
         trunc = min(s1.trunc, s2.trunc)
-    entries = {}
-    for (i, j, d2), c2 in s2.entries.items():
-        for (j1, k, d1), c1 in s1.entries.items():
-            if j1 != j or d1 + d2 > trunc:
-                continue
-            key = (i, k, d1 + d2)
-            entries[key] = (entries.get(key, 0) + c1 * c2) % ring.prime
-    taint = set()
-    support1 = set(s1.entries) | set(s1.taint)
-    support2 = set(s2.entries) | set(s2.taint)
-    for (i, j, d2) in s2.taint:
-        for (j1, k, d1) in support1:
-            if j1 == j and d1 + d2 <= trunc:
-                taint.add((i, k, d1 + d2))
-    for (i, j, d2) in support2:
-        for (j1, k, d1) in s1.taint:
-            if j1 == j and d1 + d2 <= trunc:
-                taint.add((i, k, d1 + d2))
+    entries = _matmul(s2.entries, s1.entries, ring.prime, trunc)
+    taint = _product_mask(s2.entries, s2.taint, s1.entries, s1.taint, trunc)
     entries = {s: c for s, c in entries.items() if s not in taint}
     return GradedEndomorphism(ring, g, trunc, entries, frozenset(taint))
 
@@ -258,8 +280,6 @@ def equal_on_untainted(s1, s2):
 
 def format_endo(s):
     """Grouped (from -> to) listing; deterministic order."""
-    from .series import format_series
-
     ring = s.ring
     pairs = {}  # (i, j) -> {monomial: c}; each slot is one monomial
     for (i, j, d), c in s.entries.items():

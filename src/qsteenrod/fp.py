@@ -74,6 +74,36 @@ def factorial_ratio(numer, denom, p):
     return unit_num * fp_inv(unit_den, p) % p
 
 
+def solve_mod_p(rows, rhs, p):
+    """One solution x of rows . x = rhs over F_p, or None when there is none.
+
+    Gauss-Jordan elimination; free variables are set to 0.
+    """
+    m = [row[:] + [r] for row, r in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((rr for rr in range(r, len(m)) if m[rr][c] % p), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = fp_inv(m[r][c], p)
+        m[r] = [x * inv % p for x in m[r]]
+        for rr in range(len(m)):
+            if rr != r and m[rr][c] % p:
+                f = m[rr][c]
+                m[rr] = [(x - f * y) % p for x, y in zip(m[rr], m[r])]
+        pivots.append(c)
+        r += 1
+    if any(m[rr][ncols] % p for rr in range(r, len(m))):
+        return None
+    sol = [0] * ncols
+    for idx, c in enumerate(pivots):
+        sol[c] = m[idx][ncols]
+    return sol
+
+
 def balanced(c, p):
     """Representative of c in (-p/2, p/2]; used only for printing."""
     c %= p

@@ -156,13 +156,10 @@ class QuantumRing:
 
     def cup_power(self, i, n, trunc=0):
         """n-fold classical cup power of e_i (only d = 0 constants)."""
-        out = basis_class(self, self.basis[i].name, trunc)
+        e_i = basis_class(self, self.basis[i].name, trunc)
+        out = e_i
         for _ in range(n - 1):
-            acc = {}
-            for j, f in out.components.items():
-                for k, c in self.sc(i, j, 0).items():
-                    acc[k] = acc.get(k, series_zero(self.prime, trunc)) + f.scale(c)
-            out = CohomologyElement(self, acc)
+            out = classical_product(out, e_i)
         return out
 
     def full_steenrod(self, i, trunc):

@@ -26,10 +26,13 @@ from .errors import (
 )
 from .endo import (
     GradedEndomorphism,
+    _matmul,
+    _msub,
+    _product_mask,
     kappa,
     multiplication_endo,
 )
-from .fp import fp_inv
+from .fp import fp_inv, solve_mod_p
 from .ring import (
     CohomologyElement,
     basis_class,
@@ -38,6 +41,7 @@ from .ring import (
     quantum_product,
     zero_element,
 )
+from .series import series_one
 
 
 @dataclass(frozen=True)
@@ -58,61 +62,36 @@ class QstResult:
     report: object
 
 
-# -- scalar matrix helpers (dicts keyed (i, j)) ------------------------------
+# -- graded matrices on slot maps {(i, j, d): c} (see endo) -------------------
 
 
-def _matmul(x, y, p):
-    rows = {}
-    for (j, k), c in y.items():
-        rows.setdefault(j, []).append((k, c))
-    out = {}
-    for (i, j), c in x.items():
-        for k, c2 in rows.get(j, ()):
-            out[(i, k)] = (out.get((i, k), 0) + c * c2) % p
-    return {s: c for s, c in out.items() if c}
-
-
-def _msub(x, y, p):
-    out = dict(x)
-    for s, c in y.items():
-        out[s] = (out.get(s, 0) - c) % p
-    return {s: c for s, c in out.items() if c}
-
-
-def _product_mask(left_mask, left_keys, right_mask, right_keys):
-    """Slots of a matrix product that depend on a masked factor slot."""
-    out = set()
-    right_all = {}
-    for (j, k) in right_keys | right_mask:
-        right_all.setdefault(j, []).append(k)
-    for (i, j) in left_mask:
-        for k in right_all.get(j, ()):
-            out.add((i, k))
-    left_all = {}
-    for (i, j) in left_keys | left_mask:
-        left_all.setdefault(j, []).append(i)
-    for (j, k) in right_mask:
-        for i in left_all.get(j, ()):
-            out.add((i, k))
-    return out
+def _commutator(x, x_mask, a, p):
+    """[X, A] = X A - A X for slot maps, and the slots a masked X slot reaches."""
+    com = _msub(_matmul(x, a, p), _matmul(a, x, p), p)
+    mask = _product_mask(x, x_mask, a, ()) | _product_mask(a, (), x, x_mask)
+    return com, mask
 
 
 def _divisor_blocks(ring, div):
-    """Matrices A_e of quantum multiplication by the divisor, per q-order."""
+    """Slot maps A_e of quantum multiplication by the divisor, per q-order e."""
     blocks = {}
     a = div.index
     for e in range(ring.max_q_order() + 1):
         block = {}
         for i in range(len(ring.basis)):
             for j, c in ring.sc(a, i, e).items():
-                block[(i, j)] = c
+                block[(i, j, e)] = c
         if block:
             blocks[e] = block
     return blocks
 
 
 def _neumann(rhs, rhs_mask, inv, a0, p, nmax):
-    """Solve (scalar + ad_{A0}) X = rhs by X = sum inv^{m+1} ad^m(rhs)."""
+    """Solve lambda*d X + [X, A0] = rhs, with inv = 1/(lambda*d) mod p.
+
+    X = sum_m (-1)^m inv^(m+1) [., A0]^m (rhs); the series is finite since
+    [., A0] raises degree.
+    """
     acc = {}
     term = rhs
     factor = inv
@@ -121,8 +100,8 @@ def _neumann(rhs, rhs_mask, inv, a0, p, nmax):
             break
         for s, c in term.items():
             acc[s] = (acc.get(s, 0) + factor * c) % p
-        term = _msub(_matmul(a0, term, p), _matmul(term, a0, p), p)
-        factor = factor * inv % p
+        term, _ = _commutator(term, (), a0, p)
+        factor = -factor * inv % p
     else:
         if term:
             raise AssertionError("ad_{A_0} failed to terminate; non-nilpotent input")
@@ -131,9 +110,7 @@ def _neumann(rhs, rhs_mask, inv, a0, p, nmax):
     for _ in range(nmax):
         if not frontier:
             break
-        frontier = _product_mask(set(), set(a0), frontier, set()) | _product_mask(
-            frontier, set(), set(), set(a0)
-        )
+        _, frontier = _commutator({}, frontier, a0, p)
         frontier -= mask
         mask |= frontier
     acc = {s: c for s, c in acc.items() if c and s not in mask}
@@ -215,32 +192,27 @@ def solve_qsigma(b, ring, trunc=None):
     nmax = 2 * n + 4
 
     seeds = tzero_layer(b, ring, trunc)
-    layers = {0: {}}
-    masks = {0: set()}
     init = initial_layer(b, ring, trunc)
-    for (i, j, d), c in init.entries.items():
-        if d == 0:
-            layers[0][(i, j)] = c
+    layers = {0: {s: c for s, c in init.entries.items() if s[2] == 0}}
+    masks = {0: set()}
     seed_checks = 0
     seeds_resolving = 0
 
     for d in range(1, trunc + 1):
+        # rhs = -sum_{e >= 1} [E_{d-e}, A_e]
         rhs = {}
         rhs_mask = set()
         for e, a_e in blocks.items():
-            if e == 0 or e > d:
-                continue
-            x = layers[d - e]
-            xm = masks[d - e]
-            rhs = _msub(rhs, _msub(_matmul(x, a_e, p), _matmul(a_e, x, p), p), p)
-            rhs_mask |= _product_mask(xm, set(x), set(), set(a_e))
-            rhs_mask |= _product_mask(set(), set(a_e), xm, set(x))
+            if 1 <= e <= d:
+                com, com_mask = _commutator(layers[d - e], masks[d - e], a_e, p)
+                rhs = _msub(rhs, com, p)
+                rhs_mask |= com_mask
 
         if (lam * d) % p:
             values, mask = _neumann(rhs, rhs_mask, fp_inv(lam * d, p), a0, p, nmax)
         else:
             values, mask = {}, {
-                (i, j)
+                (i, j, d)
                 for i in range(n)
                 for j in range(n)
                 if kappa(ring, g, i, j, d) is not None
@@ -250,18 +222,19 @@ def solve_qsigma(b, ring, trunc=None):
         layer_mask = set()
         for i in range(n):
             for j in range(n):
+                s = (i, j, d)
                 k = kappa(ring, g, i, j, d)
-                val = values.get((i, j), 0)
+                val = values.get(s, 0)
                 if k is None:
-                    if (i, j) not in mask and val:
+                    if s not in mask and val:
                         raise NegativePowerResidue(
                             "nonzero value forced onto dead slot (%s -> %s, q^%d)"
                             % (ring.basis[i].name, ring.basis[j].name, d)
                         )
                     continue
                 if k == 0:
-                    seed = seeds[(i, j, d)]
-                    if (i, j) in mask:
+                    seed = seeds[s]
+                    if s in mask:
                         seeds_resolving += 1
                     else:
                         seed_checks += 1
@@ -272,22 +245,17 @@ def solve_qsigma(b, ring, trunc=None):
                                 % (val, seed, ring.basis[i].name, ring.basis[j].name, d)
                             )
                     if seed:
-                        layer[(i, j)] = seed
+                        layer[s] = seed
                     continue
-                if (i, j) in mask:
-                    layer_mask.add((i, j))
+                if s in mask:
+                    layer_mask.add(s)
                 elif val:
-                    layer[(i, j)] = val
+                    layer[s] = val
         layers[d] = layer
         masks[d] = layer_mask
 
-    entries = {}
-    taint = set()
-    for d, layer in layers.items():
-        for (i, j), c in layer.items():
-            entries[(i, j, d)] = c
-        for (i, j) in masks[d]:
-            taint.add((i, j, d))
+    entries = {s: c for layer in layers.values() for s, c in layer.items()}
+    taint = set().union(*masks.values())
     endo = GradedEndomorphism(ring, g, trunc, entries, frozenset(taint))
     checked, failures = _residuals(endo, ring)
     report = SolveReport(
@@ -334,64 +302,27 @@ def verify_covariant_constancy(endo, divisor_name, ring, pi=None):
     div = ring.divisor(divisor_name)
     p = ring.prime
     lam = div.pairing
-    blocks = _divisor_blocks(ring, div)
+    a = {s: c for block in _divisor_blocks(ring, div).values() for s, c in block.items()}
+    com, com_mask = _commutator(endo.entries, endo.taint, a, p)
     n = len(ring.basis)
-    layers = {d: {} for d in range(endo.trunc + 1)}
-    masks = {d: set() for d in range(endo.trunc + 1)}
-    for (i, j, d), c in endo.entries.items():
-        layers[d][(i, j)] = c
-    for (i, j, d) in endo.taint:
-        masks[d].add((i, j))
-
-    checked = 0
+    checked = pi_checked = 0
     failures = []
-    commutators = {}
-    commutator_masks = {}
+    pi_failures = []
     for d in range(endo.trunc + 1):
-        com = {}
-        com_mask = set()
-        for e, a_e in blocks.items():
-            if e > d:
-                continue
-            x = layers[d - e]
-            xm = masks[d - e]
-            com = _msub(com, _msub(_matmul(a_e, x, p), _matmul(x, a_e, p), p), p)
-            com_mask |= _product_mask(xm, set(x), set(), set(a_e))
-            com_mask |= _product_mask(set(), set(a_e), xm, set(x))
-        commutators[d] = com
-        commutator_masks[d] = com_mask
         for i in range(n):
             for j in range(n):
-                if (i, j) in com_mask or (i, j) in masks[d]:
+                s = (i, j, d)
+                if s in com_mask:
                     continue
-                res = (lam * d * layers[d].get((i, j), 0) + com.get((i, j), 0)) % p
-                checked += 1
-                if res:
-                    failures.append(
-                        "residual %d at %s" % (res, endo.slot_text(i, j, d))
-                    )
-
-    pi_checked = 0
-    pi_failures = []
-    if pi is not None:
-        pi_layers = {d: {} for d in range(endo.trunc + 1)}
-        for (i, j, d), c in pi.entries.items():
-            pi_layers[d][(i, j)] = c
-        pi_masks = {d: set() for d in range(endo.trunc + 1)}
-        for (i, j, d) in pi.taint:
-            pi_masks[d].add((i, j))
-        for d in range(endo.trunc + 1):
-            for i in range(n):
-                for j in range(n):
-                    if (i, j) in commutator_masks[d] or (i, j) in pi_masks[d]:
-                        continue
-                    lhs = pi_layers[d].get((i, j), 0)
-                    rhs = (-commutators[d].get((i, j), 0)) % p
+                if s not in endo.taint:
+                    res = (lam * d * endo.entries.get(s, 0) + com.get(s, 0)) % p
+                    checked += 1
+                    if res:
+                        failures.append("residual %d at %s" % (res, endo.slot_text(*s)))
+                if pi is not None and s not in pi.taint:
                     pi_checked += 1
-                    if lhs % p != rhs:
-                        pi_failures.append(
-                            "divisor relation fails at %s" % endo.slot_text(i, j, d)
-                        )
+                    if pi.entries.get(s, 0) % p != -com.get(s, 0) % p:
+                        pi_failures.append("divisor relation fails at %s" % endo.slot_text(*s))
     return ResidualReport(checked, tuple(failures), pi_checked, tuple(pi_failures))
 
 
@@ -426,8 +357,6 @@ def qsigma_lambda(beta, ring, trunc=None):
     entries = {}
     taint = set()
     for d0, comps in sorted(by_order.items()):
-        from .series import series_one
-
         layer = CohomologyElement(
             ring, {i: series_one(p, 0).scale(c) for i, c in comps.items()}
         )
@@ -482,7 +411,7 @@ def _rewrite_in_divisor_powers(ring, target_index):
     slots = sorted(slots | {(target_index, 0)})
     rows = [[col.get(s, 0) for col in cols] for s in slots]
     rhs = [1 if s == (target_index, 0) else 0 for s in slots]
-    sol = _solve_mod_p(rows, rhs, p)
+    sol = solve_mod_p(rows, rhs, p)
     if sol is None:
         return None
     return [
@@ -490,38 +419,6 @@ def _rewrite_in_divisor_powers(ring, target_index):
         for ci in range(len(candidates))
         if sol[ci]
     ]
-
-
-def _solve_mod_p(rows, rhs, p):
-    """Gaussian elimination; returns one solution or None."""
-    m = [row[:] + [r] for row, r in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for rr in range(r, len(m)):
-            if m[rr][c] % p:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = fp_inv(m[r][c], p)
-        m[r] = [x * inv % p for x in m[r]]
-        for rr in range(len(m)):
-            if rr != r and m[rr][c] % p:
-                f = m[rr][c]
-                m[rr] = [(x - f * y) % p for x, y in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-    for rr in range(r, len(m)):
-        if m[rr][ncols] % p:
-            return None
-    sol = [0] * ncols
-    for idx, c in enumerate(pivots):
-        sol[c] = m[idx][ncols]
-    return sol
 
 
 def _step_taint(taint, divisor_index, ring, trunc):

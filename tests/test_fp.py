@@ -1,9 +1,18 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from qsteenrod.errors import NegativeValuation, ZeroInverse
-from qsteenrod.fp import balanced, factorial_ratio, fp_inv, is_prime, require_prime
+from qsteenrod.fp import (
+    balanced,
+    factorial_ratio,
+    fp_inv,
+    is_prime,
+    require_prime,
+    solve_mod_p,
+)
 
 
 def xgcd(a, b):
@@ -61,8 +70,6 @@ def test_factorial_ratio_examples():
 
 
 def test_factorial_ratio_random_against_rational_oracle():
-    import random
-
     rng = random.Random(7)
     for _ in range(200):
         p = rng.choice([2, 3, 5, 7, 11])
@@ -86,3 +93,40 @@ def test_balanced():
     assert balanced(1, 3) == 1
     assert balanced(4, 7) == -3
     assert balanced(3, 7) == 3
+
+
+def _satisfies(rows, rhs, x, p):
+    return all(sum(a * v for a, v in zip(row, x)) % p == r % p for row, r in zip(rows, rhs))
+
+
+def test_solve_mod_p_against_exhaustive_search():
+    rng = random.Random(11)
+    for p in (2, 3, 5):
+        seen = set()
+        for _ in range(120):
+            nrows = rng.randrange(1, 5)
+            ncols = rng.randrange(1, 5)
+            rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+            rhs = [rng.randrange(p) for _ in range(nrows)]
+            solvable = any(
+                _satisfies(rows, rhs, x, p)
+                for x in itertools.product(range(p), repeat=ncols)
+            )
+            x = solve_mod_p(rows, rhs, p)
+            seen.add(solvable)
+            if solvable:
+                assert len(x) == ncols and all(0 <= v < p for v in x)
+                assert _satisfies(rows, rhs, x, p)
+            else:
+                assert x is None
+        assert seen == {True, False}
+
+
+def test_solve_mod_p_edge_cases():
+    assert solve_mod_p([], [], 3) == []
+    assert solve_mod_p([[0, 0]], [0], 5) == [0, 0]
+    assert solve_mod_p([[0, 0]], [1], 5) is None
+    # inputs outside [0, p) and left untouched
+    rows, rhs = [[4, 7], [2, -1]], [5, 4]
+    x = solve_mod_p(rows, rhs, 3)
+    assert rows == [[4, 7], [2, -1]] and _satisfies(rows, rhs, x, 3)

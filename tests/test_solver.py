@@ -487,3 +487,62 @@ def test_one_pass_assembly_cubic_p211():
         assert out == _apply_term_by_term(endo, x)
     lines = format_endo(endo).split("\n")
     assert lines == _format_endo_term_by_term(endo)
+
+
+# -- compose against the all-pairs reference --------------------------------------
+
+
+def _compose_all_pairs(s1, s2):
+    """Slot-by-slot composition s1 after s2 over every pair of entries."""
+    ring = s1.ring
+    g = s1.degree + s2.degree
+    if s1.is_complete and s2.is_complete:
+        trunc = (g + ring.dimension_top) // ring.q_degree
+    else:
+        trunc = min(s1.trunc, s2.trunc)
+    entries = {}
+    for (i, j, d2), c2 in s2.entries.items():
+        for (j1, k, d1), c1 in s1.entries.items():
+            if j1 != j or d1 + d2 > trunc:
+                continue
+            key = (i, k, d1 + d2)
+            entries[key] = (entries.get(key, 0) + c1 * c2) % ring.prime
+    taint = set()
+    support1 = set(s1.entries) | set(s1.taint)
+    support2 = set(s2.entries) | set(s2.taint)
+    for (i, j, d2) in s2.taint:
+        for (j1, k, d1) in support1:
+            if j1 == j and d1 + d2 <= trunc:
+                taint.add((i, k, d1 + d2))
+    for (i, j, d2) in support2:
+        for (j1, k, d1) in s1.taint:
+            if j1 == j and d1 + d2 <= trunc:
+                taint.add((i, k, d1 + d2))
+    entries = {s: c for s, c in entries.items() if s not in taint and c}
+    return entries, taint, trunc
+
+
+@pytest.mark.parametrize(
+    "name, p, left, right, trunc, tainted",
+    [
+        ("cubic_surface", 3, "h_2", "h_2", None, None),
+        ("cubic_surface", 3, "h_2", "h_4", None, None),
+        ("quadric_intersection", 101, "h_2", "h_6", None, 1616),
+        ("quadric_intersection", 7, "h_4", "h_2", 3, None),
+        ("quadric_intersection", 7, "h_4", "h_4", 3, None),
+    ],
+)
+def test_compose_matches_all_pairs_reference(name, p, left, right, trunc, tainted):
+    ring = builtin_ring(name, p)
+    s1, _ = solve_qsigma(left, ring, trunc)
+    s2, _ = solve_qsigma(right, ring)
+    if name == "cubic_surface":
+        assert s1.taint and s2.taint
+    if trunc is not None:
+        assert not s1.is_complete and s2.is_complete
+    for a, b in ((s1, s2), (s2, s1)):
+        got = compose(a, b)
+        entries, taint, bound = _compose_all_pairs(a, b)
+        assert (got.entries, set(got.taint), got.trunc) == (entries, taint, bound)
+        if tainted is not None:
+            assert len(got.taint) == tainted
