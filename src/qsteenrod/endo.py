@@ -11,6 +11,9 @@ Every graded F_p matrix in the package is such a slot map {(i, j, d): c}:
 the entries of an endomorphism, the solver's per-q-order layers and the
 blocks of quantum multiplication by a divisor.  They share one product
 (_matmul), one difference (_msub) and one taint rule (_product_mask).
+compose multiplies whole graded maps with the same rules by Kronecker
+substitution (_packed_matmul), which wins there because its operands span
+many q-orders; the solver's per-order products keep the direct loops.
 """
 
 from dataclasses import dataclass, field
@@ -78,6 +81,46 @@ def _product_mask(x, x_mask, y, y_mask, trunc=None):
             for k, d2 in rows.get(j, ()):
                 if trunc is None or d1 + d2 <= trunc:
                     out.add((i, k, d1 + d2))
+    return out
+
+
+def _packed_matmul(pairs, w, trunc):
+    """Sum of the products x y over (x, y) in pairs, by Kronecker substitution.
+
+    Each (i, j) series of a factor is packed into one int with slot
+    (i, j, d) at bit w*d, so one big-int product multiplies whole series.
+    Coefficients must be non-negative and those at q-order <= trunc must fit
+    in w bits; higher orders may overflow, since carries only move up.
+    Returns the unreduced nonzero coefficients {(i, k, d): c}, d <= trunc.
+    """
+    acc = {}
+    for x, y in pairs:
+        packed = []
+        for factor in (x, y):
+            by_pair = {}
+            for (i, j, d), c in factor.items():
+                if d <= trunc:
+                    by_pair[(i, j)] = by_pair.get((i, j), 0) + (c << (w * d))
+            packed.append(by_pair)
+        rows = {}
+        for (j, k), v in packed[1].items():
+            rows.setdefault(j, []).append((k, v))
+        for (i, j), u in packed[0].items():
+            for k, v in rows.get(j, ()):
+                acc[(i, k)] = acc.get((i, k), 0) + u * v
+    out = {}
+    low = (1 << w) - 1
+    for (i, k), z in acc.items():
+        d = 0
+        while z:
+            skip = ((z & -z).bit_length() - 1) // w  # all-zero slots below
+            d += skip
+            if d > trunc:
+                break
+            z >>= w * skip
+            out[(i, k, d)] = z & low
+            z >>= w
+            d += 1
     return out
 
 
@@ -238,18 +281,33 @@ def compose(s1, s2):
 
     When both factors are complete the result is computed exactly out to its
     own pruning bound; otherwise it is truncated at the smaller truncation.
+    The product and the taint rule are those of _matmul and _product_mask,
+    computed on whole series by _packed_matmul.
     """
     if s1.ring.prime != s2.ring.prime:
         raise MixedContext("composition across different primes")
     ring = s1.ring
+    p = ring.prime
+    n = len(ring.basis)
     g = s1.degree + s2.degree
     if s1.is_complete and s2.is_complete:
         trunc = (g + ring.dimension_top) // ring.q_degree
     else:
         trunc = min(s1.trunc, s2.trunc)
-    entries = _matmul(s2.entries, s1.entries, ring.prime, trunc)
-    taint = _product_mask(s2.entries, s2.taint, s1.entries, s1.taint, trunc)
-    entries = {s: c for s, c in entries.items() if s not in taint}
+    # A coefficient at q-order <= trunc sums at most n*(trunc+1) products of
+    # entries in [0, p-1], or of taint indicators in {0, 1} on two sides.
+    w = (n * (trunc + 1) * (p - 1) ** 2).bit_length() + 1
+    products = _packed_matmul([(s2.entries, s1.entries)], w, trunc)
+    taint = set()
+    if s1.taint or s2.taint:
+        w = (2 * n * (trunc + 1)).bit_length() + 1
+        support1 = dict.fromkeys(set(s1.entries) | s1.taint, 1)
+        pairs = [
+            (dict.fromkeys(s2.taint, 1), support1),
+            (dict.fromkeys(s2.entries, 1), dict.fromkeys(s1.taint, 1)),
+        ]
+        taint = set(_packed_matmul(pairs, w, trunc))
+    entries = {s: c % p for s, c in products.items() if c % p and s not in taint}
     return GradedEndomorphism(ring, g, trunc, entries, frozenset(taint))
 
 

@@ -10,6 +10,7 @@ The quantum connection in the divisor direction a is
 nabla_a = t * lambda_a * q d/dq + (a *).
 """
 
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import MissingSteenrodData, MixedContext, NotDivisor
@@ -51,7 +52,8 @@ class QuantumRing:
         """products: dict (i, j, d) -> dict {k: integer coefficient}.
 
         Entries are stored symmetrically; the unit's products are implied by
-        the unit law and must not appear.
+        the unit law and must not appear.  The ring is read-only once built:
+        solve_qsigma memoises its results on it.
         """
         self.name = name
         self.prime = require_prime(prime)
@@ -59,7 +61,12 @@ class QuantumRing:
         self.q_degree = q_degree
         self.dimension_top = dimension_top
         self.default_leading_steenrod = default_leading_steenrod
-        self.steenrod = {} if steenrod is None else dict(steenrod)
+        self.steenrod = MappingProxyType(
+            {
+                prime_key: MappingProxyType({i: tuple(st) for i, st in table.items()})
+                for prime_key, table in (steenrod or {}).items()
+            }
+        )
 
         names = [b.name for b in self.basis]
         if len(set(names)) != len(names):
@@ -102,6 +109,22 @@ class QuantumRing:
             if terms:
                 orders.setdefault((i, j), []).append(d)
         self._orders = {key: tuple(sorted(ds)) for key, ds in orders.items()}
+        # solve_qsigma's results: (class, truncation) -> (entries, taint, report)
+        self._solved = {}
+        self._frozen = True
+
+    def __setattr__(self, name, value):
+        self._check_writable(name)
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        self._check_writable(name)
+        object.__delattr__(self, name)
+
+    def _check_writable(self, name):
+        """Public attributes are fixed once __init__ ends; private caches are not."""
+        if not name.startswith("_") and getattr(self, "_frozen", False):
+            raise AttributeError("QuantumRing is read-only: cannot change %r" % name)
 
     # -- basis helpers ----------------------------------------------------
 

@@ -167,7 +167,11 @@ def tzero_layer(b, ring, trunc=None):
 
 
 def solve_qsigma(b, ring, trunc=None):
-    """Construct QSigma_b; returns (GradedEndomorphism, SolveReport)."""
+    """Construct QSigma_b; returns (GradedEndomorphism, SolveReport).
+
+    Solved once per (ring, class, resolved truncation); repeated calls return
+    an equal endomorphism and the same report, which callers must not mutate.
+    """
     b = to_element(b, ring, 0)
     if b.is_zero():
         raise ValueError("b must be nonzero")
@@ -186,6 +190,15 @@ def solve_qsigma(b, ring, trunc=None):
     lam = div.pairing % p
     if lam == 0:
         raise NotDivisor("primary divisor pairing vanishes mod p")
+    # One solve per (ring, class, truncation).  The cache keeps no endo, so
+    # it holds no reference back to the ring.
+    key = None
+    if b.ring is ring:
+        cls = sorted((k, f.coefficient(0, 0) % p) for k, f in b.components.items())
+        key = (tuple(cls), trunc)
+        if key in ring._solved:
+            entries, taint, report = ring._solved[key]
+            return GradedEndomorphism(ring, g, trunc, entries, taint), report
     blocks = _divisor_blocks(ring, div)
     a0 = blocks.get(0, {})
     n = len(ring.basis)
@@ -266,6 +279,8 @@ def solve_qsigma(b, ring, trunc=None):
         residual_checked=checked,
         residual_failures=failures,
     )
+    if key is not None:
+        ring._solved[key] = (endo.entries, endo.taint, report)
     return endo, report
 
 

@@ -1,16 +1,24 @@
-"""Tier-1 gate on the benchmark's self-test (bench/selftest.py).
+"""Tier-1 gates on the benchmark: its self-test and its correctness checks.
 
-The self-test checks that the benchmark tracer still reaches every wrapped
-function and that the solve_qsigma call and distinct-problem counts of four
-CLI commands are unchanged, so a refactor that breaks ``bench/run.py --trace
-1`` fails here.
+The self-test (bench/selftest.py) checks that the benchmark tracer still
+reaches every wrapped function and that the solve_qsigma call and
+distinct-problem counts of four CLI commands are unchanged, so a refactor
+that breaks ``bench/run.py --trace 1`` fails here.  The library-session
+round runs every op of the ``library_session`` workload once through its own
+checks (the digests in bench/reference.json and the tabulated p = 3
+answers), so a wrong cached solve or composition fails here too.
 """
 
+import importlib.util
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+
+import qsteenrod
+import qsteenrod.cli  # noqa: F401  (the workloads reach the CLI as pkg.cli)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -27,3 +35,22 @@ def test_bench_selftest_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("PASS "), proc.stdout
+
+
+def test_bench_library_session_round_passes_its_checks():
+    path = os.path.join(ROOT, "bench", "workloads.py")
+    if not os.path.isfile(path):
+        pytest.skip("no bench/ in this checkout")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    units = workloads.build(
+        "library_session", qsteenrod, random.Random(0), None, workloads.load_reference()
+    )
+    checked = 0
+    for unit in units:
+        ctx = {}
+        for op in unit:
+            assert op.check(op.call(ctx)) is None
+            checked += 1
+    assert checked == 6 * (10 + 14)  # per prime: the cubic-surface and quadric sessions

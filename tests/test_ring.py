@@ -26,6 +26,23 @@ def test_builtin_rings_verify_clean():
             assert verify_ring(builtin_ring(name, p), trunc=4) == []
 
 
+def test_ring_is_read_only():
+    ring = builtin_ring("cubic_surface", 2)
+    for attr in ("prime", "name", "basis", "steenrod", "default_leading_steenrod"):
+        with pytest.raises(AttributeError):
+            setattr(ring, attr, getattr(ring, attr))
+        with pytest.raises(AttributeError):
+            delattr(ring, attr)
+    with pytest.raises(TypeError):
+        ring.steenrod[3] = {}
+    with pytest.raises(TypeError):
+        ring.steenrod[2][1] = ()
+    # the read-only table still compares equal to plain dicts
+    assert ring.steenrod == {2: {1: ((2, 0, 0, 1), (1, 1, 0, 1))}, 3: {1: ((1, 2, 0, -1),)}}
+    assert ring.sc(1, 1, 0) == {2: 1}  # the private lazy caches still fill
+    assert ring._sc_mod[(1, 1, 0)] == {2: 1}
+
+
 def test_s2_products():
     for p in (3, 5):
         ring = builtin_ring("s2", p)

@@ -1,5 +1,10 @@
+import gc
+import io
+import weakref
+
 import pytest
 
+from qsteenrod import cli, solver
 from qsteenrod.errors import (
     InconsistentSeed,
     MissingSteenrodData,
@@ -13,6 +18,7 @@ from qsteenrod.endo import (
     equal_on_untainted,
     format_endo,
     identity_endo,
+    kappa,
     qpi,
 )
 from qsteenrod.manifold_io import ring_from_data
@@ -220,8 +226,9 @@ def test_inconsistent_seed():
     data = builtin_manifold("s2")
     data["steenrod"] = {"3": {"h": [{"basis": "h", "t": 2, "theta": 0, "coeff": 1}]}}
     ring = ring_from_data(data, 3)
-    with pytest.raises(InconsistentSeed):
-        solve_qsigma("h", ring)
+    for _ in range(2):  # a failed solve is not cached
+        with pytest.raises(InconsistentSeed):
+            solve_qsigma("h", ring)
 
 
 def test_negative_power_residue():
@@ -232,6 +239,79 @@ def test_negative_power_residue():
     ring = ring_from_data(data, 3)
     with pytest.raises(NegativePowerResidue):
         solve_qsigma("h", ring)
+
+
+# -- one solve per (ring, class, truncation) -----------------------------------
+
+
+def _count_solves(monkeypatch):
+    """Record the solves that run past the cache: each builds the t^0 seeds once."""
+    calls = []
+    real = solver.tzero_layer
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "tzero_layer", counted)
+    return calls
+
+
+def _state(endo):
+    return endo.entries, endo.taint, endo.trunc
+
+
+def test_solve_cache_shares_equal_problems(monkeypatch):
+    fresh, fresh_report = solve_qsigma("h_2", builtin_ring("cubic_surface", 3))
+    ring = builtin_ring("cubic_surface", 3)
+    solves = _count_solves(monkeypatch)
+    default = ring.default_truncation(2)
+    h_2 = basis_class(ring, "h_2", 0)
+    for b, trunc in (("h_2", None), ("h_2", default), (h_2, None), (h_2.retruncate(3), default)):
+        endo, report = solve_qsigma(b, ring, trunc)
+        assert _state(endo) == _state(fresh) and report == fresh_report
+    assert endo.taint and len(solves) == 1
+    low, low_report = solve_qsigma("h_2", ring, 2)
+    assert low.trunc == 2 and len(solves) == 2
+    again, again_report = solve_qsigma(h_2, ring, 2)
+    assert _state(again) == _state(low) and again_report == low_report
+    solve_qsigma(h_2.scale(2), ring)
+    assert len(solves) == 3
+
+
+@pytest.mark.parametrize(
+    "line, solves",
+    [
+        # solve_qsigma is called 5, 24, 4 and 5 times by these commands
+        ("verify --manifold builtin:quadric_intersection --prime 3 --suite constancy", 4),
+        ("verify --manifold builtin:quadric_intersection --prime 3 --suite all", 5),
+        ("compute --manifold builtin:quadric_intersection --prime 5 --class h_6 --op qst", 3),
+        ("compute --manifold builtin:cubic_surface --prime 31 --class h_4 --op qst", 3),
+    ],
+)
+def test_cli_solves_each_problem_once(monkeypatch, line, solves):
+    calls = _count_solves(monkeypatch)
+    assert cli.main(line.split(), out=io.StringIO()) == 0
+    assert len(calls) == solves
+
+
+def test_solve_cache_keeps_no_cycle_through_the_ring(monkeypatch):
+    refs = []
+    real = cli.ring_from_data
+
+    def tracked(data, prime):
+        ring = real(data, prime)
+        refs.append(weakref.ref(ring))
+        return ring
+
+    monkeypatch.setattr(cli, "ring_from_data", tracked)
+    argv = "compute --manifold builtin:quadric_intersection --prime 5 --class h_6 --op qst"
+    gc.disable()
+    try:
+        assert cli.main(argv.split(), out=io.StringIO()) == 0
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
 
 
 # -- composition, extension, divisor operation ---------------------------------
@@ -522,6 +602,25 @@ def _compose_all_pairs(s1, s2):
     return entries, taint, trunc
 
 
+def _operand(ring, cls, trunc=None):
+    """QSigma_cls, or for "full:cls" an operator of its degree with every
+    live slot at p - 1, the largest sums a composition can meet."""
+    if not cls.startswith("full:"):
+        return solve_qsigma(cls, ring, trunc)[0]
+    g = ring.prime * ring.degree(ring.index(cls[len("full:"):]))
+    if trunc is None:
+        trunc = GradedEndomorphism(ring, g, 0).complete_bound
+    n = len(ring.basis)
+    entries = {
+        (i, j, d): ring.prime - 1
+        for i in range(n)
+        for j in range(n)
+        for d in range(trunc + 1)
+        if kappa(ring, g, i, j, d) is not None
+    }
+    return GradedEndomorphism(ring, g, trunc, entries)
+
+
 @pytest.mark.parametrize(
     "name, p, left, right, trunc, tainted",
     [
@@ -530,12 +629,14 @@ def _compose_all_pairs(s1, s2):
         ("quadric_intersection", 101, "h_2", "h_6", None, 1616),
         ("quadric_intersection", 7, "h_4", "h_2", 3, None),
         ("quadric_intersection", 7, "h_4", "h_4", 3, None),
+        ("quadric_intersection", 211, "full:h_2", "full:h_2", None, 0),
+        ("quadric_intersection", 211, "full:h_2", "full:h_2", 3, 0),
     ],
 )
 def test_compose_matches_all_pairs_reference(name, p, left, right, trunc, tainted):
     ring = builtin_ring(name, p)
-    s1, _ = solve_qsigma(left, ring, trunc)
-    s2, _ = solve_qsigma(right, ring)
+    s1 = _operand(ring, left, trunc)
+    s2 = _operand(ring, right)
     if name == "cubic_surface":
         assert s1.taint and s2.taint
     if trunc is not None:
