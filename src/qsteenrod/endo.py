@@ -7,13 +7,13 @@ kappa negative or non-integral are identically zero, so only the scalar
 coefficient is stored.  The taint set lists slots whose value the solver
 could not determine; tainted slots carry no stored value.
 
-Every graded F_p matrix in the package is such a slot map {(i, j, d): c}:
-the entries of an endomorphism, the solver's per-q-order layers and the
-blocks of quantum multiplication by a divisor.  They share one product
-(_matmul), one difference (_msub) and one taint rule (_product_mask).
-compose multiplies whole graded maps with the same rules by Kronecker
-substitution (_packed_matmul), which wins there because its operands span
-many q-orders; the solver's per-order products keep the direct loops.
+Every graded F_p matrix in the package is such a slot map {(i, j, d): c},
+or, within one q-order, {(i, j): c}.  A product (i, j, d1) then (j, k, d2)
+lands on (i, k, d1 + d2), and a tainted slot taints its product with every
+stored or tainted slot of the other factor.  compose multiplies whole
+graded maps by Kronecker substitution (_packed_matmul); the solver only
+ever multiplies by a divisor block, through its commutator map
+(solver._ad_map).
 """
 
 from dataclasses import dataclass, field
@@ -33,55 +33,6 @@ def kappa(ring, g, i, j, d):
 
 
 # -- sparse graded F_p matrices: slot maps {(i, j, d): c} ----------------------
-
-
-def _matmul(x, y, p, trunc=None):
-    """Product of slot maps: (i, j, d1) times (j, k, d2) lands on (i, k, d1+d2).
-
-    x acts first (slot (i, j) sends e_i to e_j); with trunc, products above
-    q-order trunc are dropped.
-    """
-    rows = {}
-    for (j, k, d2), c in y.items():
-        rows.setdefault(j, []).append((k, d2, c))
-    out = {}
-    for (i, j, d1), c in x.items():
-        for k, d2, c2 in rows.get(j, ()):
-            if trunc is None or d1 + d2 <= trunc:
-                key = (i, k, d1 + d2)
-                out[key] = out.get(key, 0) + c * c2
-    return {s: c % p for s, c in out.items() if c % p}
-
-
-def _msub(x, y, p):
-    out = dict(x)
-    for s, c in y.items():
-        out[s] = (out.get(s, 0) - c) % p
-    return {s: c for s, c in out.items() if c}
-
-
-def _product_mask(x, x_mask, y, y_mask, trunc=None):
-    """Slots of the product x y that depend on a masked slot of either factor.
-
-    x and y are the factors' stored slots, x_mask and y_mask their masked
-    (tainted) slots; a masked slot taints its product with every stored or
-    masked slot of the other factor.
-    """
-    sides = []
-    if x_mask:
-        sides.append((x_mask, set(y) | set(y_mask)))
-    if y_mask:
-        sides.append((x, y_mask))
-    out = set()
-    for left, right in sides:
-        rows = {}
-        for (j, k, d2) in right:
-            rows.setdefault(j, []).append((k, d2))
-        for (i, j, d1) in left:
-            for k, d2 in rows.get(j, ()):
-                if trunc is None or d1 + d2 <= trunc:
-                    out.add((i, k, d1 + d2))
-    return out
 
 
 def _packed_matmul(pairs, w, trunc):
@@ -281,8 +232,8 @@ def compose(s1, s2):
 
     When both factors are complete the result is computed exactly out to its
     own pruning bound; otherwise it is truncated at the smaller truncation.
-    The product and the taint rule are those of _matmul and _product_mask,
-    computed on whole series by _packed_matmul.
+    The product and the taint rule are the slot-map ones (see the module
+    docstring), computed on whole series by _packed_matmul.
     """
     if s1.ring.prime != s2.ring.prime:
         raise MixedContext("composition across different primes")

@@ -14,6 +14,11 @@ strictly raises degree).  When lambda*d vanishes mod p the order is
 undetermined up to the connection's kernel: every slot not pinned by the t^0
 seeds or by degree pruning is marked tainted, and taint propagates forward
 through later right-hand sides.  The solver reports; it never guesses.
+
+Each commutator X -> [X, A_e] is tabulated once per solve as a linear map
+on (i, j) slots, with the slots a tainted X slot reaches (_ad_map); the
+right-hand sides, the Neumann series and the residual re-check all apply
+those tables.
 """
 
 from dataclasses import dataclass
@@ -24,14 +29,7 @@ from .errors import (
     NotDivisor,
     NotGenerated,
 )
-from .endo import (
-    GradedEndomorphism,
-    _matmul,
-    _msub,
-    _product_mask,
-    kappa,
-    multiplication_endo,
-)
+from .endo import GradedEndomorphism, kappa, multiplication_endo
 from .fp import fp_inv, solve_mod_p
 from .ring import (
     CohomologyElement,
@@ -62,45 +60,74 @@ class QstResult:
     report: object
 
 
-# -- graded matrices on slot maps {(i, j, d): c} (see endo) -------------------
-
-
-def _commutator(x, x_mask, a, p):
-    """[X, A] = X A - A X for slot maps, and the slots a masked X slot reaches."""
-    com = _msub(_matmul(x, a, p), _matmul(a, x, p), p)
-    mask = _product_mask(x, x_mask, a, ()) | _product_mask(a, (), x, x_mask)
-    return com, mask
+# -- the commutator with a divisor block, as a map on (i, j) slots -------------
 
 
 def _divisor_blocks(ring, div):
-    """Slot maps A_e of quantum multiplication by the divisor, per q-order e."""
+    """Blocks A_e = {(i, j): c} of quantum multiplication by the divisor.
+
+    Block e holds the q-order-e structure constants, reduced mod p.
+    """
     blocks = {}
     a = div.index
     for e in range(ring.max_q_order() + 1):
         block = {}
         for i in range(len(ring.basis)):
             for j, c in ring.sc(a, i, e).items():
-                block[(i, j, e)] = c
+                block[(i, j)] = c
         if block:
             blocks[e] = block
     return blocks
 
 
-def _neumann(rhs, rhs_mask, inv, a0, p, nmax):
+def _ad_map(block, n, p):
+    """The commutator X -> [X, A] = X A - A X with one block A, slot by slot.
+
+    Slot (i, j) of X sends e_i to e_j, and X acts first in X A.  Returns
+    (values, reach): values[(i, j)] lists ((i2, j2), c) with c the nonzero
+    coefficient mod p of [E_ij, A] at (i2, j2); reach[(i, j)] lists every
+    slot either product touches, cancelled ones included.  Taint follows
+    reach, never values: a masked slot taints what it touches even where
+    the two products cancel (h_2 -> h_2 under A_1 on the cubic surface).
+    """
+    rows, cols = {}, {}
+    for (j, k), c in block.items():
+        rows.setdefault(j, []).append((k, c))
+        cols.setdefault(k, []).append((j, c))
+    values, reach = {}, {}
+    for i in range(n):
+        for j in range(n):
+            acc = {}
+            for k, c in rows.get(j, ()):
+                acc[(i, k)] = acc.get((i, k), 0) + c
+            for h, c in cols.get(i, ()):
+                acc[(h, j)] = acc.get((h, j), 0) - c
+            if acc:
+                reach[(i, j)] = tuple(acc)
+                values[(i, j)] = tuple((s, c % p) for s, c in acc.items() if c % p)
+    return values, reach
+
+
+def _neumann(rhs, rhs_mask, inv, ad0, p, nmax):
     """Solve lambda*d X + [X, A0] = rhs, with inv = 1/(lambda*d) mod p.
 
     X = sum_m (-1)^m inv^(m+1) [., A0]^m (rhs); the series is finite since
-    [., A0] raises degree.
+    [., A0] raises degree.  ad0 = _ad_map(A0); the mask is rhs_mask closed
+    under its reach.
     """
+    values0, reach0 = ad0
     acc = {}
     term = rhs
     factor = inv
     for _ in range(nmax):
         if not term:
             break
+        nxt = {}
         for s, c in term.items():
             acc[s] = (acc.get(s, 0) + factor * c) % p
-        term, _ = _commutator(term, (), a0, p)
+            for t, v in values0.get(s, ()):
+                nxt[t] = nxt.get(t, 0) + c * v
+        term = {s: c % p for s, c in nxt.items() if c % p}
         factor = -factor * inv % p
     else:
         if term:
@@ -110,8 +137,7 @@ def _neumann(rhs, rhs_mask, inv, a0, p, nmax):
     for _ in range(nmax):
         if not frontier:
             break
-        _, frontier = _commutator({}, frontier, a0, p)
-        frontier -= mask
+        frontier = {t for s in frontier for t in reach0.get(s, ())} - mask
         mask |= frontier
     acc = {s: c for s, c in acc.items() if c and s not in mask}
     return acc, mask
@@ -145,10 +171,13 @@ def tzero_layer(b, ring, trunc=None):
     """Values of every forced-t^0 slot: multiplication by the p-th power.
 
     Returns {(i, j, d): value} covering all kappa == 0 slots with d <= trunc,
-    zeros included (a zero seed is still a determination).
+    zeros included (a zero seed is still a determination).  Each (i, j) has
+    at most one such slot, d = (p|b| + |e_i| - |e_j|) / q_degree.
     """
     b = to_element(b, ring, 0)
     deg = b.degree
+    if deg is None:
+        raise ValueError("t^0 layer needs a homogeneous class")
     if trunc is None:
         trunc = ring.default_truncation(deg)
     g = ring.prime * deg
@@ -157,9 +186,9 @@ def tzero_layer(b, ring, trunc=None):
     for i, be in enumerate(ring.basis):
         col = quantum_product(power, basis_class(ring, be.name, trunc))
         for j in range(len(ring.basis)):
-            for d in range(trunc + 1):
-                if kappa(ring, g, i, j, d) == 0:
-                    seeds[(i, j, d)] = col.coefficient(j, d, 0)
+            d, r = divmod(g + be.degree - ring.degree(j), ring.q_degree)
+            if not r and 0 <= d <= trunc:
+                seeds[(i, j, d)] = col.coefficient(j, d, 0)
     return seeds
 
 
@@ -199,14 +228,15 @@ def solve_qsigma(b, ring, trunc=None):
         if key in ring._solved:
             entries, taint, report = ring._solved[key]
             return GradedEndomorphism(ring, g, trunc, entries, taint), report
-    blocks = _divisor_blocks(ring, div)
-    a0 = blocks.get(0, {})
     n = len(ring.basis)
     nmax = 2 * n + 4
+    ads = {e: _ad_map(block, n, p) for e, block in _divisor_blocks(ring, div).items()}
+    ad0 = ads.get(0, ({}, {}))
 
     seeds = tzero_layer(b, ring, trunc)
     init = initial_layer(b, ring, trunc)
-    layers = {0: {s: c for s, c in init.entries.items() if s[2] == 0}}
+    # per-order layers and masks are keyed (i, j); (i, j, d) at assembly
+    layers = {0: {(i, j): c for (i, j, d), c in init.entries.items() if d == 0}}
     masks = {0: set()}
     seed_checks = 0
     seeds_resolving = 0
@@ -215,17 +245,20 @@ def solve_qsigma(b, ring, trunc=None):
         # rhs = -sum_{e >= 1} [E_{d-e}, A_e]
         rhs = {}
         rhs_mask = set()
-        for e, a_e in blocks.items():
+        for e, (vals, reach) in ads.items():
             if 1 <= e <= d:
-                com, com_mask = _commutator(layers[d - e], masks[d - e], a_e, p)
-                rhs = _msub(rhs, com, p)
-                rhs_mask |= com_mask
+                for s, c in layers[d - e].items():
+                    for t, v in vals.get(s, ()):
+                        rhs[t] = rhs.get(t, 0) - c * v
+                for s in masks[d - e]:
+                    rhs_mask.update(reach.get(s, ()))
+        rhs = {s: c % p for s, c in rhs.items() if c % p}
 
         if (lam * d) % p:
-            values, mask = _neumann(rhs, rhs_mask, fp_inv(lam * d, p), a0, p, nmax)
+            values, mask = _neumann(rhs, rhs_mask, fp_inv(lam * d, p), ad0, p, nmax)
         else:
             values, mask = {}, {
-                (i, j, d)
+                (i, j)
                 for i in range(n)
                 for j in range(n)
                 if kappa(ring, g, i, j, d) is not None
@@ -235,7 +268,7 @@ def solve_qsigma(b, ring, trunc=None):
         layer_mask = set()
         for i in range(n):
             for j in range(n):
-                s = (i, j, d)
+                s = (i, j)
                 k = kappa(ring, g, i, j, d)
                 val = values.get(s, 0)
                 if k is None:
@@ -246,7 +279,7 @@ def solve_qsigma(b, ring, trunc=None):
                         )
                     continue
                 if k == 0:
-                    seed = seeds[s]
+                    seed = seeds[(i, j, d)]
                     if s in mask:
                         seeds_resolving += 1
                     else:
@@ -267,8 +300,8 @@ def solve_qsigma(b, ring, trunc=None):
         layers[d] = layer
         masks[d] = layer_mask
 
-    entries = {s: c for layer in layers.values() for s, c in layer.items()}
-    taint = set().union(*masks.values())
+    entries = {(i, j, d): c for d, layer in layers.items() for (i, j), c in layer.items()}
+    taint = {(i, j, d) for d, mask in masks.items() for (i, j) in mask}
     endo = GradedEndomorphism(ring, g, trunc, entries, frozenset(taint))
     checked, failures = _residuals(endo, ring)
     report = SolveReport(
@@ -317,13 +350,24 @@ def verify_covariant_constancy(endo, divisor_name, ring, pi=None):
     div = ring.divisor(divisor_name)
     p = ring.prime
     lam = div.pairing
-    a = {s: c for block in _divisor_blocks(ring, div).values() for s, c in block.items()}
-    com, com_mask = _commutator(endo.entries, endo.taint, a, p)
     n = len(ring.basis)
+    trunc = endo.trunc
+    com = {}  # [S, a*], unreduced; orders above trunc are never read
+    com_mask = set()
+    for e, block in _divisor_blocks(ring, div).items():
+        values, reach = _ad_map(block, n, p)
+        for (i, j, d), c in endo.entries.items():
+            if d + e <= trunc:
+                for (i2, j2), v in values.get((i, j), ()):
+                    t = (i2, j2, d + e)
+                    com[t] = com.get(t, 0) + c * v
+        for (i, j, d) in endo.taint:
+            if d + e <= trunc:
+                com_mask.update((i2, j2, d + e) for (i2, j2) in reach.get((i, j), ()))
     checked = pi_checked = 0
     failures = []
     pi_failures = []
-    for d in range(endo.trunc + 1):
+    for d in range(trunc + 1):
         for i in range(n):
             for j in range(n):
                 s = (i, j, d)

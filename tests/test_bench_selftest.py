@@ -6,7 +6,9 @@ distinct-problem counts of four CLI commands are unchanged, so a refactor
 that breaks ``bench/run.py --trace 1`` fails here.  The library-session
 round runs every op of the ``library_session`` workload once through its own
 checks (the digests in bench/reference.json and the tabulated p = 3
-answers), so a wrong cached solve or composition fails here too.
+answers), so a wrong cached solve or composition fails here too.  The
+divisor-ladder round does the same for the p = 31, 101, 211 solves (digests
+and the sphere's closed form), the sizes the small goldens never reach.
 """
 
 import importlib.util
@@ -37,20 +39,30 @@ def test_bench_selftest_passes():
     assert proc.stdout.startswith("PASS "), proc.stdout
 
 
-def test_bench_library_session_round_passes_its_checks():
+def _run_checked_round(name):
+    """Run every op of one round of the named workload through its own check;
+    returns the number of ops."""
     path = os.path.join(ROOT, "bench", "workloads.py")
     if not os.path.isfile(path):
         pytest.skip("no bench/ in this checkout")
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    units = workloads.build(
-        "library_session", qsteenrod, random.Random(0), None, workloads.load_reference()
-    )
+    units = workloads.build(name, qsteenrod, random.Random(0), None, workloads.load_reference())
     checked = 0
     for unit in units:
         ctx = {}
         for op in unit:
             assert op.check(op.call(ctx)) is None
             checked += 1
-    assert checked == 6 * (10 + 14)  # per prime: the cubic-surface and quadric sessions
+    return checked
+
+
+def test_bench_library_session_round_passes_its_checks():
+    # per prime: the cubic-surface and quadric sessions
+    assert _run_checked_round("library_session") == 6 * (10 + 14)
+
+
+def test_bench_divisor_ladder_round_passes_its_checks():
+    # compute qsigma|qst|qpi, text and json, for three manifolds at three primes
+    assert _run_checked_round("divisor_ladder") == 3 * 3 * 3 * 2

@@ -1,5 +1,6 @@
 import gc
 import io
+import random
 import weakref
 
 import pytest
@@ -96,6 +97,33 @@ def test_tzero_layer_unit():
     ring = builtin_ring("quadric_intersection", 3)
     seeds = tzero_layer("1", ring)
     assert {s: c for s, c in seeds.items() if c} == {(i, i, 0): 1 for i in range(4)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 31, 211])
+def test_tzero_layer_covers_exactly_the_t0_slots(p):
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        ring = builtin_ring(name, p)
+        n = len(ring.basis)
+        for b in ring.basis:
+            g = p * b.degree
+            for trunc in (None, 1):
+                bound = ring.default_truncation(b.degree) if trunc is None else trunc
+                want = {
+                    (i, j, d)
+                    for i in range(n)
+                    for j in range(n)
+                    for d in range(bound + 1)
+                    if kappa(ring, g, i, j, d) == 0
+                }
+                assert set(tzero_layer(b.name, ring, trunc)) == want
+
+
+def test_tzero_layer_rejects_an_inhomogeneous_class():
+    ring = builtin_ring("cubic_surface", 3)
+    mixed = element(ring, 0, [("h_2", 0, 0, 1), ("h_4", 0, 0, 1)])
+    for trunc in (None, 2):
+        with pytest.raises(ValueError, match="homogeneous"):
+            tzero_layer(mixed, ring, trunc)
 
 
 # -- the solver on the worked examples ----------------------------------------
@@ -647,3 +675,96 @@ def test_compose_matches_all_pairs_reference(name, p, left, right, trunc, tainte
         assert (got.entries, set(got.taint), got.trunc) == (entries, taint, bound)
         if tainted is not None:
             assert len(got.taint) == tainted
+
+
+# -- the commutator map against the generic slot-map products ---------------------
+
+
+def _matmul_reference(x, y, p):
+    """Product of slot maps: (i, j, d1) times (j, k, d2) lands on (i, k, d1+d2)."""
+    out = {}
+    for (i, j, d1), c in x.items():
+        for (j2, k, d2), c2 in y.items():
+            if j2 == j:
+                key = (i, k, d1 + d2)
+                out[key] = out.get(key, 0) + c * c2
+    return {s: c % p for s, c in out.items() if c % p}
+
+
+def _msub_reference(x, y, p):
+    out = dict(x)
+    for s, c in y.items():
+        out[s] = (out.get(s, 0) - c) % p
+    return {s: c for s, c in out.items() if c}
+
+
+def _product_mask_reference(x, x_mask, y, y_mask):
+    """A masked slot taints its product with every stored or masked slot of
+    the other factor."""
+    sides = [(x_mask, set(y) | set(y_mask)), (x, y_mask)]
+    return {
+        (i, k, d1 + d2)
+        for left, right in sides
+        for (i, j, d1) in left
+        for (j2, k, d2) in right
+        if j2 == j
+    }
+
+
+def _commutator_reference(x, x_mask, a, p):
+    com = _msub_reference(_matmul_reference(x, a, p), _matmul_reference(a, x, p), p)
+    mask = _product_mask_reference(x, x_mask, a, ()) | _product_mask_reference(a, (), x, x_mask)
+    return com, mask
+
+
+def _commutator_by_map(x, x_mask, ad, e, p):
+    values, reach = ad
+    com = {}
+    for (i, j, d), c in x.items():
+        for (i2, j2), v in values.get((i, j), ()):
+            key = (i2, j2, d + e)
+            com[key] = com.get(key, 0) + c * v
+    mask = {(i2, j2, d + e) for (i, j, d) in x_mask for (i2, j2) in reach.get((i, j), ())}
+    return {t: c % p for t, c in com.items() if c % p}, mask
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 211])
+def test_ad_map_matches_slot_map_products(p):
+    rng = random.Random(p)
+    cases = 0
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        ring = builtin_ring(name, p)
+        n = len(ring.basis)
+        slots = [(i, j) for i in range(n) for j in range(n)]
+        for div in ring.divisors:
+            for e, block in solver._divisor_blocks(ring, div).items():
+                ad = solver._ad_map(block, n, p)
+                a = {(i, j, e): c for (i, j), c in block.items()}
+                # every unit slot alone, then seeded random masked slot maps
+                xs = [({(i, j, 0): 1}, {(i, j, 0)}) for (i, j) in slots]
+                for _ in range(25):
+                    d = rng.randrange(3)
+                    x = {(i, j, d): rng.randrange(1, p) for (i, j) in slots if rng.random() < 0.5}
+                    mask = {(i, j, d) for (i, j) in slots if rng.random() < 0.3} - set(x)
+                    xs.append((x, mask))
+                for x, mask in xs:
+                    assert _commutator_by_map(x, mask, ad, e, p) == _commutator_reference(
+                        x, mask, a, p
+                    )
+                    cases += 1
+    assert cases > 100
+
+
+def test_ad_map_taint_reaches_cancelled_slots():
+    # [X, A_1] on the cubic surface: A_1 = 9 q (h_2 -> h_2), so X A_1 and
+    # A_1 X cancel on h_2 -> h_2, which a tainted h_2 -> h_2 still reaches
+    ring = builtin_ring("cubic_surface", 211)
+    h2 = ring.index("h_2")
+    block = solver._divisor_blocks(ring, ring.primary)[1]
+    assert block == {(h2, h2): 9}
+    values, reach = solver._ad_map(block, len(ring.basis), 211)
+    assert not values.get((h2, h2))
+    assert reach[(h2, h2)] == ((h2, h2),)
+    x = {(h2, h2, 0): 5}
+    assert _commutator_reference(x, set(x), {(h2, h2, 1): 9}, 211) == ({}, {(h2, h2, 1)})
+    assert _commutator_by_map(x, set(x), (values, reach), 1, 211) == ({}, {(h2, h2, 1)})
