@@ -69,9 +69,11 @@ def _truncation(args):
     if args.truncate is not None:
         return args.truncate
     env = os.environ.get(ENV_TRUNCATE)
-    if env is not None:
-        return int(env)
-    return None
+    if env is None:
+        return None
+    if not env.strip().isdecimal():
+        raise ValueError("%s must be a non-negative integer, got %r" % (ENV_TRUNCATE, env))
+    return int(env)
 
 
 def cmd_compute(args, out):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import MixedContext
 from .ring import basis_class, classical_product, element_from_terms, quantum_product
-from .series import Monomial, SeriesElement, format_series
+from .series import Monomial, SeriesElement, _unpack_slots, format_series
 
 
 def kappa(ring, g, i, j, d):
@@ -59,20 +59,24 @@ def _packed_matmul(pairs, w, trunc):
         for (i, j), u in packed[0].items():
             for k, v in rows.get(j, ()):
                 acc[(i, k)] = acc.get((i, k), 0) + u * v
-    out = {}
-    low = (1 << w) - 1
-    for (i, k), z in acc.items():
-        d = 0
-        while z:
-            skip = ((z & -z).bit_length() - 1) // w  # all-zero slots below
-            d += skip
-            if d > trunc:
-                break
-            z >>= w * skip
-            out[(i, k, d)] = z & low
-            z >>= w
-            d += 1
-    return out
+    return {
+        (i, k, d): c for (i, k), z in acc.items() for d, c in _unpack_slots(z, w, trunc)
+    }
+
+
+def _row_index(s):
+    """Rows of s by source index: ({i: [(j, d, c, kappa)]}, {i: [(j, d)]}).
+
+    The second map lists the tainted slots.  Both hold only ints, so an
+    index kept with a solve_qsigma cache entry holds no reference to the
+    ring.
+    """
+    rows, taint_rows = {}, {}
+    for (i, j, d), c in s.entries.items():
+        rows.setdefault(i, []).append((j, d, c, s.kappa(i, j, d)))
+    for (i, j, d) in s.taint:
+        taint_rows.setdefault(i, []).append((j, d))
+    return rows, taint_rows
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,31 @@ class GradedEndomorphism:
             clean[(i, j, d)] = c
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "taint", frozenset(self.taint))
+        object.__setattr__(self, "_index", [None])
+
+    @classmethod
+    def _trusted(cls, ring, degree, trunc, entries, taint, index):
+        """An operator from the state of one __post_init__ has normalised.
+
+        entries and taint are used as given (reduced, live, within trunc);
+        index is the row-index box of the operator they came from, so its
+        rows are built once for both.
+        """
+        self = object.__new__(cls)
+        self.__dict__.update(
+            ring=ring, degree=degree, trunc=trunc, entries=entries, taint=taint, _index=index
+        )
+        return self
 
     def kappa(self, i, j, d):
         return kappa(self.ring, self.degree, i, j, d)
+
+    def _rows(self):
+        """The row index of _row_index, built on first use."""
+        box = self._index
+        if box[0] is None:
+            box[0] = _row_index(self)
+        return box[0]
 
     @property
     def complete_bound(self):
@@ -134,20 +160,15 @@ class GradedEndomorphism:
         trunc = x.trunc if trunc is None else trunc
         acc = {}  # j -> {monomial: unreduced coefficient}
         taint = set()
-        rows = {}
-        for (i, j, d), c in self.entries.items():
-            rows.setdefault(i, []).append((j, d, c))
+        rows, taint_rows = self._rows()
         for i, f in x.components.items():
-            for j, d, c in rows.get(i, ()):
-                k = self.kappa(i, j, d)
+            for j, d, c, k in rows.get(i, ()):
                 terms = acc.setdefault(j, {})
                 for (mq, mt, mth), v in f.terms.items():
                     if mq + d <= trunc:
                         m = Monomial(mq + d, mt + k, mth)
                         terms[m] = terms.get(m, 0) + c * v
-            for (i2, j, d) in self.taint:
-                if i2 != i:
-                    continue
+            for j, d in taint_rows.get(i, ()):
                 for mono in f.terms:
                     if mono.q + d <= trunc:
                         taint.add((j, mono.q + d))

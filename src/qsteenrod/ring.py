@@ -18,6 +18,7 @@ from .fp import require_prime
 from .series import (
     Monomial,
     SeriesElement,
+    _unpack_slots,
     derivation_apply,
     format_series,
     series_one,
@@ -109,7 +110,8 @@ class QuantumRing:
             if terms:
                 orders.setdefault((i, j), []).append(d)
         self._orders = {key: tuple(sorted(ds)) for key, ds in orders.items()}
-        # solve_qsigma's results: (class, truncation) -> (entries, taint, report)
+        # solve_qsigma's results: (class, truncation) ->
+        # (entries, taint, row-index box, report)
         self._solved = {}
         self._frozen = True
 
@@ -300,9 +302,38 @@ class CohomologyElement:
         )
 
     def times_series(self, s):
-        return CohomologyElement(
-            self.ring, {k: f * s for k, f in self.components.items()}
-        )
+        """Each component f times the series s; equal to f * s (series_mul).
+
+        Computed by Kronecker substitution.  The terms of a series are
+        grouped by their grading key (t + (q_degree/2) q, theta), within
+        which q fixes t, so a group packs into one int with slot q at bit
+        w*q and one big-int product multiplies two groups.  A homogeneous
+        series is a single group.
+        """
+        ring = self.ring
+        p = ring.prime
+        half = ring.q_degree // 2
+        # A slot of a group product sums at most trunc + 1 products of
+        # coefficients in [0, p - 1].
+        w = ((s.trunc + 1) * (p - 1) ** 2).bit_length()
+        right = _packed_groups(s, half, w)
+        comps = {}
+        for k, f in self.components.items():
+            f._check(s)
+            terms = {}
+            for (key1, h1), u in _packed_groups(f, half, w).items():
+                for (key2, h2), v in right.items():
+                    key, h = key1 + key2, h1 + h2
+                    if h == 2:
+                        # theta^2 -> t for p = 2, 0 for odd p
+                        if p != 2:
+                            continue
+                        key, h = key + 1, 0
+                    for d, c in _unpack_slots(u * v, w, s.trunc):
+                        m = Monomial(d, key - half * d, h)
+                        terms[m] = terms.get(m, 0) + c
+            comps[k] = SeriesElement(p, s.trunc, terms)
+        return CohomologyElement(ring, comps)
 
     def times_monomial(self, q=0, t=0, coeff=1):
         return CohomologyElement(
@@ -342,6 +373,15 @@ class CohomologyElement:
 
     def __repr__(self):
         return "<%s>" % format_element(self)
+
+
+def _packed_groups(f, half, w):
+    """{(t + half*q, theta): int} with coefficient c of q^q at bit w*q."""
+    groups = {}
+    for (q, t, h), c in f.terms.items():
+        key = (t + half * q, h)
+        groups[key] = groups.get(key, 0) + (c << (w * q))
+    return groups
 
 
 def zero_element(ring, trunc):

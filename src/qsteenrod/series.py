@@ -32,7 +32,8 @@ class SeriesElement:
     def __post_init__(self):
         clean = {}
         for mono, c in self.terms.items():
-            mono = Monomial(*mono)
+            if type(mono) is not Monomial:
+                mono = Monomial(*mono)
             if mono.theta not in (0, 1):
                 raise ValueError("theta exponent must be 0 or 1")
             if mono.q < 0:
@@ -134,6 +135,28 @@ def series_mul(x, y):
             m = Monomial(q, t, h)
             out[m] = out.get(m, 0) + c1 * c2
     return SeriesElement(p, x.trunc, out)
+
+
+def _unpack_slots(z, w, trunc):
+    """The nonzero w-bit slots d <= trunc of a Kronecker-packed int z >= 0.
+
+    Slot d sits at bit w*d.  Returns (d, coefficient) pairs in ascending d;
+    runs of all-zero slots are skipped in one step.  Slots above trunc may
+    have overflowed, which is harmless since carries only move up.
+    """
+    out = []
+    low = (1 << w) - 1
+    d = 0
+    while z:
+        skip = ((z & -z).bit_length() - 1) // w  # all-zero slots below
+        d += skip
+        if d > trunc:
+            break
+        z >>= w * skip
+        out.append((d, z & low))
+        z >>= w
+        d += 1
+    return out
 
 
 def derivation_apply(lam, x):

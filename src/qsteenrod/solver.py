@@ -215,19 +215,22 @@ def solve_qsigma(b, ring, trunc=None):
     g = p * deg
     if trunc is None:
         trunc = ring.default_truncation(deg)
+    if trunc < 0:
+        raise ValueError("the q-truncation must be non-negative, got trunc=%d" % trunc)
     div = ring.primary
     lam = div.pairing % p
     if lam == 0:
         raise NotDivisor("primary divisor pairing vanishes mod p")
-    # One solve per (ring, class, truncation).  The cache keeps no endo, so
-    # it holds no reference back to the ring.
+    # One solve per (ring, class, truncation).  The cache keeps no endo, only
+    # its normalised state and row-index box, so it holds no reference back
+    # to the ring; a hit rebuilds the endo without normalising it again.
     key = None
     if b.ring is ring:
         cls = sorted((k, f.coefficient(0, 0) % p) for k, f in b.components.items())
         key = (tuple(cls), trunc)
         if key in ring._solved:
-            entries, taint, report = ring._solved[key]
-            return GradedEndomorphism(ring, g, trunc, entries, taint), report
+            entries, taint, index, report = ring._solved[key]
+            return GradedEndomorphism._trusted(ring, g, trunc, entries, taint, index), report
     n = len(ring.basis)
     nmax = 2 * n + 4
     ads = {e: _ad_map(block, n, p) for e, block in _divisor_blocks(ring, div).items()}
@@ -313,7 +316,7 @@ def solve_qsigma(b, ring, trunc=None):
         residual_failures=failures,
     )
     if key is not None:
-        ring._solved[key] = (endo.entries, endo.taint, report)
+        ring._solved[key] = (endo.entries, endo.taint, endo._index, report)
     return endo, report
 
 

@@ -8,7 +8,9 @@ round runs every op of the ``library_session`` workload once through its own
 checks (the digests in bench/reference.json and the tabulated p = 3
 answers), so a wrong cached solve or composition fails here too.  The
 divisor-ladder round does the same for the p = 31, 101, 211 solves (digests
-and the sphere's closed form), the sizes the small goldens never reach.
+and the sphere's closed form), the sizes the small goldens never reach.  The
+verify-sweep round runs every suite, the oracle suite's qst_auto included,
+on built-in and exported manifolds.
 """
 
 import importlib.util
@@ -39,16 +41,19 @@ def test_bench_selftest_passes():
     assert proc.stdout.startswith("PASS "), proc.stdout
 
 
-def _run_checked_round(name):
+def _run_checked_round(name, out_dir=None):
     """Run every op of one round of the named workload through its own check;
-    returns the number of ops."""
+    returns the number of ops.  out_dir receives the files the workload
+    writes (verify_sweep exports the built-in manifolds there)."""
     path = os.path.join(ROOT, "bench", "workloads.py")
     if not os.path.isfile(path):
         pytest.skip("no bench/ in this checkout")
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    units = workloads.build(name, qsteenrod, random.Random(0), None, workloads.load_reference())
+    units = workloads.build(
+        name, qsteenrod, random.Random(0), out_dir, workloads.load_reference()
+    )
     checked = 0
     for unit in units:
         ctx = {}
@@ -66,3 +71,13 @@ def test_bench_library_session_round_passes_its_checks():
 def test_bench_divisor_ladder_round_passes_its_checks():
     # compute qsigma|qst|qpi, text and json, for three manifolds at three primes
     assert _run_checked_round("divisor_ladder") == 3 * 3 * 3 * 2
+
+
+def test_bench_verify_sweep_round_passes_its_checks(tmp_path):
+    # four suites at five primes for three manifolds, half of them read from
+    # the exported files, plus the cells suite at three primes
+    n = _run_checked_round("verify_sweep", str(tmp_path))
+    assert n == 63
+    assert sorted(os.listdir(tmp_path)) == [
+        "cubic_surface.json", "quadric_intersection.json", "s2.json"
+    ]

@@ -201,6 +201,27 @@ def test_truncation_env_override(monkeypatch):
     assert "q-truncation 2" in text
 
 
+def test_negative_truncation_exits_one(capsys):
+    code, text = run_cli(
+        ["compute", "--manifold", "builtin:s2", "--prime", "3", "--class", "h",
+         "--op", "qst", "--truncate", "-1"]
+    )
+    assert code == 1 and text == ""
+    assert "truncation must be non-negative, got trunc=-1" in capsys.readouterr().err
+
+
+def test_bad_truncation_env_names_the_variable(monkeypatch, capsys):
+    for value in ("abc", "-2"):
+        monkeypatch.setenv("QSROD_TRUNCATE_DEFAULT", value)
+        code, text = run_cli(
+            ["compute", "--manifold", "builtin:s2", "--prime", "3", "--class", "h",
+             "--op", "qsigma"]
+        )
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert "QSROD_TRUNCATE_DEFAULT must be a non-negative integer, got %r" % value in err
+
+
 def test_console_entry_point_subprocess():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     # the child imports the package from src/ even when it is not installed

@@ -17,7 +17,8 @@ from qsteenrod.ring import (
     zero_element,
 )
 from qsteenrod.endo import compose, multiplication_endo, multiplication_matrix
-from qsteenrod.series import series
+from qsteenrod.series import series, series_mul
+from qsteenrod.solver import solve_qsigma
 
 
 def test_builtin_rings_verify_clean():
@@ -264,3 +265,72 @@ def test_pfold_power_matches_sequential_products():
             for _ in range(p - 1):
                 loop = quantum_product(loop, c)
             assert pfold_power(c, ring) == loop, (name, p)
+
+
+# -- the packed element x series product against series_mul ----------------------
+
+
+def _assert_times_series_is_series_mul(x, s):
+    """x.times_series(s) equals series_mul per component, term by term, with
+    the same truncation."""
+    got = x.times_series(s)
+    want = {k: series_mul(f, s) for k, f in x.components.items()}
+    assert {k: (f.trunc, f.terms) for k, f in got.components.items()} == {
+        k: (f.trunc, f.terms) for k, f in want.items() if f.terms
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 211])
+def test_times_series_matches_series_mul_on_every_column(p):
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        ring = builtin_ring(name, p)
+        for b in ring.basis:
+            endo, _ = solve_qsigma(b.name, ring)
+            for c in ring.basis:
+                col, _ = endo.column(c.name)
+                if col.is_zero():
+                    continue
+                # the shape qsigma_apply multiplies: a column by a
+                # homogeneous series of the same length scale
+                s = min(col.components.values(), key=lambda f: len(f.terms))
+                _assert_times_series_is_series_mul(col, s)
+
+
+def test_times_series_applies_the_theta_rule():
+    for p, square in ((2, series(2, 2, [(0, 1, 0, 1)])), (3, series(3, 2, []))):
+        ring = builtin_ring("s2", p)
+        theta = series(p, 2, [(0, 0, 1, 1)])
+        x = basis_class(ring, "h", 2).times_series(theta)
+        assert x.times_series(theta) == basis_class(ring, "h", 2).times_series(square)
+        _assert_times_series_is_series_mul(x, theta)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_times_series_matches_series_mul_on_inhomogeneous_theta_series(p):
+    rng = random.Random(p)
+    ring = builtin_ring("quadric_intersection", p)
+    trunc = 6
+
+    def random_series():
+        return series(p, trunc, [
+            (rng.randint(0, trunc), rng.randint(-3, 4), rng.randint(0, 1), rng.randrange(p))
+            for _ in range(12)
+        ])
+
+    for _ in range(20):
+        x = CohomologyElement(ring, {k: random_series() for k in range(len(ring.basis))})
+        s = random_series()
+        keys = {(t + 2 * q, h) for (q, t, h) in s.terms}
+        assert len(keys) > 1  # several packed groups
+        _assert_times_series_is_series_mul(x, s)
+
+
+def test_times_series_width_holds_full_length_maximal_coefficients():
+    # Every slot of the product sums trunc + 1 products (p - 1)^2, the
+    # largest load the packing width is sized for.
+    p = 211
+    ring = builtin_ring("cubic_surface", p)
+    trunc = ring.default_truncation(2)
+    full = series(p, trunc, [(q, 3 - q, 0, p - 1) for q in range(trunc + 1)])
+    x = CohomologyElement(ring, {0: full, 2: full})
+    _assert_times_series_is_series_mul(x, full)

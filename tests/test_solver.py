@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from qsteenrod import cli, solver
+from qsteenrod import cli, endo as endo_mod, solver
 from qsteenrod.errors import (
     InconsistentSeed,
     MissingSteenrodData,
@@ -340,6 +340,65 @@ def test_solve_cache_keeps_no_cycle_through_the_ring(monkeypatch):
         assert len(refs) == 1 and refs[0]() is None
     finally:
         gc.enable()
+
+
+def test_solve_cache_hit_returns_the_first_solve():
+    ring = builtin_ring("quadric_intersection", 101)
+    first, report = solve_qsigma("h_6", ring)
+    hit, hit_report = solve_qsigma("h_6", ring)
+    assert hit == first and hit.trunc == first.trunc and hit_report is report
+    fresh, _ = solve_qsigma("h_6", builtin_ring("quadric_intersection", 101))
+    for b in ring.basis:
+        assert hit.column(b.name) == fresh.column(b.name)
+        assert hit.column(b.name, 3) == fresh.column(b.name, 3)
+
+
+def test_solve_cache_hit_skips_normalisation(monkeypatch):
+    ring = builtin_ring("cubic_surface", 211)
+    first, _ = solve_qsigma("h_2", ring)
+    calls = []
+    real = endo_mod.kappa
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(endo_mod, "kappa", counted)
+    hit, _ = solve_qsigma("h_2", ring)
+    assert hit.entries and not calls
+    assert hit == first
+
+
+def test_row_index_is_built_once_per_cache_key(monkeypatch):
+    ring = builtin_ring("cubic_surface", 3)
+    builds = []
+    real = endo_mod._row_index
+
+    def counted(s):
+        builds.append(s.trunc)
+        return real(s)
+
+    monkeypatch.setattr(endo_mod, "_row_index", counted)
+    first, _ = solve_qsigma("h_2", ring)
+    assert not builds  # built on first use, not by the solve
+    first.column("1")
+    for _ in range(3):
+        hit, _ = solve_qsigma("h_2", ring)
+        for b in ring.basis:
+            hit.column(b.name)
+    assert builds == [first.trunc]
+    low, _ = solve_qsigma("h_2", ring, 2)
+    low.column("h_2")
+    solve_qsigma("h_2", ring, 2)[0].apply(basis_class(ring, "1", 2))
+    assert builds == [first.trunc, 2]
+
+
+def test_negative_truncation_is_rejected():
+    ring = builtin_ring("cubic_surface", 3)
+    for call in (solve_qsigma, qst, qst_auto):
+        with pytest.raises(ValueError, match="truncation must be non-negative, got trunc=-1"):
+            call("h_2", ring, -1)
+    assert not ring._solved
 
 
 # -- composition, extension, divisor operation ---------------------------------
