@@ -282,6 +282,8 @@ def cmd_verify(args, out):
 
 
 def cmd_export(args, out):
+    if not args.manifold.startswith("builtin:"):
+        raise QSteenrodError("export needs --manifold builtin:NAME, got %r" % (args.manifold,))
     data = builtin_manifold(args.manifold[len("builtin:"):])
     text = dump_manifold(data)
     with open(args.out, "w", encoding="utf-8") as handle:

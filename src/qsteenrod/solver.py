@@ -8,17 +8,17 @@ q-order d the commutation condition reads
     lambda*d * E_d  +  sum_{e>=0} (E_{d-e} A_e - A_e E_{d-e})  =  0,
 
 with A_e the q-order-e block of quantum multiplication by the primary
-divisor.  When lambda*d is invertible mod p the order is solved by a finite
-Neumann series in ad_{A_0} (nilpotent, since cup product with a divisor
-strictly raises degree).  When lambda*d vanishes mod p the order is
-undetermined up to the connection's kernel: every slot not pinned by the t^0
-seeds or by degree pruning is marked tainted, and taint propagates forward
-through later right-hand sides.  The solver reports; it never guesses.
+divisor.  When lambda*d is invertible mod p the order is triangular in the
+degree shift |e_j| - |e_i| of the (i, j) slots, which [., A_0] raises by 2,
+and is solved in one sweep by increasing shift.  When lambda*d vanishes mod
+p the order is undetermined up to the connection's kernel: every slot not
+pinned by the t^0 seeds or by degree pruning is marked tainted, and taint
+propagates forward through later right-hand sides.  The solver reports; it
+never guesses.
 
 Each commutator X -> [X, A_e] is tabulated once per solve as a linear map
 on (i, j) slots, with the slots a tainted X slot reaches (_ad_map); the
-right-hand sides, the Neumann series and the residual re-check all apply
-those tables.
+right-hand sides, the sweep and the residual re-check all apply those tables.
 """
 
 from dataclasses import dataclass
@@ -29,7 +29,7 @@ from .errors import (
     NotDivisor,
     NotGenerated,
 )
-from .endo import GradedEndomorphism, kappa, multiplication_endo
+from .endo import GradedEndomorphism, multiplication_endo
 from .fp import fp_inv, solve_mod_p
 from .ring import (
     CohomologyElement,
@@ -66,7 +66,8 @@ class QstResult:
 def _divisor_blocks(ring, div):
     """Blocks A_e = {(i, j): c} of quantum multiplication by the divisor.
 
-    Block e holds the q-order-e structure constants, reduced mod p.
+    Block e holds the q-order-e structure constants, reduced mod p.  Block 0
+    must raise degree by 2, as _sweep relies on it.
     """
     blocks = {}
     a = div.index
@@ -74,6 +75,11 @@ def _divisor_blocks(ring, div):
         block = {}
         for i in range(len(ring.basis)):
             for j, c in ring.sc(a, i, e).items():
+                if e == 0 and ring.degree(j) != ring.degree(i) + 2:
+                    raise ValueError(
+                        "(%s, %s, q^0) -> %s violates the grading; see verify --suite ring"
+                        % (ring.basis[a].name, ring.basis[i].name, ring.basis[j].name)
+                    )
                 block[(i, j)] = c
         if block:
             blocks[e] = block
@@ -108,39 +114,34 @@ def _ad_map(block, n, p):
     return values, reach
 
 
-def _neumann(rhs, rhs_mask, inv, ad0, p, nmax):
+def _slot_exponents(ring, g):
+    """Each (i, j) slot's q^0 t-exponent (g + |e_i| - |e_j|) / 2, and the slots by shift."""
+    n = len(ring.basis)
+    exps = {(i, j): (g + ring.degree(i) - ring.degree(j)) // 2 for i in range(n) for j in range(n)}
+    return exps, sorted(exps, key=exps.get, reverse=True)  # by increasing degree shift
+
+
+def _sweep(rhs, rhs_mask, inv, ad0, order, p):
     """Solve lambda*d X + [X, A0] = rhs, with inv = 1/(lambda*d) mod p.
 
-    X = sum_m (-1)^m inv^(m+1) [., A0]^m (rhs); the series is finite since
-    [., A0] raises degree.  ad0 = _ad_map(A0); the mask is rhs_mask closed
-    under its reach.
+    Visiting the slots in order, by increasing degree shift, sets each
+    X_s = inv (rhs_s - [X, A0]_s) once.  ad0 = _ad_map(A0); the mask is
+    rhs_mask closed under its reach, and masked slots take no value.
     """
     values0, reach0 = ad0
-    acc = {}
-    term = rhs
-    factor = inv
-    for _ in range(nmax):
-        if not term:
-            break
-        nxt = {}
-        for s, c in term.items():
-            acc[s] = (acc.get(s, 0) + factor * c) % p
-            for t, v in values0.get(s, ()):
-                nxt[t] = nxt.get(t, 0) + c * v
-        term = {s: c % p for s, c in nxt.items() if c % p}
-        factor = -factor * inv % p
-    else:
-        if term:
-            raise AssertionError("ad_{A_0} failed to terminate; non-nilpotent input")
+    pending = dict(rhs)
     mask = set(rhs_mask)
-    frontier = set(rhs_mask)
-    for _ in range(nmax):
-        if not frontier:
-            break
-        frontier = {t for s in frontier for t in reach0.get(s, ())} - mask
-        mask |= frontier
-    acc = {s: c for s, c in acc.items() if c and s not in mask}
-    return acc, mask
+    values = {}
+    for s in order:
+        if s in mask:
+            mask.update(reach0.get(s, ()))
+            continue
+        x = pending.get(s, 0) * inv % p
+        if x:
+            values[s] = x
+            for t, v in values0.get(s, ()):
+                pending[t] = pending.get(t, 0) - x * v
+    return values, mask
 
 
 # -- seeds -------------------------------------------------------------------
@@ -195,6 +196,12 @@ def tzero_layer(b, ring, trunc=None):
 # -- the solver ---------------------------------------------------------------
 
 
+def _check_truncation(trunc):
+    """Reject a negative q-truncation; None (the default) passes."""
+    if trunc is not None and trunc < 0:
+        raise ValueError("the q-truncation must be non-negative, got trunc=%d" % trunc)
+
+
 def solve_qsigma(b, ring, trunc=None):
     """Construct QSigma_b; returns (GradedEndomorphism, SolveReport).
 
@@ -215,8 +222,7 @@ def solve_qsigma(b, ring, trunc=None):
     g = p * deg
     if trunc is None:
         trunc = ring.default_truncation(deg)
-    if trunc < 0:
-        raise ValueError("the q-truncation must be non-negative, got trunc=%d" % trunc)
+    _check_truncation(trunc)
     div = ring.primary
     lam = div.pairing % p
     if lam == 0:
@@ -232,9 +238,8 @@ def solve_qsigma(b, ring, trunc=None):
             entries, taint, index, report = ring._solved[key]
             return GradedEndomorphism._trusted(ring, g, trunc, entries, taint, index), report
     n = len(ring.basis)
-    nmax = 2 * n + 4
     ads = {e: _ad_map(block, n, p) for e, block in _divisor_blocks(ring, div).items()}
-    ad0 = ads.get(0, ({}, {}))
+    exps, order = _slot_exponents(ring, g)
 
     seeds = tzero_layer(b, ring, trunc)
     init = initial_layer(b, ring, trunc)
@@ -255,51 +260,41 @@ def solve_qsigma(b, ring, trunc=None):
                         rhs[t] = rhs.get(t, 0) - c * v
                 for s in masks[d - e]:
                     rhs_mask.update(reach.get(s, ()))
-        rhs = {s: c % p for s, c in rhs.items() if c % p}
 
+        floor = ring.q_degree // 2 * d  # slot (i, j, d) has t-exponent exps[(i, j)] - floor
         if (lam * d) % p:
-            values, mask = _neumann(rhs, rhs_mask, fp_inv(lam * d, p), ad0, p, nmax)
+            values, mask = _sweep(rhs, rhs_mask, fp_inv(lam * d, p), ads[0], order, p)
         else:
-            values, mask = {}, {
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if kappa(ring, g, i, j, d) is not None
-            }
+            values, mask = {}, {s for s, k in exps.items() if k >= floor}
 
         layer = {}
         layer_mask = set()
-        for i in range(n):
-            for j in range(n):
-                s = (i, j)
-                k = kappa(ring, g, i, j, d)
-                val = values.get(s, 0)
-                if k is None:
-                    if s not in mask and val:
-                        raise NegativePowerResidue(
-                            "nonzero value forced onto dead slot (%s -> %s, q^%d)"
-                            % (ring.basis[i].name, ring.basis[j].name, d)
-                        )
-                    continue
-                if k == 0:
-                    seed = seeds[(i, j, d)]
-                    if s in mask:
-                        seeds_resolving += 1
-                    else:
-                        seed_checks += 1
-                        if val != seed:
-                            raise InconsistentSeed(
-                                "recurrence gives %d but the p-fold power seeds %d "
-                                "at (%s -> %s, q^%d)"
-                                % (val, seed, ring.basis[i].name, ring.basis[j].name, d)
-                            )
-                    if seed:
-                        layer[s] = seed
-                    continue
+        for s, k in exps.items():
+            val = values.get(s, 0)
+            if k < floor:
+                if s not in mask and val:
+                    raise NegativePowerResidue(
+                        "nonzero value forced onto dead slot (%s -> %s, q^%d)"
+                        % (ring.basis[s[0]].name, ring.basis[s[1]].name, d)
+                    )
+            elif k == floor:
+                seed = seeds[s + (d,)]
                 if s in mask:
-                    layer_mask.add(s)
-                elif val:
-                    layer[s] = val
+                    seeds_resolving += 1
+                else:
+                    seed_checks += 1
+                    if val != seed:
+                        raise InconsistentSeed(
+                            "recurrence gives %d but the p-fold power seeds %d "
+                            "at (%s -> %s, q^%d)"
+                            % (val, seed, ring.basis[s[0]].name, ring.basis[s[1]].name, d)
+                        )
+                if seed:
+                    layer[s] = seed
+            elif s in mask:
+                layer_mask.add(s)
+            elif val:
+                layer[s] = val
         layers[d] = layer
         masks[d] = layer_mask
 
@@ -403,6 +398,7 @@ def qsigma_lambda(beta, ring, trunc=None):
 
     beta = sum_d q^d b_d gives QSigma_beta = sum_d q^(p d) QSigma_{b_d}.
     """
+    _check_truncation(trunc)
     p = ring.prime
     deg = beta.degree
     if deg is None:
@@ -506,6 +502,7 @@ def qsigma_apply(b, x, ring, trunc=None):
         QSigma_b(a * c) = t d_a QSigma_b(c) + a * QSigma_b(c);
     else fall back to the tainted column.  Returns (element, taint).
     """
+    _check_truncation(trunc)
     endo, report = solve_qsigma(b, ring)
     if trunc is None:
         trunc = x.trunc if x.trunc is not None else endo.trunc
@@ -555,6 +552,7 @@ def qst_via_generators(expr, ring, trunc=None):
     connection).  The final factor may be any basis class; its QSt is solved
     directly.  Returns (element, taint).
     """
+    _check_truncation(trunc)
     p = ring.prime
     degs = set()
     for coeff, q_exp, factors in expr:

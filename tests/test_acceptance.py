@@ -211,10 +211,10 @@ def test_criterion_10_cli_golden():
             path = os.path.join(tmp, "m.json")
             assert main(["export", "--manifold", "builtin:%s" % name, "--out", path],
                         out=io.StringIO()) == 0
-            text1 = open(path).read()
+            text1 = Path(path).read_text()
             assert main(["export", "--manifold", "builtin:%s" % name, "--out", path],
                         out=io.StringIO()) == 0
-            assert open(path).read() == text1
+            assert Path(path).read_text() == text1
             data = load_manifold(text1)
             for p in (2, 3):
                 a = ring_from_data(data, p)

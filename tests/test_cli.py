@@ -168,6 +168,32 @@ def test_unknown_field_rejected(tmp_path):
     assert code == 1
 
 
+def test_export_needs_the_builtin_prefix(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, text = run_cli(["export", "--manifold", "cubic_surface", "--out", str(out)])
+    assert code == 1 and text == "" and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: export needs --manifold builtin:NAME, got 'cubic_surface'\n"
+    )
+
+
+def test_ungraded_q0_product_exits_one_naming_it(tmp_path, capsys):
+    data = builtin_manifold("cubic_surface")
+    for product in data["products"]:
+        if (product["left"], product["right"], product["q"]) == ("h_2", "h_2", 0):
+            product["terms"].append({"basis": "h_2", "coeff": 1})
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_manifold(data))
+    code, text = run_cli(
+        ["compute", "--manifold", str(bad), "--prime", "5", "--class", "h_4", "--op", "qsigma"]
+    )
+    assert code == 1 and text == ""
+    # one error line and no traceback
+    assert capsys.readouterr().err == (
+        "error: (h_2, h_2, q^0) -> h_2 violates the grading; see verify --suite ring\n"
+    )
+
+
 def test_verify_suites_pass():
     for name in ("s2", "cubic_surface", "quadric_intersection"):
         for p in (2, 3, 5):

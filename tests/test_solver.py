@@ -827,3 +827,120 @@ def test_ad_map_taint_reaches_cancelled_slots():
     x = {(h2, h2, 0): 5}
     assert _commutator_reference(x, set(x), {(h2, h2, 1): 9}, 211) == ({}, {(h2, h2, 1)})
     assert _commutator_by_map(x, set(x), (values, reach), 1, 211) == ({}, {(h2, h2, 1)})
+
+
+# -- the per-order sweep -------------------------------------------------------
+
+
+def _neumann_reference(rhs, rhs_mask, inv, ad0, p, nmax):
+    """The Neumann-series solve of lambda*d X + [X, A0] = rhs that _sweep replaced.
+
+    X = sum_m (-1)^m inv^(m+1) [., A0]^m (rhs); the mask is rhs_mask closed
+    under the reach of ad0 = _ad_map(A0).
+    """
+    values0, reach0 = ad0
+    acc = {}
+    term = rhs
+    factor = inv
+    for _ in range(nmax):
+        if not term:
+            break
+        nxt = {}
+        for s, c in term.items():
+            acc[s] = (acc.get(s, 0) + factor * c) % p
+            for t, v in values0.get(s, ()):
+                nxt[t] = nxt.get(t, 0) + c * v
+        term = {s: c % p for s, c in nxt.items() if c % p}
+        factor = -factor * inv % p
+    else:
+        if term:
+            raise AssertionError("ad_{A_0} failed to terminate; non-nilpotent input")
+    mask = set(rhs_mask)
+    frontier = set(rhs_mask)
+    for _ in range(nmax):
+        if not frontier:
+            break
+        frontier = {t for s in frontier for t in reach0.get(s, ())} - mask
+        mask |= frontier
+    acc = {s: c for s, c in acc.items() if c and s not in mask}
+    return acc, mask
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 211])
+def test_sweep_matches_neumann_reference(p):
+    rng = random.Random(p)
+    cases = 0
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        ring = builtin_ring(name, p)
+        n = len(ring.basis)
+        slots = [(i, j) for i in range(n) for j in range(n)]
+        _, order = solver._slot_exponents(ring, 0)  # the order depends on degrees only
+        for div in ring.divisors:
+            ad0 = solver._ad_map(solver._divisor_blocks(ring, div)[0], n, p)
+            # every unit slot alone, every masked slot alone, then seeded random problems
+            problems = [({s: 1}, set()) for s in slots] + [({}, {s}) for s in slots]
+            for _ in range(25):
+                rhs = {s: rng.randrange(1, p) for s in slots if rng.random() < 0.5}
+                problems.append((rhs, {s for s in slots if rng.random() < 0.2}))
+            for rhs, rhs_mask in problems:
+                inv = rng.randrange(1, p)
+                want = _neumann_reference(rhs, rhs_mask, inv, ad0, p, 2 * n + 4)
+                assert solver._sweep(rhs, rhs_mask, inv, ad0, order, p) == want
+                cases += 1
+    assert cases > 100
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_slot_exponents_classify_slots_as_kappa_does(p):
+    degenerate = 0
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        ring = builtin_ring(name, p)
+        half = ring.q_degree // 2
+        for b in ring.basis:
+            g = p * b.degree
+            exps, order = solver._slot_exponents(ring, g)
+            shifts = [ring.degree(j) - ring.degree(i) for (i, j) in order]
+            assert shifts == sorted(shifts) and sorted(order) == sorted(exps)
+            endo, _ = solve_qsigma(b.name, ring)
+            for d in range(endo.trunc + 1):
+                live = {(i, j) for (i, j) in exps if kappa(ring, g, i, j, d) is not None}
+                # the degenerate-order mask, and each live slot's t-exponent
+                assert {s for s, k in exps.items() if k >= half * d} == live
+                for (i, j) in live:
+                    assert exps[(i, j)] - half * d == kappa(ring, g, i, j, d)
+                if d and not ring.primary.pairing * d % p:
+                    degenerate += 1
+                    taint = {(i, j) for (i, j, e) in endo.taint if e == d}
+                    assert taint == {(i, j) for (i, j) in live if kappa(ring, g, i, j, d)}
+    assert degenerate
+
+
+def _cubic_with_ungraded_q0_product():
+    data = builtin_manifold("cubic_surface")
+    for product in data["products"]:
+        if (product["left"], product["right"], product["q"]) == ("h_2", "h_2", 0):
+            product["terms"].append({"basis": "h_2", "coeff": 1})
+    return data
+
+
+def test_ungraded_q0_product_is_named():
+    ring = ring_from_data(_cubic_with_ungraded_q0_product(), 5)
+    with pytest.raises(ValueError) as info:
+        solve_qsigma("h_4", ring)
+    assert str(info.value) == "(h_2, h_2, q^0) -> h_2 violates the grading; see verify --suite ring"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ring: qsigma_apply("h_2", basis_class(ring, "h_2", 3), ring, -1),
+        lambda ring: qst_via_generators([(1, 0, ("h_2", "h_2"))], ring, -1),
+        lambda ring: qsigma_lambda(basis_class(ring, "h_2", 3), ring, -1),
+    ],
+    ids=["qsigma_apply", "qst_via_generators", "qsigma_lambda"],
+)
+def test_negative_truncation_is_rejected_by_every_entry_point(call):
+    ring = builtin_ring("cubic_surface", 2)
+    with pytest.raises(ValueError, match="truncation must be non-negative, got trunc=-1"):
+        call(ring)
+    assert not ring._solved
