@@ -1,22 +1,31 @@
 """Finite verification of the equivariant cellular algebra.
 
-Three complexes appear:
+One table, _SPHERE, describes the rotated two-sphere: the fixed points P
+and Q, the 1-cells L_j and the 2-cells B_j for j in Z/p, with
+
+    d L_j = Q - P,    d B_j = L_j - L_(j+1),    sigma X_j = X_(j+1).
+
+Three complexes are derived from it:
 
 * the Z/p-cell structure on the infinite sphere, cells D_i and their
-  rotations, with integer coefficients (the signed differential);
-* the cell structure on (infinite sphere) x_{Z/p} S^2, cells D_i x X with
-  X in {P, Q, L, B} carrying a rotation, with F_p coefficients;
-* the cochain-level equivariant complex of S^2 with formal variables t and
-  theta, and more generally C[[t, theta]] for any finite complex C with a
-  Z/p action, where the corrected theta-multiplication and its homotopies
-  live.
+  rotations, with integer coefficients (sinf_boundary, written out);
+* the cell structure on (infinite sphere) x_{Z/p} S^2, cells D_i x X_j with
+  F_p coefficients: d(D_i x X_j) = (d D_i) x X_j + (-1)^i D_i x d X_j, where
+  the rotated cell tau^r D_i x X_j is D_i x X_(j+r) (product_boundary);
+* the cochain complex of the sphere, sphere_cochain_complex, and its
+  equivariant complex C[[t, theta]] with the twisted differential d_eq.
+  EquivariantComplex builds C[[t, theta]] for any finite complex C with a
+  Z/p action; the corrected theta-multiplication and its homotopies live
+  there.
 
 Chains are plain dicts cell -> coefficient.  Everything is finite: D-cells
 are capped in dimension, t in exponent, and all identities are checked by
 exhaustive evaluation or small linear algebra mod p.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import CapExceeded
 from .fp import require_prime, solve_mod_p
@@ -38,6 +47,42 @@ def _combine(*pairs, mod=None):
         for cell, c in chain.items():
             _add(out, cell, c * scale, mod)
     return out
+
+
+# -- the rotated two-sphere ----------------------------------------------------
+
+# cell X -> (dim X, d X_0 as terms (Y, r, c) standing for c Y_r); d X_j is
+# d X_0 rotated by j.  P and Q are fixed: P_j = P.
+_SPHERE = {
+    "P": (0, ()),
+    "Q": (0, ()),
+    "L": (1, (("Q", 0, 1), ("P", 0, -1))),
+    "B": (2, (("L", 0, 1), ("L", 1, -1))),
+}
+_FIXED = ("P", "Q")
+
+
+def _sphere_boundary(x):
+    if x not in _SPHERE:
+        raise ValueError("unknown sphere cell %r" % (x,))
+    return _SPHERE[x][1]
+
+
+def _rotated_cells(p):
+    """(X, dim X, j) for every cell X_j, X-major."""
+    return [
+        (x, dim, j)
+        for x, (dim, _) in _SPHERE.items()
+        for j in ((0,) if x in _FIXED else range(p))
+    ]
+
+
+def _cell_name(x, j):
+    """The basis name of X_j in sphere_cochain_complex."""
+    if x in _FIXED:
+        return x
+    _sphere_boundary(x)
+    return "%s%d" % (x, j)
 
 
 # -- the infinite sphere, Z coefficients --------------------------------------
@@ -62,120 +107,63 @@ def sinf_boundary(chain, p):
 
 # -- the product with the sphere, F_p coefficients ----------------------------
 
-_SPHERE_DIM = {"P": 0, "Q": 0, "L": 1, "B": 2}
-
 
 def product_cell(i, x, j=0):
-    if x in ("P", "Q"):
+    if x in _FIXED:
         j = 0
     return (i, x, j)
 
 
 def product_boundary(chain, p):
-    """The equivariant differential on cells (i, X, j) of D_i x sigma^j X."""
+    """The equivariant differential on cells (i, X, j) of D_i x sigma^j X.
+
+    d(D_i x X_j) = (d D_i) x X_j + (-1)^i D_i x d X_j; d D_i is sinf_boundary
+    of D_i rotated by j, and a rotated tau^r D x X is D x X_r.
+    """
     out = {}
     for (i, x, j), c in chain.items():
-        even = i % 2 == 0
-        if x in ("P", "Q"):
-            continue
-        if x == "L":
-            if even:
-                _add(out, (i, "Q", 0), c, p)
-                _add(out, (i, "P", 0), -c, p)
-                if i >= 1:
-                    for s in range(p):
-                        _add(out, (i - 1, "L", s), c, p)
-            else:
-                _add(out, (i, "Q", 0), -c, p)
-                _add(out, (i, "P", 0), c, p)
-                _add(out, (i - 1, "L", (j + 1) % p), c, p)
-                _add(out, (i - 1, "L", j), -c, p)
-        elif x == "B":
-            if even:
-                _add(out, (i, "L", (j + 1) % p), -c, p)
-                _add(out, (i, "L", j), c, p)
-                if i >= 1:
-                    for s in range(p):
-                        _add(out, (i - 1, "B", s), c, p)
-            else:
-                _add(out, (i, "L", (j + 1) % p), c, p)
-                _add(out, (i, "L", j), -c, p)
-                _add(out, (i - 1, "B", (j + 1) % p), c, p)
-                _add(out, (i - 1, "B", j), -c, p)
-        else:
-            raise ValueError("unknown sphere cell %r" % (x,))
+        bnd = _sphere_boundary(x)
+        for (_, i2, r), c2 in sinf_boundary({("D", i, j): 1}, p).items():
+            _add(out, product_cell(i2, x, r), c * c2)
+        sign = -c if i % 2 else c
+        for y, r, c2 in bnd:
+            _add(out, product_cell(i, y, (j + r) % p), sign * c2)
     return {cell: c % p for cell, c in out.items() if c % p}
 
 
 def product_cells_of_degree(n, cap, p):
-    cells = []
-    for i in range(cap + 1):
-        for x, dim in _SPHERE_DIM.items():
-            if i + dim != n:
-                continue
-            rots = (0,) if x in ("P", "Q") else tuple(range(p))
-            for j in rots:
-                cells.append((i, x, j))
-    return cells
+    cells = _rotated_cells(p)
+    return [(i, x, j) for i in range(cap + 1) for x, dim, j in cells if i + dim == n]
 
 
 # -- the equivariant cochain complex of the sphere ----------------------------
 #
-# Generators (X, j, k, eps) stand for sigma^j X t^k theta^eps; the grading is
+# Cells (X, j, k, eps) stand for sigma^j X t^k theta^eps; the grading is
 # -dim(X) + 2k + eps.
 
 
-def eq_degree(cell):
-    x, _, k, eps = cell
-    return -_SPHERE_DIM[x] + 2 * k + eps
+@lru_cache(maxsize=8)
+def _sphere_eq(p):
+    """EquivariantComplex on sphere_cochain_complex(p) without a t-cap, and
+    the map from its basis names back to (X, j)."""
+    eq = EquivariantComplex(sphere_cochain_complex(p), p, math.inf)
+    return eq, {_cell_name(x, j): (x, j) for x, _, j in _rotated_cells(p)}
 
 
 def d_eq(chain, p):
-    out = {}
-    for (x, j, k, eps), c in chain.items():
-        if x in ("P", "Q"):
-            continue
-        if x == "L":
-            if eps == 0:
-                _add(out, ("Q", 0, k, 0), c, p)
-                _add(out, ("P", 0, k, 0), -c, p)
-                _add(out, ("L", (j + 1) % p, k, 1), -c, p)
-                _add(out, ("L", j, k, 1), c, p)
-            else:
-                _add(out, ("Q", 0, k, 1), c, p)
-                _add(out, ("P", 0, k, 1), -c, p)
-                for s in range(p):
-                    _add(out, ("L", s, k + 1, 0), -c, p)
-        elif x == "B":
-            if eps == 0:
-                _add(out, ("L", (j + 1) % p, k, 0), -c, p)
-                _add(out, ("L", j, k, 0), c, p)
-                _add(out, ("B", (j + 1) % p, k, 1), c, p)
-                _add(out, ("B", j, k, 1), -c, p)
-            else:
-                _add(out, ("L", (j + 1) % p, k, 1), -c, p)
-                _add(out, ("L", j, k, 1), c, p)
-                for s in range(p):
-                    _add(out, ("B", s, k + 1, 0), c, p)
-        else:
-            raise ValueError("unknown sphere cell %r" % (x,))
-    return {cell: c % p for cell, c in out.items() if c % p}
+    """The twisted differential of EquivariantComplex on cells (X, j, k, eps)."""
+    eq, cells = _sphere_eq(p)
+    image = eq.d_eq({(_cell_name(x, j), k, eps): c for (x, j, k, eps), c in chain.items()})
+    return {cells[name] + (k, eps): c for (name, k, eps), c in image.items()}
 
 
 def eq_cells_of_degree(n, tcap, p):
-    cells = []
-    for x, dim in _SPHERE_DIM.items():
-        for eps in (0, 1):
-            k2 = n + dim - eps
-            if k2 < 0 or k2 % 2:
-                continue
-            k = k2 // 2
-            if k > tcap:
-                continue
-            rots = (0,) if x in ("P", "Q") else tuple(range(p))
-            for j in rots:
-                cells.append((x, j, k, eps))
-    return cells
+    return [
+        (x, j, (n + dim - eps) // 2, eps)
+        for x, dim, j in _rotated_cells(p)
+        for eps in (0, 1)
+        if (n + dim - eps) % 2 == 0 and 0 <= n + dim - eps <= 2 * tcap
+    ]
 
 
 # -- homology relations with explicit primitives ------------------------------
@@ -187,14 +175,6 @@ class RelationPrimitive:
     primitive: dict
     boundary: dict
     complex: str  # "product" or "eq"
-
-
-def _sigma_poly_coeffs(poly, p):
-    """Coefficients of a polynomial in sigma as a length-p list (mod p)."""
-    out = [0] * p
-    for e, c in poly:
-        out[e % p] = (out[e % p] + c) % p
-    return out
 
 
 def _binom_sigma_power(n, p):
@@ -218,54 +198,32 @@ def relation_primitive(which, k, p, cap=9):
     the naive transcription; the p = 2 statements agree either way.
     """
     require_prime(p)
-    if which == "even":
-        if 2 * k > cap:
-            raise CapExceeded("even relation at k=%d needs cells above the cap" % k)
-        prim = {}
-        _add(prim, (2 * k, "L", 0), 1, p)
-        if k >= 1:
-            for j in range(1, p):
-                _add(prim, (2 * k - 1, "B", j), j, p)
-        target = {}
-        _add(target, (2 * k, "Q", 0), 1, p)
-        _add(target, (2 * k, "P", 0), -1, p)
-        if k >= 1:
-            for s in range(p):
-                _add(target, (2 * k - 2, "B", s), -1, p)
-        bnd = product_boundary(prim, p)
-        cpx = "product"
-    elif which == "odd":
-        if 2 * k + 1 > cap:
-            raise CapExceeded("odd relation at k=%d needs cells above the cap" % k)
-        prim = {}
-        _add(prim, (2 * k + 1, "L", 0), -1, p)
-        _add(prim, (2 * k, "B", 0), -1, p)
-        target = {}
-        _add(target, (2 * k + 1, "Q", 0), 1, p)
-        _add(target, (2 * k + 1, "P", 0), -1, p)
-        if k >= 1:
-            for s in range(p):
-                _add(target, (2 * k - 1, "B", s), -1, p)
-        bnd = product_boundary(prim, p)
-        cpx = "product"
+    if which in ("even", "odd"):
+        # the relation: D_i x (Q_0 - P_0) minus, for k >= 1, the orbit sum of D_(i-2) x B_0
+        i = 2 * k + (which == "odd")
+        if i > cap:
+            raise CapExceeded("%s relation at k=%d needs cells above the cap" % (which, k))
+        if which == "even":
+            prim = {(i, "L", 0): 1}
+            prim.update({(i - 1, "B", j): j for j in range(1, p) if k >= 1})
+        else:
+            prim = {(i, "L", 0): p - 1, (i - 1, "B", 0): p - 1}
+        target = {(i, "Q", 0): 1, (i, "P", 0): p - 1}
+        target.update({(i - 2, "B", s): p - 1 for s in range(p) if k >= 1})
+        bnd, cpx = product_boundary(prim, p), "product"
     elif which in ("coh1", "coh2"):
         if k + 1 > cap:
             raise CapExceeded("cohomology relation at k=%d exceeds the t-cap" % k)
         eps = 0 if which == "coh1" else 1
-        prim = {}
-        _add(prim, ("L", 0, k, eps), -1, p)
+        prim = {("L", 0, k, eps): p - 1}
         if which == "coh1":
-            _add(prim, ("B", 0, k, 1), 1, p)
+            prim[("B", 0, k, 1)] = 1
         else:
-            for j, c in enumerate(_binom_sigma_power(p - 2, p)):
-                _add(prim, ("B", j, k + 1, 0), c, p)
-        target = {}
-        _add(target, ("P", 0, k, eps), 1, p)
-        _add(target, ("Q", 0, k, eps), -1, p)
-        for s in range(p):
-            _add(target, ("B", s, k + 1, eps), 1, p)
-        bnd = d_eq(prim, p)
-        cpx = "eq"
+            sigma_power = enumerate(_binom_sigma_power(p - 2, p))
+            prim.update({("B", j, k + 1, 0): c for j, c in sigma_power if c})
+        target = {("P", 0, k, eps): 1, ("Q", 0, k, eps): p - 1}
+        target.update({("B", s, k + 1, eps): 1 for s in range(p)})
+        bnd, cpx = d_eq(prim, p), "eq"
     else:
         raise ValueError("unknown relation %r" % (which,))
     if bnd != target:
@@ -278,22 +236,15 @@ def relation_primitive(which, k, p, cap=9):
 def is_boundary(target, degree, p, cap=9, chain_complex="product"):
     """Decide by linear algebra whether target bounds, within the caps."""
     if chain_complex == "product":
-        gens = product_cells_of_degree(degree + 1, cap, p)
-        bfun = lambda ch: product_boundary(ch, p)
-        cells = set(target)
-        for g in gens:
-            cells |= set(bfun({g: 1}))
+        gens, bfun = product_cells_of_degree(degree + 1, cap, p), product_boundary
     else:
-        gens = eq_cells_of_degree(degree - 1, cap, p)
-        bfun = lambda ch: d_eq(ch, p)
-        cells = set(target)
-        for g in gens:
-            cells |= set(bfun({g: 1}))
-    cells = sorted(cells)
+        gens, bfun = eq_cells_of_degree(degree - 1, cap, p), d_eq
+    images = [bfun({g: 1}, p) for g in gens]
+    cells = sorted(set(target).union(*images))
     index = {c: i for i, c in enumerate(cells)}
     rows = [[0] * len(gens) for _ in cells]
-    for gi, g in enumerate(gens):
-        for cell, c in bfun({g: 1}).items():
+    for gi, image in enumerate(images):
+        for cell, c in image.items():
             rows[index[cell]][gi] = c % p
     rhs = [target.get(c, 0) % p for c in cells]
     return solve_mod_p(rows, rhs, p) is not None
@@ -313,8 +264,12 @@ class FiniteComplex:
     diff: dict
     sigma: dict
 
+    @cached_property
+    def _degrees(self):
+        return dict(self.basis)
+
     def degree(self, name):
-        return dict(self.basis)[name]
+        return self._degrees[name]
 
 
 def trivial_complex():
@@ -328,28 +283,80 @@ def free_module_complex(p):
 
 
 def sphere_cochain_complex(p):
-    """C_{-*}(S^2) with the rotation action, as a cohomological complex."""
-    basis = [("P", 0), ("Q", 0)]
-    for j in range(p):
-        basis.append(("L%d" % j, -1))
-        basis.append(("B%d" % j, -2))
-    diff = {}
-    sigma = {"P": {"P": 1}, "Q": {"Q": 1}}
-    for j in range(p):
-        diff["L%d" % j] = {"Q": 1, "P": -1}
-        diff["B%d" % j] = {"L%d" % j: 1, "L%d" % ((j + 1) % p): -1}
-        sigma["L%d" % j] = {"L%d" % ((j + 1) % p): 1}
-        sigma["B%d" % j] = {"B%d" % ((j + 1) % p): 1}
+    """C_{-*}(S^2) with the rotation action, as a cohomological complex.
+
+    The cell X_j of _SPHERE is named X when fixed and "Xj" otherwise, and
+    sits in degree -dim X.
+    """
+    basis, diff, sigma = [], {}, {}
+    for x, dim, j in sorted(_rotated_cells(p), key=lambda cell: cell[2]):
+        name = _cell_name(x, j)
+        basis.append((name, -dim))
+        if _SPHERE[x][1]:
+            diff[name] = {_cell_name(y, (j + r) % p): c for y, r, c in _SPHERE[x][1]}
+        sigma[name] = {_cell_name(x, (j + 1) % p): 1}
     return FiniteComplex(tuple(basis), diff, sigma)
 
 
 class EquivariantComplex:
-    """C[[t, theta]] with the twisted differential, for finite C."""
+    """C[[t, theta]] with the twisted differential, for finite C.
+
+    Each operator commutes with t, so it is stored as a table of the images
+    of the generators x theta^eps: (name, eps) -> {(name2, dk, eps2): c} for
+    x t^k theta^eps -> c name2 t^(k+dk) theta^eps2.  Terms beyond t^tcap are
+    dropped.
+    """
 
     def __init__(self, cpx, p, tcap):
         self.cpx = cpx
         self.p = require_prime(p)
         self.tcap = tcap
+        norm = self._orbit_sums([1] * p)
+        weighted = self._orbit_sums(range(p))
+        self._sigma, self._t, self._d, self._theta, self._h = {}, {}, {}, {}, {}
+        for name, deg in cpx.basis:
+            s = -1 if deg % 2 else 1
+            x, sx, dx = {name: 1}, cpx.sigma.get(name, {}), cpx.diff.get(name, {})
+            for eps in (0, 1):
+                self._sigma[name, eps] = self._image((sx, 0, eps, 1))
+                self._t[name, eps] = self._image((x, 1, eps, 1))
+            # d x = dx + (-1)^|x| (sigma - 1) x theta, d(x theta) = dx theta + (-1)^|x| N x t
+            self._d[name, 0] = self._image((dx, 0, 0, 1), (sx, 0, 1, s), (x, 0, 1, -s))
+            self._d[name, 1] = self._image((dx, 0, 1, 1), (norm[name], 1, 0, s))
+            self._theta[name, 0] = self._image((x, 0, 1, s))
+            self._theta[name, 1] = self._image((weighted[name], 1, 0, s))
+            self._h[name, 0] = {}
+            self._h[name, 1] = self._image((x, 1, 0, s))
+
+    def _orbit_sums(self, weights):
+        """{name: sum_j weights[j] sigma^j name} for every basis name."""
+        sigma, out = self.cpx.sigma, {}
+        for name, _ in self.cpx.basis:
+            vec, acc = {name: 1}, {}
+            for w in weights:
+                acc = _combine((acc, 1), (vec, w), mod=self.p)
+                vec = _combine(*((sigma.get(n, {}), c) for n, c in vec.items()), mod=self.p)
+            out[name] = acc
+        return out
+
+    def _image(self, *parts):
+        """The sum of s * vec t^dk theta^eps over parts (vec, dk, eps, s)."""
+        out = {}
+        for vec, dk, eps, s in parts:
+            for name, c in vec.items():
+                _add(out, (name, dk, eps), s * c, self.p)
+        return out
+
+    def _apply(self, table, chain):
+        out = {}
+        tcap = self.tcap
+        for (name, k, eps), c in chain.items():
+            for (name2, dk, eps2), c2 in table[name, eps].items():
+                if k + dk <= tcap:
+                    cell = (name2, k + dk, eps2)
+                    out[cell] = out.get(cell, 0) + c * c2
+        p = self.p
+        return {cell: c % p for cell, c in out.items() if c % p}
 
     def generators(self, max_k=None):
         kmax = self.tcap if max_k is None else max_k
@@ -360,89 +367,23 @@ class EquivariantComplex:
             for eps in (0, 1)
         ]
 
-    def _apply_map(self, table, name):
-        return dict(table.get(name, {}))
-
-    def _lift(self, table, chain, k_shift=0, eps=None, sign_by_degree=False):
-        out = {}
-        for (name, k, eps0), c in chain.items():
-            img = self._apply_map(table, name)
-            s = c
-            if sign_by_degree and self.cpx.degree(name) % 2:
-                s = -s
-            e = eps0 if eps is None else eps
-            for name2, c2 in img.items():
-                if k + k_shift <= self.tcap:
-                    _add(out, (name2, k + k_shift, e), s * c2, self.p)
-        return out
-
     def sigma(self, chain):
-        return self._lift(self.cpx.sigma, chain)
+        return self._apply(self._sigma, chain)
 
     def t(self, chain):
-        out = {}
-        for (name, k, eps), c in chain.items():
-            if k + 1 <= self.tcap:
-                _add(out, (name, k + 1, eps), c, self.p)
-        return out
+        return self._apply(self._t, chain)
 
     def d_eq(self, chain):
-        p = self.p
-        out = {}
-        for (name, k, eps), c in chain.items():
-            sgn = -1 if self.cpx.degree(name) % 2 else 1
-            for name2, c2 in self._apply_map(self.cpx.diff, name).items():
-                _add(out, (name2, k, eps), c * c2, p)
-            if eps == 0:
-                for name2, c2 in self._apply_map(self.cpx.sigma, name).items():
-                    _add(out, (name2, k, 1), sgn * c * c2, p)
-                _add(out, (name, k, 1), -sgn * c, p)
-            else:
-                orbit = {name: 1}
-                acc = dict(orbit)
-                for _ in range(p - 1):
-                    orbit = self._compose_once(orbit)
-                    for n2, c2 in orbit.items():
-                        _add(acc, n2, c2, p)
-                for name2, c2 in acc.items():
-                    if k + 1 <= self.tcap:
-                        _add(out, (name2, k + 1, 0), sgn * c * c2, p)
-        return out
-
-    def _compose_once(self, vec):
-        out = {}
-        for name, c in vec.items():
-            for n2, c2 in self._apply_map(self.cpx.sigma, name).items():
-                _add(out, n2, c * c2, self.p)
-        return out
+        return self._apply(self._d, chain)
 
     def theta_tilde(self, chain):
-        p = self.p
-        out = {}
-        for (name, k, eps), c in chain.items():
-            sgn = -1 if self.cpx.degree(name) % 2 else 1
-            if eps == 0:
-                _add(out, (name, k, 1), sgn * c, p)
-            else:
-                vec = {name: 1}
-                weighted = {}
-                for j in range(1, p):
-                    vec = self._compose_once(vec)
-                    for n2, c2 in vec.items():
-                        _add(weighted, n2, j * c2, p)
-                for name2, c2 in weighted.items():
-                    if k + 1 <= self.tcap:
-                        _add(out, (name2, k + 1, 0), sgn * c * c2, p)
-        return out
+        """theta_tilde(x) = (-1)^|x| x theta, theta_tilde(x theta) = (-1)^|x| W x t
+        with W = sigma + 2 sigma^2 + ... + (p-1) sigma^(p-1)."""
+        return self._apply(self._theta, chain)
 
     def homotopy_h(self, chain):
         """h(x t^k) = 0,  h(x t^k theta) = (-1)^|x| x t^(k+1)."""
-        out = {}
-        for (name, k, eps), c in chain.items():
-            if eps == 1 and k + 1 <= self.tcap:
-                sgn = -1 if self.cpx.degree(name) % 2 else 1
-                _add(out, (name, k + 1, 0), sgn * c, self.p)
-        return out
+        return self._apply(self._h, chain)
 
 
 def group_algebra_identities(p):
@@ -451,36 +392,14 @@ def group_algebra_identities(p):
     1 + x + ... + x^(p-1) == (x-1)^(p-1) == x (x-1)^(p-1)
     x + 2x^2 + ... + (p-1)x^(p-1) == -x (x-1)^(p-2)
     """
-
-    def mulmod(a, b):
-        out = [0] * p
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[(i + j) % p] = (out[(i + j) % p] + ca * cb) % p
-        return out
-
-    def xminus1_power(n):
-        acc = [0] * p
-        acc[0] = 1
-        base = [0] * p
-        base[0], base[1 % p] = (-1) % p, (base[1 % p] + 1) % p
-        for _ in range(n):
-            acc = mulmod(acc, base)
-        return acc
-
     norm = [1 % p] * p
-    shift = [0] * p
-    shift[1 % p] = 1
-    ok = xminus1_power(p - 1) == norm
-    ok = ok and mulmod(shift, xminus1_power(p - 1)) == norm
-    weighted = [0] * p
-    for j in range(1, p):
-        weighted[j % p] = (weighted[j % p] + j) % p
-    neg_x_pow = [(-c) % p for c in mulmod(shift, xminus1_power(p - 2))]
-    ok = ok and weighted == neg_x_pow
-    return ok
+    weighted = [j % p for j in range(p)]
+    top, below = _binom_sigma_power(p - 1, p), _binom_sigma_power(p - 2, p)
+    return (
+        top == norm
+        and top[-1:] + top[:-1] == norm
+        and weighted == [(-c) % p for c in below[-1:] + below[:-1]]
+    )
 
 
 def homotopy_check(p, cap=9):
@@ -501,8 +420,9 @@ def homotopy_check(p, cap=9):
     for label, cpx in fixtures.items():
         eq = EquivariantComplex(cpx, p, cap)
         ok_d2 = ok_homotopy = ok_square = ok_square_homotopy = True
-        for gen in eq.generators(max_k=cap - 2):
-            x = {gen: 1}
+        weighted = eq._orbit_sums(range(p))
+        for name, k, eps in eq.generators(max_k=cap - 2):
+            x = {(name, k, eps): 1}
             if eq.d_eq(eq.d_eq(x)):
                 ok_d2 = False
             lhs = _combine((eq.d_eq(eq.homotopy_h(x)), 1), (eq.homotopy_h(eq.d_eq(x)), 1), mod=p)
@@ -511,13 +431,7 @@ def homotopy_check(p, cap=9):
                 ok_homotopy = False
             # theta_tilde^2 as the weighted orbit sum times t, exactly
             sq = eq.theta_tilde(eq.theta_tilde(x))
-            weighted = {}
-            vec = dict(x)
-            for j in range(1, p):
-                vec = eq.sigma(vec)
-                for cell, c in vec.items():
-                    _add(weighted, cell, j * c, p)
-            if sq != eq.t(weighted):
+            if sq != {(n2, k + 1, eps): c for n2, c in weighted[name].items()}:
                 ok_square = False
             # composite homotopy H with d H + H d = theta_tilde^2 - [p=2] t
             if p == 2:
@@ -566,18 +480,14 @@ def verify_cells(p, cap=9):
             if sinf_boundary(sinf_boundary({("D", i, r): 1}, p), p):
                 failures.append("d^2 != 0 on D_%d (rot %d) over Z" % (i, r))
     for i in range(cap + 1):
-        for x in ("P", "Q", "L", "B"):
-            rots = (0,) if x in ("P", "Q") else range(p)
-            for j in rots:
-                if product_boundary(product_boundary({(i, x, j): 1}, p), p):
-                    failures.append("d^2 != 0 on product cell (%d,%s,%d)" % (i, x, j))
-    for x in ("P", "Q", "L", "B"):
-        rots = (0,) if x in ("P", "Q") else range(p)
-        for j in rots:
-            for k in range(cap - 1):
-                for eps in (0, 1):
-                    if d_eq(d_eq({(x, j, k, eps): 1}, p), p):
-                        failures.append("d_eq^2 != 0 on (%s,%d,t^%d,%d)" % (x, j, k, eps))
+        for x, _, j in _rotated_cells(p):
+            if product_boundary(product_boundary({(i, x, j): 1}, p), p):
+                failures.append("d^2 != 0 on product cell (%d,%s,%d)" % (i, x, j))
+    for x, _, j in _rotated_cells(p):
+        for k in range(cap - 1):
+            for eps in (0, 1):
+                if d_eq(d_eq({(x, j, k, eps): 1}, p), p):
+                    failures.append("d_eq^2 != 0 on (%s,%d,t^%d,%d)" % (x, j, k, eps))
     for which in ("even", "odd", "coh1", "coh2"):
         for k in range(4):
             try:
@@ -589,12 +499,4 @@ def verify_cells(p, cap=9):
     rep = homotopy_check(p, cap)
     if not rep["ok"]:
         failures.append("homotopy_check failed: %r" % (rep,))
-    for i in range(9):
-        pairs = diagonal_coefficients(i, p)
-        if i % 2 or p == 2:
-            if pairs != [(i1, i - i1) for i1 in range(i + 1)]:
-                failures.append("diagonal coefficients wrong at i=%d" % i)
-        else:
-            if pairs != [(i1, i - i1) for i1 in range(0, i + 1, 2)]:
-                failures.append("diagonal coefficients wrong at i=%d" % i)
     return failures

@@ -493,6 +493,20 @@ def _step_taint(taint, divisor_index, ring, trunc):
     return out
 
 
+def _push_taint(taint, endo, trunc):
+    """Output slots that tainted input slots (k, q) reach through endo.
+
+    Slot (k, q) reaches (j, q + d) for every stored or tainted slot
+    (k, j, d) of column k: the slot-map product rule of compose.
+    """
+    rows, taint_rows = endo._rows()
+    out = set()
+    for k, qv in taint:
+        reach = [(j, d) for j, d, _, _ in rows.get(k, ())] + taint_rows.get(k, [])
+        out.update((j, qv + d) for j, d in reach if qv + d <= trunc)
+    return out
+
+
 def qsigma_apply(b, x, ring, trunc=None):
     """Evaluate QSigma_b on an element, preferring taint-free routes.
 
@@ -584,8 +598,10 @@ def qst_via_generators(expr, ring, trunc=None):
             ) from exc
         tail, tail_taint = eval_word(word[1:])
         val, val_taint = qsigma_apply(head, tail, ring, trunc)
-        # push the tail's own taint through one application of QSigma_head
-        return val, val_taint | _step_taint(tail_taint, ring.index(head), ring, trunc)
+        if tail_taint:
+            # the tail's own taint, pushed through QSigma_head
+            val_taint |= _push_taint(tail_taint, solve_qsigma(head, ring)[0], trunc)
+        return val, val_taint
 
     for coeff, q_exp, factors in expr:
         val, val_taint = eval_word(tuple(factors))
@@ -645,7 +661,7 @@ def qst_auto(name, ring, trunc=None):
                 if qv + ring.prime * d <= out_trunc
             }
         if sub_taint:
-            taint |= _step_taint(sub_taint, a.index, ring, out_trunc)
+            taint |= _push_taint(sub_taint, solve_qsigma(a_name, ring)[0], out_trunc)
         val = val.scale(fp_inv(u, ring.prime))
         if not taint:
             return val, taint, "generators via %s" % be.name

@@ -186,7 +186,7 @@ def test_criterion_09_equivariant_cells():
     for p in (2, 3, 5):
         assert verify_cells(p, cap=9) == []
     ok(9, "cell complexes: d^2 = 0, the four relation primitives (k <= 3), "
-          "homotopies, diagonal coefficients, for p in {2,3,5}")
+          "homotopies, for p in {2,3,5}")
 
 
 def test_criterion_10_cli_golden():

@@ -177,13 +177,19 @@ def test_export_needs_the_builtin_prefix(tmp_path, capsys):
     )
 
 
-def test_ungraded_q0_product_exits_one_naming_it(tmp_path, capsys):
+def _ungraded_cubic(tmp_path):
+    """The cubic surface with an extra q^0 product h_2*h_2 -> h_2."""
     data = builtin_manifold("cubic_surface")
     for product in data["products"]:
         if (product["left"], product["right"], product["q"]) == ("h_2", "h_2", 0):
             product["terms"].append({"basis": "h_2", "coeff": 1})
     bad = tmp_path / "bad.json"
     bad.write_text(dump_manifold(data))
+    return bad
+
+
+def test_ungraded_q0_product_exits_one_naming_it(tmp_path, capsys):
+    bad = _ungraded_cubic(tmp_path)
     code, text = run_cli(
         ["compute", "--manifold", str(bad), "--prime", "5", "--class", "h_4", "--op", "qsigma"]
     )
@@ -192,6 +198,19 @@ def test_ungraded_q0_product_exits_one_naming_it(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: (h_2, h_2, q^0) -> h_2 violates the grading; see verify --suite ring\n"
     )
+
+
+def test_verify_runs_every_suite_past_a_raising_one(tmp_path):
+    bad = _ungraded_cubic(tmp_path)
+    code, text = run_cli(["verify", "--manifold", str(bad), "--prime", "5", "--suite", "all"])
+    assert code == 1
+    heads = [line.split(":")[0] for line in text.splitlines() if not line.startswith(" ")]
+    assert heads == [
+        "FAIL ring", "FAIL constancy", "FAIL compose", "PASS oracle", "PASS cells"
+    ]
+    error = "error: (h_2, h_2, q^0) -> h_2 violates the grading; see verify --suite ring"
+    assert "FAIL constancy: %s\n" % error in text
+    assert "FAIL compose: %s\n" % error in text
 
 
 def test_verify_suites_pass():

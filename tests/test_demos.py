@@ -1,0 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).parent / "golden"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_demo(path):
+    # the child imports the package from src/ even when it is not installed
+    paths = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return subprocess.run(
+        [sys.executable, str(path)],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path):
+    proc = run_demo(path)
+    assert proc.returncode == 0, proc.stderr
+    if path.stem == "04_equivariant_cells":
+        assert proc.stdout == (GOLDEN / "demo_04_equivariant_cells.txt").read_text()

@@ -556,6 +556,29 @@ def test_qst_via_generators_rejects_nondivisor_heads():
         qst_via_generators([(1, 0, ("h_4", "h_2"))], ring)
 
 
+@pytest.mark.parametrize("p", [5, 7, 31])
+def test_qst_via_generators_taint_covers_the_tail_taint(p):
+    # QSt(h_2 * h_4) = QSigma_h_2(QSt(h_4)): any values on the tail's tainted
+    # slots may change only output slots that are reported tainted
+    ring = builtin_ring("cubic_surface", p)
+    out, taint = qst_via_generators([(1, 0, ("h_2", "h_4"))], ring)
+    tail, tail_taint = qst("h_4", ring).endo.column("1", out.trunc)
+    assert tail_taint
+    base, _ = qsigma_apply("h_2", tail, ring, out.trunc)
+    rng = random.Random(p)
+    for _ in range(3):
+        comps = dict(tail.components)
+        for k, qv in tail_taint:
+            t_exp = (4 * p - ring.degree(k) - ring.q_degree * qv) // 2
+            f = comps.get(k, SeriesElement(p, out.trunc, {}))
+            terms = {m: c for m, c in f.terms.items() if m.q != qv}
+            terms[Monomial(qv, t_exp, 0)] = rng.randrange(1, p)
+            comps[k] = SeriesElement(p, out.trunc, terms)
+        moved, _ = qsigma_apply("h_2", CohomologyElement(ring, comps), ring, out.trunc)
+        changed = {(k, m.q) for k, f in (moved - base).components.items() for m in f.terms}
+        assert changed and changed <= taint
+
+
 def test_qst_auto_routes():
     ring = builtin_ring("cubic_surface", 2)
     out, taint, route = qst_auto("h_4", ring)
