@@ -340,10 +340,7 @@ def main(argv=None, out=None):
             return cmd_verify(args, out)
         if args.command == "export":
             return cmd_export(args, out)
-    except (QSteenrodError, ValueError, KeyError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    except OSError as exc:
+    except (QSteenrodError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     return 0

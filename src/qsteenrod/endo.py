@@ -13,7 +13,9 @@ lands on (i, k, d1 + d2), and a tainted slot taints its product with every
 stored or tainted slot of the other factor.  compose multiplies whole
 graded maps by Kronecker substitution (_packed_matmul); the solver only
 ever multiplies by a divisor block, through its commutator map
-(solver._ad_map).
+(solver._ad_map).  On a single class the rule is _reach: a coefficient
+slot (k, q) of e_k q^q reaches (j, q + d) for every slot (j, d) of the
+operator's column k.
 """
 
 from dataclasses import dataclass, field
@@ -62,6 +64,16 @@ def _packed_matmul(pairs, w, trunc):
     return {
         (i, k, d): c for (i, k), z in acc.items() for d, c in _unpack_slots(z, w, trunc)
     }
+
+
+def _reach(slots, column, trunc):
+    """The slots (j, q + d), q + d <= trunc, that slots (k, q) reach via column[k] = [(j, d)]."""
+    return {(j, q + d) for k, q in slots for j, d in column.get(k, ()) if q + d <= trunc}
+
+
+def _slots(x):
+    """The (basis index, q-exponent) slots an element's terms occupy."""
+    return {(k, m.q) for k, f in x.components.items() for m in f.terms}
 
 
 def _row_index(s):
@@ -159,7 +171,6 @@ class GradedEndomorphism:
         """
         trunc = x.trunc if trunc is None else trunc
         acc = {}  # j -> {monomial: unreduced coefficient}
-        taint = set()
         rows, taint_rows = self._rows()
         for i, f in x.components.items():
             for j, d, c, k in rows.get(i, ()):
@@ -168,10 +179,7 @@ class GradedEndomorphism:
                     if mq + d <= trunc:
                         m = Monomial(mq + d, mt + k, mth)
                         terms[m] = terms.get(m, 0) + c * v
-            for j, d in taint_rows.get(i, ()):
-                for mono in f.terms:
-                    if mono.q + d <= trunc:
-                        taint.add((j, mono.q + d))
+        taint = _reach(_slots(x), taint_rows, trunc)
         return element_from_terms(self.ring, trunc, acc), taint
 
     def slot_text(self, i, j, d):

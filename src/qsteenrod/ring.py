@@ -280,9 +280,6 @@ class CohomologyElement:
     def is_zero(self):
         return not self.components
 
-    def _series(self, k, trunc):
-        return self.components.get(k, series_zero(self.ring.prime, trunc))
-
     def __add__(self, other):
         if self.is_zero():
             return other

@@ -29,7 +29,7 @@ from .errors import (
     NotDivisor,
     NotGenerated,
 )
-from .endo import GradedEndomorphism, multiplication_endo
+from .endo import GradedEndomorphism, _reach, _slots, multiplication_endo
 from .fp import fp_inv, solve_mod_p
 from .ring import (
     CohomologyElement,
@@ -66,8 +66,10 @@ class QstResult:
 def _divisor_blocks(ring, div):
     """Blocks A_e = {(i, j): c} of quantum multiplication by the divisor.
 
-    Block e holds the q-order-e structure constants, reduced mod p.  Block 0
-    must raise degree by 2, as _sweep relies on it.
+    Block e holds the q-order-e structure constants, reduced mod p.  Every
+    block must respect the grading, |e_j| + |q| e = |e_i| + 2: block 0 then
+    raises degree by 2, as _sweep relies on, and a later block cannot force
+    a value onto a dead slot.
     """
     blocks = {}
     a = div.index
@@ -75,10 +77,10 @@ def _divisor_blocks(ring, div):
         block = {}
         for i in range(len(ring.basis)):
             for j, c in ring.sc(a, i, e).items():
-                if e == 0 and ring.degree(j) != ring.degree(i) + 2:
+                if ring.degree(j) + ring.q_degree * e != ring.degree(i) + 2:
                     raise ValueError(
-                        "(%s, %s, q^0) -> %s violates the grading; see verify --suite ring"
-                        % (ring.basis[a].name, ring.basis[i].name, ring.basis[j].name)
+                        "(%s, %s, q^%d) -> %s violates the grading; see verify --suite ring"
+                        % (ring.basis[a].name, ring.basis[i].name, e, ring.basis[j].name)
                     )
                 block[(i, j)] = c
         if block:
@@ -433,128 +435,112 @@ def qsigma_lambda(beta, ring, trunc=None):
     return GradedEndomorphism(ring, g, trunc, entries, frozenset(taint))
 
 
-def _rewrite_in_divisor_powers(ring, target_index):
-    """Express e_k as sum_n c_n q^(m_n) a^(*n) for the primary divisor a.
+def _rewrite_in_connection_powers(ring, target_index):
+    """Express e_k as sum c q^m t^s nabla_a^n(1) for the primary divisor a.
 
-    Returns a list of (power n, q-shift m, coefficient c) or None when the
-    class is not generated by the primary divisor mod p.
+    Returns a list of (n, m, s, c), or None when e_k is no such combination
+    mod p.  The candidates satisfy 2n + |q| m + 2s = |e_k|; the t-free ones
+    come first, by increasing n.
     """
-    p = ring.prime
     deg = ring.degree(target_index)
-    q_deg = ring.q_degree
-    search_trunc = ring.dimension_top // q_deg + ring.max_q_order() + 1
+    search_trunc = ring.dimension_top // ring.q_degree + ring.max_q_order() + 1
     a_name = ring.basis[ring.primary.index].name
     powers = [basis_class(ring, "1", search_trunc)]
-    max_pow = deg // 2
-    for _ in range(max_pow):
-        powers.append(
-            quantum_product(basis_class(ring, a_name, search_trunc), powers[-1])
-        )
+    for _ in range(deg // 2):
+        powers.append(connection_apply(a_name, powers[-1], ring))
     candidates = []
-    for np_ in range(max_pow + 1):
-        rem = deg - 2 * np_
-        if rem >= 0 and rem % q_deg == 0:
-            candidates.append((np_, rem // q_deg))
-    # linear system over the (basis, q) slots
-    slots = set()
+    for n in range(deg // 2 + 1):
+        for s in range((deg - 2 * n) // 2 + 1):
+            m, r = divmod(deg - 2 * n - 2 * s, ring.q_degree)
+            if not r:
+                candidates.append((n, m, s))
+    candidates.sort(key=lambda cand: cand[2] > 0)
+    # linear system over the (basis, q, t) slots
     cols = []
-    for np_, m in candidates:
-        shifted = powers[np_].times_monomial(q=m)
-        col = {}
-        for j, f in shifted.components.items():
-            for mono, c in f.terms.items():
-                col[(j, mono.q)] = c
-                slots.add((j, mono.q))
-        cols.append(col)
-    slots = sorted(slots | {(target_index, 0)})
-    rows = [[col.get(s, 0) for col in cols] for s in slots]
-    rhs = [1 if s == (target_index, 0) else 0 for s in slots]
-    sol = solve_mod_p(rows, rhs, p)
+    for n, m, s in candidates:
+        shifted = powers[n].times_monomial(q=m, t=s)
+        cols.append(
+            {
+                (j, mono.q, mono.t): c
+                for j, f in shifted.components.items()
+                for mono, c in f.terms.items()
+            }
+        )
+    slots = sorted(set().union(*cols) | {(target_index, 0, 0)})
+    rows = [[col.get(slot, 0) for col in cols] for slot in slots]
+    rhs = [1 if slot == (target_index, 0, 0) else 0 for slot in slots]
+    sol = solve_mod_p(rows, rhs, ring.prime)
     if sol is None:
         return None
-    return [
-        (candidates[ci][0], candidates[ci][1], sol[ci])
-        for ci in range(len(candidates))
-        if sol[ci]
-    ]
+    return [cand + (c,) for cand, c in zip(candidates, sol) if c]
 
 
-def _step_taint(taint, divisor_index, ring, trunc):
-    """Image of taint slots (k, q) under one connection application."""
-    out = set()
-    for (k, qv) in taint:
-        if qv <= trunc:
-            out.add((k, qv))  # the t*d/dq part
-        for d in ring.q_orders(divisor_index, k):
-            if qv + d > trunc:
-                break
-            for k2 in ring.sc(divisor_index, k, d):
-                out.add((k2, qv + d))
-    return out
+def _nabla_column(ring):
+    """The columns {k: [(j, d)]} of nabla_a for the primary divisor a.
 
-
-def _push_taint(taint, endo, trunc):
-    """Output slots that tainted input slots (k, q) reach through endo.
-
-    Slot (k, q) reaches (j, q + d) for every stored or tainted slot
-    (k, j, d) of column k: the slot-map product rule of compose.
+    t d_a keeps a slot (k, q); a * moves it to (j, q + d) for each j in
+    sc(a, k, d).
     """
-    rows, taint_rows = endo._rows()
-    out = set()
-    for k, qv in taint:
-        reach = [(j, d) for j, d, _, _ in rows.get(k, ())] + taint_rows.get(k, [])
-        out.update((j, qv + d) for j, d in reach if qv + d <= trunc)
-    return out
+    a = ring.primary.index
+    return {
+        k: [(k, 0)] + [(j, d) for d in ring.q_orders(a, k) for j in ring.sc(a, k, d)]
+        for k in range(len(ring.basis))
+    }
 
 
 def qsigma_apply(b, x, ring, trunc=None):
     """Evaluate QSigma_b on an element, preferring taint-free routes.
 
     Per basis class in x: use the solved column when it is untainted; else
-    rewrite the class in powers of the primary divisor and push QSt(b)
-    through the covariant-constancy relation
-        QSigma_b(a * c) = t d_a QSigma_b(c) + a * QSigma_b(c);
+    rewrite the class as sum c q^m t^s nabla_a^n(1) over the primary divisor
+    a and push QSt(b) through the covariant-constancy relation
+        QSigma_b(nabla_a c) = nabla_a QSigma_b(c),   nabla_a = t d_a + (a *);
     else fall back to the tainted column.  Returns (element, taint).
     """
     _check_truncation(trunc)
     endo, report = solve_qsigma(b, ring)
     if trunc is None:
         trunc = x.trunc if x.trunc is not None else endo.trunc
-    a = ring.primary
-    a_name = ring.basis[a.index].name
-    chains = None
+    a_name = ring.basis[ring.primary.index].name
+    chain, chain_taint = {}, {}  # n -> nabla_a^n QSt(b), and its taint
     out = zero_element(ring, trunc)
-    taint = set()
+    columns_taint = {}
     for k, f in sorted(x.components.items()):
         col, col_taint = endo.column(ring.basis[k].name, trunc)
         if col_taint:
-            rewritten = _rewrite_in_divisor_powers(ring, k)
+            rewritten = _rewrite_in_connection_powers(ring, k)
             if rewritten is not None:
-                if chains is None:
-                    base, base_taint = endo.column("1", trunc)
-                    chains = [(base, set(base_taint))]
-                top = max(npow for npow, _, _ in rewritten)
-                while len(chains) <= top:
-                    prev, prev_taint = chains[-1]
-                    chains.append(
-                        (
-                            connection_apply(a_name, prev, ring),
-                            _step_taint(prev_taint, a.index, ring, trunc),
-                        )
-                    )
+                if not chain:
+                    chain[0], chain_taint[0] = endo.column("1", trunc)
+                    nabla = _nabla_column(ring)
+                while len(chain) <= max(n for n, _, _, _ in rewritten):
+                    n = len(chain)
+                    chain[n] = connection_apply(a_name, chain[n - 1], ring)
+                    chain_taint[n] = _reach(chain_taint[n - 1], nabla, trunc)
                 col = zero_element(ring, trunc)
-                col_taint = set()
-                for npow, m, c in rewritten:
-                    piece, piece_taint = chains[npow]
-                    col = col + piece.times_monomial(q=m, coeff=c)
-                    col_taint |= {(j, qv + m) for (j, qv) in piece_taint if qv + m <= trunc}
-        term = col.retruncate(trunc).times_series(f.retruncate(trunc))
-        out = out + term
-        for (j, qv) in col_taint:
-            for mono in f.terms:
-                if qv + mono.q <= trunc:
-                    taint.add((j, qv + mono.q))
-    return out, taint
+                for n, m, s, c in rewritten:
+                    col = col + chain[n].times_monomial(q=m, t=s, coeff=c)
+                col_taint = _reach({(n, m) for n, m, _, _ in rewritten}, chain_taint, trunc)
+        out = out + col.retruncate(trunc).times_series(f.retruncate(trunc))
+        columns_taint[k] = col_taint
+    return out, _reach(_slots(x), columns_taint, trunc)
+
+
+def _divisor_step(a_name, x, x_taint, ring, trunc):
+    """QSigma_a(x) for a divisor a, with x's own taint pushed through QSigma_a.
+
+    A tainted slot of x reaches every stored or tainted slot of QSigma_a's
+    column under it.
+    """
+    val, taint = qsigma_apply(a_name, x, ring, trunc)
+    if x_taint:
+        rows, taint_rows = solve_qsigma(a_name, ring)[0]._rows()
+        support = {
+            k: [(j, d) for j, d, _, _ in rows.get(k, ())] + taint_rows.get(k, [])
+            for k, _ in x_taint
+        }
+        taint |= _reach(x_taint, support, trunc)
+    return val, taint
 
 
 def qst_via_generators(expr, ring, trunc=None):
@@ -586,9 +572,7 @@ def qst_via_generators(expr, ring, trunc=None):
         if not word:
             return basis_class(ring, "1", trunc), set()
         if len(word) == 1:
-            r = qst(word[0], ring)
-            elem, tset = r.endo.column("1", trunc)
-            return elem, set(tset)
+            return qst(word[0], ring).endo.column("1", trunc)
         head = word[0]
         try:
             ring.divisor(head)
@@ -596,18 +580,13 @@ def qst_via_generators(expr, ring, trunc=None):
             raise NotGenerated(
                 "non-divisor %r in a composite factor word" % (head,)
             ) from exc
-        tail, tail_taint = eval_word(word[1:])
-        val, val_taint = qsigma_apply(head, tail, ring, trunc)
-        if tail_taint:
-            # the tail's own taint, pushed through QSigma_head
-            val_taint |= _push_taint(tail_taint, solve_qsigma(head, ring)[0], trunc)
-        return val, val_taint
+        return _divisor_step(head, *eval_word(word[1:]), ring, trunc)
 
     for coeff, q_exp, factors in expr:
         val, val_taint = eval_word(tuple(factors))
-        shifted = val.times_monomial(q=p * q_exp, coeff=coeff)
-        out = out + shifted
-        taint |= {(j, qv + p * q_exp) for (j, qv) in val_taint if qv + p * q_exp <= trunc}
+        m = p * q_exp
+        out = out + val.times_monomial(q=m, coeff=coeff)
+        taint |= _reach(val_taint, {j: [(j, m)] for j, _ in val_taint}, trunc)
     return out, taint
 
 
@@ -626,43 +605,21 @@ def qst_auto(name, ring, trunc=None):
     out_trunc = r.element.trunc if r.element.trunc is not None else r.endo.trunc
     a = ring.primary
     a_name = ring.basis[a.index].name
-    deg = ring.degree(target)
     for i, be in enumerate(ring.basis):
-        if be.degree != deg - 2:
-            continue
-        u = ring.sc(a.index, i, 0).get(target, 0)
-        if not u:
-            continue
-        others = []
-        ok = True
-        for d in range(ring.max_q_order() + 1):
-            for k, c in ring.sc(a.index, i, d).items():
-                if d == 0 and k == target:
-                    continue
-                if d == 0:
-                    ok = False  # simultaneous degree-peers unsupported
-                    break
-                others.append((d, k, c))
-            if not ok:
-                break
-        if not ok:
+        # a * e_i must be u e_target at q^0 alone: simultaneous degree-peers
+        # are unsupported
+        lead = ring.sc(a.index, i, 0)
+        if set(lead) != {target}:
             continue
         sub, sub_taint, _ = qst_auto(be.name, ring, trunc)
-        val, val_taint = qsigma_apply(a_name, sub.retruncate(out_trunc), ring, out_trunc)
-        taint = set(val_taint)
-        for d, k, c in others:
-            rest, rest_taint, _ = qst_auto(ring.basis[k].name, ring, trunc)
-            val = val - rest.retruncate(out_trunc).times_monomial(
-                q=ring.prime * d, coeff=c
-            )
-            taint |= {
-                (j, qv + ring.prime * d)
-                for (j, qv) in rest_taint
-                if qv + ring.prime * d <= out_trunc
-            }
-        if sub_taint:
-            taint |= _push_taint(sub_taint, solve_qsigma(a_name, ring)[0], out_trunc)
-        val = val.scale(fp_inv(u, ring.prime))
+        val, taint = _divisor_step(a_name, sub.retruncate(out_trunc), sub_taint, ring, out_trunc)
+        for d in range(1, ring.max_q_order() + 1):
+            for k, c in ring.sc(a.index, i, d).items():
+                rest, rest_taint, _ = qst_auto(ring.basis[k].name, ring, trunc)
+                m = ring.prime * d
+                val = val - rest.retruncate(out_trunc).times_monomial(q=m, coeff=c)
+                taint |= _reach(rest_taint, {j: [(j, m)] for j, _ in rest_taint}, out_trunc)
+        val = val.scale(fp_inv(lead[target], ring.prime))
         if not taint:
             return val, taint, "generators via %s" % be.name
-    return r.element, {(j, d) for (j, d) in r.taint}, "direct (tainted)"
+    return r.element, set(r.taint), "direct (tainted)"

@@ -188,6 +188,17 @@ def _ungraded_cubic(tmp_path):
     return bad
 
 
+def _ungraded_s2(tmp_path):
+    """The sphere with an extra q^2 product h*h -> h."""
+    data = builtin_manifold("s2")
+    data["products"].append(
+        {"left": "h", "right": "h", "q": 2, "terms": [{"basis": "h", "coeff": 1}]}
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_manifold(data))
+    return bad
+
+
 def test_ungraded_q0_product_exits_one_naming_it(tmp_path, capsys):
     bad = _ungraded_cubic(tmp_path)
     code, text = run_cli(
@@ -197,6 +208,17 @@ def test_ungraded_q0_product_exits_one_naming_it(tmp_path, capsys):
     # one error line and no traceback
     assert capsys.readouterr().err == (
         "error: (h_2, h_2, q^0) -> h_2 violates the grading; see verify --suite ring\n"
+    )
+
+
+def test_ungraded_q2_product_exits_one_naming_it(tmp_path, capsys):
+    bad = _ungraded_s2(tmp_path)
+    code, text = run_cli(
+        ["compute", "--manifold", str(bad), "--prime", "3", "--class", "h", "--op", "qst"]
+    )
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == (
+        "error: (h, h, q^2) -> h violates the grading; see verify --suite ring\n"
     )
 
 

@@ -30,6 +30,7 @@ from qsteenrod.ring import (
     connection_apply,
     element,
     quantum_product,
+    verify_ring,
     zero_element,
 )
 from qsteenrod.series import Monomial, SeriesElement, format_series, series
@@ -259,14 +260,41 @@ def test_inconsistent_seed():
             solve_qsigma("h", ring)
 
 
+def _cp6_with_wrong_steenrod_h2():
+    """CP^6, h_k = h^k, with St(h2) = t^4 h2 + h6 mod 3: the t^2 h4 term is missing."""
+    n = 6
+    names = ["1"] + ["h%d" % k for k in range(1, n + 1)]
+    products = [
+        {
+            "left": names[i],
+            "right": names[j],
+            "q": (i + j) // (n + 1),
+            "terms": [{"basis": names[(i + j) % (n + 1)], "coeff": 1}],
+        }
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+    ]
+    st_h2 = [
+        {"basis": "h2", "t": 4, "theta": 0, "coeff": 1},
+        {"basis": "h6", "t": 0, "theta": 0, "coeff": 1},
+    ]
+    return {
+        "name": "cp6",
+        "basis": [{"name": b, "degree": 2 * k} for k, b in enumerate(names)],
+        "q_degree": 2 * (n + 1),
+        "dimension_top": 2 * n,
+        "divisors": [{"name": "h1", "pairing": 1, "primary": True}],
+        "products": products,
+        "steenrod": {"3": {"h2": st_h2}},
+    }
+
+
 def test_negative_power_residue():
-    data = builtin_manifold("s2")
-    data["products"].append(
-        {"left": "h", "right": "h", "q": 2, "terms": [{"basis": "h", "coeff": 1}]}
-    )
-    ring = ring_from_data(data, 3)
-    with pytest.raises(NegativePowerResidue):
-        solve_qsigma("h", ring)
+    # a graded ring that verify_ring passes, with wrong Steenrod data
+    ring = ring_from_data(_cp6_with_wrong_steenrod_h2(), 3)
+    assert verify_ring(ring) == []
+    with pytest.raises(NegativePowerResidue, match=r"\(1 -> 1, q\^1\)"):
+        solve_qsigma("h2", ring)
 
 
 # -- one solve per (ring, class, truncation) -----------------------------------
@@ -951,6 +979,17 @@ def test_ungraded_q0_product_is_named():
     with pytest.raises(ValueError) as info:
         solve_qsigma("h_4", ring)
     assert str(info.value) == "(h_2, h_2, q^0) -> h_2 violates the grading; see verify --suite ring"
+
+
+def test_ungraded_q2_product_is_named():
+    data = builtin_manifold("s2")
+    data["products"].append(
+        {"left": "h", "right": "h", "q": 2, "terms": [{"basis": "h", "coeff": 1}]}
+    )
+    ring = ring_from_data(data, 3)
+    with pytest.raises(ValueError) as info:
+        solve_qsigma("h", ring)
+    assert str(info.value) == "(h, h, q^2) -> h violates the grading; see verify --suite ring"
 
 
 @pytest.mark.parametrize(
