@@ -5,6 +5,7 @@ Exit codes: 0 success; 1 parse/validation errors or failed verification;
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -329,10 +330,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on first use; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "compute":
             return cmd_compute(args, out)

@@ -27,7 +27,8 @@ from .series import Monomial, SeriesElement, _unpack_slots, format_series
 
 def kappa(ring, g, i, j, d):
     """Forced t-exponent of slot (i -> j, q^d); None when the slot is dead."""
-    num = g + ring.degree(i) - ring.degree(j) - ring.q_degree * d
+    degrees = ring._degrees
+    num = g + degrees[i] - degrees[j] - ring.q_degree * d
     if num % 2:
         return None
     k = num // 2
@@ -48,22 +49,24 @@ def _packed_matmul(pairs, w, trunc):
     """
     acc = {}
     for x, y in pairs:
-        packed = []
-        for factor in (x, y):
-            by_pair = {}
-            for (i, j, d), c in factor.items():
-                if d <= trunc:
-                    by_pair[(i, j)] = by_pair.get((i, j), 0) + (c << (w * d))
-            packed.append(by_pair)
         rows = {}
-        for (j, k), v in packed[1].items():
+        for (j, k), v in _pack_series(y, w, trunc).items():
             rows.setdefault(j, []).append((k, v))
-        for (i, j), u in packed[0].items():
+        for (i, j), u in _pack_series(x, w, trunc).items():
             for k, v in rows.get(j, ()):
                 acc[(i, k)] = acc.get((i, k), 0) + u * v
     return {
         (i, k, d): c for (i, k), z in acc.items() for d, c in _unpack_slots(z, w, trunc)
     }
+
+
+def _pack_series(entries, w, trunc):
+    """Each (i, j) series of a slot map as one int, slot (i, j, d <= trunc) at bit w*d."""
+    packed = {}
+    for (i, j, d), c in entries.items():
+        if d <= trunc:
+            packed[(i, j)] = packed.get((i, j), 0) + (c << (w * d))
+    return packed
 
 
 def _reach(slots, column, trunc):
@@ -183,22 +186,12 @@ class GradedEndomorphism:
         return element_from_terms(self.ring, trunc, acc), taint
 
     def slot_text(self, i, j, d):
-        k = self.kappa(i, j, d)
+        """Label of slot (i -> j, q^d); a residual can sit at t^-1, one t-order below it."""
+        degrees = self.ring._degrees
+        k = (self.degree + degrees[i] - degrees[j] - self.ring.q_degree * d) // 2
         t_part = "" if k == 0 else (" t" if k == 1 else " t^%d" % k)
-        q_part = "q" if d == 1 else "q^%d" % d
-        if d == 0:
-            q_part = "1" if k == 0 else ""
-            return "(%s -> %s, %s)" % (
-                self.ring.basis[i].name,
-                self.ring.basis[j].name,
-                (q_part + t_part).strip(),
-            )
-        return "(%s -> %s, %s%s)" % (
-            self.ring.basis[i].name,
-            self.ring.basis[j].name,
-            q_part,
-            t_part,
-        )
+        label = (t_part.strip() or "1") if d == 0 else ("q" if d == 1 else "q^%d" % d) + t_part
+        return "(%s -> %s, %s)" % (self.ring.basis[i].name, self.ring.basis[j].name, label)
 
     def __repr__(self):
         return "<GradedEndomorphism deg=%d trunc=%d entries=%d taint=%d>" % (

@@ -3,10 +3,13 @@
 A manifold file is a single JSON document with integral structure constants;
 the prime is applied at load time, so one file serves every prime.  Unknown
 fields are rejected.  Result files echo their inputs and list matrix/vector
-entries and taint slots; dumping is byte-stable (sorted keys, fixed layout).
+entries and taint slots.  Dumping is byte-stable: the layout is the stdlib
+json.dumps(data, sort_keys=True, indent=2) one, with the bulky row lists
+run through the C encoder (dump_result).
 """
 
 import json
+from itertools import chain
 
 from .errors import ManifoldFormatError
 from .ring import QuantumRing
@@ -239,11 +242,40 @@ def _report_data(report):
     }
 
 
+# The C encoder, with the separator indent=2 puts between a row's items
+_encode_rows = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+
+
+def _rows_text(rows):
+    """A top-level non-empty list of flat rows (non-empty dicts of str to str or
+    int) laid out as json.dumps(data, sort_keys=True, indent=2) does, else None.
+
+    A C-encoded string holds no raw newline and only a row's end is "},", so
+    the row breaks are laid out by hand.
+    """
+    if not (
+        type(rows) is list and rows and set(map(type, rows)) <= {dict} and all(rows)
+        and set(map(type, chain.from_iterable(rows))) <= {str}
+        and set(map(type, chain.from_iterable(map(dict.values, rows)))) <= {str, int}
+    ):
+        return None
+    body = _encode_rows(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return "[\n    {\n      " + body + "\n    }\n  ]"
+
+
 def dump_result(data):
     for key in data:
         if key not in _RESULT_FIELDS:
             raise ManifoldFormatError("unknown result field %r" % key, field=key)
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    if type(data) is not dict or not data:
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    parts = []
+    for key in sorted(data):
+        text = _rows_text(data[key]) if key in ("result", "taint") else None
+        if text is None:
+            text = json.dumps(data[key], sort_keys=True, indent=2).replace("\n", "\n  ")
+        parts.append("  %s: %s" % (json.dumps(key), text))
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def load_result(text):

@@ -103,6 +103,7 @@ class QuantumRing:
                     raise ValueError("conflicting product entry %r" % (key,))
                 self._sc[key] = clean
         self._sc_mod = {}
+        self._degrees = tuple(b.degree for b in self.basis)  # read by endo.kappa, slot_text
         # (i, j) -> ascending q-orders with stored constants; products of
         # the unit live at q^0 only.
         orders = {}

@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
+from qsteenrod import cli, manifold_io
 from qsteenrod.cli import main
 from qsteenrod.manifold_io import (
     dump_manifold,
@@ -89,6 +91,89 @@ def test_golden_json_and_result_roundtrip():
     data = load_result(text)
     assert dump_result(data) == text  # lossless round trip
     assert data["degree"] == 6 and data["prime"] == 3
+
+
+def _stdlib_dump(data):
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("p", [2, 3, 31, 211])
+def test_dump_result_matches_the_stdlib_layout_on_every_payload(p):
+    count = 0
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        data = builtin_manifold(name)
+        divisors = [d["name"] for d in data["divisors"]]
+        for b in data["basis"]:
+            for op in ["qsigma", "qst"] + ["qpi:" + d for d in divisors]:
+                code, text = run_cli(
+                    ["compute", "--manifold", "builtin:" + name, "--prime", str(p),
+                     "--class", b["name"], "--op", op, "--format", "json"]
+                )
+                payload = json.loads(text)
+                assert code == 0 and text == dump_result(payload) == _stdlib_dump(payload)
+                count += bool(payload["result"]) + bool(payload["taint"])
+    assert count > 27
+
+
+def _payload(result, taint, cls="h"):
+    return {
+        "manifold": "s2", "prime": 3, "class": cls, "op": "qsigma", "truncation": 2,
+        "degree": 6, "result": result, "taint": taint, "report": {},
+    }
+
+
+def test_dump_result_escapes_as_the_stdlib_does():
+    rows = [
+        {"from": 'h"2', "to": "\u00e9", "q": 1, "t": 0, "theta": 0, "coeff": 2},
+        {"from": "\u00e9", "to": "a\nb}", "q": 0, "t": 1, "theta": 0, "coeff": 1},
+    ]
+    taint = [{"from": 'h"2', "to": "},\n      {", "q": 3}]
+    assert manifold_io._rows_text(rows) is not None  # the C-encoder path
+    for data in (_payload(rows, taint, 'h"2'), _payload(rows, taint, "\u00e9")):
+        assert dump_result(data) == _stdlib_dump(data)
+        assert load_result(dump_result(data)) == data
+
+
+def test_dump_result_lays_out_empty_and_nested_rows_as_the_stdlib_does():
+    nested = [{"from": "1", "to": "h", "q": 0, "terms": [1, {"t": 2}]}, {}]
+    assert manifold_io._rows_text(nested) is None  # the stdlib fallback
+    for result, taint in (([], []), (nested, []), ([], [{"q": True}, {"q": 1.5}])):
+        data = _payload(result, taint)
+        assert dump_result(data) == _stdlib_dump(data)
+    assert dump_result({}) == "{}\n"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    calls = [
+        ["compute", "--manifold", "builtin:s2", "--prime", "3", "--class", "h", "--op", "qst"],
+        ["compute", "--manifold", "builtin:s2", "--prime"],
+        ["verify", "--manifold", "builtin:s2", "--prime", "3", "--suite", "ring"],
+        ["export", "--manifold", "builtin:s2", "--out", str(tmp_path / "s2.json")],
+    ]
+    here = []
+    for argv in calls:
+        try:
+            code, text = run_cli(argv)
+        except SystemExit as exc:
+            code, text = exc.code, ""
+        here.append((code, text, capsys.readouterr().err))
+    assert len(built) == 1 and here[1][0] == 2
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = [os.path.join(root, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsteenrod.cli"] + argv,
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert here == fresh
 
 
 def test_json_taint_survives_serialization():

@@ -540,6 +540,115 @@ def test_residual_detects_perturbation():
     assert rep.failures
 
 
+def _slot_text_by_kappa(endo, i, j, d):
+    """The slot label of the slot walk; raises TypeError on a t^-1 slot."""
+    k = endo.kappa(i, j, d)
+    t_part = "" if k == 0 else (" t" if k == 1 else " t^%d" % k)
+    q_part = "q" if d == 1 else "q^%d" % d
+    names = endo.ring.basis[i].name, endo.ring.basis[j].name
+    if d == 0:
+        q_part = "1" if k == 0 else ""
+        return "(%s -> %s, %s)" % (names + ((q_part + t_part).strip(),))
+    return "(%s -> %s, %s%s)" % (names + (q_part, t_part))
+
+
+def _constancy_by_slot_walk(endo, divisor_name, ring, pi=None):
+    """The slot-by-slot verify_covariant_constancy that the packed one replaced."""
+    div = ring.divisor(divisor_name)
+    p = ring.prime
+    lam = div.pairing
+    n = len(ring.basis)
+    trunc = endo.trunc
+    com = {}
+    com_mask = set()
+    for e, block in solver._divisor_blocks(ring, div).items():
+        values, reach = solver._ad_map(block, n, p)
+        for (i, j, d), c in endo.entries.items():
+            if d + e <= trunc:
+                for (i2, j2), v in values.get((i, j), ()):
+                    t = (i2, j2, d + e)
+                    com[t] = com.get(t, 0) + c * v
+        for (i, j, d) in endo.taint:
+            if d + e <= trunc:
+                com_mask.update((i2, j2, d + e) for (i2, j2) in reach.get((i, j), ()))
+    checked = pi_checked = 0
+    failures = []
+    pi_failures = []
+    for d in range(trunc + 1):
+        for i in range(n):
+            for j in range(n):
+                s = (i, j, d)
+                if s in com_mask:
+                    continue
+                if s not in endo.taint:
+                    res = (lam * d * endo.entries.get(s, 0) + com.get(s, 0)) % p
+                    checked += 1
+                    if res:
+                        failures.append("residual %d at %s" % (res, _slot_text_by_kappa(endo, *s)))
+                if pi is not None and s not in pi.taint:
+                    pi_checked += 1
+                    if pi.entries.get(s, 0) % p != -com.get(s, 0) % p:
+                        pi_failures.append(
+                            "divisor relation fails at %s" % _slot_text_by_kappa(endo, *s)
+                        )
+    return solver.ResidualReport(checked, tuple(failures), pi_checked, tuple(pi_failures))
+
+
+def _perturbed(s, rng):
+    """s with one to three untainted live slots shifted by a nonzero amount."""
+    live = [
+        (i, j, d)
+        for i in range(len(s.ring.basis))
+        for j in range(len(s.ring.basis))
+        for d in range(s.trunc + 1)
+        if s.kappa(i, j, d) is not None and (i, j, d) not in s.taint
+    ]
+    entries = dict(s.entries)
+    for slot in rng.sample(live, min(len(live), rng.randint(1, 3))):
+        entries[slot] = entries.get(slot, 0) + rng.randrange(1, s.ring.prime)
+    return GradedEndomorphism(s.ring, s.degree, s.trunc, entries, s.taint)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 211])
+def test_packed_constancy_matches_the_slot_walk(p):
+    rng = random.Random(p)
+    cases = raised = 0
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        ring = builtin_ring(name, p)
+        for b in ring.basis:
+            endo, _ = solve_qsigma(b.name, ring)
+            for div in ring.divisors:
+                a = ring.basis[div.index].name
+                pi = qpi(a, endo)
+                inputs = [(endo, None), (endo, pi)]
+                inputs += [(_perturbed(endo, rng), pi) for _ in range(8)]
+                inputs += [(endo, _perturbed(pi, rng)) for _ in range(3)]
+                for s, pi_in in inputs:
+                    got = verify_covariant_constancy(s, a, ring, pi=pi_in)
+                    try:
+                        want = _constancy_by_slot_walk(s, a, ring, pi=pi_in)
+                    except TypeError:  # a residual on a t^-1 slot
+                        raised += 1
+                        assert any("t^-1)" in f for f in got.failures)
+                        continue
+                    assert got == want
+                    cases += 1
+    assert cases > 70 and raised
+
+
+def test_residual_on_a_t_inverse_slot_is_reported():
+    # (1 -> 1, q^5) is a t^0 slot of QSigma_h_2 at p = 5; a nonzero value
+    # there leaves a residual at (1 -> h_2, q^5), one t-order below it
+    ring = builtin_ring("cubic_surface", 5)
+    endo, _ = solve_qsigma("h_2", ring)
+    entries = dict(endo.entries)
+    entries[(0, 0, 5)] = entries.get((0, 0, 5), 0) + 1
+    bad = GradedEndomorphism(ring, endo.degree, endo.trunc, entries, endo.taint)
+    rep = verify_covariant_constancy(bad, "h_2", ring)
+    assert rep.failures == ("residual 1 at (1 -> h_2, q^5 t^-1)",)
+    assert rep.checked == verify_covariant_constancy(endo, "h_2", ring).checked
+
+
 # -- generator strategy ---------------------------------------------------------
 
 
