@@ -275,7 +275,7 @@ def cmd_verify(args, out):
             else:
                 raise QSteenrodError("unknown suite %r" % (suite,))
         except (QSteenrodError, ValueError, KeyError) as exc:
-            failures.append("error: %s" % exc)
+            failures.append("error: %s" % _message(exc))
         if failures:
             status = 1
             out.write("FAIL %s: %s\n" % (suite, failures[0]))
@@ -284,6 +284,11 @@ def cmd_verify(args, out):
         else:
             out.write("PASS %s: %s\n" % (suite, desc))
     return status
+
+
+def _message(exc):
+    """str(exc), without the quotes str() puts around a KeyError's message."""
+    return str(exc.args[0]) if isinstance(exc, KeyError) and len(exc.args) == 1 else str(exc)
 
 
 def cmd_export(args, out):
@@ -347,7 +352,7 @@ def main(argv=None, out=None):
         if args.command == "export":
             return cmd_export(args, out)
     except (QSteenrodError, ValueError, KeyError, OSError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
+        sys.stderr.write("error: %s\n" % _message(exc))
         return 1
     return 0
 

@@ -7,13 +7,14 @@ kappa negative or non-integral are identically zero, so only the scalar
 coefficient is stored.  The taint set lists slots whose value the solver
 could not determine; tainted slots carry no stored value.
 
-Every graded F_p matrix in the package is such a slot map {(i, j, d): c},
-or, within one q-order, {(i, j): c}.  A product (i, j, d1) then (j, k, d2)
-lands on (i, k, d1 + d2), and a tainted slot taints its product with every
-stored or tainted slot of the other factor.  compose multiplies whole
-graded maps by Kronecker substitution (_packed_matmul); the solver only
-ever multiplies by a divisor block, through its commutator map
-(solver._ad_map).  On a single class the rule is _reach: a coefficient
+Every graded F_p matrix in the package is such a slot map {(i, j, d): c};
+the solver keeps one q-order as n^2 ints, slot (i, j) at i*n + j.  A
+product (i, j, d1) then (j, k, d2) lands on (i, k, d1 + d2), and a tainted
+slot taints its product with every stored or tainted slot of the other
+factor.  compose multiplies whole graded maps by Kronecker substitution in
+k-byte slots (_packed_matmul); the solver only ever multiplies by a divisor
+block, through its commutator map (solver._ad_map).  On a single class the
+rule is _reach: a coefficient
 slot (k, q) of e_k q^q reaches (j, q + d) for every slot (j, d) of the
 operator's column k.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import MixedContext
 from .ring import basis_class, classical_product, element_from_terms, quantum_product
-from .series import Monomial, SeriesElement, _unpack_slots, format_series
+from .series import Monomial, _format_terms, _pack_rows, _slot_bytes, _unpack
 
 
 def kappa(ring, g, i, j, d):
@@ -38,35 +39,32 @@ def kappa(ring, g, i, j, d):
 # -- sparse graded F_p matrices: slot maps {(i, j, d): c} ----------------------
 
 
-def _packed_matmul(pairs, w, trunc):
+def _packed_matmul(pairs, k, trunc):
     """Sum of the products x y over (x, y) in pairs, by Kronecker substitution.
 
-    Each (i, j) series of a factor is packed into one int with slot
-    (i, j, d) at bit w*d, so one big-int product multiplies whole series.
-    Coefficients must be non-negative and those at q-order <= trunc must fit
-    in w bits; higher orders may overflow, since carries only move up.
-    Returns the unreduced nonzero coefficients {(i, k, d): c}, d <= trunc.
+    Each (i, j) series of a factor is packed into one int (_pack_series)
+    with slot (i, j, d) in k-byte slot d, so one big-int product multiplies
+    whole series.  Coefficients must be non-negative and those at q-order
+    <= trunc must fit in k bytes; higher orders may overflow, since carries
+    only move up.  Returns the unreduced nonzero coefficients
+    {(i, h, d): c}, d <= trunc.
     """
     acc = {}
     for x, y in pairs:
         rows = {}
-        for (j, k), v in _pack_series(y, w, trunc).items():
-            rows.setdefault(j, []).append((k, v))
-        for (i, j), u in _pack_series(x, w, trunc).items():
-            for k, v in rows.get(j, ()):
-                acc[(i, k)] = acc.get((i, k), 0) + u * v
-    return {
-        (i, k, d): c for (i, k), z in acc.items() for d, c in _unpack_slots(z, w, trunc)
-    }
+        for (j, h), v in _pack_series(y, k, trunc).items():
+            rows.setdefault(j, []).append((h, v))
+        for (i, j), u in _pack_series(x, k, trunc).items():
+            for h, v in rows.get(j, ()):
+                acc[(i, h)] = acc.get((i, h), 0) + u * v
+    unpacked = ((i, h, _unpack(z, k, trunc + 1)) for (i, h), z in acc.items())
+    return {(i, h, d): c for i, h, row in unpacked for d, c in enumerate(row) if c}
 
 
-def _pack_series(entries, w, trunc):
-    """Each (i, j) series of a slot map as one int, slot (i, j, d <= trunc) at bit w*d."""
-    packed = {}
-    for (i, j, d), c in entries.items():
-        if d <= trunc:
-            packed[(i, j)] = packed.get((i, j), 0) + (c << (w * d))
-    return packed
+def _pack_series(entries, k, trunc):
+    """Each (i, j) series of a slot map as one int, slot (i, j, d <= trunc) in k-byte slot d."""
+    items = (((i, j), d, c) for (i, j, d), c in entries.items() if d <= trunc)
+    return _pack_rows(items, trunc + 1, k)
 
 
 def _reach(slots, column, trunc):
@@ -269,17 +267,17 @@ def compose(s1, s2):
         trunc = min(s1.trunc, s2.trunc)
     # A coefficient at q-order <= trunc sums at most n*(trunc+1) products of
     # entries in [0, p-1], or of taint indicators in {0, 1} on two sides.
-    w = (n * (trunc + 1) * (p - 1) ** 2).bit_length() + 1
-    products = _packed_matmul([(s2.entries, s1.entries)], w, trunc)
+    k = _slot_bytes((n * (trunc + 1) * (p - 1) ** 2).bit_length() + 1)
+    products = _packed_matmul([(s2.entries, s1.entries)], k, trunc)
     taint = set()
     if s1.taint or s2.taint:
-        w = (2 * n * (trunc + 1)).bit_length() + 1
+        k = _slot_bytes((2 * n * (trunc + 1)).bit_length() + 1)
         support1 = dict.fromkeys(set(s1.entries) | s1.taint, 1)
         pairs = [
             (dict.fromkeys(s2.taint, 1), support1),
             (dict.fromkeys(s2.entries, 1), dict.fromkeys(s1.taint, 1)),
         ]
-        taint = set(_packed_matmul(pairs, w, trunc))
+        taint = set(_packed_matmul(pairs, k, trunc))
     entries = {s: c % p for s, c in products.items() if c % p and s not in taint}
     return GradedEndomorphism(ring, g, trunc, entries, frozenset(taint))
 
@@ -310,17 +308,20 @@ def equal_on_untainted(s1, s2):
 
 
 def format_endo(s):
-    """Grouped (from -> to) listing; deterministic order."""
+    """Grouped (from -> to) listing, each (i, j) series as format_series renders it."""
     ring = s.ring
-    pairs = {}  # (i, j) -> {monomial: c}; each slot is one monomial
+    half = ring.q_degree // 2
+    degrees = ring._degrees
+    rows = {}  # (i, j) -> [(d, c)]
     for (i, j, d), c in s.entries.items():
-        pairs.setdefault((i, j), {})[Monomial(d, s.kappa(i, j, d), 0)] = c
+        rows.setdefault((i, j), []).append((d, c))
     lines = []
-    for (i, j) in sorted(pairs):
-        f = SeriesElement(ring.prime, s.trunc, pairs[(i, j)])
+    for (i, j), row in sorted(rows.items()):
+        top = (s.degree + degrees[i] - degrees[j]) // 2  # kappa at q^0
+        terms = (((d, top - half * d, 0), c) for d, c in sorted(row))
         lines.append(
             "  (%s -> %s) = %s"
-            % (ring.basis[i].name, ring.basis[j].name, format_series(f))
+            % (ring.basis[i].name, ring.basis[j].name, _format_terms(terms, ring.prime))
         )
     if s.taint:
         lines.append("taint:")

@@ -18,7 +18,9 @@ from .fp import require_prime
 from .series import (
     Monomial,
     SeriesElement,
-    _unpack_slots,
+    _pack_rows,
+    _slot_bytes,
+    _unpack,
     derivation_apply,
     format_series,
     series_one,
@@ -103,6 +105,7 @@ class QuantumRing:
                     raise ValueError("conflicting product entry %r" % (key,))
                 self._sc[key] = clean
         self._sc_mod = {}
+        self._ad = {}  # divisor index -> solver._ad_tables
         self._degrees = tuple(b.degree for b in self.basis)  # read by endo.kappa, slot_text
         # (i, j) -> ascending q-orders with stored constants; products of
         # the unit live at q^0 only.
@@ -135,7 +138,7 @@ class QuantumRing:
         for i, b in enumerate(self.basis):
             if b.name == name:
                 return i
-        raise KeyError("no basis element %r" % (name,))
+        raise KeyError("%s has no basis element %r" % (self.name, name))
 
     def degree(self, i):
         return self.basis[i].degree
@@ -304,22 +307,22 @@ class CohomologyElement:
 
         Computed by Kronecker substitution.  The terms of a series are
         grouped by their grading key (t + (q_degree/2) q, theta), within
-        which q fixes t, so a group packs into one int with slot q at bit
-        w*q and one big-int product multiplies two groups.  A homogeneous
-        series is a single group.
+        which q fixes t, so a group packs into one int with q^q in slot q
+        (series._pack) and one big-int product multiplies two groups.  A
+        homogeneous series is a single group.
         """
         ring = self.ring
         p = ring.prime
         half = ring.q_degree // 2
         # A slot of a group product sums at most trunc + 1 products of
         # coefficients in [0, p - 1].
-        w = ((s.trunc + 1) * (p - 1) ** 2).bit_length()
-        right = _packed_groups(s, half, w)
+        k = _slot_bytes(((s.trunc + 1) * (p - 1) ** 2).bit_length())
+        right = _packed_groups(s, half, k)
         comps = {}
-        for k, f in self.components.items():
+        for i, f in self.components.items():
             f._check(s)
             terms = {}
-            for (key1, h1), u in _packed_groups(f, half, w).items():
+            for (key1, h1), u in _packed_groups(f, half, k).items():
                 for (key2, h2), v in right.items():
                     key, h = key1 + key2, h1 + h2
                     if h == 2:
@@ -327,10 +330,11 @@ class CohomologyElement:
                         if p != 2:
                             continue
                         key, h = key + 1, 0
-                    for d, c in _unpack_slots(u * v, w, s.trunc):
-                        m = Monomial(d, key - half * d, h)
-                        terms[m] = terms.get(m, 0) + c
-            comps[k] = SeriesElement(p, s.trunc, terms)
+                    for d, c in enumerate(_unpack(u * v, k, s.trunc + 1)):
+                        if c:
+                            m = Monomial(d, key - half * d, h)
+                            terms[m] = terms.get(m, 0) + c
+            comps[i] = SeriesElement(p, s.trunc, terms)
         return CohomologyElement(ring, comps)
 
     def times_monomial(self, q=0, t=0, coeff=1):
@@ -373,13 +377,10 @@ class CohomologyElement:
         return "<%s>" % format_element(self)
 
 
-def _packed_groups(f, half, w):
-    """{(t + half*q, theta): int} with coefficient c of q^q at bit w*q."""
-    groups = {}
-    for (q, t, h), c in f.terms.items():
-        key = (t + half * q, h)
-        groups[key] = groups.get(key, 0) + (c << (w * q))
-    return groups
+def _packed_groups(f, half, k):
+    """{(t + half*q, theta): int} with the coefficient of q^q in k-byte slot q."""
+    terms = f.terms.items()
+    return _pack_rows((((t + half * q, h), q, c) for (q, t, h), c in terms), f.trunc + 1, k)
 
 
 def zero_element(ring, trunc):

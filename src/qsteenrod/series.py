@@ -11,10 +11,13 @@ multiplication theta^2 becomes t when p = 2 and 0 when p > 2.  t and q are
 even, so no other signs appear.
 """
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import MixedContext
+from .fp import balanced
 
 
 class Monomial(NamedTuple):
@@ -137,26 +140,48 @@ def series_mul(x, y):
     return SeriesElement(p, x.trunc, out)
 
 
-def _unpack_slots(z, w, trunc):
-    """The nonzero w-bit slots d <= trunc of a Kronecker-packed int z >= 0.
+# Kronecker substitution: sum_d c_d q^d, c_d >= 0, packs into one int with c_d
+# in k-byte slot d, so one big-int product multiplies whole series.
+_FORMATS = {array(code).itemsize: code for code in "QLIHB"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
-    Slot d sits at bit w*d.  Returns (d, coefficient) pairs in ascending d;
-    runs of all-zero slots are skipped in one step.  Slots above trunc may
-    have overflowed, which is harmless since carries only move up.
-    """
-    out = []
-    low = (1 << w) - 1
-    d = 0
-    while z:
-        skip = ((z & -z).bit_length() - 1) // w  # all-zero slots below
-        d += skip
-        if d > trunc:
-            break
-        z >>= w * skip
-        out.append((d, z & low))
-        z >>= w
-        d += 1
-    return out
+
+def _slot_bytes(bits):
+    """Bytes per slot for values below 2**bits: 1, 2, 4 or 8, else whole bytes."""
+    k = -(-bits // 8)
+    return next((size for size in (1, 2, 4, 8) if size >= k), k)
+
+
+def _pack(coeffs, k):
+    """The int with coeffs[d] in k-byte slot d; each coefficient is in [0, 2**(8k))."""
+    if k not in _FORMATS:
+        return int.from_bytes(b"".join(c.to_bytes(k, "little") for c in coeffs), "little")
+    slots = array(_FORMATS[k], coeffs)
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def _unpack(z, k, count):
+    """The k-byte slots 0 .. count-1 of z >= 0; slots above may have overflowed into each other."""
+    data = (z & ((1 << 8 * k * count) - 1)).to_bytes(k * count, "little")
+    if k not in _FORMATS:
+        return [int.from_bytes(data[i : i + k], "little") for i in range(0, k * count, k)]
+    slots = array(_FORMATS[k], data)
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return slots.tolist()
+
+
+def _pack_rows(items, count, k):
+    """{key: _pack(row, k)} with row[d] = c for each (key, d, c), 0 <= d < count."""
+    rows = {}
+    for key, d, c in items:
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = [0] * count
+        row[d] = c
+    return {key: _pack(row, k) for key, row in rows.items()}
 
 
 def derivation_apply(lam, x):
@@ -172,23 +197,24 @@ def format_series(x, unit="", star="*"):
     With unit="h" renders terms like "q*t*h - t^2*h"; with unit="" renders
     scalar series like "q - t^2".
     """
-    from .fp import balanced
+    return _format_terms(((m, x.terms[m]) for m in sorted(x.terms)), x.prime, unit, star)
 
-    if not x.terms:
-        return "0"
+
+def _format_terms(terms, p, unit="", star="*"):
+    """format_series of the nonzero ((q, t, theta), c) pairs, in the order given."""
     parts = []
-    for mono in sorted(x.terms):
-        c = balanced(x.terms[mono], x.prime)
+    for (q, t, theta), c in terms:
+        c = balanced(c, p)
         factors = []
-        if mono.q == 1:
+        if q == 1:
             factors.append("q")
-        elif mono.q:
-            factors.append("q^%d" % mono.q)
-        if mono.t == 1:
+        elif q:
+            factors.append("q^%d" % q)
+        if t == 1:
             factors.append("t")
-        elif mono.t:
-            factors.append("t^%d" % mono.t)
-        if mono.theta:
+        elif t:
+            factors.append("t^%d" % t)
+        if theta:
             factors.append("th")
         if unit:
             factors.append(unit)
@@ -199,4 +225,4 @@ def format_series(x, unit="", star="*"):
             parts.append(text if c > 0 else "-" + text)
         else:
             parts.append(("+ " if c > 0 else "- ") + text)
-    return " ".join(parts)
+    return " ".join(parts) or "0"

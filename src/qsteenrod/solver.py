@@ -16,9 +16,11 @@ pinned by the t^0 seeds or by degree pruning is marked tainted, and taint
 propagates forward through later right-hand sides.  The solver reports; it
 never guesses.
 
-Each commutator X -> [X, A_e] is tabulated once per solve as a linear map
-on (i, j) slots, with the slots a tainted X slot reaches (_ad_map); the
-right-hand sides, the sweep and the residual re-check all apply those tables.
+Each commutator X -> [X, A_e] is tabulated once per ring and divisor as a
+linear map on flat slots s = i*n + j, with the slots a tainted X slot
+reaches (_ad_tables).  Each q-order is a list of n^2 ints and its taint a
+set of slots; the right-hand sides, the sweep and the residual re-check all
+apply those tables.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .errors import (
     NotDivisor,
     NotGenerated,
 )
-from .endo import GradedEndomorphism, _pack_series, _reach, _slots, multiplication_endo
+from .endo import GradedEndomorphism, _reach, _slots, multiplication_endo
 from .fp import fp_inv, solve_mod_p
 from .ring import (
     CohomologyElement,
@@ -39,7 +41,7 @@ from .ring import (
     quantum_product,
     zero_element,
 )
-from .series import series_one
+from .series import _pack_rows, _slot_bytes, _unpack, series_one
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class QstResult:
     report: object
 
 
-# -- the commutator with a divisor block, as a map on (i, j) slots -------------
+# -- the commutator with a divisor block, as a map on flat slots --------------
 
 
 def _divisor_blocks(ring, div):
@@ -68,7 +70,7 @@ def _divisor_blocks(ring, div):
 
     Block e holds the q-order-e structure constants, reduced mod p.  Every
     block must respect the grading, |e_j| + |q| e = |e_i| + 2: block 0 then
-    raises degree by 2, as _sweep relies on, and a later block cannot force
+    raises degree by 2, as the sweep relies on, and a later block cannot force
     a value onto a dead slot.
     """
     blocks = {}
@@ -89,61 +91,40 @@ def _divisor_blocks(ring, div):
 
 
 def _ad_map(block, n, p):
-    """The commutator X -> [X, A] = X A - A X with one block A, slot by slot.
+    """The commutator X -> [X, A] = X A - A X with one block A, on flat slots.
 
-    Slot (i, j) of X sends e_i to e_j, and X acts first in X A.  Returns
-    (values, reach): values[(i, j)] lists ((i2, j2), c) with c the nonzero
-    coefficient mod p of [E_ij, A] at (i2, j2); reach[(i, j)] lists every
-    slot either product touches, cancelled ones included.  Taint follows
-    reach, never values: a masked slot taints what it touches even where
-    the two products cancel (h_2 -> h_2 under A_1 on the cubic surface).
+    Slot (i, j) of X, s = i*n + j, sends e_i to e_j; X acts first in X A.
+    Returns lists indexed by s: values[s] lists (t, c) with c the nonzero
+    coefficient mod p of [E_ij, A] at slot t; reach[s] lists every slot
+    either product touches, cancelled ones included.  Taint follows reach,
+    never values: a masked slot taints what it touches even where the two
+    products cancel (h_2 -> h_2 under A_1 on the cubic surface).
     """
     rows, cols = {}, {}
     for (j, k), c in block.items():
         rows.setdefault(j, []).append((k, c))
         cols.setdefault(k, []).append((j, c))
-    values, reach = {}, {}
+    values, reach = [], []
     for i in range(n):
         for j in range(n):
             acc = {}
             for k, c in rows.get(j, ()):
-                acc[(i, k)] = acc.get((i, k), 0) + c
+                acc[i * n + k] = acc.get(i * n + k, 0) + c
             for h, c in cols.get(i, ()):
-                acc[(h, j)] = acc.get((h, j), 0) - c
-            if acc:
-                reach[(i, j)] = tuple(acc)
-                values[(i, j)] = tuple((s, c % p) for s, c in acc.items() if c % p)
+                acc[h * n + j] = acc.get(h * n + j, 0) - c
+            reach.append(tuple(acc))
+            values.append(tuple((t, c % p) for t, c in acc.items() if c % p))
     return values, reach
 
 
-def _slot_exponents(ring, g):
-    """Each (i, j) slot's q^0 t-exponent (g + |e_i| - |e_j|) / 2, and the slots by shift."""
-    n = len(ring.basis)
-    exps = {(i, j): (g + ring.degree(i) - ring.degree(j)) // 2 for i in range(n) for j in range(n)}
-    return exps, sorted(exps, key=exps.get, reverse=True)  # by increasing degree shift
-
-
-def _sweep(rhs, rhs_mask, inv, ad0, order, p):
-    """Solve lambda*d X + [X, A0] = rhs, with inv = 1/(lambda*d) mod p.
-
-    Visiting the slots in order, by increasing degree shift, sets each
-    X_s = inv (rhs_s - [X, A0]_s) once.  ad0 = _ad_map(A0); the mask is
-    rhs_mask closed under its reach, and masked slots take no value.
-    """
-    values0, reach0 = ad0
-    pending = dict(rhs)
-    mask = set(rhs_mask)
-    values = {}
-    for s in order:
-        if s in mask:
-            mask.update(reach0.get(s, ()))
-            continue
-        x = pending.get(s, 0) * inv % p
-        if x:
-            values[s] = x
-            for t, v in values0.get(s, ()):
-                pending[t] = pending.get(t, 0) - x * v
-    return values, mask
+def _ad_tables(ring, div):
+    """{e: _ad_map(A_e)} for the divisor, built once per ring; the solve and re-check share it."""
+    tables = ring._ad.get(div.index)
+    if tables is None:
+        n, p = len(ring.basis), ring.prime
+        tables = {e: _ad_map(block, n, p) for e, block in _divisor_blocks(ring, div).items()}
+        ring._ad[div.index] = tables
+    return tables
 
 
 # -- seeds -------------------------------------------------------------------
@@ -240,69 +221,83 @@ def solve_qsigma(b, ring, trunc=None):
             entries, taint, index, report = ring._solved[key]
             return GradedEndomorphism._trusted(ring, g, trunc, entries, taint, index), report
     n = len(ring.basis)
-    ads = {e: _ad_map(block, n, p) for e, block in _divisor_blocks(ring, div).items()}
-    exps, order = _slot_exponents(ring, g)
+    tables = _ad_tables(ring, div)
+    values0, reach0 = tables[0]
+    # Slot s = i*n + j has t-exponent exps[s] - (q_degree/2) d at order d:
+    # live above that floor, a t^0 seed at it, dead below it.
+    degrees = ring._degrees
+    exps = [(g + degrees[i] - degrees[j]) // 2 for i in range(n) for j in range(n)]
+    order = sorted(range(n * n), key=exps.__getitem__, reverse=True)  # by increasing shift
+    live_end = n * n  # order[:live_end] is live at the current order
 
-    seeds = tzero_layer(b, ring, trunc)
+    seeds = {i * n + j: c for (i, j, _), c in tzero_layer(b, ring, trunc).items()}  # one per slot
     init = initial_layer(b, ring, trunc)
-    # per-order layers and masks are keyed (i, j); (i, j, d) at assembly
-    layers = {0: {(i, j): c for (i, j, d), c in init.entries.items() if d == 0}}
-    masks = {0: set()}
+    # per order: its nonzero (s, c) in row-major order, and its tainted slots
+    layers = [[(i * n + j, c) for (i, j, d), c in init.entries.items() if d == 0]]
+    masks = [set()]
     seed_checks = 0
     seeds_resolving = 0
 
     for d in range(1, trunc + 1):
-        # rhs = -sum_{e >= 1} [E_{d-e}, A_e]
-        rhs = {}
-        rhs_mask = set()
-        for e, (vals, reach) in ads.items():
-            if 1 <= e <= d:
-                for s, c in layers[d - e].items():
-                    for t, v in vals.get(s, ()):
-                        rhs[t] = rhs.get(t, 0) - c * v
-                for s in masks[d - e]:
-                    rhs_mask.update(reach.get(s, ()))
-
-        floor = ring.q_degree // 2 * d  # slot (i, j, d) has t-exponent exps[(i, j)] - floor
+        floor = ring.q_degree // 2 * d
+        while live_end and exps[order[live_end - 1]] <= floor:
+            live_end -= 1
+        x = [0] * (n * n)
+        mask = set()
         if (lam * d) % p:
-            values, mask = _sweep(rhs, rhs_mask, fp_inv(lam * d, p), ads[0], order, p)
-        else:
-            values, mask = {}, {s for s, k in exps.items() if k >= floor}
-
-        layer = {}
-        layer_mask = set()
-        for s, k in exps.items():
-            val = values.get(s, 0)
-            if k < floor:
-                if s not in mask and val:
-                    raise NegativePowerResidue(
-                        "nonzero value forced onto dead slot (%s -> %s, q^%d)"
-                        % (ring.basis[s[0]].name, ring.basis[s[1]].name, d)
-                    )
-            elif k == floor:
-                seed = seeds[s + (d,)]
+            # x = rhs = -sum_{e >= 1} [E_{d-e}, A_e]; then one sweep by
+            # increasing shift sets x_s = inv (rhs_s - [X, A_0]_s) in place,
+            # since [., A_0] raises the shift by 2.  The mask, the taint of
+            # the right-hand side closed under A_0's reach, takes no value.
+            for e, (values, reach) in tables.items():
+                if 1 <= e <= d:
+                    for s, c in layers[d - e]:
+                        for t, v in values[s]:
+                            x[t] -= c * v
+                    for s in masks[d - e]:
+                        mask.update(reach[s])
+            inv = fp_inv(lam * d, p)
+            for s in order:
                 if s in mask:
-                    seeds_resolving += 1
-                else:
-                    seed_checks += 1
-                    if val != seed:
-                        raise InconsistentSeed(
-                            "recurrence gives %d but the p-fold power seeds %d "
-                            "at (%s -> %s, q^%d)"
-                            % (val, seed, ring.basis[s[0]].name, ring.basis[s[1]].name, d)
-                        )
-                if seed:
-                    layer[s] = seed
-            elif s in mask:
-                layer_mask.add(s)
-            elif val:
-                layer[s] = val
-        layers[d] = layer
-        masks[d] = layer_mask
+                    mask.update(reach0[s])
+                    x[s] = 0
+                    continue
+                c = x[s] = x[s] * inv % p
+                if c:
+                    for t, v in values0[s]:
+                        x[t] -= c * v
+        else:  # undetermined: every live slot and seed
+            mask.update(s for s in order if exps[s] >= floor)
+        errors = []
+        for s in order[live_end:]:  # the seeds, then the dead slots
+            if exps[s] < floor:
+                if x[s]:  # a masked dead slot holds 0
+                    errors.append(s)
+                continue
+            if s in mask:
+                seeds_resolving += 1
+                x[s] = seeds[s]
+            else:
+                seed_checks += 1
+                if x[s] != seeds[s]:
+                    errors.append(s)
+        if errors:  # report the first in row-major order
+            s = min(errors)
+            names = ring.basis[s // n].name, ring.basis[s % n].name, d
+            if exps[s] < floor:
+                raise NegativePowerResidue(
+                    "nonzero value forced onto dead slot (%s -> %s, q^%d)" % names
+                )
+            raise InconsistentSeed(
+                "recurrence gives %d but the p-fold power seeds %d at (%s -> %s, q^%d)"
+                % ((x[s], seeds[s]) + names)
+            )
+        layers.append([(s, c) for s, c in enumerate(x) if c])
+        masks.append(mask.intersection(order[:live_end]) if mask else mask)
 
-    entries = {(i, j, d): c for d, layer in layers.items() for (i, j), c in layer.items()}
-    taint = {(i, j, d) for d, mask in masks.items() for (i, j) in mask}
-    endo = GradedEndomorphism(ring, g, trunc, entries, frozenset(taint))
+    entries = {divmod(s, n) + (d,): c for d, layer in enumerate(layers) for s, c in layer}
+    taint = {divmod(s, n) + (d,) for d, mask in enumerate(masks) for s in mask}
+    endo = GradedEndomorphism._trusted(ring, g, trunc, entries, frozenset(taint), [None])
     checked, failures = _residuals(endo, ring)
     report = SolveReport(
         taint=tuple(sorted(taint)),
@@ -345,61 +340,71 @@ def verify_covariant_constancy(endo, divisor_name, ring, pi=None):
     """Residuals of t*d_a(S) + [S, a*] slot-wise; zero expected when known.
 
     [S, a*] is built from whole series packed as in endo._packed_matmul: per
-    block A_e, each (i, j) series times its _ad_map values, shifted by w*e.
-    A slot of it sums at most 2n products per block, each below p^2.  Then
-    each series of lambda*d*S + [S, a*] is walked once, slot by slot mod p.
-    Every slot with d <= trunc is checked unless it is tainted or a tainted
-    slot reaches it; failures are listed in (d, i, j) order.
+    block A_e, each (i, j) series times its _ad_tables values, shifted by e
+    slots.  A slot of it sums at most 2n products per block, each below p^2.
+    Then each series of S and of [S, a*] is unpacked once and lambda*d*S +
+    [S, a*] is checked slot by slot mod p.  Every slot with d <= trunc is
+    checked unless it is tainted or a tainted slot reaches it; failures are
+    listed in (d, i, j) order.
 
     When the matching QPi output is supplied, the relation
     t*QPi_{a,b}(c) = QSigma_b(a*c) - a*QSigma_b(c) is checked as well.
     """
     div = ring.divisor(divisor_name)
     p = ring.prime
-    lam = div.pairing
     n = len(ring.basis)
     trunc = endo.trunc
-    blocks = _divisor_blocks(ring, div)
-    w = (2 * n * len(blocks) * (p - 1) ** 2).bit_length() + 1
-    series = _pack_series(endo.entries, w, trunc)
-    com = {}  # [S, a*], packed; orders above trunc are never read
+    tables = _ad_tables(ring, div)
+    k = _slot_bytes((2 * n * len(tables) * (p - 1) ** 2).bit_length() + 1)
+    count = trunc + 1
+
+    def packed(entries):  # flat slot -> its series, packed
+        items = ((i * n + j, d, c) for (i, j, d), c in entries.items() if d < count)
+        return _pack_rows(items, count, k)
+
+    series = packed(endo.entries)
+    com = {}  # [S, a*] by flat slot, packed; orders above trunc are never read
     com_mask = set()
-    for e, block in blocks.items():
-        values, reach = _ad_map(block, n, p)
+    for e, (values, reach) in tables.items():
         for s, u in series.items():
-            for t, v in values.get(s, ()):
-                com[t] = com.get(t, 0) + (v * u << (w * e))
+            u <<= 8 * k * e
+            for t, v in values[s]:
+                com[t] = com.get(t, 0) + v * u
         for (i, j, d) in endo.taint:
             if d + e <= trunc:
-                com_mask.update((i2, j2, d + e) for (i2, j2) in reach.get((i, j), ()))
-    slots = n * n * (trunc + 1)
+                com_mask.update(divmod(t, n) + (d + e,) for t in reach[i * n + j])
+    slots = n * n * count
     checked = slots - len(com_mask.union(s for s in endo.taint if s[2] <= trunc))
-    lam_d = [lam * d % p for d in range(trunc + 1)]
+    lam_d = [div.pairing * d % p for d in range(count)]
     failures = tuple(
         "residual %d at %s" % (r, endo.slot_text(i, j, d))
-        for d, i, j, r in _residual_slots(series, lam_d, com, w, p, com_mask | endo.taint)
+        for d, i, j, r in _residual_slots(series, lam_d, com, k, p, com_mask | endo.taint, n)
     )
     pi_checked, pi_failures = 0, ()
     if pi is not None:
         pi_checked = slots - len(com_mask.union(s for s in pi.taint if s[2] <= trunc))
-        pi_series, ones = _pack_series(pi.entries, w, trunc), [1] * (trunc + 1)
         pi_failures = tuple(
             "divisor relation fails at %s" % endo.slot_text(i, j, d)
-            for d, i, j, _ in _residual_slots(pi_series, ones, com, w, p, com_mask | pi.taint)
+            for d, i, j, _ in _residual_slots(
+                packed(pi.entries), [1] * count, com, k, p, com_mask | pi.taint, n
+            )
         )
     return ResidualReport(checked, failures, pi_checked, pi_failures)
 
 
-def _residual_slots(x, weights, y, w, p, skip):
-    """Sorted (d, i, j, r), r = weights[d] x + y != 0 mod p at (i, j, d) not in skip."""
-    low = (1 << w) - 1
+def _residual_slots(x, weights, y, k, p, skip, n):
+    """Sorted (d, i, j, r), r = weights[d] x + y != 0 mod p at (i, j, d) not in skip.
+
+    x and y map flat slots i*n + j to series packed in k-byte slots.
+    """
+    count = len(weights)
     out = []
-    for i, j in x.keys() | y.keys():
-        u, v = x.get((i, j), 0), y.get((i, j), 0)
-        for d, k in enumerate(weights):
-            r = (k * (u >> w * d & low) + (v >> w * d & low)) % p
-            if r and (i, j, d) not in skip:
-                out.append((d, i, j, r))
+    for s in x.keys() | y.keys():
+        u, v = _unpack(x.get(s, 0), k, count), _unpack(y.get(s, 0), k, count)
+        for d in range(count):
+            r = (weights[d] * u[d] + v[d]) % p
+            if r and divmod(s, n) + (d,) not in skip:
+                out.append((d,) + divmod(s, n) + (r,))
     return sorted(out)
 
 

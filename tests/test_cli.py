@@ -242,6 +242,24 @@ def test_bad_inputs_exit_one():
                     "--class", "nope"])[0] == 1
 
 
+def test_unknown_class_exits_one_naming_the_manifold(capsys):
+    code, text = run_cli(
+        ["compute", "--manifold", "builtin:cubic_surface", "--prime", "3", "--class", "x"]
+    )
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == "error: cubic_surface has no basis element 'x'\n"
+
+
+def test_unknown_class_in_verify_is_one_unquoted_finding(tmp_path):
+    # a file named s2 whose class h is called x: the oracle suite looks up h
+    data = json.loads(json.dumps(builtin_manifold("s2")).replace('"h"', '"x"'))
+    path = tmp_path / "renamed.json"
+    path.write_text(dump_manifold(data))
+    code, text = run_cli(["verify", "--manifold", str(path), "--prime", "3", "--suite", "oracle"])
+    assert code == 1
+    assert text == "FAIL oracle: error: s2 has no basis element 'h'\n"
+
+
 def test_unknown_field_rejected(tmp_path):
     data = builtin_manifold("s2")
     data["extra"] = 1

@@ -4,6 +4,9 @@ import pytest
 
 from qsteenrod.errors import MixedContext
 from qsteenrod.series import (
+    _pack,
+    _slot_bytes,
+    _unpack,
     derivation_apply,
     format_series,
     series,
@@ -107,3 +110,46 @@ def test_format_series():
     x = series(3, 3, [(1, 1, 0, 1), (0, 2, 0, 2)])
     assert format_series(x, unit="h") == "-t^2*h + q*t*h"
     assert format_series(series(3, 3, []), unit="h") == "0"
+
+
+# -- Kronecker packing in k-byte slots -------------------------------------------
+
+
+def test_slot_bytes_round_up_to_an_array_item_size_then_whole_bytes():
+    want = {1: 1, 8: 1, 9: 2, 16: 2, 17: 4, 32: 4, 33: 8, 64: 8, 65: 9, 72: 9, 73: 10}
+    assert {bits: _slot_bytes(bits) for bits in want} == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 9])
+def test_pack_unpack_round_trip(k):
+    rng = random.Random(k)
+    top = 2 ** (8 * k) - 1
+    cases = [
+        [0],
+        [0] * 6,
+        [top],
+        [0, 0, 3, 0, top, 0],
+        [1] + [0] * 30 + [top],
+        [top] * 9,
+        [rng.randrange(top + 1) for _ in range(40)],
+    ]
+    for coeffs in cases:
+        z = _pack(coeffs, k)
+        assert z == sum(c << (8 * k * d) for d, c in enumerate(coeffs))
+        assert _unpack(z, k, len(coeffs)) == coeffs
+        assert _unpack(z, k, len(coeffs) + 3) == coeffs + [0, 0, 0]
+        assert _unpack(z, k, 1) == coeffs[:1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 9])
+def test_unpack_ignores_overflow_above_count(k):
+    top = 2 ** (8 * k) - 1
+    count = 4
+    x = [1, 2, 0, 1, top, top, top]
+    y = [3, 1, 0, 0, top, top]
+    product = [0] * (len(x) + len(y) - 1)
+    for d1, c1 in enumerate(x):
+        for d2, c2 in enumerate(y):
+            product[d1 + d2] += c1 * c2
+    assert max(product) > top  # the slots from count up overflow into each other
+    assert _unpack(_pack(x, k) * _pack(y, k), k, count) == product[:count]

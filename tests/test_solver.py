@@ -22,6 +22,7 @@ from qsteenrod.endo import (
     kappa,
     qpi,
 )
+from qsteenrod.fp import fp_inv
 from qsteenrod.manifold_io import ring_from_data
 from qsteenrod.oracles import builtin_manifold, builtin_ring, s2_closed_form
 from qsteenrod.ring import (
@@ -260,9 +261,8 @@ def test_inconsistent_seed():
             solve_qsigma("h", ring)
 
 
-def _cp6_with_wrong_steenrod_h2():
-    """CP^6, h_k = h^k, with St(h2) = t^4 h2 + h6 mod 3: the t^2 h4 term is missing."""
-    n = 6
+def _cpn(n):
+    """CP^n, h_k = h^k, with the default leading-term Steenrod data."""
     names = ["1"] + ["h%d" % k for k in range(1, n + 1)]
     products = [
         {
@@ -274,19 +274,24 @@ def _cp6_with_wrong_steenrod_h2():
         for i in range(1, n + 1)
         for j in range(i, n + 1)
     ]
-    st_h2 = [
-        {"basis": "h2", "t": 4, "theta": 0, "coeff": 1},
-        {"basis": "h6", "t": 0, "theta": 0, "coeff": 1},
-    ]
     return {
-        "name": "cp6",
+        "name": "cp%d" % n,
         "basis": [{"name": b, "degree": 2 * k} for k, b in enumerate(names)],
         "q_degree": 2 * (n + 1),
         "dimension_top": 2 * n,
         "divisors": [{"name": "h1", "pairing": 1, "primary": True}],
         "products": products,
-        "steenrod": {"3": {"h2": st_h2}},
+        "steenrod": {},
     }
+
+
+def _cp6_with_wrong_steenrod_h2():
+    """CP^6, h_k = h^k, with St(h2) = t^4 h2 + h6 mod 3: the t^2 h4 term is missing."""
+    st_h2 = [
+        {"basis": "h2", "t": 4, "theta": 0, "coeff": 1},
+        {"basis": "h6", "t": 0, "theta": 0, "coeff": 1},
+    ]
+    return dict(_cpn(6), steenrod={"3": {"h2": st_h2}})
 
 
 def test_negative_power_residue():
@@ -562,7 +567,7 @@ def _constancy_by_slot_walk(endo, divisor_name, ring, pi=None):
     com = {}
     com_mask = set()
     for e, block in solver._divisor_blocks(ring, div).items():
-        values, reach = solver._ad_map(block, n, p)
+        values, reach = _ad_map_by_tuple(block, n, p)
         for (i, j, d), c in endo.entries.items():
             if d + e <= trunc:
                 for (i2, j2), v in values.get((i, j), ()):
@@ -896,6 +901,180 @@ def test_compose_matches_all_pairs_reference(name, p, left, right, trunc, tainte
             assert len(got.taint) == tainted
 
 
+def test_ad_tables_are_built_once_per_ring_and_shared(monkeypatch):
+    calls = []
+    real = solver._ad_map
+    monkeypatch.setattr(solver, "_ad_map", lambda *args: calls.append(args) or real(*args))
+    ring = builtin_ring("quadric_intersection", 5)
+    div = ring.primary
+    blocks = solver._divisor_blocks(ring, div)
+    endo, _ = solve_qsigma("h_2", ring)  # the solve, then its re-check
+    assert len(calls) == len(blocks)
+    tables = ring._ad[div.index]
+    assert set(tables) == set(blocks)
+    for e, block in blocks.items():
+        assert tables[e] == real(block, len(ring.basis), 5)
+    for b in ring.basis:
+        solve_qsigma(b.name, ring)
+    assert verify_covariant_constancy(endo, "h_2", ring).ok
+    assert len(calls) == len(blocks) and solver._ad_tables(ring, div) is tables
+    other = builtin_ring("quadric_intersection", 5)
+    solve_qsigma("h_2", other)
+    assert len(calls) == 2 * len(blocks) and other._ad[div.index] is not tables
+
+
+# -- the dict-of-tuples solver, copied in as the reference -----------------------
+#
+# Before the solver kept its state on flat slots it held each q-order as a
+# dict keyed by (i, j) and solved it with these routines.  They are kept here
+# as they were, so that the flat solver is held to them.
+
+
+def _ad_map_by_tuple(block, n, p):
+    """[X, A] slot by slot: values[(i, j)] lists ((i2, j2), c), reach[(i, j)] the slots touched."""
+    rows, cols = {}, {}
+    for (j, k), c in block.items():
+        rows.setdefault(j, []).append((k, c))
+        cols.setdefault(k, []).append((j, c))
+    values, reach = {}, {}
+    for i in range(n):
+        for j in range(n):
+            acc = {}
+            for k, c in rows.get(j, ()):
+                acc[(i, k)] = acc.get((i, k), 0) + c
+            for h, c in cols.get(i, ()):
+                acc[(h, j)] = acc.get((h, j), 0) - c
+            if acc:
+                reach[(i, j)] = tuple(acc)
+                values[(i, j)] = tuple((s, c % p) for s, c in acc.items() if c % p)
+    return values, reach
+
+
+def _slot_exponents_by_tuple(ring, g):
+    """Each (i, j) slot's q^0 t-exponent (g + |e_i| - |e_j|) / 2, and the slots by shift."""
+    n = len(ring.basis)
+    exps = {(i, j): (g + ring.degree(i) - ring.degree(j)) // 2 for i in range(n) for j in range(n)}
+    return exps, sorted(exps, key=exps.get, reverse=True)  # by increasing degree shift
+
+
+def _sweep_by_tuple(rhs, rhs_mask, inv, ad0, order, p):
+    """Solve lambda*d X + [X, A0] = rhs, with inv = 1/(lambda*d) mod p, in one sweep."""
+    values0, reach0 = ad0
+    pending = dict(rhs)
+    mask = set(rhs_mask)
+    values = {}
+    for s in order:
+        if s in mask:
+            mask.update(reach0.get(s, ()))
+            continue
+        x = pending.get(s, 0) * inv % p
+        if x:
+            values[s] = x
+            for t, v in values0.get(s, ()):
+                pending[t] = pending.get(t, 0) - x * v
+    return values, mask
+
+
+def _solve_by_tuple(b, ring, trunc):
+    """solve_qsigma's recurrence on dicts: (entries, taint, seed_checks, seeds_resolving)."""
+    p = ring.prime
+    g = p * ring.degree(ring.index(b))
+    if trunc is None:
+        trunc = ring.default_truncation(ring.degree(ring.index(b)))
+    div = ring.primary
+    lam = div.pairing % p
+    n = len(ring.basis)
+    ads = {e: _ad_map_by_tuple(block, n, p) for e, block in solver._divisor_blocks(ring, div).items()}
+    exps, order = _slot_exponents_by_tuple(ring, g)
+    seeds = tzero_layer(b, ring, trunc)
+    init = initial_layer(b, ring, trunc)
+    layers = {0: {(i, j): c for (i, j, d), c in init.entries.items() if d == 0}}
+    masks = {0: set()}
+    seed_checks = 0
+    seeds_resolving = 0
+    for d in range(1, trunc + 1):
+        rhs = {}
+        rhs_mask = set()
+        for e, (vals, reach) in ads.items():
+            if 1 <= e <= d:
+                for s, c in layers[d - e].items():
+                    for t, v in vals.get(s, ()):
+                        rhs[t] = rhs.get(t, 0) - c * v
+                for s in masks[d - e]:
+                    rhs_mask.update(reach.get(s, ()))
+        floor = ring.q_degree // 2 * d
+        if (lam * d) % p:
+            values, mask = _sweep_by_tuple(rhs, rhs_mask, fp_inv(lam * d, p), ads[0], order, p)
+        else:
+            values, mask = {}, {s for s, k in exps.items() if k >= floor}
+        layer = {}
+        layer_mask = set()
+        for s, k in exps.items():
+            val = values.get(s, 0)
+            if k < floor:
+                if s not in mask and val:
+                    raise NegativePowerResidue(
+                        "nonzero value forced onto dead slot (%s -> %s, q^%d)"
+                        % (ring.basis[s[0]].name, ring.basis[s[1]].name, d)
+                    )
+            elif k == floor:
+                seed = seeds[s + (d,)]
+                if s in mask:
+                    seeds_resolving += 1
+                else:
+                    seed_checks += 1
+                    if val != seed:
+                        raise InconsistentSeed(
+                            "recurrence gives %d but the p-fold power seeds %d "
+                            "at (%s -> %s, q^%d)"
+                            % (val, seed, ring.basis[s[0]].name, ring.basis[s[1]].name, d)
+                        )
+                if seed:
+                    layer[s] = seed
+            elif s in mask:
+                layer_mask.add(s)
+            elif val:
+                layer[s] = val
+        layers[d] = layer
+        masks[d] = layer_mask
+    entries = {(i, j, d): c for d, layer in layers.items() for (i, j), c in layer.items()}
+    taint = {(i, j, d) for d, mask in masks.items() for (i, j) in mask}
+    return entries, taint, seed_checks, seeds_resolving
+
+
+def _recurrence_outcome(solve, b, ring, trunc):
+    """The entries in order, the taint and the seed counts; or the error raised."""
+    try:
+        result = solve(b, ring, trunc)
+    except (InconsistentSeed, NegativePowerResidue) as exc:
+        return type(exc), str(exc)
+    if solve is solve_qsigma:
+        endo, report = result
+        result = endo.entries, endo.taint, report.seed_checks, report.seeds_resolving_taint
+    entries, taint, seed_checks, seeds_resolving = result
+    return list(entries.items()), set(taint), seed_checks, seeds_resolving
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 211])
+def test_flat_recurrence_matches_the_dict_recurrence(p):
+    problems = []
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        ring = builtin_ring(name, p)
+        problems += [(ring, b.name, trunc) for b in ring.basis for trunc in (None, 0, 1, 3, 6)]
+    cp8 = ring_from_data(_cpn(8), p)  # the leading-term default is wrong on CP^n
+    problems += [(cp8, b.name, None) for b in cp8.basis]
+    if p == 3:
+        problems.append((ring_from_data(_cp6_with_wrong_steenrod_h2(), 3), "h2", None))
+    kinds = set()
+    for ring, b, trunc in problems:
+        want = _recurrence_outcome(_solve_by_tuple, b, ring, trunc)
+        assert _recurrence_outcome(solve_qsigma, b, ring, trunc) == want
+        kinds.add(want[0] if len(want) == 2 else bool(want[1]))
+    assert True in kinds  # a tainted solve
+    if p in (2, 3):
+        assert {InconsistentSeed, NegativePowerResidue} <= kinds
+
+
 # -- the commutator map against the generic slot-map products ---------------------
 
 
@@ -936,14 +1115,14 @@ def _commutator_reference(x, x_mask, a, p):
     return com, mask
 
 
-def _commutator_by_map(x, x_mask, ad, e, p):
+def _commutator_by_map(x, x_mask, ad, e, n, p):
     values, reach = ad
     com = {}
     for (i, j, d), c in x.items():
-        for (i2, j2), v in values.get((i, j), ()):
-            key = (i2, j2, d + e)
+        for t, v in values[i * n + j]:
+            key = divmod(t, n) + (d + e,)
             com[key] = com.get(key, 0) + c * v
-    mask = {(i2, j2, d + e) for (i, j, d) in x_mask for (i2, j2) in reach.get((i, j), ())}
+    mask = {divmod(t, n) + (d + e,) for (i, j, d) in x_mask for t in reach[i * n + j]}
     return {t: c % p for t, c in com.items() if c % p}, mask
 
 
@@ -967,7 +1146,7 @@ def test_ad_map_matches_slot_map_products(p):
                     mask = {(i, j, d) for (i, j) in slots if rng.random() < 0.3} - set(x)
                     xs.append((x, mask))
                 for x, mask in xs:
-                    assert _commutator_by_map(x, mask, ad, e, p) == _commutator_reference(
+                    assert _commutator_by_map(x, mask, ad, e, n, p) == _commutator_reference(
                         x, mask, a, p
                     )
                     cases += 1
@@ -981,12 +1160,13 @@ def test_ad_map_taint_reaches_cancelled_slots():
     h2 = ring.index("h_2")
     block = solver._divisor_blocks(ring, ring.primary)[1]
     assert block == {(h2, h2): 9}
-    values, reach = solver._ad_map(block, len(ring.basis), 211)
-    assert not values.get((h2, h2))
-    assert reach[(h2, h2)] == ((h2, h2),)
+    n = len(ring.basis)
+    values, reach = solver._ad_map(block, n, 211)
+    assert not values[h2 * n + h2]
+    assert reach[h2 * n + h2] == (h2 * n + h2,)
     x = {(h2, h2, 0): 5}
     assert _commutator_reference(x, set(x), {(h2, h2, 1): 9}, 211) == ({}, {(h2, h2, 1)})
-    assert _commutator_by_map(x, set(x), (values, reach), 1, 211) == ({}, {(h2, h2, 1)})
+    assert _commutator_by_map(x, set(x), (values, reach), 1, n, 211) == ({}, {(h2, h2, 1)})
 
 
 # -- the per-order sweep -------------------------------------------------------
@@ -1034,9 +1214,9 @@ def test_sweep_matches_neumann_reference(p):
         ring = builtin_ring(name, p)
         n = len(ring.basis)
         slots = [(i, j) for i in range(n) for j in range(n)]
-        _, order = solver._slot_exponents(ring, 0)  # the order depends on degrees only
+        _, order = _slot_exponents_by_tuple(ring, 0)  # the order depends on degrees only
         for div in ring.divisors:
-            ad0 = solver._ad_map(solver._divisor_blocks(ring, div)[0], n, p)
+            ad0 = _ad_map_by_tuple(solver._divisor_blocks(ring, div)[0], n, p)
             # every unit slot alone, every masked slot alone, then seeded random problems
             problems = [({s: 1}, set()) for s in slots] + [({}, {s}) for s in slots]
             for _ in range(25):
@@ -1045,9 +1225,47 @@ def test_sweep_matches_neumann_reference(p):
             for rhs, rhs_mask in problems:
                 inv = rng.randrange(1, p)
                 want = _neumann_reference(rhs, rhs_mask, inv, ad0, p, 2 * n + 4)
-                assert solver._sweep(rhs, rhs_mask, inv, ad0, order, p) == want
+                assert _sweep_by_tuple(rhs, rhs_mask, inv, ad0, order, p) == want
                 cases += 1
+        cases += _solved_orders_against_neumann(ring)
     assert cases > 100
+
+
+def _solved_orders_against_neumann(ring):
+    """Hold every order of every solve where lambda*d is invertible mod p to the
+    Neumann series of its right-hand side, built from the solved lower orders.
+    Returns the number of orders checked."""
+    p = ring.prime
+    n = len(ring.basis)
+    div = ring.primary
+    ads = {e: _ad_map_by_tuple(block, n, p) for e, block in solver._divisor_blocks(ring, div).items()}
+    orders = 0
+    for b in ring.basis:
+        endo, _ = solve_qsigma(b.name, ring)
+        layers = [{} for _ in range(endo.trunc + 1)]
+        masks = [set() for _ in range(endo.trunc + 1)]
+        for (i, j, d), c in endo.entries.items():
+            layers[d][(i, j)] = c
+        for (i, j, d) in endo.taint:
+            masks[d].add((i, j))
+        for d in range(1, endo.trunc + 1):
+            if not div.pairing * d % p:
+                continue
+            rhs, rhs_mask = {}, set()
+            for e, (values, reach) in ads.items():
+                if 1 <= e <= d:
+                    for s, c in layers[d - e].items():
+                        for t, v in values.get(s, ()):
+                            rhs[t] = rhs.get(t, 0) - c * v
+                    for s in masks[d - e]:
+                        rhs_mask.update(reach.get(s, ()))
+            inv = fp_inv(div.pairing * d, p)
+            want, want_mask = _neumann_reference(rhs, rhs_mask, inv, ads[0], p, 2 * n + 4)
+            live = {(i, j) for i in range(n) for j in range(n) if endo.kappa(i, j, d)}
+            assert {s: c for s, c in layers[d].items() if s not in want_mask} == want
+            assert masks[d] == want_mask & live
+            orders += 1
+    return orders
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1058,7 +1276,7 @@ def test_slot_exponents_classify_slots_as_kappa_does(p):
         half = ring.q_degree // 2
         for b in ring.basis:
             g = p * b.degree
-            exps, order = solver._slot_exponents(ring, g)
+            exps, order = _slot_exponents_by_tuple(ring, g)
             shifts = [ring.degree(j) - ring.degree(i) for (i, j) in order]
             assert shifts == sorted(shifts) and sorted(order) == sorted(exps)
             endo, _ = solve_qsigma(b.name, ring)
