@@ -30,6 +30,7 @@ from .manifold_io import (
 )
 from .oracles import (
     RationalSeries,
+    _builtin_data,
     builtin_manifold,
     builtin_ring,
     expected_results,
@@ -59,11 +60,11 @@ ENV_TRUNCATE = "QSROD_TRUNCATE_DEFAULT"
 
 def _load_ring(source, prime):
     if source.startswith("builtin:"):
-        data = builtin_manifold(source[len("builtin:"):])
+        data = _builtin_data(source[len("builtin:"):])  # read, never changed
     else:
         with open(source, "r", encoding="utf-8") as handle:
             data = load_manifold(handle.read())
-    return data, ring_from_data(data, prime)
+    return ring_from_data(data, prime)
 
 
 def _truncation(args):
@@ -78,7 +79,7 @@ def _truncation(args):
 
 
 def cmd_compute(args, out):
-    data, ring = _load_ring(args.manifold, require_prime(args.prime))
+    ring = _load_ring(args.manifold, require_prime(args.prime))
     trunc = _truncation(args)
     meta = {
         "manifold": ring.name,
@@ -256,7 +257,7 @@ def cmd_verify(args, out):
     if set(suites) - {"cells"}:
         if not args.manifold:
             raise QSteenrodError("--manifold is required for suite %r" % (args.suite,))
-        _, ring = _load_ring(args.manifold, prime)
+        ring = _load_ring(args.manifold, prime)
     status = 0
     for suite in suites:
         failures = []

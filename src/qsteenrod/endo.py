@@ -22,7 +22,7 @@ operator's column k.
 from dataclasses import dataclass, field
 
 from .errors import MixedContext
-from .ring import basis_class, classical_product, element_from_terms, quantum_product
+from .ring import basis_class, element_from_terms, quantum_product
 from .series import Monomial, _format_terms, _pack_rows, _slot_bytes, _unpack
 
 
@@ -207,8 +207,8 @@ def identity_endo(ring, trunc=None):
     return GradedEndomorphism(ring, 0, trunc, entries)
 
 
-def multiplication_endo(x, trunc=None, classical_only=False, degree=None):
-    """The endomorphism c -> x * c (cup product only when classical_only).
+def multiplication_endo(x, trunc=None, degree=None):
+    """The endomorphism c -> x * c (quantum product).
 
     The degree argument is only needed when x is zero (degree is undefined
     then but the zero endomorphism still wants a grading).
@@ -219,11 +219,10 @@ def multiplication_endo(x, trunc=None, classical_only=False, degree=None):
         raise ValueError("multiplication by an inhomogeneous element")
     if trunc is None:
         trunc = (g + ring.dimension_top) // ring.q_degree
-    product = classical_product if classical_only else quantum_product
     entries = {}
     for i, b in enumerate(ring.basis):
         e_i = basis_class(ring, b.name, trunc)
-        v = product(x.retruncate(trunc), e_i)
+        v = quantum_product(x.retruncate(trunc), e_i)
         for j, f in v.components.items():
             for mono, c in f.terms.items():
                 if mono.theta:

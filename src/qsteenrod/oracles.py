@@ -269,21 +269,26 @@ _QUADRICS = {
 _BUILTINS = {"s2": _S2, "cubic_surface": _CUBIC, "quadric_intersection": _QUADRICS}
 
 
-def builtin_manifold(name):
-    """The raw (prime-free, integral) manifold description."""
+def _builtin_data(name):
+    """The shared description of a built-in manifold; callers must not mutate it."""
     if name not in _BUILTINS:
         raise UnknownManifold(
             "unknown builtin %r (have: %s)" % (name, ", ".join(sorted(_BUILTINS)))
         )
+    return _BUILTINS[name]
+
+
+def builtin_manifold(name):
+    """The raw (prime-free, integral) manifold description, as a copy the caller may change."""
     import copy
 
-    return copy.deepcopy(_BUILTINS[name])
+    return copy.deepcopy(_builtin_data(name))
 
 
 def builtin_ring(name, p):
     from .manifold_io import ring_from_data
 
-    return ring_from_data(builtin_manifold(name), p)
+    return ring_from_data(_builtin_data(name), p)
 
 
 # -- expected results ----------------------------------------------------------

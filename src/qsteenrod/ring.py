@@ -181,29 +181,36 @@ class QuantumRing:
         """Slot-pruning bound: beyond this every entry is forced to zero."""
         return (self.prime * b_degree + self.dimension_top) // self.q_degree
 
+    def _graded_sc(self, i, j, d):
+        """sc(i, j, d), once each constant is checked against the grading."""
+        terms = self.sc(i, j, d)
+        for k in terms:
+            if self._degrees[i] + self._degrees[j] != self._degrees[k] + self.q_degree * d:
+                raise ValueError(
+                    "(%s, %s, q^%d) -> %s violates the grading; see verify --suite ring"
+                    % (self.basis[i].name, self.basis[j].name, d, self.basis[k].name)
+                )
+        return terms
+
     # -- classical Steenrod table -----------------------------------------
 
-    def cup_power(self, i, n, trunc=0):
-        """n-fold classical cup power of e_i (only d = 0 constants)."""
-        e_i = basis_class(self, self.basis[i].name, trunc)
-        out = e_i
-        for _ in range(n - 1):
-            out = classical_product(out, e_i)
-        return out
-
-    def full_steenrod(self, i, trunc):
-        """Total classical Steenrod action St(e_i) as a (q-free) element.
+    def _steenrod(self, i):
+        """St(e_i) as a vector {(k, t): c}, the coefficient of t^t e_k mod p.
 
         An explicit table entry is used when present; otherwise, with the
         leading-term default enabled, St(b) is taken to be
         (-1)^(|b|/2) t^((p-1)|b|/2) b  plus the forced t^0 part b^(cup p).
-        The t^0 part of an explicit entry is checked against the cup power.
+        The t^0 part of an explicit entry is checked against the cup power,
+        which stays zero once it is zero.
         """
-        p = self.prime
-        deg = self.degree(i)
+        p, deg, name = self.prime, self.degree(i), self.basis[i].name
+        cup = {i: 1}
+        for _ in range(p - 1):
+            if cup:
+                pairs = ((m, c * v) for k, c in cup.items() for m, v in self.sc(k, i, 0).items())
+                cup = _reduced(pairs, p)
         table = self.steenrod.get(p, {})
         if i in table:
-            comps = {}
             for k, t_exp, th_exp, c in table[i]:
                 if th_exp:
                     raise MissingSteenrodData(
@@ -211,42 +218,44 @@ class QuantumRing:
                     )
                 if self.degree(k) + 2 * t_exp != p * deg:
                     raise MissingSteenrodData(
-                        "inhomogeneous Steenrod entry for %s mod %d"
-                        % (self.basis[i].name, p)
+                        "inhomogeneous Steenrod entry for %s mod %d" % (name, p)
                     )
-                f = comps.get(k, series_zero(p, trunc))
-                comps[k] = f + SeriesElement(p, trunc, {Monomial(0, t_exp, 0): c})
-            st = CohomologyElement(self, comps)
-            if st.t_zero_part() != self.cup_power(i, p, trunc):
+            st = _reduced((((k, t_exp), c) for k, t_exp, _, c in table[i]), p)
+            if {k: c for (k, t), c in st.items() if t == 0} != cup:
                 raise MissingSteenrodData(
-                    "t^0 part of St(%s) must be the %d-fold cup power"
-                    % (self.basis[i].name, p)
+                    "t^0 part of St(%s) must be the %d-fold cup power" % (name, p)
                 )
             return st
         if not self.default_leading_steenrod:
-            raise MissingSteenrodData(
-                "no Steenrod entry for %s mod %d" % (self.basis[i].name, p)
-            )
+            raise MissingSteenrodData("no Steenrod entry for %s mod %d" % (name, p))
+        st = {(k, 0): c for k, c in cup.items()}
         lead_t = (p - 1) * deg // 2
-        sign = -1 if (deg // 2) % 2 else 1
-        st = self.cup_power(i, p, trunc)
         if lead_t > 0:
-            lead = basis_class(self, self.basis[i].name, trunc).times_series(
-                SeriesElement(p, trunc, {Monomial(0, lead_t, 0): sign})
-            )
-            st = st + lead
+            st[(i, lead_t)] = (-1 if (deg // 2) % 2 else 1) % p
         return st
 
+    def full_steenrod(self, i, trunc):
+        """Total classical Steenrod action St(e_i) as a (q-free) element; see _steenrod."""
+        return self.steenrod_of(basis_class(self, self.basis[i].name, trunc))
+
     def steenrod_of(self, b):
-        """St of a homogeneous combination, extended additively."""
-        trunc = b.trunc
-        out = zero_element(self, trunc)
-        for i, f in b.components.items():
-            for mono, c in f.terms.items():
-                if mono.q or mono.t or mono.theta:
-                    raise ValueError("St is defined for q,t-free classes")
-                out = out + self.full_steenrod(i, trunc).scale(c)
-        return out
+        """St of a q,t-free class, extended additively."""
+        if any(m.q or m.t or m.theta for f in b.components.values() for m in f.terms):
+            raise ValueError("St is defined for q,t-free classes")
+        vector = {i: f.coefficient(0, 0) for i, f in b.components.items()}
+        pairs = ((key, c * v) for i, c in vector.items() for key, v in self._steenrod(i).items())
+        terms = {}  # k -> {t^t: coefficient}
+        for (k, t), c in _reduced(pairs, self.prime).items():
+            terms.setdefault(k, {})[Monomial(0, t, 0)] = c
+        return element_from_terms(self, b.trunc, terms)
+
+
+def _reduced(pairs, p):
+    """The vector {key: c}, nonzero mod p, that sums the (key, c) pairs."""
+    acc = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, 0) + c
+    return {key: c % p for key, c in acc.items() if c % p}
 
 
 # -- cohomology elements ---------------------------------------------------
@@ -351,17 +360,6 @@ class CohomologyElement:
             self.ring, {k: f.retruncate(trunc) for k, f in self.components.items()}
         )
 
-    def t_zero_part(self):
-        return CohomologyElement(
-            self.ring,
-            {
-                k: SeriesElement(
-                    f.prime, f.trunc, {m: c for m, c in f.terms.items() if m.t == 0 and m.theta == 0}
-                )
-                for k, f in self.components.items()
-            },
-        )
-
     def coefficient(self, k, q, t, theta=0):
         f = self.components.get(k)
         return f.coefficient(q, t, theta) if f is not None else 0
@@ -455,24 +453,44 @@ def classical_product(x, y):
 
 
 def pfold_power(b, ring=None):
-    """p-fold quantum power b * b * ... * b, by square-and-multiply.
+    """p-fold quantum power b * b * ... * b, by square-and-multiply (_power)."""
+    ring = ring or b.ring
+    return _power(b, ring.prime, quantum_product)
 
-    This takes floor(log2 p) squarings and popcount(p) - 1 further products
-    instead of p - 1 sequential ones.  The regrouping equals the left-to-right
+
+def _power(x, n, mul):
+    """x^n for n >= 1 under the product mul, by square-and-multiply.
+
+    This takes floor(log2 n) squarings and popcount(n) - 1 further products
+    instead of n - 1 sequential ones.  The regrouping equals the left-to-right
     product only when the quantum product is associative; `verify --suite
     ring` (`verify_ring`) reports any presentation where it is not.
     """
-    ring = ring or b.ring
-    n = ring.prime
     out = None
-    square = b
+    square = x
     while True:
         if n & 1:
-            out = square if out is None else quantum_product(out, square)
+            out = square if out is None else mul(out, square)
         n >>= 1
         if not n:
             return out
-        square = quantum_product(square, square)
+        square = mul(square, square)
+
+
+def _class_product(ring, x, y):
+    """Quantum product of homogeneous t-free classes as vectors {k: c}, mod p.
+
+    On a graded ring (_graded_sc) each e_k of such a class sits at the one
+    q-exponent its degree fixes, so {k: c} is the whole class.
+    """
+    pairs = (
+        (k, a * b * v)
+        for i, a in x.items()
+        for j, b in y.items()
+        for d in ring.q_orders(i, j)
+        for k, v in ring._graded_sc(i, j, d).items()
+    )
+    return _reduced(pairs, ring.prime)
 
 
 def connection_apply(divisor_name, x, ring=None):

@@ -2,8 +2,9 @@
 
 QSigma_b is the unique degree p|b| endomorphism that commutes with the
 quantum connection, has q^0 layer equal to cup product with the classical
-St(b), and has t^0 layer equal to p-fold quantum multiplication by b.  Per
-q-order d the commutation condition reads
+St(b), and has t^0 layer equal to p-fold quantum multiplication by b, both
+built on coefficient vectors (the degree fixes each exponent).  Per q-order
+d the commutation condition reads
 
     lambda*d * E_d  +  sum_{e>=0} (E_{d-e} A_e - A_e E_{d-e})  =  0,
 
@@ -31,14 +32,15 @@ from .errors import (
     NotDivisor,
     NotGenerated,
 )
-from .endo import GradedEndomorphism, _reach, _slots, multiplication_endo
+from .endo import GradedEndomorphism, _reach, _slots, kappa
 from .fp import fp_inv, solve_mod_p
 from .ring import (
     CohomologyElement,
+    _class_product,
+    _power,
+    _reduced,
     basis_class,
     connection_apply,
-    pfold_power,
-    quantum_product,
     zero_element,
 )
 from .series import _pack_rows, _slot_bytes, _unpack, series_one
@@ -78,12 +80,7 @@ def _divisor_blocks(ring, div):
     for e in range(ring.max_q_order() + 1):
         block = {}
         for i in range(len(ring.basis)):
-            for j, c in ring.sc(a, i, e).items():
-                if ring.degree(j) + ring.q_degree * e != ring.degree(i) + 2:
-                    raise ValueError(
-                        "(%s, %s, q^%d) -> %s violates the grading; see verify --suite ring"
-                        % (ring.basis[a].name, ring.basis[i].name, e, ring.basis[j].name)
-                    )
+            for j, c in ring._graded_sc(a, i, e).items():
                 block[(i, j)] = c
         if block:
             blocks[e] = block
@@ -130,25 +127,47 @@ def _ad_tables(ring, div):
 # -- seeds -------------------------------------------------------------------
 
 
-def to_element(b, ring, trunc):
-    if isinstance(b, str):
-        return basis_class(ring, b, trunc)
-    return b.retruncate(trunc)
+def _seed_class(b, ring, layer):
+    """b at q^0 as a vector {k: c}, and its degree; b must be homogeneous and t-free there."""
+    b = basis_class(ring, b, 0) if isinstance(b, str) else b.retruncate(0)
+    deg = b.degree
+    if deg is None:
+        raise ValueError("%s needs a homogeneous class" % layer)
+    if any(m.t or m.theta for f in b.components.values() for m in f.terms):
+        raise ValueError("%s needs a q,t-free class" % layer)
+    return {k: f.coefficient(0, 0) for k, f in b.components.items()}, deg
 
 
 def initial_layer(b, ring, trunc=None):
-    """q^0 layer: cup product with the full classical St(b)."""
-    b = to_element(b, ring, 0)
-    deg = b.degree
-    if deg is None:
-        raise ValueError("initial layer needs a homogeneous class")
+    """q^0 layer: cup product with the full classical St(b).
+
+    St(b) is q-free, a vector {(k, t): c} (QuantumRing._steenrod), so slot
+    (i, j, 0) sums c sc(k, i, 0)[j] over its terms t^t e_k, at its forced t.
+    """
+    vector, deg = _seed_class(b, ring, "initial layer")
     if trunc is None:
         trunc = ring.default_truncation(deg)
-    st = ring.steenrod_of(b)
-    endo = multiplication_endo(st.retruncate(trunc), trunc=trunc, classical_only=True)
-    if endo.degree != ring.prime * deg:
+    p = ring.prime
+    pairs = ((key, c * v) for i, c in vector.items() for key, v in ring._steenrod(i).items())
+    st = _reduced(pairs, p)
+    degrees = {ring.degree(k) + 2 * t for k, t in st}
+    if len(degrees) != 1:
+        raise ValueError("multiplication by an inhomogeneous element")
+    g = degrees.pop()
+    products = (  # (i, j, t) -> coefficient of t^t e_j in St(b) e_i
+        ((i, j, t), c * v)
+        for i in range(len(ring.basis))
+        for (k, t), c in st.items()
+        for j, v in ring.sc(k, i, 0).items()
+    )
+    entries = {}
+    for (i, j, t), c in _reduced(products, p).items():
+        if kappa(ring, g, i, j, 0) != t:
+            raise ValueError("inhomogeneous product: slot (%d,%d,0) t^%d" % (i, j, t))
+        entries[(i, j, 0)] = c
+    if g != p * deg:
         raise ValueError("classical Steenrod data has the wrong degree")
-    return endo
+    return GradedEndomorphism(ring, g, trunc, entries)
 
 
 def tzero_layer(b, ring, trunc=None):
@@ -156,23 +175,21 @@ def tzero_layer(b, ring, trunc=None):
 
     Returns {(i, j, d): value} covering all kappa == 0 slots with d <= trunc,
     zeros included (a zero seed is still a determination).  Each (i, j) has
-    at most one such slot, d = (p|b| + |e_i| - |e_j|) / q_degree.
+    at most one such slot, d = (p|b| + |e_i| - |e_j|) / q_degree, and its
+    value is the e_j coefficient of b^(*p) * e_i, in class vectors (_class_product).
     """
-    b = to_element(b, ring, 0)
-    deg = b.degree
-    if deg is None:
-        raise ValueError("t^0 layer needs a homogeneous class")
+    vector, deg = _seed_class(b, ring, "t^0 layer")
     if trunc is None:
         trunc = ring.default_truncation(deg)
     g = ring.prime * deg
-    power = pfold_power(to_element(b, ring, trunc), ring)
+    power = _power(vector, ring.prime, lambda x, y: _class_product(ring, x, y))
     seeds = {}
     for i, be in enumerate(ring.basis):
-        col = quantum_product(power, basis_class(ring, be.name, trunc))
+        col = _class_product(ring, power, {i: 1})
         for j in range(len(ring.basis)):
             d, r = divmod(g + be.degree - ring.degree(j), ring.q_degree)
             if not r and 0 <= d <= trunc:
-                seeds[(i, j, d)] = col.coefficient(j, d, 0)
+                seeds[(i, j, d)] = col.get(j, 0)
     return seeds
 
 
@@ -191,7 +208,7 @@ def solve_qsigma(b, ring, trunc=None):
     Solved once per (ring, class, resolved truncation); repeated calls return
     an equal endomorphism and the same report, which callers must not mutate.
     """
-    b = to_element(b, ring, 0)
+    b = basis_class(ring, b, 0) if isinstance(b, str) else b.retruncate(0)
     if b.is_zero():
         raise ValueError("b must be nonzero")
     deg = b.degree

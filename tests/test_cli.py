@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qsteenrod import cli, manifold_io
+from qsteenrod import cli, manifold_io, oracles
 from qsteenrod.cli import main
 from qsteenrod.manifold_io import (
     dump_manifold,
@@ -347,6 +348,21 @@ def test_verify_suites_pass():
             )
             assert code == 0, text
             assert text.count("PASS") == 5
+
+
+def test_builtin_tables_are_shared_but_never_changed():
+    """builtin:NAME rings read the shared tables; builtin_manifold hands out copies."""
+    tables = copy.deepcopy(oracles._BUILTINS)
+    for name in tables:
+        code, text = run_cli(
+            ["verify", "--manifold", "builtin:%s" % name, "--prime", "3", "--suite", "all"]
+        )
+        assert code == 0, text
+        data = builtin_manifold(name)
+        data["basis"].append({"name": "x", "degree": 2})
+        data["products"][0]["terms"].clear()
+        data["steenrod"].setdefault("3", {})["1"] = []
+    assert oracles._BUILTINS == tables
 
 
 def test_verify_cells_without_manifold():

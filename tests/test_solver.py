@@ -23,11 +23,12 @@ from qsteenrod.endo import (
     qpi,
 )
 from qsteenrod.fp import fp_inv
-from qsteenrod.manifold_io import ring_from_data
+from qsteenrod.manifold_io import dump_manifold, ring_from_data
 from qsteenrod.oracles import builtin_manifold, builtin_ring, s2_closed_form
 from qsteenrod.ring import (
     CohomologyElement,
     basis_class,
+    classical_product,
     connection_apply,
     element,
     quantum_product,
@@ -300,6 +301,180 @@ def test_negative_power_residue():
     assert verify_ring(ring) == []
     with pytest.raises(NegativePowerResidue, match=r"\(1 -> 1, q\^1\)"):
         solve_qsigma("h2", ring)
+
+
+# -- the seeds against the element-based code they replaced ---------------------
+#
+# The references build the seed layers from CohomologyElement products, as the
+# solver once did: St(e_i) with its t^0 part checked against the (p-1)-product
+# cup power, cup product with St through a classical multiplication
+# endomorphism, and the t^0 seeds read off b^(*p) * e_i.
+
+
+def _ref_cup_power(ring, i, n, trunc):
+    e_i = basis_class(ring, ring.basis[i].name, trunc)
+    out = e_i
+    for _ in range(n - 1):
+        out = classical_product(out, e_i)
+    return out
+
+
+def _ref_full_steenrod(ring, i, trunc):
+    p = ring.prime
+    deg = ring.degree(i)
+    name = ring.basis[i].name
+    table = ring.steenrod.get(p, {})
+    if i in table:
+        comps = {}
+        for k, t_exp, th_exp, c in table[i]:
+            if th_exp:
+                raise MissingSteenrodData("theta-sector Steenrod data unsupported for even classes")
+            if ring.degree(k) + 2 * t_exp != p * deg:
+                raise MissingSteenrodData("inhomogeneous Steenrod entry for %s mod %d" % (name, p))
+            f = comps.get(k, SeriesElement(p, trunc, {}))
+            comps[k] = f + SeriesElement(p, trunc, {Monomial(0, t_exp, 0): c})
+        st = CohomologyElement(ring, comps)
+        t_zero = CohomologyElement(
+            ring,
+            {
+                k: SeriesElement(p, trunc, {m: c for m, c in f.terms.items() if m.t == 0})
+                for k, f in st.components.items()
+            },
+        )
+        if t_zero != _ref_cup_power(ring, i, p, trunc):
+            raise MissingSteenrodData(
+                "t^0 part of St(%s) must be the %d-fold cup power" % (name, p)
+            )
+        return st
+    if not ring.default_leading_steenrod:
+        raise MissingSteenrodData("no Steenrod entry for %s mod %d" % (name, p))
+    lead_t = (p - 1) * deg // 2
+    sign = -1 if (deg // 2) % 2 else 1
+    st = _ref_cup_power(ring, i, p, trunc)
+    if lead_t > 0:
+        lead = SeriesElement(p, trunc, {Monomial(0, lead_t, 0): sign})
+        st = st + basis_class(ring, name, trunc).times_series(lead)
+    return st
+
+
+def _ref_initial_layer(name, ring, trunc):
+    i = ring.index(name)
+    if trunc is None:
+        trunc = ring.default_truncation(ring.degree(i))
+    st = _ref_full_steenrod(ring, i, trunc)
+    g = st.degree
+    if g is None:
+        raise ValueError("multiplication by an inhomogeneous element")
+    entries = {}
+    for i2, b in enumerate(ring.basis):
+        v = classical_product(st, basis_class(ring, b.name, trunc))
+        for j, f in v.components.items():
+            for mono, c in f.terms.items():
+                if mono.theta:
+                    raise ValueError("theta term in multiplication endomorphism")
+                if kappa(ring, g, i2, j, mono.q) != mono.t:
+                    raise ValueError(
+                        "inhomogeneous product: slot (%d,%d,%d) t^%d" % (i2, j, mono.q, mono.t)
+                    )
+                entries[(i2, j, mono.q)] = (entries.get((i2, j, mono.q), 0) + c) % ring.prime
+    if g != ring.prime * ring.degree(i):
+        raise ValueError("classical Steenrod data has the wrong degree")
+    return GradedEndomorphism(ring, g, trunc, entries)
+
+
+def _ref_tzero_layer(name, ring, trunc):
+    deg = ring.degree(ring.index(name))
+    if trunc is None:
+        trunc = ring.default_truncation(deg)
+    g = ring.prime * deg
+    # b^(*p) by square-and-multiply, as pfold_power once spelled it out
+    n, power, square = ring.prime, None, basis_class(ring, name, trunc)
+    while True:
+        if n & 1:
+            power = square if power is None else quantum_product(power, square)
+        n >>= 1
+        if not n:
+            break
+        square = quantum_product(square, square)
+    seeds = {}
+    for i, b in enumerate(ring.basis):
+        col = quantum_product(power, basis_class(ring, b.name, trunc))
+        for j in range(len(ring.basis)):
+            d, r = divmod(g + b.degree - ring.degree(j), ring.q_degree)
+            if not r and 0 <= d <= trunc:
+                seeds[(i, j, d)] = col.coefficient(j, d, 0)
+    return seeds
+
+
+def _seed_outcome(call):
+    """call()'s result, comparable across the two codes, or its exception and message."""
+    try:
+        result = call()
+    except (ValueError, MissingSteenrodData) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, GradedEndomorphism):
+        return result.degree, result.trunc, result.entries, result.taint
+    return result
+
+
+def _cubic_with_steenrod_h2(st_h2):
+    data = builtin_manifold("cubic_surface")
+    data["steenrod"]["2"]["h_2"] = st_h2
+    return data
+
+
+def _seed_problems(p):
+    rings = [builtin_ring(name, p) for name in ("s2", "cubic_surface", "quadric_intersection")]
+    rings += [ring_from_data(_cpn(n), p) for n in (1, 2, 4, 8, 16)]
+    rings.append(ring_from_data(_cp6_with_wrong_steenrod_h2(), p))
+    if p == 2:
+        # St(h_2) mod 2 whose t^0 part is not h_2^2 = h_4, one with a
+        # theta term, and one off degree
+        for term in ({"t": 1, "theta": 0}, {"t": 2, "theta": 1}, {"t": 2, "theta": 0}):
+            data = _cubic_with_steenrod_h2([dict(basis="h_2", coeff=1, **term)])
+            rings.append(ring_from_data(data, p))
+    return rings
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 101, 211])
+def test_seeds_match_the_element_based_reference(p):
+    kinds = set()
+    for ring in _seed_problems(p):
+        for i, b in enumerate(ring.basis):
+            want = _seed_outcome(lambda: _ref_full_steenrod(ring, i, 2))
+            assert _seed_outcome(lambda: ring.full_steenrod(i, 2)) == want, (ring.name, b.name)
+            kinds.add(want[0] if type(want) is tuple else "element")
+            for trunc in (None, 0, 1, 3):
+                for new, ref in ((initial_layer, _ref_initial_layer), (tzero_layer, _ref_tzero_layer)):
+                    want = _seed_outcome(lambda: ref(b.name, ring, trunc))
+                    got = _seed_outcome(lambda: new(b.name, ring, trunc))
+                    assert got == want, (ring.name, b.name, trunc, new.__name__)
+    assert "element" in kinds
+    if p == 2:
+        assert MissingSteenrodData in kinds  # the wrong table entries, each message compared
+
+
+def test_ungraded_power_is_named_not_a_seed_mismatch(tmp_path):
+    """An ungraded h_4 * h_4 row fails at the t^0 power with the grading message."""
+    data = builtin_manifold("quadric_intersection")
+    for product in data["products"]:
+        if (product["left"], product["right"]) == ("h_4", "h_4"):
+            product["terms"].append({"basis": "h_4", "coeff": 1})
+    message = "(h_4, h_4, q^2) -> h_4 violates the grading; see verify --suite ring"
+    ring = ring_from_data(data, 2)
+    for call in (lambda: tzero_layer("h_4", ring), lambda: solve_qsigma("h_4", ring)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    assert "homogeneity: (h_4,h_4,q^2) -> h_4 violates the grading" in verify_ring(ring)
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_manifold(data))
+    out = io.StringIO()
+    argv = ["verify", "--manifold", str(bad), "--prime", "2", "--suite", "ring"]
+    assert cli.main(argv, out=out) == 1
+    assert out.getvalue().startswith(
+        "FAIL ring: ring: homogeneity: (h_4,h_4,q^2) -> h_4 violates the grading\n"
+    )
 
 
 # -- one solve per (ring, class, truncation) -----------------------------------
