@@ -45,7 +45,7 @@ def main():
     print()
 
     for q in (2, 3, 5):
-        rep = homotopy_check(q, cap=7)
+        rep = homotopy_check(q)
         print("p = %d: homotopy battery ok = %s, group algebra identities = %s"
               % (q, rep["ok"], group_algebra_identities(q)))
     print()

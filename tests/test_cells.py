@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qsteenrod.errors import CapExceeded
@@ -18,6 +20,7 @@ from qsteenrod.cells import (
 )
 
 PRIMES = (2, 3, 5)
+WIDE_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def test_sinf_boundary_formulas():
@@ -145,8 +148,8 @@ def test_group_algebra_identities():
 
 
 def test_homotopy_check():
-    for p in PRIMES:
-        report = homotopy_check(p, cap=7)
+    for p in WIDE_PRIMES:
+        report = homotopy_check(p)
         assert report["ok"], report
 
 
@@ -190,8 +193,32 @@ def test_cochain_localization_classes():
 
 
 def test_verify_cells_battery():
-    for p in PRIMES:
+    for p in WIDE_PRIMES:
         assert verify_cells(p, cap=9) == []
+
+
+def test_verify_cells_rejects_a_cap_below_two():
+    # below 2 the battery reaches no t-degree-2 identity at t^0, and below 0 nothing at all
+    for cap in (1, 0, -5):
+        with pytest.raises(ValueError, match="the cells cap must be at least 2, got cap=%d" % cap):
+            verify_cells(3, cap=cap)
+
+
+def test_table_compose_is_a_after_b():
+    p = 5
+    eq = EquivariantComplex(sphere_cochain_complex(p), p, math.inf)
+    # d and theta_tilde do not commute, so the order shows
+    d_theta, theta_d = eq._compose(eq._d, eq._theta), eq._compose(eq._theta, eq._d)
+    assert d_theta != theta_d
+    for name, eps in d_theta:
+        x = {(name, 0, eps): 1}
+        assert d_theta[name, eps] == eq.d_eq(eq.theta_tilde(x))
+        assert theta_d[name, eps] == eq.theta_tilde(eq.d_eq(x))
+        expected = dict(d_theta[name, eps])
+        for cell, c in theta_d[name, eps].items():
+            expected[cell] = (expected.get(cell, 0) + 2 * c) % p
+        sums = eq._table_sum((d_theta, 1), (theta_d, 2))[name, eps]
+        assert sums == {cell: c for cell, c in expected.items() if c}
 
 
 def test_free_module_fixture():

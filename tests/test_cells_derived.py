@@ -1,8 +1,10 @@
-"""The differentials derived from the sphere table against hand-written ones.
+"""Derived cell-complex code against hand-written references.
 
 product_boundary and d_eq below are the cell-by-cell formulas that
 qsteenrod.cells replaced with derivations from its one sphere table; they
-are kept here as the reference.
+are kept here as the reference.  ref_homotopy_check and ref_verify_cells
+evaluate the operator identities generator by generator at every t-power
+below the cap, as qsteenrod.cells did before it compared operator tables.
 """
 
 import random
@@ -121,3 +123,158 @@ def test_derived_differentials_match_on_random_chains(p):
         for _ in range(100):
             chain = {c: rng.randrange(1, 2 * p) for c in rng.sample(pool, rng.randrange(1, 8))}
             assert derived(chain, p) == reference(chain, p), chain
+
+
+# -- operator identities, generator by generator ------------------------------
+
+
+def _ref_H_apply(eq, chain, p):
+    """The composite homotopy -sigma (sigma-1)^(p-3) h (h itself for p=2)."""
+    out = eq.homotopy_h(chain)
+    if p == 2:
+        return out
+    for _ in range(p - 3):
+        out = cells._combine((eq.sigma(out), 1), (out, -1), mod=p)
+    return {cell: (-c) % p for cell, c in eq.sigma(out).items()}
+
+
+def ref_homotopy_check(p, cap):
+    report = {"group_algebra": cells.group_algebra_identities(p)}
+    fixtures = {
+        "trivial": cells.trivial_complex(),
+        "free_module": cells.free_module_complex(p),
+        "sphere": cells.sphere_cochain_complex(p),
+    }
+    for label, cpx in fixtures.items():
+        eq = cells.EquivariantComplex(cpx, p, cap)
+        ok_d2 = ok_homotopy = ok_square = ok_square_homotopy = True
+        weighted = eq._orbit_sums(range(p))
+        generators = [
+            (name, k, eps) for name, _ in cpx.basis for k in range(cap - 1) for eps in (0, 1)
+        ]
+        for name, k, eps in generators:
+            x = {(name, k, eps): 1}
+            if eq.d_eq(eq.d_eq(x)):
+                ok_d2 = False
+            lhs = cells._combine(
+                (eq.d_eq(eq.homotopy_h(x)), 1), (eq.homotopy_h(eq.d_eq(x)), 1), mod=p
+            )
+            rhs = cells._combine((eq.t(eq.sigma(x)), 1), (eq.t(x), -1), mod=p)
+            if lhs != rhs:
+                ok_homotopy = False
+            sq = eq.theta_tilde(eq.theta_tilde(x))
+            if sq != {(n2, k + 1, eps): c for n2, c in weighted[name].items()}:
+                ok_square = False
+            if p == 2:
+                target = cells._combine((sq, 1), (eq.t(x), -1), mod=p)
+            else:
+                target = sq
+            lhs2 = cells._combine(
+                (eq.d_eq(_ref_H_apply(eq, x, p)), 1), (_ref_H_apply(eq, eq.d_eq(x), p), 1), mod=p
+            )
+            if lhs2 != target:
+                ok_square_homotopy = False
+        report[label] = {
+            "d_eq_squared_zero": ok_d2,
+            "sigma_t_homotopic_to_t": ok_homotopy,
+            "theta_tilde_square_identity": ok_square,
+            "theta_tilde_square_homotopy": ok_square_homotopy,
+        }
+    report["ok"] = report["group_algebra"] and all(
+        all(v.values()) for k, v in report.items() if isinstance(v, dict)
+    )
+    return report
+
+
+def ref_verify_cells(p, cap):
+    failures = []
+    for i in range(cap + 1):
+        for r in range(p):
+            if cells.sinf_boundary(cells.sinf_boundary({("D", i, r): 1}, p), p):
+                failures.append("d^2 != 0 on D_%d (rot %d) over Z" % (i, r))
+    for i in range(cap + 1):
+        for x, _, j in cells._rotated_cells(p):
+            if cells.product_boundary(cells.product_boundary({(i, x, j): 1}, p), p):
+                failures.append("d^2 != 0 on product cell (%d,%s,%d)" % (i, x, j))
+    for x, _, j in cells._rotated_cells(p):
+        for k in range(cap - 1):
+            for eps in (0, 1):
+                if cells.d_eq(cells.d_eq({(x, j, k, eps): 1}, p), p):
+                    failures.append("d_eq^2 != 0 on (%s,%d,t^%d,%d)" % (x, j, k, eps))
+    for which in ("even", "odd", "coh1", "coh2"):
+        for k in range(4):
+            try:
+                cells.relation_primitive(which, k, p, cap)
+            except AssertionError as exc:
+                failures.append(str(exc))
+            except cells.CapExceeded:
+                pass
+    rep = ref_homotopy_check(p, cap)
+    if not rep["ok"]:
+        failures.append("homotopy_check failed: %r" % (rep,))
+    return failures
+
+
+def _flip_d_sign(eq):
+    # d x = -(d_C x) + (-1)^|x| (sigma - 1) x theta: d_eq^2 != 0 on B_j for odd p
+    for name, _ in eq.cpx.basis:
+        eq._d[name, 0] = {
+            cell: (c if cell[2] else -c) % eq.p for cell, c in eq._d[name, 0].items()
+        }
+
+
+def _empty_h_column(eq):
+    eq._h[eq.cpx.basis[-1][0], 1] = {}
+
+
+def _theta_weight_off_by_one(eq):
+    # theta_tilde(x theta) = (-1)^|x| (W + 1) x t for the first basis element
+    name, deg = eq.cpx.basis[0]
+    cells._add(eq._theta[name, 1], (name, 1, 0), -1 if deg % 2 else 1, eq.p)
+
+
+def _swap_sigma_images(eq):
+    names = [name for name, _ in eq.cpx.basis]
+    a, b = names[0], names[-1]
+    for eps in (0, 1):
+        eq._sigma[a, eps], eq._sigma[b, eps] = eq._sigma[b, eps], eq._sigma[a, eps]
+
+
+MUTATIONS = {
+    "flip_d_sign": _flip_d_sign,
+    "empty_h_column": _empty_h_column,
+    "theta_weight_off_by_one": _theta_weight_off_by_one,
+    "swap_sigma_images": _swap_sigma_images,
+}
+
+
+@pytest.fixture
+def mutate(monkeypatch):
+    """Install a mutation on every EquivariantComplex built, the cached sphere's included."""
+
+    def install(mutation):
+        class Mutated(cells.EquivariantComplex):
+            def __init__(self, *args):
+                super().__init__(*args)
+                mutation(self)
+
+        monkeypatch.setattr(cells, "EquivariantComplex", Mutated)
+        cells._sphere_eq.cache_clear()
+
+    yield install
+    cells._sphere_eq.cache_clear()
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_table_checks_match_the_per_generator_reference(p, mutation, mutate):
+    if mutation:
+        mutate(MUTATIONS[mutation])
+    report = cells.homotopy_check(p)
+    for cap in (2, 4, 9):
+        assert report == ref_homotopy_check(p, cap), cap
+        assert cells.verify_cells(p, cap) == ref_verify_cells(p, cap), cap
+    if mutation is None:
+        assert report["ok"]
+    elif p > 2:
+        assert not report["ok"], report

@@ -371,6 +371,13 @@ def test_verify_cells_without_manifold():
     assert "PASS cells" in text
 
 
+def test_verify_cells_cap_below_two_fails():
+    for cap in ("1", "0", "-5"):
+        code, text = run_cli(["verify", "--prime", "3", "--suite", "cells", "--cap", cap])
+        assert code == 1
+        assert text == "FAIL cells: error: the cells cap must be at least 2, got cap=%s\n" % cap
+
+
 def test_truncation_env_override(monkeypatch):
     monkeypatch.setenv("QSROD_TRUNCATE_DEFAULT", "1")
     code, text = run_cli(
