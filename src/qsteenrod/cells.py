@@ -8,7 +8,7 @@ and Q, the 1-cells L_j and the 2-cells B_j for j in Z/p, with
 Three complexes are derived from it:
 
 * the Z/p-cell structure on the infinite sphere, cells D_i and their
-  rotations, with integer coefficients (sinf_boundary, written out);
+  rotations, with integer coefficients (_d_cell, sinf_boundary);
 * the cell structure on (infinite sphere) x_{Z/p} S^2, cells D_i x X_j with
   F_p coefficients: d(D_i x X_j) = (d D_i) x X_j + (-1)^i D_i x d X_j, where
   the rotated cell tau^r D_i x X_j is D_i x X_(j+r) (product_boundary);
@@ -89,21 +89,25 @@ def _cell_name(x, j):
 # -- the infinite sphere, Z coefficients --------------------------------------
 
 
+def _d_cell(i, r, p):
+    """d(tau^r D_i) as (s, c) for c tau^s D_(i-1): the orbit sum for even
+    i >= 2, the rotation minus the identity for odd i, nothing at i = 0."""
+    if i == 0:
+        return ()
+    if i % 2 == 0:
+        return [(s, 1) for s in range(p)]
+    return (((r + 1) % p, 1), (r, -1))
+
+
 def sinf_boundary(chain, p):
     """Signed cellular differential on cells ("D", i, rot)."""
     out = {}
     for (tag, i, r), c in chain.items():
         if tag != "D":
             raise ValueError("not an infinite-sphere cell: %r" % (tag,))
-        if i == 0:
-            continue
-        if i % 2 == 0:
-            for s in range(p):
-                _add(out, ("D", i - 1, s), c)
-        else:
-            _add(out, ("D", i - 1, (r + 1) % p), c)
-            _add(out, ("D", i - 1, r), -c)
-    return {cell: c for cell, c in out.items() if c}
+        for s, c2 in _d_cell(i, r, p):
+            _add(out, ("D", i - 1, s), c * c2)
+    return out
 
 
 # -- the product with the sphere, F_p coefficients ----------------------------
@@ -118,14 +122,14 @@ def product_cell(i, x, j=0):
 def product_boundary(chain, p):
     """The equivariant differential on cells (i, X, j) of D_i x sigma^j X.
 
-    d(D_i x X_j) = (d D_i) x X_j + (-1)^i D_i x d X_j; d D_i is sinf_boundary
-    of D_i rotated by j, and a rotated tau^r D x X is D x X_r.
+    d(D_i x X_j) = (d D_i) x X_j + (-1)^i D_i x d X_j; d D_i is _d_cell of
+    D_i rotated by j, and a rotated tau^r D x X is D x X_r.
     """
     out = {}
     for (i, x, j), c in chain.items():
         bnd = _sphere_boundary(x)
-        for (_, i2, r), c2 in sinf_boundary({("D", i, j): 1}, p).items():
-            _add(out, product_cell(i2, x, r), c * c2)
+        for r, c2 in _d_cell(i, j, p):
+            _add(out, product_cell(i - 1, x, r), c * c2)
         sign = -c if i % 2 else c
         for y, r, c2 in bnd:
             _add(out, product_cell(i, y, (j + r) % p), sign * c2)

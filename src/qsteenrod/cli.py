@@ -133,13 +133,13 @@ def cmd_compute(args, out):
     return 0
 
 
-def _suite_ring(ring, failures):
+def _suite_ring(ring, args, failures):
     for finding in verify_ring(ring):
         failures.append("ring: %s" % finding)
     return "ring structure (homogeneity, unit, commutativity, associativity, flatness)"
 
 
-def _suite_constancy(ring, failures):
+def _suite_constancy(ring, args, failures):
     ident = identity_endo(ring)
     for b in ring.basis:
         endo, report = solve_qsigma(b.name, ring)
@@ -147,8 +147,10 @@ def _suite_constancy(ring, failures):
             for f in fails:
                 failures.append("constancy[%s, a=%s]: %s" % (b.name, div, f))
         for (i, j, d) in endo.entries:
-            if endo.kappa(i, j, d) < 0:
-                failures.append("constancy[%s]: negative t-exponent" % b.name)
+            if endo.kappa(i, j, d) is None:
+                failures.append(
+                    "constancy[%s]: entry on a dead slot %s" % (b.name, endo.slot_text(i, j, d))
+                )
         init = initial_layer(b.name, ring, endo.trunc)
         for (i, j, d), c in init.entries.items():
             if endo.entries.get((i, j, d)) != c:
@@ -165,7 +167,7 @@ def _suite_constancy(ring, failures):
     return "covariant constancy, layer seeds, QSigma_1 = id"
 
 
-def _suite_compose(ring, failures):
+def _suite_compose(ring, args, failures):
     a_name = ring.basis[ring.primary.index].name
     s_div, _ = solve_qsigma(a_name, ring)
     trunc = max(ring.default_truncation(b.degree) for b in ring.basis) + ring.max_q_order()
@@ -206,7 +208,7 @@ def _suite_compose(ring, failures):
     return "composition rule and q^0 Cartan relation"
 
 
-def _suite_oracle(ring, failures):
+def _suite_oracle(ring, args, failures):
     if ring.name == "s2":
         xi = xi_series(20)
         lhs = xi.tqd().tqd()
@@ -238,21 +240,28 @@ def _suite_oracle(ring, failures):
     return "closed forms, rational pipeline, tabulated values"
 
 
-def _suite_cells(prime, cap, failures):
+def _suite_cells(ring, args, failures):
     from .cells import verify_cells
 
-    for f in verify_cells(prime, cap):
+    for f in verify_cells(args.prime, args.cap):
         failures.append("cells: %s" % f)
     return "equivariant cell complexes, relations, homotopies"
 
 
+# verify's suites, run in this order by --suite all: each appends its failures
+# to the list it is given and returns its PASS description.
+_SUITES = {
+    "ring": _suite_ring,
+    "constancy": _suite_constancy,
+    "compose": _suite_compose,
+    "oracle": _suite_oracle,
+    "cells": _suite_cells,
+}
+
+
 def cmd_verify(args, out):
     prime = require_prime(args.prime)
-    suites = (
-        ["ring", "constancy", "compose", "oracle", "cells"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     ring = None
     if set(suites) - {"cells"}:
         if not args.manifold:
@@ -263,18 +272,7 @@ def cmd_verify(args, out):
         failures = []
         # a suite that raises fails on its own; the later suites still run
         try:
-            if suite == "ring":
-                desc = _suite_ring(ring, failures)
-            elif suite == "constancy":
-                desc = _suite_constancy(ring, failures)
-            elif suite == "compose":
-                desc = _suite_compose(ring, failures)
-            elif suite == "oracle":
-                desc = _suite_oracle(ring, failures)
-            elif suite == "cells":
-                desc = _suite_cells(prime, args.cap, failures)
-            else:
-                raise QSteenrodError("unknown suite %r" % (suite,))
+            desc = _SUITES[suite](ring, args, failures)
         except (QSteenrodError, ValueError, KeyError) as exc:
             failures.append("error: %s" % _message(exc))
         if failures:
@@ -326,7 +324,7 @@ def build_parser():
     v.add_argument(
         "--suite",
         default="all",
-        choices=("ring", "constancy", "compose", "oracle", "cells", "all"),
+        choices=(*_SUITES, "all"),
     )
     v.add_argument("--cap", type=int, default=9)
 

@@ -22,7 +22,7 @@ operator's column k.
 from dataclasses import dataclass, field
 
 from .errors import MixedContext
-from .ring import basis_class, element_from_terms, quantum_product
+from .ring import _class_product, basis_class, element_from_terms
 from .series import Monomial, _format_terms, _pack_rows, _slot_bytes, _unpack
 
 
@@ -208,31 +208,30 @@ def identity_endo(ring, trunc=None):
 
 
 def multiplication_endo(x, trunc=None, degree=None):
-    """The endomorphism c -> x * c (quantum product).
+    """The endomorphism c -> x * c: column i is x * e_i over x's (k, q) terms (_class_product).
 
-    The degree argument is only needed when x is zero (degree is undefined
-    then but the zero endomorphism still wants a grading).
+    x must be homogeneous and theta-free.  The degree argument is only read
+    when x is zero (degree is undefined then but the zero endomorphism still
+    wants a grading).
     """
     ring = x.ring
-    g = x.degree if x.degree is not None else degree
+    g = degree if x.is_zero() else x.degree
     if g is None:
         raise ValueError("multiplication by an inhomogeneous element")
     if trunc is None:
         trunc = (g + ring.dimension_top) // ring.q_degree
-    entries = {}
-    for i, b in enumerate(ring.basis):
-        e_i = basis_class(ring, b.name, trunc)
-        v = quantum_product(x.retruncate(trunc), e_i)
-        for j, f in v.components.items():
-            for mono, c in f.terms.items():
-                if mono.theta:
+    vector = {}
+    for k, f in x.components.items():
+        for m, c in f.terms.items():
+            if m.q <= trunc:
+                if m.theta:
                     raise ValueError("theta term in multiplication endomorphism")
-                k = kappa(ring, g, i, j, mono.q)
-                if k is None or k != mono.t:
-                    raise ValueError(
-                        "inhomogeneous product: slot (%d,%d,%d) t^%d" % (i, j, mono.q, mono.t)
-                    )
-                entries[(i, j, mono.q)] = (entries.get((i, j, mono.q), 0) + c) % ring.prime
+                vector[(k, m.q)] = c
+    entries = {
+        (i, j, d): c
+        for i in range(len(ring.basis))
+        for (j, d), c in _class_product(ring, vector, {(i, 0): 1}).items()
+    }
     return GradedEndomorphism(ring, g, trunc, entries)
 
 

@@ -186,17 +186,7 @@ def endo_result_data(endo, meta, report=None):
         {"from": ring.basis[i].name, "to": ring.basis[j].name, "q": d}
         for (i, j, d) in sorted(endo.taint)
     ]
-    data = dict(meta)
-    data.update(
-        {
-            "truncation": endo.trunc,
-            "degree": endo.degree,
-            "result": rows,
-            "taint": taint,
-            "report": _report_data(report),
-        }
-    )
-    return data
+    return _result_data(meta, endo.trunc, endo.degree, rows, taint, report)
 
 
 def element_result_data(elem, taint, meta, degree, trunc, report=None):
@@ -218,17 +208,13 @@ def element_result_data(elem, taint, meta, degree, trunc, report=None):
     taint_rows = [
         {"from": "1", "to": ring.basis[j].name, "q": d} for (j, d) in sorted(taint)
     ]
-    data = dict(meta)
-    data.update(
-        {
-            "truncation": trunc,
-            "degree": degree,
-            "result": rows,
-            "taint": taint_rows,
-            "report": _report_data(report),
-        }
-    )
-    return data
+    return _result_data(meta, trunc, degree, rows, taint_rows, report)
+
+
+def _result_data(meta, trunc, degree, rows, taint, report):
+    """A result file's data: meta, then truncation, degree, result and taint rows, report."""
+    report = _report_data(report)
+    return dict(meta, truncation=trunc, degree=degree, result=rows, taint=taint, report=report)
 
 
 def _report_data(report):

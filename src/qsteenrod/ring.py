@@ -7,7 +7,8 @@ driving the connection, and a table of classical Steenrod actions per prime.
 
 Structure constants encode  e_i * e_j = sum_d q^d sum_k c[(i,j,d)][k] e_k.
 The quantum connection in the divisor direction a is
-nabla_a = t * lambda_a * q d/dq + (a *).
+nabla_a = t * lambda_a * q d/dq + (a *).  Inside the package, products of
+basis classes are read through _class_product on (class, q) vectors.
 """
 
 from types import MappingProxyType
@@ -478,15 +479,15 @@ def _power(x, n, mul):
 
 
 def _class_product(ring, x, y):
-    """Quantum product of homogeneous t-free classes as vectors {k: c}, mod p.
+    """Quantum product of t-free classes as vectors {(k, q): c} of q^q e_k, mod p.
 
-    On a graded ring (_graded_sc) each e_k of such a class sits at the one
-    q-exponent its degree fixes, so {k: c} is the whole class.
+    The package's one reader of e_i * e_j: every constant is checked against
+    the grading (_graded_sc), and nothing is truncated.
     """
     pairs = (
-        (k, a * b * v)
-        for i, a in x.items()
-        for j, b in y.items()
+        ((k, q + r + d), a * b * v)
+        for (i, q), a in x.items()
+        for (j, r), b in y.items()
         for d in ring.q_orders(i, j)
         for k, v in ring._graded_sc(i, j, d).items()
     )
@@ -569,13 +570,13 @@ def verify_ring(ring, trunc=None):
     return findings
 
 
-def format_element(v, star="*"):
+def format_element(v):
     """Deterministic text form: basis order, then q, then t."""
     if v.is_zero():
         return "0"
     parts = []
     for k in sorted(v.components):
-        text = format_series(v.components[k], unit=v.ring.basis[k].name, star=star)
+        text = format_series(v.components[k], unit=v.ring.basis[k].name)
         if not parts:
             parts.append(text)
         elif text.startswith("-"):

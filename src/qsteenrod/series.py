@@ -191,16 +191,16 @@ def derivation_apply(lam, x):
     )
 
 
-def format_series(x, unit="", star="*"):
+def format_series(x, unit=""):
     """Render deterministically, balanced coefficients, q before t.
 
     With unit="h" renders terms like "q*t*h - t^2*h"; with unit="" renders
     scalar series like "q - t^2".
     """
-    return _format_terms(((m, x.terms[m]) for m in sorted(x.terms)), x.prime, unit, star)
+    return _format_terms(((m, x.terms[m]) for m in sorted(x.terms)), x.prime, unit)
 
 
-def _format_terms(terms, p, unit="", star="*"):
+def _format_terms(terms, p, unit=""):
     """format_series of the nonzero ((q, t, theta), c) pairs, in the order given."""
     parts = []
     for (q, t, theta), c in terms:
@@ -220,7 +220,7 @@ def _format_terms(terms, p, unit="", star="*"):
             factors.append(unit)
         if abs(c) != 1 or not factors:
             factors.insert(0, str(abs(c)))
-        text = star.join(factors)
+        text = "*".join(factors)
         if not parts:
             parts.append(text if c > 0 else "-" + text)
         else:

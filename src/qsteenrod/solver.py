@@ -3,7 +3,8 @@
 QSigma_b is the unique degree p|b| endomorphism that commutes with the
 quantum connection, has q^0 layer equal to cup product with the classical
 St(b), and has t^0 layer equal to p-fold quantum multiplication by b, both
-built on coefficient vectors (the degree fixes each exponent).  Per q-order
+built on coefficient vectors; every product of basis classes is read
+through ring._class_product on (class, q) vectors.  Per q-order
 d the commutation condition reads
 
     lambda*d * E_d  +  sum_{e>=0} (E_{d-e} A_e - A_e E_{d-e})  =  0,
@@ -70,21 +71,16 @@ class QstResult:
 def _divisor_blocks(ring, div):
     """Blocks A_e = {(i, j): c} of quantum multiplication by the divisor.
 
-    Block e holds the q-order-e structure constants, reduced mod p.  Every
-    block must respect the grading, |e_j| + |q| e = |e_i| + 2: block 0 then
+    Block e holds the q^e e_j terms of a * e_i (_class_product).  Each is
+    checked against the grading, |e_j| + |q| e = |e_i| + 2: block 0 then
     raises degree by 2, as the sweep relies on, and a later block cannot force
     a value onto a dead slot.
     """
     blocks = {}
-    a = div.index
-    for e in range(ring.max_q_order() + 1):
-        block = {}
-        for i in range(len(ring.basis)):
-            for j, c in ring._graded_sc(a, i, e).items():
-                block[(i, j)] = c
-        if block:
-            blocks[e] = block
-    return blocks
+    for i in range(len(ring.basis)):
+        for (j, e), c in _class_product(ring, {(div.index, 0): 1}, {(i, 0): 1}).items():
+            blocks.setdefault(e, {})[(i, j)] = c
+    return dict(sorted(blocks.items()))
 
 
 def _ad_map(block, n, p):
@@ -128,14 +124,14 @@ def _ad_tables(ring, div):
 
 
 def _seed_class(b, ring, layer):
-    """b at q^0 as a vector {k: c}, and its degree; b must be homogeneous and t-free there."""
+    """b at q^0 as a vector {(k, 0): c}, and its degree; b must be homogeneous and t-free there."""
     b = basis_class(ring, b, 0) if isinstance(b, str) else b.retruncate(0)
     deg = b.degree
     if deg is None:
         raise ValueError("%s needs a homogeneous class" % layer)
     if any(m.t or m.theta for f in b.components.values() for m in f.terms):
         raise ValueError("%s needs a q,t-free class" % layer)
-    return {k: f.coefficient(0, 0) for k, f in b.components.items()}, deg
+    return {(k, 0): f.coefficient(0, 0) for k, f in b.components.items()}, deg
 
 
 def initial_layer(b, ring, trunc=None):
@@ -148,7 +144,7 @@ def initial_layer(b, ring, trunc=None):
     if trunc is None:
         trunc = ring.default_truncation(deg)
     p = ring.prime
-    pairs = ((key, c * v) for i, c in vector.items() for key, v in ring._steenrod(i).items())
+    pairs = ((key, c * v) for (i, _), c in vector.items() for key, v in ring._steenrod(i).items())
     st = _reduced(pairs, p)
     degrees = {ring.degree(k) + 2 * t for k, t in st}
     if len(degrees) != 1:
@@ -176,7 +172,7 @@ def tzero_layer(b, ring, trunc=None):
     Returns {(i, j, d): value} covering all kappa == 0 slots with d <= trunc,
     zeros included (a zero seed is still a determination).  Each (i, j) has
     at most one such slot, d = (p|b| + |e_i| - |e_j|) / q_degree, and its
-    value is the e_j coefficient of b^(*p) * e_i, in class vectors (_class_product).
+    value is the q^d e_j coefficient of b^(*p) * e_i (_class_product).
     """
     vector, deg = _seed_class(b, ring, "t^0 layer")
     if trunc is None:
@@ -185,11 +181,11 @@ def tzero_layer(b, ring, trunc=None):
     power = _power(vector, ring.prime, lambda x, y: _class_product(ring, x, y))
     seeds = {}
     for i, be in enumerate(ring.basis):
-        col = _class_product(ring, power, {i: 1})
+        col = _class_product(ring, power, {(i, 0): 1})
         for j in range(len(ring.basis)):
             d, r = divmod(g + be.degree - ring.degree(j), ring.q_degree)
             if not r and 0 <= d <= trunc:
-                seeds[(i, j, d)] = col.get(j, 0)
+                seeds[(i, j, d)] = col.get((j, d), 0)
     return seeds
 
 
@@ -518,12 +514,12 @@ def _rewrite_in_connection_powers(ring, target_index):
 def _nabla_column(ring):
     """The columns {k: [(j, d)]} of nabla_a for the primary divisor a.
 
-    t d_a keeps a slot (k, q); a * moves it to (j, q + d) for each j in
-    sc(a, k, d).
+    t d_a keeps a slot (k, q); a * moves it to (j, q + d) for each q^d e_j
+    term of a * e_k (_class_product).
     """
     a = ring.primary.index
     return {
-        k: [(k, 0)] + [(j, d) for d in ring.q_orders(a, k) for j in ring.sc(a, k, d)]
+        k: [(k, 0)] + list(_class_product(ring, {(a, 0): 1}, {(k, 0): 1}))
         for k in range(len(ring.basis))
     }
 
@@ -534,8 +530,9 @@ def qsigma_apply(b, x, ring, trunc=None):
     Per basis class in x: use the solved column when it is untainted; else
     rewrite the class as sum c q^m t^s nabla_a^n(1) over the primary divisor
     a and push QSt(b) through the covariant-constancy relation
-        QSigma_b(nabla_a c) = nabla_a QSigma_b(c),   nabla_a = t d_a + (a *);
-    else fall back to the tainted column.  Returns (element, taint).
+        QSigma_b(nabla_a c) = nabla_a QSigma_b(c),   nabla_a = t d_a + (a *),
+    and use that repair when its taint is a subset of the column's; else
+    keep the tainted column.  Returns (element, taint).
     """
     _check_truncation(trunc)
     endo, report = solve_qsigma(b, ring)
@@ -557,10 +554,11 @@ def qsigma_apply(b, x, ring, trunc=None):
                     n = len(chain)
                     chain[n] = connection_apply(a_name, chain[n - 1], ring)
                     chain_taint[n] = _reach(chain_taint[n - 1], nabla, trunc)
-                col = zero_element(ring, trunc)
-                for n, m, s, c in rewritten:
-                    col = col + chain[n].times_monomial(q=m, t=s, coeff=c)
-                col_taint = _reach({(n, m) for n, m, _, _ in rewritten}, chain_taint, trunc)
+                repair_taint = _reach({(n, m) for n, m, _, _ in rewritten}, chain_taint, trunc)
+                if repair_taint <= col_taint:
+                    col, col_taint = zero_element(ring, trunc), repair_taint
+                    for n, m, s, c in rewritten:
+                        col = col + chain[n].times_monomial(q=m, t=s, coeff=c)
         out = out + col.retruncate(trunc).times_series(f.retruncate(trunc))
         columns_taint[k] = col_taint
     return out, _reach(_slots(x), columns_taint, trunc)
@@ -648,13 +646,14 @@ def qst_auto(name, ring, trunc=None):
     for i, be in enumerate(ring.basis):
         # a * e_i must be u e_target at q^0 alone: simultaneous degree-peers
         # are unsupported
-        lead = ring.sc(a.index, i, 0)
+        product = _class_product(ring, {(a.index, 0): 1}, {(i, 0): 1})
+        lead = {k: c for (k, d), c in product.items() if not d}
         if set(lead) != {target}:
             continue
         sub, sub_taint, _ = qst_auto(be.name, ring, trunc)
         val, taint = _divisor_step(a_name, sub.retruncate(out_trunc), sub_taint, ring, out_trunc)
-        for d in range(1, ring.max_q_order() + 1):
-            for k, c in ring.sc(a.index, i, d).items():
+        for (k, d), c in product.items():
+            if d:
                 rest, rest_taint, _ = qst_auto(ring.basis[k].name, ring, trunc)
                 m = ring.prime * d
                 val = val - rest.retruncate(out_trunc).times_monomial(q=m, coeff=c)

@@ -10,6 +10,7 @@ import pytest
 
 from qsteenrod import cli, manifold_io, oracles
 from qsteenrod.cli import main
+from qsteenrod.endo import GradedEndomorphism
 from qsteenrod.manifold_io import (
     dump_manifold,
     dump_result,
@@ -337,6 +338,29 @@ def test_verify_runs_every_suite_past_a_raising_one(tmp_path):
     error = "error: (h_2, h_2, q^0) -> h_2 violates the grading; see verify --suite ring"
     assert "FAIL constancy: %s\n" % error in text
     assert "FAIL compose: %s\n" % error in text
+
+
+def test_verify_constancy_reports_an_entry_on_a_dead_slot(monkeypatch):
+    """An entry on a dead slot is the constancy suite's FAIL line, not a TypeError."""
+    real = cli.solve_qsigma
+
+    def with_dead_entry(b, ring, trunc=None):
+        endo, report = real(b, ring, trunc)
+        if b != "h":
+            return endo, report
+        entries = dict(endo.entries)
+        entries[(0, 1, 2)] = 1  # 1 -> h at q^2 needs t^-2 in degree 6
+        dead = GradedEndomorphism._trusted(
+            ring, endo.degree, endo.trunc, entries, endo.taint, [None]
+        )
+        return dead, report
+
+    monkeypatch.setattr(cli, "solve_qsigma", with_dead_entry)
+    code, text = run_cli(
+        ["verify", "--manifold", "builtin:s2", "--prime", "3", "--suite", "constancy"]
+    )
+    assert code == 1
+    assert text == "FAIL constancy: constancy[h]: entry on a dead slot (1 -> h, q^2 t^-2)\n"
 
 
 def test_verify_suites_pass():

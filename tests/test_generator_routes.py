@@ -79,6 +79,19 @@ def test_qsigma_apply_agrees_with_the_solved_columns(p):
     assert tainted_columns
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31])
+def test_qsigma_apply_is_never_more_tainted_than_the_solved_column(p):
+    # the repair replaces a tainted column only when its own taint is a
+    # subset; on the cubic, the repair of QSigma_h_4(h_4) is more tainted
+    for name in BUILTINS:
+        ring = builtin_ring(name, p)
+        for b in ring.basis:
+            endo, _ = solve_qsigma(b.name, ring)
+            for e in ring.basis:
+                _, taint = qsigma_apply(b.name, basis_class(ring, e.name, endo.trunc), ring)
+                assert taint <= endo.column(e.name)[1], (name, b.name, e.name)
+
+
 # -- the taint rule against the three statements of it that _reach replaced ------
 
 

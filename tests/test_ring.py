@@ -7,6 +7,7 @@ from qsteenrod.oracles import builtin_manifold, builtin_ring
 from qsteenrod.manifold_io import ring_from_data
 from qsteenrod.ring import (
     CohomologyElement,
+    _class_product,
     basis_class,
     classical_product,
     connection_apply,
@@ -16,7 +17,13 @@ from qsteenrod.ring import (
     verify_ring,
     zero_element,
 )
-from qsteenrod.endo import compose, multiplication_endo, multiplication_matrix
+from qsteenrod.endo import (
+    GradedEndomorphism,
+    compose,
+    kappa,
+    multiplication_endo,
+    multiplication_matrix,
+)
 from qsteenrod.series import series, series_mul
 from qsteenrod.solver import solve_qsigma
 
@@ -110,6 +117,95 @@ def test_matrix_square_is_multiplication_by_square():
             a = basis_class(ring, div, trunc)
             sq = multiplication_endo(quantum_product(a, a), trunc=trunc, degree=4)
             assert compose(m, m) == sq
+
+
+# -- the one product of basis classes ---------------------------------------------
+
+BUILTINS = ("s2", "cubic_surface", "quadric_intersection")
+
+
+def _vector_element(ring, trunc, vector):
+    """The element sum c q^q e_k of a (class, q) vector {(k, q): c}."""
+    return element(ring, trunc, [(ring.basis[k].name, q, 0, c) for (k, q), c in vector.items()])
+
+
+def _class_vectors(ring, rng):
+    """Single classes, q-shifted ones and seeded multi-term combinations."""
+    n = len(ring.basis)
+    vectors = [{(k, 0): 1} for k in range(n)] + [{(k, 2): 3} for k in range(n)]
+    for _ in range(6):
+        vectors.append({(rng.randrange(n), rng.randrange(3)): rng.randrange(1, 7) for _ in range(3)})
+    return vectors
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_class_product_is_the_element_product(p):
+    rng = random.Random(p)
+    trunc = 9  # above every q-exponent the vectors and the products reach
+    for name in BUILTINS:
+        ring = builtin_ring(name, p)
+        vectors = _class_vectors(ring, rng)
+        for x in vectors:
+            for y in vectors:
+                got = _class_product(ring, x, y)
+                assert max((q for _, q in got), default=0) <= trunc
+                want = quantum_product(_vector_element(ring, trunc, x), _vector_element(ring, trunc, y))
+                assert _vector_element(ring, trunc, got) == want, (name, x, y)
+
+
+def _element_built_multiplication_endo(x, trunc=None, degree=None):
+    """multiplication_endo as it was built from n element products, kept as the reference."""
+    ring = x.ring
+    g = x.degree if x.degree is not None else degree
+    if g is None:
+        raise ValueError("multiplication by an inhomogeneous element")
+    if trunc is None:
+        trunc = (g + ring.dimension_top) // ring.q_degree
+    entries = {}
+    for i, b in enumerate(ring.basis):
+        e_i = basis_class(ring, b.name, trunc)
+        v = quantum_product(x.retruncate(trunc), e_i)
+        for j, f in v.components.items():
+            for mono, c in f.terms.items():
+                if mono.theta:
+                    raise ValueError("theta term in multiplication endomorphism")
+                k = kappa(ring, g, i, j, mono.q)
+                if k is None or k != mono.t:
+                    raise ValueError(
+                        "inhomogeneous product: slot (%d,%d,%d) t^%d" % (i, j, mono.q, mono.t)
+                    )
+                entries[(i, j, mono.q)] = (entries.get((i, j, mono.q), 0) + c) % ring.prime
+    return GradedEndomorphism(ring, g, trunc, entries)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+def test_multiplication_endo_matches_the_element_built_reference(p):
+    for name in BUILTINS:
+        ring = builtin_ring(name, p)
+        a = ring.basis[ring.primary.index].name
+        top = ring.basis[-1]
+        cases = [(basis_class(ring, b.name, 6), {}) for b in ring.basis]
+        a6 = basis_class(ring, a, 6)
+        cases.append((quantum_product(a6, a6), {"degree": 4}))
+        # a q-shifted homogeneous combination: 2 q e_top + 5 t^(|q|/2) e_top
+        half = ring.q_degree // 2
+        cases.append((element(ring, 6, [(top.name, 1, 0, 2), (top.name, 0, half, 5)]), {}))
+        for x, kwargs in cases:
+            for trunc in (None, 0, 1, 4):
+                want = _element_built_multiplication_endo(x, trunc=trunc, **kwargs)
+                got = multiplication_endo(x, trunc=trunc, **kwargs)
+                assert (got, got.trunc) == (want, want.trunc), (name, x, trunc)
+
+
+def test_ungraded_multiplication_matrix_is_named():
+    data = builtin_manifold("s2")
+    data["products"].append(
+        {"left": "h", "right": "h", "q": 2, "terms": [{"basis": "h", "coeff": 1}]}
+    )
+    ring = ring_from_data(data, 3)
+    with pytest.raises(ValueError) as info:
+        multiplication_matrix("h", ring)
+    assert str(info.value) == "(h, h, q^2) -> h violates the grading; see verify --suite ring"
 
 
 def test_connection_examples():
