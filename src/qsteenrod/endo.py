@@ -11,19 +11,17 @@ Every graded F_p matrix in the package is such a slot map {(i, j, d): c};
 the solver keeps one q-order as n^2 ints, slot (i, j) at i*n + j.  A
 product (i, j, d1) then (j, k, d2) lands on (i, k, d1 + d2), and a tainted
 slot taints its product with every stored or tainted slot of the other
-factor.  compose multiplies whole graded maps by Kronecker substitution in
-k-byte slots (_packed_matmul); the solver only ever multiplies by a divisor
-block, through its commutator map (solver._ad_map).  On a single class the
-rule is _reach: a coefficient
-slot (k, q) of e_k q^q reaches (j, q + d) for every slot (j, d) of the
-operator's column k.
+factor.  compose and the solver's residual re-check multiply whole graded
+maps by Kronecker substitution in k-byte slots (_packed_matmul); the sweep
+multiplies by a divisor block through its commutator map (solver._ad_map).
+On a single class the rule is _reach: a coefficient slot (k, q) of e_k q^q
+reaches (j, q + d) for every slot (j, d) of the operator's column k.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import MixedContext
-from .ring import _class_product, basis_class, element_from_terms
-from .series import Monomial, _format_terms, _pack_rows, _slot_bytes, _unpack
+from .ring import _check_compatible, _class_product, basis_class, element_from_terms
+from .series import Monomial, _format_terms, _pack_series, _slot_bytes, _unpack_series
 
 
 def kappa(ring, g, i, j, d):
@@ -39,32 +37,24 @@ def kappa(ring, g, i, j, d):
 # -- sparse graded F_p matrices: slot maps {(i, j, d): c} ----------------------
 
 
-def _packed_matmul(pairs, k, trunc):
+def _packed_matmul(pairs):
     """Sum of the products x y over (x, y) in pairs, by Kronecker substitution.
 
-    Each (i, j) series of a factor is packed into one int (_pack_series)
-    with slot (i, j, d) in k-byte slot d, so one big-int product multiplies
-    whole series.  Coefficients must be non-negative and those at q-order
-    <= trunc must fit in k bytes; higher orders may overflow, since carries
-    only move up.  Returns the unreduced nonzero coefficients
-    {(i, h, d): c}, d <= trunc.
+    Each factor is a packed map {(i, j): int} (_pack_series), so one big-int
+    product multiplies whole series.  Coefficients are non-negative; the
+    caller picks k so that the sums at the orders it reads fit in k bytes
+    (higher orders may overflow, since carries only move up).  Returns the
+    packed sum {(i, h): int}.
     """
     acc = {}
     for x, y in pairs:
         rows = {}
-        for (j, h), v in _pack_series(y, k, trunc).items():
+        for (j, h), v in y.items():
             rows.setdefault(j, []).append((h, v))
-        for (i, j), u in _pack_series(x, k, trunc).items():
+        for (i, j), u in x.items():
             for h, v in rows.get(j, ()):
                 acc[(i, h)] = acc.get((i, h), 0) + u * v
-    unpacked = ((i, h, _unpack(z, k, trunc + 1)) for (i, h), z in acc.items())
-    return {(i, h, d): c for i, h, row in unpacked for d, c in enumerate(row) if c}
-
-
-def _pack_series(entries, k, trunc):
-    """Each (i, j) series of a slot map as one int, slot (i, j, d <= trunc) in k-byte slot d."""
-    items = (((i, j), d, c) for (i, j, d), c in entries.items() if d <= trunc)
-    return _pack_rows(items, trunc + 1, k)
+    return acc
 
 
 def _reach(slots, column, trunc):
@@ -170,6 +160,7 @@ class GradedEndomorphism:
         Returns (element, taint) where taint is a set of (to_index, q_exp)
         pairs marking undetermined output coefficients.
         """
+        _check_compatible(self.ring, x.ring, "application")
         trunc = x.trunc if trunc is None else trunc
         acc = {}  # j -> {monomial: unreduced coefficient}
         rows, taint_rows = self._rows()
@@ -253,9 +244,8 @@ def compose(s1, s2):
     The product and the taint rule are the slot-map ones (see the module
     docstring), computed on whole series by _packed_matmul.
     """
-    if s1.ring.prime != s2.ring.prime:
-        raise MixedContext("composition across different primes")
     ring = s1.ring
+    _check_compatible(ring, s2.ring, "composition")
     p = ring.prime
     n = len(ring.basis)
     g = s1.degree + s2.degree
@@ -266,16 +256,20 @@ def compose(s1, s2):
     # A coefficient at q-order <= trunc sums at most n*(trunc+1) products of
     # entries in [0, p-1], or of taint indicators in {0, 1} on two sides.
     k = _slot_bytes((n * (trunc + 1) * (p - 1) ** 2).bit_length() + 1)
-    products = _packed_matmul([(s2.entries, s1.entries)], k, trunc)
+    pair = _pack_series(s2.entries, k, trunc), _pack_series(s1.entries, k, trunc)
+    products = _unpack_series(_packed_matmul([pair]), k, trunc)
     taint = set()
     if s1.taint or s2.taint:
         k = _slot_bytes((2 * n * (trunc + 1)).bit_length() + 1)
-        support1 = dict.fromkeys(set(s1.entries) | s1.taint, 1)
+
+        def ones(slots):
+            return _pack_series(dict.fromkeys(slots, 1), k, trunc)
+
         pairs = [
-            (dict.fromkeys(s2.taint, 1), support1),
-            (dict.fromkeys(s2.entries, 1), dict.fromkeys(s1.taint, 1)),
+            (ones(s2.taint), ones(set(s1.entries) | s1.taint)),
+            (ones(s2.entries), ones(s1.taint)),
         ]
-        taint = set(_packed_matmul(pairs, k, trunc))
+        taint = set(_unpack_series(_packed_matmul(pairs), k, trunc))
     entries = {s: c % p for s, c in products.items() if c % p and s not in taint}
     return GradedEndomorphism(ring, g, trunc, entries, frozenset(taint))
 

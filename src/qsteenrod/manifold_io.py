@@ -15,70 +15,76 @@ from .errors import ManifoldFormatError
 from .ring import QuantumRing
 
 
-_TOP_FIELDS = {
-    "name",
-    "basis",
-    "q_degree",
-    "dimension_top",
-    "divisors",
-    "products",
-    "steenrod",
-    "default_leading_steenrod",
+# The fields of each kind of object and their types.  Types are exact: an
+# integer field takes no bool, float or string.  A _CLASS field names a basis
+# class.  Only the _OPTIONAL fields may be left out.
+_CLASS = "a class name"
+_FIELDS = {
+    "manifold": {
+        "name": str, "basis": list, "q_degree": int, "dimension_top": int, "divisors": list,
+        "products": list, "steenrod": dict, "default_leading_steenrod": bool,
+    },
+    "basis": {"name": str, "degree": int},
+    "divisors": {"name": _CLASS, "pairing": int, "primary": bool},
+    "products": {"left": _CLASS, "right": _CLASS, "q": int, "terms": list},
+    "terms": {"basis": _CLASS, "coeff": int},
+    "steenrod": {"basis": _CLASS, "t": int, "theta": int, "coeff": int},
+}
+_OPTIONAL = {"steenrod", "default_leading_steenrod", "primary"}
+_TYPE_NAMES = {
+    int: "an integer", bool: "true or false", str: "a string", list: "a list", dict: "an object"
 }
 
 
-def _check_fields(obj, allowed, where):
-    if not isinstance(obj, dict):
-        raise ManifoldFormatError("%s: expected an object" % where, field=where)
-    for key in obj:
-        if key not in allowed:
+def _check_type(value, kind, where, names, key=None):
+    """Raise unless value has the type kind, or names a basis class when kind is _CLASS."""
+    if (value not in names) if kind is _CLASS else (type(value) is not kind):
+        where = where if key is None else "%s.%s" % (where, key)
+        problem = "unknown class" if kind is _CLASS else "expected %s, got" % _TYPE_NAMES[kind]
+        raise ManifoldFormatError("%s: %s %r" % (where, problem, value), field=where)
+
+
+def _check_fields(obj, kind, where, names):
+    """obj as an object of that kind: no unknown field, every required one, each of its type."""
+    _check_type(obj, dict, where, names)
+    fields = _FIELDS[kind]
+    for key, value in obj.items():
+        if key not in fields:
             raise ManifoldFormatError(
                 "%s: unknown field %r" % (where, key), field="%s.%s" % (where, key)
+            )
+        _check_type(value, fields[key], where, names, key)
+    for key in fields:
+        if key not in obj and key not in _OPTIONAL:
+            raise ManifoldFormatError(
+                "%s: missing field %r" % (where, key), field="%s.%s" % (where, key)
             )
 
 
 def validate_manifold_data(data):
-    _check_fields(data, _TOP_FIELDS, "manifold")
-    for fieldname in ("name", "basis", "q_degree", "dimension_top", "divisors", "products"):
-        if fieldname not in data:
-            raise ManifoldFormatError("missing field %r" % fieldname, field=fieldname)
+    """data, once every object has exactly its fields, of their types, naming known classes."""
+    _check_fields(data, "manifold", "manifold", ())
     for i, b in enumerate(data["basis"]):
-        _check_fields(b, {"name", "degree"}, "basis[%d]" % i)
-    for i, dv in enumerate(data["divisors"]):
-        _check_fields(dv, {"name", "pairing", "primary"}, "divisors[%d]" % i)
+        _check_fields(b, "basis", "basis[%d]" % i, ())
     names = [b["name"] for b in data["basis"]]
+    for i, dv in enumerate(data["divisors"]):
+        _check_fields(dv, "divisors", "divisors[%d]" % i, names)
     for i, pr in enumerate(data["products"]):
-        _check_fields(pr, {"left", "right", "q", "terms"}, "products[%d]" % i)
-        for side in ("left", "right"):
-            if pr[side] not in names:
-                raise ManifoldFormatError(
-                    "products[%d].%s: unknown class %r" % (i, side, pr[side]),
-                    field="products[%d].%s" % (i, side),
-                )
+        _check_fields(pr, "products", "products[%d]" % i, names)
         for j, term in enumerate(pr["terms"]):
-            _check_fields(term, {"basis", "coeff"}, "products[%d].terms[%d]" % (i, j))
-            if term["basis"] not in names:
-                raise ManifoldFormatError(
-                    "products[%d].terms[%d]: unknown class %r" % (i, j, term["basis"]),
-                    field="products[%d].terms[%d].basis" % (i, j),
-                )
+            _check_fields(term, "terms", "products[%d].terms[%d]" % (i, j), names)
     for pstr, table in data.get("steenrod", {}).items():
-        if not pstr.isdigit():
+        if not pstr.isdecimal():
             raise ManifoldFormatError(
                 "steenrod: prime keys must be digit strings", field="steenrod.%s" % pstr
             )
+        _check_type(table, dict, "steenrod.%s" % pstr, names)
         for gen, entry in table.items():
-            if gen not in names:
-                raise ManifoldFormatError(
-                    "steenrod.%s: unknown class %r" % (pstr, gen),
-                    field="steenrod.%s.%s" % (pstr, gen),
-                )
+            where = "steenrod.%s.%s" % (pstr, gen)
+            _check_type(gen, _CLASS, where, names)
+            _check_type(entry, list, where, names)
             for j, term in enumerate(entry):
-                _check_fields(
-                    term,
-                    {"basis", "t", "theta", "coeff"},
-                    "steenrod.%s.%s[%d]" % (pstr, gen, j),
-                )
+                _check_fields(term, "steenrod", "%s[%d]" % (where, j), names)
     return data
 
 
@@ -89,7 +95,7 @@ def ring_from_data(data, prime):
     index = {n: i for i, n in enumerate(names)}
     basis = [(b["name"], b["degree"]) for b in data["basis"]]
     divisors = [
-        (index[d["name"]], d["pairing"], bool(d.get("primary", False)))
+        (index[d["name"]], d["pairing"], d.get("primary", False))
         for d in data["divisors"]
     ]
     products = {}

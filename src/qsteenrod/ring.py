@@ -11,6 +11,7 @@ nabla_a = t * lambda_a * q d/dq + (a *).  Inside the package, products of
 basis classes are read through _class_product on (class, q) vectors.
 """
 
+from itertools import permutations
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -19,7 +20,7 @@ from .fp import require_prime
 from .series import (
     Monomial,
     SeriesElement,
-    _pack_rows,
+    _pack_series,
     _slot_bytes,
     _unpack,
     derivation_apply,
@@ -107,7 +108,9 @@ class QuantumRing:
                 self._sc[key] = clean
         self._sc_mod = {}
         self._ad = {}  # divisor index -> solver._ad_tables
+        self._mult = {}  # divisor index -> (k, A, -A), packed by solver._ad_tables
         self._degrees = tuple(b.degree for b in self.basis)  # read by endo.kappa, slot_text
+        self._context = (self.prime, self.basis, q_degree, dimension_top)  # _check_compatible
         # (i, j) -> ascending q-orders with stored constants; products of
         # the unit live at q^0 only.
         orders = {}
@@ -378,8 +381,7 @@ class CohomologyElement:
 
 def _packed_groups(f, half, k):
     """{(t + half*q, theta): int} with the coefficient of q^q in k-byte slot q."""
-    terms = f.terms.items()
-    return _pack_rows((((t + half * q, h), q, c) for (q, t, h), c in terms), f.trunc + 1, k)
+    return _pack_series({(t + half * q, h, q): c for (q, t, h), c in f.terms.items()}, k, f.trunc)
 
 
 def zero_element(ring, trunc):
@@ -407,10 +409,18 @@ def element_from_terms(ring, trunc, terms):
     )
 
 
+def _check_compatible(ring, other, what):
+    """Raise MixedContext unless the rings agree on prime, basis, q_degree and dimension_top."""
+    if other is not ring and other._context != ring._context:
+        raise MixedContext(
+            "%s across incompatible rings: %s mod %d and %s mod %d"
+            % (what, ring.name, ring.prime, other.name, other.prime)
+        )
+
+
 def quantum_product(x, y):
     """Small quantum product, bilinear over the coefficient series."""
-    if x.ring is not y.ring and x.ring.prime != y.ring.prime:
-        raise MixedContext("quantum product across different rings")
+    _check_compatible(x.ring, y.ring, "quantum product")
     ring = x.ring
     if x.is_zero() or y.is_zero():
         trunc = x.trunc if x.trunc is not None else y.trunc
@@ -546,20 +556,12 @@ def verify_ring(ring, trunc=None):
                         % (ring.basis[i].name, ring.basis[j].name, ring.basis[k].name)
                     )
 
-    for a in ring.divisors:
-        for b in ring.divisors:
-            for e in elems:
-                lhs = connection_apply(
-                    ring.basis[a.index].name, connection_apply(ring.basis[b.index].name, e)
-                )
-                rhs = connection_apply(
-                    ring.basis[b.index].name, connection_apply(ring.basis[a.index].name, e)
-                )
-                if lhs != rhs:
-                    findings.append(
-                        "flatness fails for divisors (%s,%s)"
-                        % (ring.basis[a.index].name, ring.basis[b.index].name)
-                    )
+    for a, b in permutations(ring.divisors, 2):  # a = b would compare a value with itself
+        a_name, b_name = ring.basis[a.index].name, ring.basis[b.index].name
+        for e in elems:
+            lhs = connection_apply(a_name, connection_apply(b_name, e))
+            if lhs != connection_apply(b_name, connection_apply(a_name, e)):
+                findings.append("flatness fails for divisors (%s,%s)" % (a_name, b_name))
 
     table = ring.steenrod.get(ring.prime, {})
     for i in table:

@@ -173,15 +173,25 @@ def _unpack(z, k, count):
     return slots.tolist()
 
 
-def _pack_rows(items, count, k):
-    """{key: _pack(row, k)} with row[d] = c for each (key, d, c), 0 <= d < count."""
+def _pack_series(entries, k, trunc):
+    """{(a, b): _pack(row, k)} with row[d] = c for each ((a, b, d), c) of entries, d <= trunc.
+
+    On a slot map {(i, j, d): c} this packs each (i, j) series into one int.
+    """
     rows = {}
-    for key, d, c in items:
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = [0] * count
-        row[d] = c
+    for (a, b, d), c in entries.items():
+        if d <= trunc:
+            row = rows.get((a, b))
+            if row is None:
+                row = rows[a, b] = [0] * (trunc + 1)
+            row[d] = c
     return {key: _pack(row, k) for key, row in rows.items()}
+
+
+def _unpack_series(packed, k, trunc):
+    """The nonzero coefficients {(a, b, d): c}, d <= trunc, of a packed map {(a, b): int}."""
+    unpacked = ((a, b, _unpack(z, k, trunc + 1)) for (a, b), z in packed.items())
+    return {(a, b, d): c for a, b, row in unpacked for d, c in enumerate(row) if c}
 
 
 def derivation_apply(lam, x):

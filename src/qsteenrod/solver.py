@@ -21,22 +21,19 @@ never guesses.
 Each commutator X -> [X, A_e] is tabulated once per ring and divisor as a
 linear map on flat slots s = i*n + j, with the slots a tainted X slot
 reaches (_ad_tables).  Each q-order is a list of n^2 ints and its taint a
-set of slots; the right-hand sides, the sweep and the residual re-check all
-apply those tables.
+set of slots; the right-hand sides and the sweep apply those tables.  The
+residual re-check does not: it multiplies by A itself, with compose's
+packed product, so a fault in the tables cannot cancel out.
 """
 
 from dataclasses import dataclass
 
-from .errors import (
-    InconsistentSeed,
-    NegativePowerResidue,
-    NotDivisor,
-    NotGenerated,
-)
-from .endo import GradedEndomorphism, _reach, _slots, kappa
+from .errors import InconsistentSeed, NegativePowerResidue, NotDivisor, NotGenerated
+from .endo import GradedEndomorphism, _packed_matmul, _reach, _slots, kappa
 from .fp import fp_inv, solve_mod_p
 from .ring import (
     CohomologyElement,
+    _check_compatible,
     _class_product,
     _power,
     _reduced,
@@ -44,7 +41,7 @@ from .ring import (
     connection_apply,
     zero_element,
 )
-from .series import _pack_rows, _slot_bytes, _unpack, series_one
+from .series import _pack_series, _slot_bytes, _unpack, _unpack_series, series_one
 
 
 @dataclass(frozen=True)
@@ -111,12 +108,21 @@ def _ad_map(block, n, p):
 
 
 def _ad_tables(ring, div):
-    """{e: _ad_map(A_e)} for the divisor, built once per ring; the solve and re-check share it."""
+    """{e: _ad_map(A_e)} for the divisor, the sweep's tables, built once per ring.
+
+    The same _divisor_blocks call gives the re-check its map A = {(i, j, e): c}:
+    ring._mult[div.index] holds (k, A, -A mod p), packed in k-byte slots.
+    """
     tables = ring._ad.get(div.index)
     if tables is None:
         n, p = len(ring.basis), ring.prime
-        tables = {e: _ad_map(block, n, p) for e, block in _divisor_blocks(ring, div).items()}
-        ring._ad[div.index] = tables
+        blocks = _divisor_blocks(ring, div)
+        tables = ring._ad[div.index] = {e: _ad_map(block, n, p) for e, block in blocks.items()}
+        # A slot of S A + (-A) S sums at most 2n products per block, each below p^2.
+        k = _slot_bytes((2 * n * len(blocks) * (p - 1) ** 2).bit_length() + 1)
+        a = {(i, j, e): c for e, block in blocks.items() for (i, j), c in block.items()}
+        minus = {s: -c % p for s, c in a.items()}
+        ring._mult[div.index] = (k,) + tuple(_pack_series(x, k, max(blocks)) for x in (a, minus))
     return tables
 
 
@@ -205,6 +211,7 @@ def solve_qsigma(b, ring, trunc=None):
     an equal endomorphism and the same report, which callers must not mutate.
     """
     b = basis_class(ring, b, 0) if isinstance(b, str) else b.retruncate(0)
+    _check_compatible(ring, b.ring, "solve_qsigma")
     if b.is_zero():
         raise ValueError("b must be nonzero")
     deg = b.degree
@@ -223,16 +230,15 @@ def solve_qsigma(b, ring, trunc=None):
     lam = div.pairing % p
     if lam == 0:
         raise NotDivisor("primary divisor pairing vanishes mod p")
-    # One solve per (ring, class, truncation).  The cache keeps no endo, only
-    # its normalised state and row-index box, so it holds no reference back
-    # to the ring; a hit rebuilds the endo without normalising it again.
-    key = None
-    if b.ring is ring:
-        cls = sorted((k, f.coefficient(0, 0) % p) for k, f in b.components.items())
-        key = (tuple(cls), trunc)
-        if key in ring._solved:
-            entries, taint, index, report = ring._solved[key]
-            return GradedEndomorphism._trusted(ring, g, trunc, entries, taint, index), report
+    # One solve per (ring, class, truncation); a class of a compatible ring
+    # keys it like one of the ring's own.  The cache keeps no endo, only its
+    # normalised state and row-index box, so it holds no reference back to
+    # the ring; a hit rebuilds the endo without normalising it again.
+    cls = sorted((k, f.coefficient(0, 0) % p) for k, f in b.components.items())
+    key = (tuple(cls), trunc)
+    if key in ring._solved:
+        entries, taint, index, report = ring._solved[key]
+        return GradedEndomorphism._trusted(ring, g, trunc, entries, taint, index), report
     n = len(ring.basis)
     tables = _ad_tables(ring, div)
     values0, reach0 = tables[0]
@@ -320,8 +326,7 @@ def solve_qsigma(b, ring, trunc=None):
         residual_checked=checked,
         residual_failures=failures,
     )
-    if key is not None:
-        ring._solved[key] = (endo.entries, endo.taint, endo._index, report)
+    ring._solved[key] = (endo.entries, endo.taint, endo._index, report)
     return endo, report
 
 
@@ -352,73 +357,52 @@ class ResidualReport:
 def verify_covariant_constancy(endo, divisor_name, ring, pi=None):
     """Residuals of t*d_a(S) + [S, a*] slot-wise; zero expected when known.
 
-    [S, a*] is built from whole series packed as in endo._packed_matmul: per
-    block A_e, each (i, j) series times its _ad_tables values, shifted by e
-    slots.  A slot of it sums at most 2n products per block, each below p^2.
-    Then each series of S and of [S, a*] is unpacked once and lambda*d*S +
-    [S, a*] is checked slot by slot mod p.  Every slot with d <= trunc is
-    checked unless it is tainted or a tainted slot reaches it; failures are
-    listed in (d, i, j) order.
+    [S, a*] = S A - A S, with A = {(i, j, e): c} the map of quantum
+    multiplication by the divisor, is one endo._packed_matmul, the product
+    compose uses, on S packed once and on A and -A mod p packed once per ring
+    (_ad_tables).  A tainted slot (i, j, d) reaches (i, l, d + e) for each
+    (j, l, e) of A and (h, j, d + e) for each (h, i, e) of A: the support of
+    the same product on S's taint.  lambda*d*S + [S, a*] is then checked
+    slot by slot mod p on the unpacked series.  Every slot with d <= trunc
+    is checked unless it is tainted or a tainted slot reaches it; failures
+    are listed in (d, i, j) order.
 
     When the matching QPi output is supplied, the relation
     t*QPi_{a,b}(c) = QSigma_b(a*c) - a*QSigma_b(c) is checked as well.
     """
     div = ring.divisor(divisor_name)
-    p = ring.prime
-    n = len(ring.basis)
-    trunc = endo.trunc
-    tables = _ad_tables(ring, div)
-    k = _slot_bytes((2 * n * len(tables) * (p - 1) ** 2).bit_length() + 1)
+    _ad_tables(ring, div)
+    k, plus, minus = ring._mult[div.index]
+    p, n, trunc = ring.prime, len(ring.basis), endo.trunc
     count = trunc + 1
+    series = _pack_series(endo.entries, k, trunc)
+    com = _packed_matmul([(series, plus), (minus, series)])  # orders above trunc are never read
+    mask = set()
+    if endo.taint:
+        ones = _pack_series(dict.fromkeys(endo.taint, 1), k, trunc)
+        mask = set(_unpack_series(_packed_matmul([(ones, plus), (minus, ones)]), k, trunc))
 
-    def packed(entries):  # flat slot -> its series, packed
-        items = ((i * n + j, d, c) for (i, j, d), c in entries.items() if d < count)
-        return _pack_rows(items, count, k)
+    def residuals(x, weights, taint):
+        """The checked count, and sorted (d, i, j, r) with r = weights[d] x + [S, a*] != 0 mod p."""
+        skip = mask.union(s for s in taint if s[2] <= trunc)
+        out = []
+        for s in x.keys() | com.keys():
+            u, v = _unpack(x.get(s, 0), k, count), _unpack(com.get(s, 0), k, count)
+            for d in range(count):
+                r = (weights[d] * u[d] + v[d]) % p
+                if r and s + (d,) not in skip:
+                    out.append((d,) + s + (r,))
+        return n * n * count - len(skip), sorted(out)
 
-    series = packed(endo.entries)
-    com = {}  # [S, a*] by flat slot, packed; orders above trunc are never read
-    com_mask = set()
-    for e, (values, reach) in tables.items():
-        for s, u in series.items():
-            u <<= 8 * k * e
-            for t, v in values[s]:
-                com[t] = com.get(t, 0) + v * u
-        for (i, j, d) in endo.taint:
-            if d + e <= trunc:
-                com_mask.update(divmod(t, n) + (d + e,) for t in reach[i * n + j])
-    slots = n * n * count
-    checked = slots - len(com_mask.union(s for s in endo.taint if s[2] <= trunc))
-    lam_d = [div.pairing * d % p for d in range(count)]
-    failures = tuple(
-        "residual %d at %s" % (r, endo.slot_text(i, j, d))
-        for d, i, j, r in _residual_slots(series, lam_d, com, k, p, com_mask | endo.taint, n)
-    )
+    checked, found = residuals(series, [div.pairing * d % p for d in range(count)], endo.taint)
+    failures = tuple("residual %d at %s" % (r, endo.slot_text(i, j, d)) for d, i, j, r in found)
     pi_checked, pi_failures = 0, ()
     if pi is not None:
-        pi_checked = slots - len(com_mask.union(s for s in pi.taint if s[2] <= trunc))
+        pi_checked, found = residuals(_pack_series(pi.entries, k, trunc), [1] * count, pi.taint)
         pi_failures = tuple(
-            "divisor relation fails at %s" % endo.slot_text(i, j, d)
-            for d, i, j, _ in _residual_slots(
-                packed(pi.entries), [1] * count, com, k, p, com_mask | pi.taint, n
-            )
+            "divisor relation fails at %s" % endo.slot_text(i, j, d) for d, i, j, _ in found
         )
     return ResidualReport(checked, failures, pi_checked, pi_failures)
-
-
-def _residual_slots(x, weights, y, k, p, skip, n):
-    """Sorted (d, i, j, r), r = weights[d] x + y != 0 mod p at (i, j, d) not in skip.
-
-    x and y map flat slots i*n + j to series packed in k-byte slots.
-    """
-    count = len(weights)
-    out = []
-    for s in x.keys() | y.keys():
-        u, v = _unpack(x.get(s, 0), k, count), _unpack(y.get(s, 0), k, count)
-        for d in range(count):
-            r = (weights[d] * u[d] + v[d]) % p
-            if r and divmod(s, n) + (d,) not in skip:
-                out.append((d,) + divmod(s, n) + (r,))
-    return sorted(out)
 
 
 # -- derived operations --------------------------------------------------------
@@ -535,6 +519,7 @@ def qsigma_apply(b, x, ring, trunc=None):
     keep the tainted column.  Returns (element, taint).
     """
     _check_truncation(trunc)
+    _check_compatible(ring, x.ring, "qsigma_apply")
     endo, report = solve_qsigma(b, ring)
     if trunc is None:
         trunc = x.trunc if x.trunc is not None else endo.trunc

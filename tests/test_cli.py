@@ -273,6 +273,70 @@ def test_unknown_field_rejected(tmp_path):
     assert code == 1
 
 
+def _drop(key):
+    return lambda obj: obj.pop(key)
+
+
+def _put(key, value):
+    return lambda obj: obj.__setitem__(key, value)
+
+
+# (where in the cubic surface's file, the change, the error message)
+MALFORMED = [
+    (["basis", 1], _drop("degree"), "basis[1]: missing field 'degree'"),
+    (["divisors", 0], _drop("pairing"), "divisors[0]: missing field 'pairing'"),
+    (["products", 0], _drop("q"), "products[0]: missing field 'q'"),
+    (["products", 0, "terms", 0], _drop("coeff"), "products[0].terms[0]: missing field 'coeff'"),
+    (["steenrod", "2", "h_2", 0], _drop("theta"), "steenrod.2.h_2[0]: missing field 'theta'"),
+    ([], _drop("basis"), "manifold: missing field 'basis'"),
+    (["divisors", 0], _put("name", "zz"), "divisors[0].name: unknown class 'zz'"),
+    (
+        ["steenrod", "2", "h_2", 0],
+        _put("basis", "zz"),
+        "steenrod.2.h_2[0].basis: unknown class 'zz'",
+    ),
+    (["products", 0], _put("q", "1"), "products[0].q: expected an integer, got '1'"),
+    ([], _put("q_degree", "4"), "manifold.q_degree: expected an integer, got '4'"),
+    (
+        ["products", 0, "terms", 0],
+        _put("coeff", "1"),
+        "products[0].terms[0].coeff: expected an integer, got '1'",
+    ),
+    (
+        ["products", 0, "terms", 0],
+        _put("coeff", 1.5),
+        "products[0].terms[0].coeff: expected an integer, got 1.5",
+    ),
+    (["divisors", 0], _put("pairing", 1.0), "divisors[0].pairing: expected an integer, got 1.0"),
+    (["basis", 1], _put("degree", True), "basis[1].degree: expected an integer, got True"),
+    (["divisors", 0], _put("primary", 1), "divisors[0].primary: expected true or false, got 1"),
+    (
+        [],
+        _put("default_leading_steenrod", 0),
+        "manifold.default_leading_steenrod: expected true or false, got 0",
+    ),
+    (["products", 0], _put("terms", {}), "products[0].terms: expected a list, got {}"),
+    (["steenrod", "2"], _put("h_2", {}), "steenrod.2.h_2: expected a list, got {}"),
+]
+
+
+@pytest.mark.parametrize("where, change, message", MALFORMED, ids=[m for _, _, m in MALFORMED])
+def test_malformed_manifold_is_rejected_by_field(tmp_path, capsys, where, change, message):
+    data = builtin_manifold("cubic_surface")
+    obj = data
+    for key in where:
+        obj = obj[key]
+    change(obj)
+    text = json.dumps(data)
+    with pytest.raises(manifold_io.ManifoldFormatError) as info:
+        load_manifold(text)
+    assert str(info.value) == message
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, out = run_cli(["compute", "--manifold", str(path), "--prime", "2", "--class", "h_2"])
+    assert (code, out, capsys.readouterr().err) == (1, "", "error: %s\n" % message)
+
+
 def test_export_needs_the_builtin_prefix(tmp_path, capsys):
     out = tmp_path / "x.json"
     code, text = run_cli(["export", "--manifold", "cubic_surface", "--out", str(out)])

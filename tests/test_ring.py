@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from qsteenrod.errors import ManifoldFormatError, NotDivisor
+from qsteenrod import ring as ring_mod
+from qsteenrod.errors import ManifoldFormatError, MissingSteenrodData, NotDivisor
 from qsteenrod.oracles import builtin_manifold, builtin_ring
 from qsteenrod.manifold_io import ring_from_data
 from qsteenrod.ring import (
@@ -430,3 +431,94 @@ def test_times_series_width_holds_full_length_maximal_coefficients():
     full = series(p, trunc, [(q, 3 - q, 0, p - 1) for q in range(trunc + 1)])
     x = CohomologyElement(ring, {0: full, 2: full})
     _assert_times_series_is_series_mul(x, full)
+
+
+def _verify_ring_all_pairs(ring, trunc=None):
+    """verify_ring as it was when flatness compared every ordered pair, a = b included."""
+    if trunc is None:
+        trunc = max(ring.max_q_order(), ring.default_truncation(2))
+    findings = []
+    n = len(ring.basis)
+    q_deg = ring.q_degree
+    for (i, j, d), terms in ring._sc.items():
+        for k, c in terms.items():
+            if ring.degree(i) + ring.degree(j) != ring.degree(k) + q_deg * d:
+                findings.append(
+                    "homogeneity: (%s,%s,q^%d) -> %s violates the grading"
+                    % (ring.basis[i].name, ring.basis[j].name, d, ring.basis[k].name)
+                )
+        if ring._sc.get((j, i, d), {}) != terms:
+            findings.append(
+                "commutativity: (%s,%s) differs from (%s,%s) at q^%d"
+                % (ring.basis[i].name, ring.basis[j].name, ring.basis[j].name, ring.basis[i].name, d)
+            )
+    elems = [basis_class(ring, b.name, trunc) for b in ring.basis]
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                lhs = quantum_product(quantum_product(elems[i], elems[j]), elems[k])
+                rhs = quantum_product(elems[i], quantum_product(elems[j], elems[k]))
+                if lhs != rhs:
+                    findings.append(
+                        "associativity fails on (%s,%s,%s)"
+                        % (ring.basis[i].name, ring.basis[j].name, ring.basis[k].name)
+                    )
+    for a in ring.divisors:
+        for b in ring.divisors:
+            for e in elems:
+                lhs = connection_apply(
+                    ring.basis[a.index].name, connection_apply(ring.basis[b.index].name, e)
+                )
+                rhs = connection_apply(
+                    ring.basis[b.index].name, connection_apply(ring.basis[a.index].name, e)
+                )
+                if lhs != rhs:
+                    findings.append(
+                        "flatness fails for divisors (%s,%s)"
+                        % (ring.basis[a.index].name, ring.basis[b.index].name)
+                    )
+    table = ring.steenrod.get(ring.prime, {})
+    for i in table:
+        try:
+            ring.full_steenrod(i, trunc)
+        except MissingSteenrodData as exc:
+            findings.append("steenrod table: %s" % exc)
+    return findings
+
+
+def _two_divisor_manifold():
+    """Divisors a, b with a * a = q a, b * b = q b, a * b = 0: associative, not flat."""
+    return {
+        "name": "two_divisors",
+        "basis": [{"name": name, "degree": 2 * (name != "1")} for name in ("1", "a", "b")],
+        "q_degree": 2,
+        "dimension_top": 2,
+        "divisors": [
+            {"name": "a", "pairing": 1, "primary": True},
+            {"name": "b", "pairing": 2, "primary": False},
+        ],
+        "products": [
+            {"left": "a", "right": "a", "q": 1, "terms": [{"basis": "a", "coeff": 1}]},
+            {"left": "a", "right": "b", "q": 0, "terms": []},
+            {"left": "b", "right": "b", "q": 1, "terms": [{"basis": "b", "coeff": 1}]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_flatness_skips_a_divisor_against_itself(monkeypatch, p):
+    calls = []
+    real = ring_mod.connection_apply
+    monkeypatch.setattr(
+        ring_mod, "connection_apply", lambda *args: calls.append(args) or real(*args)
+    )
+    ring = ring_from_data(_two_divisor_manifold(), p)
+    findings = verify_ring(ring)
+    assert len(calls) == 2 * 2 * 2 * len(ring.basis)  # (a, b) and (b, a), two each side
+    assert findings == _verify_ring_all_pairs(ring) == [
+        "flatness fails for divisors (%s)" % pair for pair in ("a,b", "a,b", "b,a", "b,a")
+    ]
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        ring = builtin_ring(name, p)
+        calls.clear()
+        assert verify_ring(ring) == _verify_ring_all_pairs(ring) == [] and not calls

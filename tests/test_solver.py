@@ -9,6 +9,7 @@ from qsteenrod import cli, endo as endo_mod, solver
 from qsteenrod.errors import (
     InconsistentSeed,
     MissingSteenrodData,
+    MixedContext,
     NegativePowerResidue,
     NotGenerated,
 )
@@ -35,7 +36,15 @@ from qsteenrod.ring import (
     verify_ring,
     zero_element,
 )
-from qsteenrod.series import Monomial, SeriesElement, format_series, series
+from qsteenrod.series import (
+    Monomial,
+    SeriesElement,
+    _pack,
+    _slot_bytes,
+    _unpack,
+    format_series,
+    series,
+)
 from qsteenrod.solver import (
     initial_layer,
     qsigma_apply,
@@ -624,6 +633,37 @@ def test_compose_s2():
     assert compose_sign(2, 2, 2) == 1  # exponent 4 is even
 
 
+@pytest.mark.parametrize(
+    "mix",
+    [
+        lambda s2, quad: compose(solve_qsigma("h", s2)[0], solve_qsigma("h_2", quad)[0]),
+        lambda s2, quad: solve_qsigma("h", s2)[0].apply(basis_class(quad, "h_2", 2)),
+        lambda s2, quad: solve_qsigma("h", s2)[0].apply(basis_class(quad, "h_4", 2)),
+        lambda s2, quad: quantum_product(basis_class(s2, "h", 2), basis_class(quad, "h_2", 2)),
+        lambda s2, quad: solve_qsigma(basis_class(quad, "h_2", 0), s2),
+        lambda s2, quad: qsigma_apply("h", basis_class(quad, "h_2", 2), s2),
+    ],
+    ids=["compose", "apply h_2", "apply h_4", "quantum_product", "solve", "qsigma_apply"],
+)
+def test_rings_with_one_prime_but_different_bases_do_not_mix(mix):
+    s2, quad = builtin_ring("s2", 3), builtin_ring("quadric_intersection", 3)
+    with pytest.raises(MixedContext, match="incompatible rings: s2 mod 3 and quadric"):
+        mix(s2, quad)
+
+
+def test_compatible_rings_mix_and_share_one_solve():
+    one, two = builtin_ring("s2", 3), builtin_ring("s2", 3)
+    s1, r1 = solve_qsigma("h", one)
+    _, r2 = solve_qsigma(basis_class(two, "h", 0), one)
+    assert r2 is r1 and list(one._solved) == [(((1, 1),), 2)] and not two._solved
+    t2, _ = solve_qsigma("h", two)
+    assert compose(s1, t2) == compose(s1, s1)
+    x = basis_class(two, "h", 2)
+    assert s1.apply(x) == t2.apply(x) == s1.apply(basis_class(one, "h", 2))
+    assert qsigma_apply("h", x, one) == qsigma_apply("h", x, two)
+    assert quantum_product(basis_class(one, "h", 2), x) == quantum_product(x, x)
+
+
 def test_compose_identity():
     ring = builtin_ring("quadric_intersection", 3)
     endo, _ = solve_qsigma("h_2", ring)
@@ -827,6 +867,133 @@ def test_residual_on_a_t_inverse_slot_is_reported():
     rep = verify_covariant_constancy(bad, "h_2", ring)
     assert rep.failures == ("residual 1 at (1 -> h_2, q^5 t^-1)",)
     assert rep.checked == verify_covariant_constancy(endo, "h_2", ring).checked
+
+
+def _constancy_on_ad_tables(endo, divisor_name, ring, pi=None):
+    """The verify_covariant_constancy that multiplied S by the sweep's own _ad_tables.
+
+    [S, a*] is summed per block from the commutator values of _ad_map on flat
+    slots i*n + j, and the taint mask follows _ad_map's reach.
+    """
+    div = ring.divisor(divisor_name)
+    p = ring.prime
+    n = len(ring.basis)
+    trunc = endo.trunc
+    tables = solver._ad_tables(ring, div)
+    k = _slot_bytes((2 * n * len(tables) * (p - 1) ** 2).bit_length() + 1)
+    count = trunc + 1
+
+    def packed(entries):
+        rows = {}
+        for (i, j, d), c in entries.items():
+            if d < count:
+                rows.setdefault(i * n + j, [0] * count)[d] = c
+        return {s: _pack(row, k) for s, row in rows.items()}
+
+    def residual_slots(x, weights, y, skip):
+        out = []
+        for s in x.keys() | y.keys():
+            u, v = _unpack(x.get(s, 0), k, count), _unpack(y.get(s, 0), k, count)
+            for d in range(count):
+                r = (weights[d] * u[d] + v[d]) % p
+                if r and divmod(s, n) + (d,) not in skip:
+                    out.append((d,) + divmod(s, n) + (r,))
+        return sorted(out)
+
+    series_ = packed(endo.entries)
+    com = {}
+    com_mask = set()
+    for e, (values, reach) in tables.items():
+        for s, u in series_.items():
+            u <<= 8 * k * e
+            for t, v in values[s]:
+                com[t] = com.get(t, 0) + v * u
+        for (i, j, d) in endo.taint:
+            if d + e <= trunc:
+                com_mask.update(divmod(t, n) + (d + e,) for t in reach[i * n + j])
+    slots = n * n * count
+    checked = slots - len(com_mask.union(s for s in endo.taint if s[2] <= trunc))
+    lam_d = [div.pairing * d % p for d in range(count)]
+    failures = tuple(
+        "residual %d at %s" % (r, endo.slot_text(i, j, d))
+        for d, i, j, r in residual_slots(series_, lam_d, com, com_mask | endo.taint)
+    )
+    pi_checked, pi_failures = 0, ()
+    if pi is not None:
+        pi_checked = slots - len(com_mask.union(s for s in pi.taint if s[2] <= trunc))
+        pi_failures = tuple(
+            "divisor relation fails at %s" % endo.slot_text(i, j, d)
+            for d, i, j, _ in residual_slots(
+                packed(pi.entries), [1] * count, com, com_mask | pi.taint
+            )
+        )
+    return solver.ResidualReport(checked, failures, pi_checked, pi_failures)
+
+
+def _retainted(s, rng):
+    """s with one to three more live slots moved from its entries to its taint."""
+    live = [
+        (i, j, d)
+        for i in range(len(s.ring.basis))
+        for j in range(len(s.ring.basis))
+        for d in range(s.trunc + 1)
+        if s.kappa(i, j, d) is not None and (i, j, d) not in s.taint
+    ]
+    taint = set(s.taint) | set(rng.sample(live, min(len(live), rng.randint(1, 3))))
+    entries = {slot: c for slot, c in s.entries.items() if slot not in taint}
+    return GradedEndomorphism(s.ring, s.degree, s.trunc, entries, taint)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 101, 211])
+def test_recheck_by_packed_product_matches_the_ad_table_recheck(p):
+    rng = random.Random(1000 + p)
+    cases = 0
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        ring = builtin_ring(name, p)
+        for b in ring.basis:
+            endo, _ = solve_qsigma(b.name, ring)
+            for div in ring.divisors:
+                a = ring.basis[div.index].name
+                pi = qpi(a, endo)
+                inputs = [(endo, None), (endo, pi), (_perturbed(endo, rng), None)]
+                inputs += [(_perturbed(endo, rng), pi), (endo, _perturbed(pi, rng))]
+                inputs += [(_retainted(endo, rng), pi), (endo, _retainted(pi, rng))]
+                for s, pi_in in inputs:
+                    got = verify_covariant_constancy(s, a, ring, pi=pi_in)
+                    assert got == _constancy_on_ad_tables(s, a, ring, pi=pi_in)
+                    cases += 1
+    assert cases == 7 * 9
+
+
+@pytest.mark.parametrize("scale", [-1, 2])
+def test_recheck_flags_a_scaled_ad_map(monkeypatch, scale):
+    # The re-check multiplies by the divisor map itself, not by the sweep's
+    # _ad_map values, so a fault in those values cannot cancel out.
+    cases = [
+        (name, b.name, p)
+        for p in (3, 5, 7, 11, 31)
+        for name in ("s2", "cubic_surface", "quadric_intersection")
+        for b in builtin_ring(name, p).basis[1:]
+    ]
+    want = {case: solve_qsigma(case[1], builtin_ring(case[0], case[2]))[0] for case in cases}
+    real = solver._ad_map
+
+    def scaled(block, n, p):
+        values, reach = real(block, n, p)
+        return [tuple((t, scale * c % p) for t, c in row) for row in values], reach
+
+    monkeypatch.setattr(solver, "_ad_map", scaled)
+    wrong = 0
+    for case in cases:
+        name, cls, p = case
+        try:
+            got, report = solve_qsigma(cls, builtin_ring(name, p))
+        except (InconsistentSeed, NegativePowerResidue):
+            continue
+        if got != want[case]:
+            wrong += 1
+            assert any(report.residual_failures.values()), case
+    assert len(cases) == 30 and wrong >= 20
 
 
 # -- generator strategy ---------------------------------------------------------
