@@ -13,7 +13,8 @@ product (i, j, d1) then (j, k, d2) lands on (i, k, d1 + d2), and a tainted
 slot taints its product with every stored or tainted slot of the other
 factor.  compose and the solver's residual re-check multiply whole graded
 maps by Kronecker substitution in k-byte slots (_packed_matmul); the sweep
-multiplies by a divisor block through its commutator map (solver._ad_map).
+multiplies by a divisor block through its commutator lists (solver._ad_map),
+and a masked slot taints every slot its list names.
 On a single class the rule is _reach: a coefficient slot (k, q) of e_k q^q
 reaches (j, q + d) for every slot (j, d) of the operator's column k.
 """
@@ -142,8 +143,7 @@ class GradedEndomorphism:
         """Equality of the underlying operators (truncation not compared)."""
         return (
             isinstance(other, GradedEndomorphism)
-            and self.ring.prime == other.ring.prime
-            and [b.name for b in self.ring.basis] == [b.name for b in other.ring.basis]
+            and self.ring._context == other.ring._context
             and self.degree == other.degree
             and self.entries == other.entries
             and self.taint == other.taint

@@ -64,9 +64,14 @@ def _check_fields(obj, kind, where, names):
 def validate_manifold_data(data):
     """data, once every object has exactly its fields, of their types, naming known classes."""
     _check_fields(data, "manifold", "manifold", ())
+    names = []
     for i, b in enumerate(data["basis"]):
         _check_fields(b, "basis", "basis[%d]" % i, ())
-    names = [b["name"] for b in data["basis"]]
+        if b["name"] in names:
+            raise ManifoldFormatError(
+                "basis[%d].name: duplicate class %r" % (i, b["name"]), field="basis[%d].name" % i
+            )
+        names.append(b["name"])
     for i, dv in enumerate(data["divisors"]):
         _check_fields(dv, "divisors", "divisors[%d]" % i, names)
     for i, pr in enumerate(data["products"]):

@@ -85,8 +85,12 @@ class QuantumRing:
                 raise ValueError("odd or negative degree class %r" % (b.name,))
         if q_degree <= 0 or q_degree % 2:
             raise ValueError("q_degree must be a positive even integer")
-        if dimension_top % 2 or dimension_top < max(b.degree for b in self.basis):
-            raise ValueError("bad dimension_top")
+        top = max(b.degree for b in self.basis)
+        if dimension_top % 2 or dimension_top < top:
+            raise ValueError(
+                "bad dimension_top %d: must be even and at least the top basis degree %d"
+                % (dimension_top, top)
+            )
 
         self.divisors = tuple(Divisor(i, lam, prim) for i, lam, prim in divisors)
         for div in self.divisors:
@@ -104,11 +108,13 @@ class QuantumRing:
             clean = {k: int(c) for k, c in terms.items() if int(c) != 0}
             for key in ((i, j, d), (j, i, d)):
                 if key in self._sc and self._sc[key] != clean:
-                    raise ValueError("conflicting product entry %r" % (key,))
+                    raise ValueError(
+                        "conflicting product entry (%s, %s, q^%d)"
+                        % (names[key[0]], names[key[1]], d)
+                    )
                 self._sc[key] = clean
         self._sc_mod = {}
-        self._ad = {}  # divisor index -> solver._ad_tables
-        self._mult = {}  # divisor index -> (k, A, -A), packed by solver._ad_tables
+        self._mult = {}  # divisor index -> solver._divisor_map
         self._degrees = tuple(b.degree for b in self.basis)  # read by endo.kappa, slot_text
         self._context = (self.prime, self.basis, q_degree, dimension_top)  # _check_compatible
         # (i, j) -> ascending q-orders with stored constants; products of
@@ -298,6 +304,7 @@ class CohomologyElement:
         return not self.components
 
     def __add__(self, other):
+        _check_compatible(self.ring, other.ring, "addition")
         if self.is_zero():
             return other
         if other.is_zero():
@@ -371,7 +378,7 @@ class CohomologyElement:
     def __eq__(self, other):
         return (
             isinstance(other, CohomologyElement)
-            and self.ring.prime == other.ring.prime
+            and self.ring._context == other.ring._context
             and self.components == other.components
         )
 

@@ -18,12 +18,13 @@ pinned by the t^0 seeds or by degree pruning is marked tainted, and taint
 propagates forward through later right-hand sides.  The solver reports; it
 never guesses.
 
-Each commutator X -> [X, A_e] is tabulated once per ring and divisor as a
-linear map on flat slots s = i*n + j, with the slots a tainted X slot
-reaches (_ad_tables).  Each q-order is a list of n^2 ints and its taint a
-set of slots; the right-hand sides and the sweep apply those tables.  The
-residual re-check does not: it multiplies by A itself, with compose's
-packed product, so a fault in the tables cannot cancel out.
+A is built once per ring and divisor (_divisor_map): its rows, read by
+the connection chain and qst_auto's peel; per block, the commutator
+X -> [X, A_e] as one list per flat slot s = i*n + j of the slots it touches
+(_ad_map), which both the values and the taint follow; and A packed for the
+re-check.  Each q-order is a list of n^2 ints and its taint a set of slots.
+The residual re-check multiplies by A itself, with compose's packed
+product, so a fault in the commutator lists cannot cancel out.
 """
 
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ class QstResult:
     report: object
 
 
-# -- the commutator with a divisor block, as a map on flat slots --------------
+# -- A, the map of multiplication by a divisor, and its commutators ------------
 
 
 def _divisor_blocks(ring, div):
@@ -80,21 +81,20 @@ def _divisor_blocks(ring, div):
     return dict(sorted(blocks.items()))
 
 
-def _ad_map(block, n, p):
+def _ad_map(block, n):
     """The commutator X -> [X, A] = X A - A X with one block A, on flat slots.
 
     Slot (i, j) of X, s = i*n + j, sends e_i to e_j; X acts first in X A.
-    Returns lists indexed by s: values[s] lists (t, c) with c the nonzero
-    coefficient mod p of [E_ij, A] at slot t; reach[s] lists every slot
-    either product touches, cancelled ones included.  Taint follows reach,
-    never values: a masked slot taints what it touches even where the two
-    products cancel (h_2 -> h_2 under A_1 on the cubic surface).
+    Returns one tuple per s of (t, c), c the unreduced coefficient of E_t in
+    [E_s, A].  Cancelled pairs stay listed with c = 0, so a masked slot,
+    which taints the slots its list names, still reaches them (h_2 -> h_2
+    under A_1 on the cubic surface).
     """
     rows, cols = {}, {}
     for (j, k), c in block.items():
         rows.setdefault(j, []).append((k, c))
         cols.setdefault(k, []).append((j, c))
-    values, reach = [], []
+    table = []
     for i in range(n):
         for j in range(n):
             acc = {}
@@ -102,41 +102,46 @@ def _ad_map(block, n, p):
                 acc[i * n + k] = acc.get(i * n + k, 0) + c
             for h, c in cols.get(i, ()):
                 acc[h * n + j] = acc.get(h * n + j, 0) - c
-            reach.append(tuple(acc))
-            values.append(tuple((t, c % p) for t, c in acc.items() if c % p))
-    return values, reach
+            table.append(tuple(acc.items()))
+    return table
 
 
-def _ad_tables(ring, div):
-    """{e: _ad_map(A_e)} for the divisor, the sweep's tables, built once per ring.
+def _divisor_map(ring, div):
+    """A, the map of quantum multiplication by the divisor, built once per ring.
 
-    The same _divisor_blocks call gives the re-check its map A = {(i, j, e): c}:
-    ring._mult[div.index] holds (k, A, -A mod p), packed in k-byte slots.
+    Returns ring._mult[div.index] = (rows, tables, k, A, -A mod p), all from
+    one _divisor_blocks call: rows[i] = {(j, e): c} lists the q^e e_j terms
+    of a * e_i, tables = {e: _ad_map(A_e)} are the sweep's, and the
+    re-check's A = {(i, j, e): c} and -A are packed in k-byte slots.
     """
-    tables = ring._ad.get(div.index)
-    if tables is None:
+    entry = ring._mult.get(div.index)
+    if entry is None:
         n, p = len(ring.basis), ring.prime
         blocks = _divisor_blocks(ring, div)
-        tables = ring._ad[div.index] = {e: _ad_map(block, n, p) for e, block in blocks.items()}
+        a = {(i, j, e): c for e, block in blocks.items() for (i, j), c in block.items()}
+        rows = [{} for _ in range(n)]
+        for (i, j, e), c in a.items():
+            rows[i][(j, e)] = c
         # A slot of S A + (-A) S sums at most 2n products per block, each below p^2.
         k = _slot_bytes((2 * n * len(blocks) * (p - 1) ** 2).bit_length() + 1)
-        a = {(i, j, e): c for e, block in blocks.items() for (i, j), c in block.items()}
         minus = {s: -c % p for s, c in a.items()}
-        ring._mult[div.index] = (k,) + tuple(_pack_series(x, k, max(blocks)) for x in (a, minus))
-    return tables
+        packed = tuple(_pack_series(x, k, max(blocks)) for x in (a, minus))
+        tables = {e: _ad_map(block, n) for e, block in blocks.items()}
+        entry = ring._mult[div.index] = (rows, tables, k) + packed
+    return entry
 
 
 # -- seeds -------------------------------------------------------------------
 
 
-def _seed_class(b, ring, layer):
-    """b at q^0 as a vector {(k, 0): c}, and its degree; b must be homogeneous and t-free there."""
-    b = basis_class(ring, b, 0) if isinstance(b, str) else b.retruncate(0)
+def _seed_class(b, ring, what):
+    """b as a vector {(k, 0): c}, and its degree; b must be a homogeneous q,t-free class."""
+    b = basis_class(ring, b, 0) if isinstance(b, str) else b
+    if any(m.q or m.t or m.theta for f in b.components.values() for m in f.terms):
+        raise ValueError("%s needs a q,t-free class; see qsigma_lambda" % what)
     deg = b.degree
     if deg is None:
-        raise ValueError("%s needs a homogeneous class" % layer)
-    if any(m.t or m.theta for f in b.components.values() for m in f.terms):
-        raise ValueError("%s needs a q,t-free class" % layer)
+        raise ValueError("%s needs a homogeneous class" % what)
     return {(k, 0): f.coefficient(0, 0) for k, f in b.components.items()}, deg
 
 
@@ -210,17 +215,11 @@ def solve_qsigma(b, ring, trunc=None):
     Solved once per (ring, class, resolved truncation); repeated calls return
     an equal endomorphism and the same report, which callers must not mutate.
     """
-    b = basis_class(ring, b, 0) if isinstance(b, str) else b.retruncate(0)
+    b = basis_class(ring, b, 0) if isinstance(b, str) else b
     _check_compatible(ring, b.ring, "solve_qsigma")
     if b.is_zero():
         raise ValueError("b must be nonzero")
-    deg = b.degree
-    if deg is None:
-        raise ValueError("b must be homogeneous")
-    for f in b.components.values():
-        for mono in f.terms:
-            if mono.q or mono.t or mono.theta:
-                raise ValueError("b must be a q,t-free class; see qsigma_lambda")
+    vector, deg = _seed_class(b, ring, "solve_qsigma")
     p = ring.prime
     g = p * deg
     if trunc is None:
@@ -234,14 +233,14 @@ def solve_qsigma(b, ring, trunc=None):
     # keys it like one of the ring's own.  The cache keeps no endo, only its
     # normalised state and row-index box, so it holds no reference back to
     # the ring; a hit rebuilds the endo without normalising it again.
-    cls = sorted((k, f.coefficient(0, 0) % p) for k, f in b.components.items())
+    cls = sorted((k, c % p) for (k, _), c in vector.items())
     key = (tuple(cls), trunc)
     if key in ring._solved:
         entries, taint, index, report = ring._solved[key]
         return GradedEndomorphism._trusted(ring, g, trunc, entries, taint, index), report
     n = len(ring.basis)
-    tables = _ad_tables(ring, div)
-    values0, reach0 = tables[0]
+    tables = _divisor_map(ring, div)[1]
+    ad0 = tables[0]
     # Slot s = i*n + j has t-exponent exps[s] - (q_degree/2) d at order d:
     # live above that floor, a t^0 seed at it, dead below it.
     degrees = ring._degrees
@@ -267,23 +266,24 @@ def solve_qsigma(b, ring, trunc=None):
             # x = rhs = -sum_{e >= 1} [E_{d-e}, A_e]; then one sweep by
             # increasing shift sets x_s = inv (rhs_s - [X, A_0]_s) in place,
             # since [., A_0] raises the shift by 2.  The mask, the taint of
-            # the right-hand side closed under A_0's reach, takes no value.
-            for e, (values, reach) in tables.items():
+            # the right-hand side closed under A_0, takes no value; a masked
+            # slot taints every slot its table lists.
+            for e, table in tables.items():
                 if 1 <= e <= d:
                     for s, c in layers[d - e]:
-                        for t, v in values[s]:
+                        for t, v in table[s]:
                             x[t] -= c * v
                     for s in masks[d - e]:
-                        mask.update(reach[s])
+                        mask.update(t for t, _ in table[s])
             inv = fp_inv(lam * d, p)
             for s in order:
                 if s in mask:
-                    mask.update(reach0[s])
+                    mask.update(t for t, _ in ad0[s])
                     x[s] = 0
                     continue
                 c = x[s] = x[s] * inv % p
                 if c:
-                    for t, v in values0[s]:
+                    for t, v in ad0[s]:
                         x[t] -= c * v
         else:  # undetermined: every live slot and seed
             mask.update(s for s in order if exps[s] >= floor)
@@ -360,7 +360,7 @@ def verify_covariant_constancy(endo, divisor_name, ring, pi=None):
     [S, a*] = S A - A S, with A = {(i, j, e): c} the map of quantum
     multiplication by the divisor, is one endo._packed_matmul, the product
     compose uses, on S packed once and on A and -A mod p packed once per ring
-    (_ad_tables).  A tainted slot (i, j, d) reaches (i, l, d + e) for each
+    (_divisor_map).  A tainted slot (i, j, d) reaches (i, l, d + e) for each
     (j, l, e) of A and (h, j, d + e) for each (h, i, e) of A: the support of
     the same product on S's taint.  lambda*d*S + [S, a*] is then checked
     slot by slot mod p on the unpacked series.  Every slot with d <= trunc
@@ -371,8 +371,7 @@ def verify_covariant_constancy(endo, divisor_name, ring, pi=None):
     t*QPi_{a,b}(c) = QSigma_b(a*c) - a*QSigma_b(c) is checked as well.
     """
     div = ring.divisor(divisor_name)
-    _ad_tables(ring, div)
-    k, plus, minus = ring._mult[div.index]
+    _, _, k, plus, minus = _divisor_map(ring, div)
     p, n, trunc = ring.prime, len(ring.basis), endo.trunc
     count = trunc + 1
     series = _pack_series(endo.entries, k, trunc)
@@ -495,19 +494,6 @@ def _rewrite_in_connection_powers(ring, target_index):
     return [cand + (c,) for cand, c in zip(candidates, sol) if c]
 
 
-def _nabla_column(ring):
-    """The columns {k: [(j, d)]} of nabla_a for the primary divisor a.
-
-    t d_a keeps a slot (k, q); a * moves it to (j, q + d) for each q^d e_j
-    term of a * e_k (_class_product).
-    """
-    a = ring.primary.index
-    return {
-        k: [(k, 0)] + list(_class_product(ring, {(a, 0): 1}, {(k, 0): 1}))
-        for k in range(len(ring.basis))
-    }
-
-
 def qsigma_apply(b, x, ring, trunc=None):
     """Evaluate QSigma_b on an element, preferring taint-free routes.
 
@@ -532,9 +518,10 @@ def qsigma_apply(b, x, ring, trunc=None):
         if col_taint:
             rewritten = _rewrite_in_connection_powers(ring, k)
             if rewritten is not None:
-                if not chain:
+                if not chain:  # t d_a keeps a slot (k, q); a * moves it along A's row k
                     chain[0], chain_taint[0] = endo.column("1", trunc)
-                    nabla = _nabla_column(ring)
+                    rows = _divisor_map(ring, ring.primary)[0]
+                    nabla = {k: [(k, 0), *row] for k, row in enumerate(rows)}
                 while len(chain) <= max(n for n, _, _, _ in rewritten):
                     n = len(chain)
                     chain[n] = connection_apply(a_name, chain[n - 1], ring)
@@ -626,12 +613,10 @@ def qst_auto(name, ring, trunc=None):
     if not r.taint:
         return r.element, set(), "direct"
     out_trunc = r.element.trunc if r.element.trunc is not None else r.endo.trunc
-    a = ring.primary
-    a_name = ring.basis[a.index].name
-    for i, be in enumerate(ring.basis):
-        # a * e_i must be u e_target at q^0 alone: simultaneous degree-peers
-        # are unsupported
-        product = _class_product(ring, {(a.index, 0): 1}, {(i, 0): 1})
+    a_name = ring.basis[ring.primary.index].name
+    for be, product in zip(ring.basis, _divisor_map(ring, ring.primary)[0]):
+        # a * be, A's row, must be u e_target at q^0 alone: simultaneous
+        # degree-peers are unsupported
         lead = {k: c for (k, d), c in product.items() if not d}
         if set(lead) != {target}:
             continue

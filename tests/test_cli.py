@@ -252,14 +252,84 @@ def test_unknown_class_exits_one_naming_the_manifold(capsys):
     assert capsys.readouterr().err == "error: cubic_surface has no basis element 'x'\n"
 
 
-def test_unknown_class_in_verify_is_one_unquoted_finding(tmp_path):
-    # a file named s2 whose class h is called x: the oracle suite looks up h
+def test_unknown_class_in_verify_is_one_unquoted_finding(tmp_path, monkeypatch):
+    # a file named s2 whose class h is called x is not the built-in sphere,
+    # so no oracle table applies to it
     data = json.loads(json.dumps(builtin_manifold("s2")).replace('"h"', '"x"'))
     path = tmp_path / "renamed.json"
     path.write_text(dump_manifold(data))
-    code, text = run_cli(["verify", "--manifold", str(path), "--prime", "3", "--suite", "oracle"])
-    assert code == 1
-    assert text == "FAIL oracle: error: s2 has no basis element 'h'\n"
+    argv = ["verify", "--manifold", str(path), "--prime", "3", "--suite", "oracle"]
+    assert run_cli(argv) == (0, "PASS oracle: no oracle tables for 's2' (built-in data only)\n")
+
+    def looks_up_h(ring, args, failures):
+        ring.index("h")
+
+    # a suite's KeyError is one finding, without the quotes str() adds
+    monkeypatch.setitem(cli._SUITES, "oracle", looks_up_h)
+    assert run_cli(argv) == (1, "FAIL oracle: error: s2 has no basis element 'h'\n")
+
+
+@pytest.mark.parametrize("name", ["p1", "s2"])
+def test_oracle_suite_runs_only_on_builtin_data(tmp_path, name):
+    # the sphere's data renamed p1, and a file named s2 with h*h = 2q: the
+    # oracle tables are the built-in sphere's, so neither is held to them
+    data = builtin_manifold("s2")
+    data["name"] = name
+    if name == "s2":
+        data["products"][0]["terms"][0]["coeff"] = 2
+    path = tmp_path / "sphere.json"
+    path.write_text(dump_manifold(data))
+    code, text = run_cli(["verify", "--manifold", str(path), "--prime", "3", "--suite", "all"])
+    assert code == 0 and text.count("PASS") == 5
+    assert "PASS oracle: no oracle tables for %r (built-in data only)\n" % name in text
+    exported = tmp_path / "exported.json"
+    run_cli(["export", "--manifold", "builtin:s2", "--out", str(exported)])
+    code, text = run_cli(["verify", "--manifold", str(exported), "--prime", "3", "--suite", "oracle"])
+    assert (code, text) == (0, "PASS oracle: closed forms, rational pipeline, tabulated values\n")
+
+
+def _product(left, right, q, basis, coeff):
+    return {"left": left, "right": right, "q": q, "terms": [{"basis": basis, "coeff": coeff}]}
+
+
+# Every rejection of a ring definition, on the quadric intersection: the
+# change to its file and the one error line that names the cause
+REJECTED = [
+    (lambda d: d["basis"].append({"name": "h_2", "degree": 8}),
+     "basis[4].name: duplicate class 'h_2'"),
+    (lambda d: d["basis"].reverse(), 'basis must start with the unit "1" of degree 0'),
+    (lambda d: d["basis"].append({"name": "u", "degree": 0}), "exactly one degree-0 class allowed"),
+    (lambda d: d["basis"][3].update(degree=7), "odd or negative degree class 'h_6'"),
+    (lambda d: d["basis"].append({"name": "m", "degree": -2}), "odd or negative degree class 'm'"),
+    (lambda d: d.update(q_degree=3), "q_degree must be a positive even integer"),
+    (lambda d: d.update(dimension_top=4),
+     "bad dimension_top 4: must be even and at least the top basis degree 6"),
+    (lambda d: d["divisors"][0].update(name="h_4"), "divisor h_4 has degree != 2"),
+    (lambda d: d["divisors"][0].update(primary=False), "exactly one divisor must be flagged primary"),
+    (lambda d: d["products"].append(_product("1", "h_2", 0, "h_2", 1)),
+     "products of the unit are implied, not stored"),
+    (lambda d: d["products"].append(_product("h_2", "h_2", -1, "h_6", 1)), "negative q-order"),
+    (lambda d: d["products"].append(_product("h_4", "h_2", 0, "h_6", 2)),
+     "conflicting product entry (h_4, h_2, q^0)"),
+]
+
+
+@pytest.mark.parametrize("change, message", REJECTED, ids=[m for _, m in REJECTED])
+def test_rejected_ring_definition_names_the_cause(tmp_path, capsys, change, message):
+    data = builtin_manifold("quadric_intersection")
+    change(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(["compute", "--manifold", str(path), "--prime", "5", "--class", "h_2"])
+    # one error line and no traceback
+    assert (code, out, capsys.readouterr().err) == (1, "", "error: %s\n" % message)
+
+
+def test_tainted_qst_lists_its_taint():
+    argv = ["compute", "--manifold", "builtin:cubic_surface", "--prime", "3", "--class", "h_4"]
+    text = "QSt(h_4) = t^4*h_4\ntaint:\n  (1, q^3)\n  (h_2, q^3)\n  (h_4, q^3)\n"
+    assert run_cli(argv + ["--op", "qst"]) == (0, text)
+    assert run_cli(argv + ["--op", "qst", "--strict"]) == (2, text)
 
 
 def test_unknown_field_rejected(tmp_path):

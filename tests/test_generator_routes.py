@@ -141,7 +141,8 @@ def test_reach_matches_the_taint_rules_it_replaced(p):
         a = ring.primary.index
         a_name = ring.basis[a].name
         sigma_a = solve_qsigma(a_name, ring)[0]
-        nabla = solver._nabla_column(ring)
+        rows = solver._divisor_map(ring, ring.primary)[0]
+        nabla = {k: [(k, 0), *row] for k, row in enumerate(rows)}  # qsigma_apply's columns
         for b in ring.basis:
             endo = solve_qsigma(b.name, ring)[0]
             trunc = endo.trunc

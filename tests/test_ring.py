@@ -52,6 +52,12 @@ def test_ring_is_read_only():
     assert ring._sc_mod[(1, 1, 0)] == {2: 1}
 
 
+def test_ring_built_directly_rejects_duplicate_names():
+    # a manifold file is stopped earlier, by validate_manifold_data
+    with pytest.raises(ValueError, match="duplicate basis names"):
+        ring_mod.QuantumRing("x", 3, [("1", 0), ("h", 2), ("h", 4)], 4, 4, [(1, 1, True)], {})
+
+
 def test_s2_products():
     for p in (3, 5):
         ring = builtin_ring("s2", p)

@@ -28,6 +28,7 @@ from qsteenrod.manifold_io import dump_manifold, ring_from_data
 from qsteenrod.oracles import builtin_manifold, builtin_ring, s2_closed_form
 from qsteenrod.ring import (
     CohomologyElement,
+    _class_product,
     basis_class,
     classical_product,
     connection_apply,
@@ -642,8 +643,14 @@ def test_compose_s2():
         lambda s2, quad: quantum_product(basis_class(s2, "h", 2), basis_class(quad, "h_2", 2)),
         lambda s2, quad: solve_qsigma(basis_class(quad, "h_2", 0), s2),
         lambda s2, quad: qsigma_apply("h", basis_class(quad, "h_2", 2), s2),
+        lambda s2, quad: basis_class(s2, "h", 2) + basis_class(quad, "h_4", 2),
+        lambda s2, quad: zero_element(s2, 2) + basis_class(quad, "h_4", 2),
+        lambda s2, quad: basis_class(s2, "h", 2) - zero_element(quad, 2),
     ],
-    ids=["compose", "apply h_2", "apply h_4", "quantum_product", "solve", "qsigma_apply"],
+    ids=[
+        "compose", "apply h_2", "apply h_4", "quantum_product", "solve", "qsigma_apply",
+        "add", "add to zero", "subtract zero",
+    ],
 )
 def test_rings_with_one_prime_but_different_bases_do_not_mix(mix):
     s2, quad = builtin_ring("s2", 3), builtin_ring("quadric_intersection", 3)
@@ -662,6 +669,32 @@ def test_compatible_rings_mix_and_share_one_solve():
     assert s1.apply(x) == t2.apply(x) == s1.apply(basis_class(one, "h", 2))
     assert qsigma_apply("h", x, one) == qsigma_apply("h", x, two)
     assert quantum_product(basis_class(one, "h", 2), x) == quantum_product(x, x)
+
+
+def test_rings_that_differ_only_past_names_and_prime_are_unequal():
+    s2, quad = builtin_ring("s2", 3), builtin_ring("quadric_intersection", 3)
+    assert basis_class(s2, "h", 2) != basis_class(quad, "h_2", 2)
+    data = builtin_manifold("s2")
+    data["q_degree"] = 2  # the sphere's names and prime, another grading of q
+    other = ring_from_data(data, 3)
+    assert identity_endo(s2, 1) != identity_endo(other, 1)
+    assert basis_class(s2, "h", 2) != basis_class(other, "h", 2)
+    one, two = builtin_ring("s2", 3), builtin_ring("s2", 3)
+    assert identity_endo(one) == identity_endo(two)
+    total = basis_class(one, "h", 2) + basis_class(two, "1", 2)
+    assert total == element(two, 2, [("1", 0, 0, 1), ("h", 0, 0, 1)])
+
+
+@pytest.mark.parametrize("entry", [solve_qsigma, tzero_layer, initial_layer])
+def test_a_class_with_q_terms_is_rejected_by_every_seed_entry_point(entry):
+    # h_4 + q on the quadric is homogeneous of degree 4, but not q-free
+    ring = builtin_ring("quadric_intersection", 5)
+    b = element(ring, 2, [("h_4", 0, 0, 1), ("1", 1, 0, 1)])
+    assert b.degree == 4
+    with pytest.raises(ValueError, match="needs a q,t-free class; see qsigma_lambda"):
+        entry(b, ring)
+    assert not ring._solved
+    assert entry(element(ring, 2, [("h_4", 0, 0, 1)]), ring) == entry("h_4", ring)
 
 
 def test_compose_identity():
@@ -870,16 +903,17 @@ def test_residual_on_a_t_inverse_slot_is_reported():
 
 
 def _constancy_on_ad_tables(endo, divisor_name, ring, pi=None):
-    """The verify_covariant_constancy that multiplied S by the sweep's own _ad_tables.
+    """The verify_covariant_constancy that multiplied S by commutator tables.
 
-    [S, a*] is summed per block from the commutator values of _ad_map on flat
-    slots i*n + j, and the taint mask follows _ad_map's reach.
+    [S, a*] is summed per block from the commutator values of _ad_map_by_tuple
+    on slots (i, j), and the taint mask follows its reach.
     """
     div = ring.divisor(divisor_name)
     p = ring.prime
     n = len(ring.basis)
     trunc = endo.trunc
-    tables = solver._ad_tables(ring, div)
+    blocks = solver._divisor_blocks(ring, div)
+    tables = {e: _ad_map_by_tuple(block, n, p) for e, block in blocks.items()}
     k = _slot_bytes((2 * n * len(tables) * (p - 1) ** 2).bit_length() + 1)
     count = trunc + 1
 
@@ -887,7 +921,7 @@ def _constancy_on_ad_tables(endo, divisor_name, ring, pi=None):
         rows = {}
         for (i, j, d), c in entries.items():
             if d < count:
-                rows.setdefault(i * n + j, [0] * count)[d] = c
+                rows.setdefault((i, j), [0] * count)[d] = c
         return {s: _pack(row, k) for s, row in rows.items()}
 
     def residual_slots(x, weights, y, skip):
@@ -896,8 +930,8 @@ def _constancy_on_ad_tables(endo, divisor_name, ring, pi=None):
             u, v = _unpack(x.get(s, 0), k, count), _unpack(y.get(s, 0), k, count)
             for d in range(count):
                 r = (weights[d] * u[d] + v[d]) % p
-                if r and divmod(s, n) + (d,) not in skip:
-                    out.append((d,) + divmod(s, n) + (r,))
+                if r and s + (d,) not in skip:
+                    out.append((d,) + s + (r,))
         return sorted(out)
 
     series_ = packed(endo.entries)
@@ -906,11 +940,11 @@ def _constancy_on_ad_tables(endo, divisor_name, ring, pi=None):
     for e, (values, reach) in tables.items():
         for s, u in series_.items():
             u <<= 8 * k * e
-            for t, v in values[s]:
+            for t, v in values.get(s, ()):
                 com[t] = com.get(t, 0) + v * u
         for (i, j, d) in endo.taint:
             if d + e <= trunc:
-                com_mask.update(divmod(t, n) + (d + e,) for t in reach[i * n + j])
+                com_mask.update(t + (d + e,) for t in reach.get((i, j), ()))
     slots = n * n * count
     checked = slots - len(com_mask.union(s for s in endo.taint if s[2] <= trunc))
     lam_d = [div.pairing * d % p for d in range(count)]
@@ -968,7 +1002,7 @@ def test_recheck_by_packed_product_matches_the_ad_table_recheck(p):
 @pytest.mark.parametrize("scale", [-1, 2])
 def test_recheck_flags_a_scaled_ad_map(monkeypatch, scale):
     # The re-check multiplies by the divisor map itself, not by the sweep's
-    # _ad_map values, so a fault in those values cannot cancel out.
+    # _ad_map lists, so a fault in those values cannot cancel out.
     cases = [
         (name, b.name, p)
         for p in (3, 5, 7, 11, 31)
@@ -978,9 +1012,8 @@ def test_recheck_flags_a_scaled_ad_map(monkeypatch, scale):
     want = {case: solve_qsigma(case[1], builtin_ring(case[0], case[2]))[0] for case in cases}
     real = solver._ad_map
 
-    def scaled(block, n, p):
-        values, reach = real(block, n, p)
-        return [tuple((t, scale * c % p) for t, c in row) for row in values], reach
+    def scaled(block, n):
+        return [tuple((t, scale * c) for t, c in row) for row in real(block, n)]
 
     monkeypatch.setattr(solver, "_ad_map", scaled)
     wrong = 0
@@ -1245,24 +1278,34 @@ def test_compose_matches_all_pairs_reference(name, p, left, right, trunc, tainte
 
 def test_ad_tables_are_built_once_per_ring_and_shared(monkeypatch):
     calls = []
-    real = solver._ad_map
-    monkeypatch.setattr(solver, "_ad_map", lambda *args: calls.append(args) or real(*args))
+    real = {name: getattr(solver, name) for name in ("_divisor_blocks", "_ad_map")}
+    for name, fn in real.items():
+        monkeypatch.setattr(
+            solver, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args)
+        )
     ring = builtin_ring("quadric_intersection", 5)
     div = ring.primary
-    blocks = solver._divisor_blocks(ring, div)
+    n = len(ring.basis)
+    blocks = real["_divisor_blocks"](ring, div)
     endo, _ = solve_qsigma("h_2", ring)  # the solve, then its re-check
-    assert len(calls) == len(blocks)
-    tables = ring._ad[div.index]
+    built = ["_divisor_blocks"] + ["_ad_map"] * len(blocks)
+    assert calls == built
+    entry = ring._mult[div.index]
+    rows, tables = entry[:2]
     assert set(tables) == set(blocks)
     for e, block in blocks.items():
-        assert tables[e] == real(block, len(ring.basis), 5)
+        assert tables[e] == real["_ad_map"](block, n)
+    for i in range(n):  # the rows the connection chain and qst_auto's peel read
+        assert rows[i] == _class_product(ring, {(div.index, 0): 1}, {(i, 0): 1})
     for b in ring.basis:
         solve_qsigma(b.name, ring)
+        qst_auto(b.name, ring)
+        qsigma_apply("h_2", basis_class(ring, b.name, 3), ring)
     assert verify_covariant_constancy(endo, "h_2", ring).ok
-    assert len(calls) == len(blocks) and solver._ad_tables(ring, div) is tables
+    assert calls == built and solver._divisor_map(ring, div) is entry
     other = builtin_ring("quadric_intersection", 5)
     solve_qsigma("h_2", other)
-    assert len(calls) == 2 * len(blocks) and other._ad[div.index] is not tables
+    assert calls == 2 * built and other._mult[div.index] is not entry
 
 
 # -- the dict-of-tuples solver, copied in as the reference -----------------------
@@ -1457,14 +1500,13 @@ def _commutator_reference(x, x_mask, a, p):
     return com, mask
 
 
-def _commutator_by_map(x, x_mask, ad, e, n, p):
-    values, reach = ad
+def _commutator_by_map(x, x_mask, table, e, n, p):
     com = {}
     for (i, j, d), c in x.items():
-        for t, v in values[i * n + j]:
+        for t, v in table[i * n + j]:
             key = divmod(t, n) + (d + e,)
             com[key] = com.get(key, 0) + c * v
-    mask = {divmod(t, n) + (d + e,) for (i, j, d) in x_mask for t in reach[i * n + j]}
+    mask = {divmod(t, n) + (d + e,) for (i, j, d) in x_mask for t, _ in table[i * n + j]}
     return {t: c % p for t, c in com.items() if c % p}, mask
 
 
@@ -1478,7 +1520,7 @@ def test_ad_map_matches_slot_map_products(p):
         slots = [(i, j) for i in range(n) for j in range(n)]
         for div in ring.divisors:
             for e, block in solver._divisor_blocks(ring, div).items():
-                ad = solver._ad_map(block, n, p)
+                ad = solver._ad_map(block, n)
                 a = {(i, j, e): c for (i, j), c in block.items()}
                 # every unit slot alone, then seeded random masked slot maps
                 xs = [({(i, j, 0): 1}, {(i, j, 0)}) for (i, j) in slots]
@@ -1497,18 +1539,18 @@ def test_ad_map_matches_slot_map_products(p):
 
 def test_ad_map_taint_reaches_cancelled_slots():
     # [X, A_1] on the cubic surface: A_1 = 9 q (h_2 -> h_2), so X A_1 and
-    # A_1 X cancel on h_2 -> h_2, which a tainted h_2 -> h_2 still reaches
+    # A_1 X cancel on h_2 -> h_2, which a tainted h_2 -> h_2 still reaches:
+    # its list sums to 0 there and still names the slot
     ring = builtin_ring("cubic_surface", 211)
     h2 = ring.index("h_2")
     block = solver._divisor_blocks(ring, ring.primary)[1]
     assert block == {(h2, h2): 9}
     n = len(ring.basis)
-    values, reach = solver._ad_map(block, n, 211)
-    assert not values[h2 * n + h2]
-    assert reach[h2 * n + h2] == (h2 * n + h2,)
+    table = solver._ad_map(block, n)
+    assert table[h2 * n + h2] == ((h2 * n + h2, 0),)
     x = {(h2, h2, 0): 5}
     assert _commutator_reference(x, set(x), {(h2, h2, 1): 9}, 211) == ({}, {(h2, h2, 1)})
-    assert _commutator_by_map(x, set(x), (values, reach), 1, n, 211) == ({}, {(h2, h2, 1)})
+    assert _commutator_by_map(x, set(x), table, 1, n, 211) == ({}, {(h2, h2, 1)})
 
 
 # -- the per-order sweep -------------------------------------------------------
@@ -1518,7 +1560,7 @@ def _neumann_reference(rhs, rhs_mask, inv, ad0, p, nmax):
     """The Neumann-series solve of lambda*d X + [X, A0] = rhs that _sweep replaced.
 
     X = sum_m (-1)^m inv^(m+1) [., A0]^m (rhs); the mask is rhs_mask closed
-    under the reach of ad0 = _ad_map(A0).
+    under the reach of ad0 = _ad_map_by_tuple(A0).
     """
     values0, reach0 = ad0
     acc = {}
