@@ -6,7 +6,6 @@ Exit codes: 0 success; 1 parse/validation errors or failed verification;
 
 import argparse
 import functools
-import os
 import sys
 
 from .errors import QSteenrodError
@@ -54,9 +53,6 @@ from .solver import (
     tzero_layer,
 )
 
-ENV_TRUNCATE = "QSROD_TRUNCATE_DEFAULT"
-
-
 def _load_data(source):
     if source.startswith("builtin:"):
         return _builtin_data(source[len("builtin:"):])  # read, never changed
@@ -68,20 +64,9 @@ def _load_ring(source, prime):
     return ring_from_data(_load_data(source), prime)
 
 
-def _truncation(args):
-    if args.truncate is not None:
-        return args.truncate
-    env = os.environ.get(ENV_TRUNCATE)
-    if env is None:
-        return None
-    if not env.strip().isdecimal():
-        raise ValueError("%s must be a non-negative integer, got %r" % (ENV_TRUNCATE, env))
-    return int(env)
-
-
 def cmd_compute(args, out):
     ring = _load_ring(args.manifold, require_prime(args.prime))
-    trunc = _truncation(args)
+    trunc = args.truncate
     meta = {
         "manifold": ring.name,
         "prime": ring.prime,

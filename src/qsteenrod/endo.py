@@ -12,7 +12,9 @@ the solver keeps one q-order as n^2 ints, slot (i, j) at i*n + j.  A
 product (i, j, d1) then (j, k, d2) lands on (i, k, d1 + d2), and a tainted
 slot taints its product with every stored or tainted slot of the other
 factor.  compose and the solver's residual re-check multiply whole graded
-maps by Kronecker substitution in k-byte slots (_packed_matmul); the sweep
+maps by Kronecker substitution in k-byte slots (_packed_matmul); a map
+applied to an element goes through the same product (_apply_rows, used by
+apply and column, qsigma_apply and the generator route's nabla); the sweep
 multiplies by a divisor block through its commutator lists (solver._ad_map),
 and a masked slot taints every slot its list names.
 On a single class the rule is _reach: a coefficient slot (k, q) of e_k q^q
@@ -21,7 +23,7 @@ reaches (j, q + d) for every slot (j, d) of the operator's column k.
 
 from dataclasses import dataclass, field
 
-from .ring import _check_compatible, _class_product, basis_class, element_from_terms
+from .ring import _check_compatible, _class_product, basis_class, element_from_terms, zero_element
 from .series import Monomial, _format_terms, _pack_series, _slot_bytes, _unpack_series
 
 
@@ -58,6 +60,35 @@ def _packed_matmul(pairs):
     return acc
 
 
+def _apply_rows(ring, g, rows, x, trunc):
+    """The image of x, truncated at q^trunc, under the degree-g map with rows {k: {(k, j, d): c}}.
+
+    x's terms are grouped by grading key (|e_k| + 2t + |q| q, theta), within
+    which q fixes t, so each (key, k) packs into one int (_pack_series); one
+    _packed_matmul multiplies them by the packed rows of the classes x
+    touches, and each output term's t-exponent follows from the grading.
+    Row values lie in [0, p), as x's coefficients do.
+    """
+    if x.is_zero():
+        return zero_element(ring, trunc)
+    degrees, qd = ring._degrees, ring.q_degree
+    # A slot of the product sums at most n (trunc + 1) products below p^2.
+    w = _slot_bytes((len(degrees) * (trunc + 1) * (ring.prime - 1) ** 2).bit_length())
+    terms = {
+        ((degrees[k] + 2 * t + qd * q, h), k, q): c
+        for k, f in x.components.items()
+        for (q, t, h), c in f.terms.items()
+    }
+    right = {}
+    for k in x.components:
+        right.update(_pack_series(rows.get(k, {}), w, trunc))
+    products = _packed_matmul([(_pack_series(terms, w, trunc), right)])
+    acc = {}  # j -> {monomial: unreduced coefficient}
+    for ((key, h), j, d), c in _unpack_series(products, w, trunc).items():
+        acc.setdefault(j, {})[Monomial(d, (key + g - degrees[j] - qd * d) // 2, h)] = c
+    return element_from_terms(ring, trunc, acc)
+
+
 def _reach(slots, column, trunc):
     """The slots (j, q + d), q + d <= trunc, that slots (k, q) reach via column[k] = [(j, d)]."""
     return {(j, q + d) for k, q in slots for j, d in column.get(k, ()) if q + d <= trunc}
@@ -69,7 +100,7 @@ def _slots(x):
 
 
 def _row_index(s):
-    """Rows of s by source index: ({i: [(j, d, c, kappa)]}, {i: [(j, d)]}).
+    """Rows of s by source index: ({i: {(i, j, d): c}}, {i: [(j, d)]}).
 
     The second map lists the tainted slots.  Both hold only ints, so an
     index kept with a solve_qsigma cache entry holds no reference to the
@@ -77,7 +108,7 @@ def _row_index(s):
     """
     rows, taint_rows = {}, {}
     for (i, j, d), c in s.entries.items():
-        rows.setdefault(i, []).append((j, d, c, s.kappa(i, j, d)))
+        rows.setdefault(i, {})[(i, j, d)] = c
     for (i, j, d) in s.taint:
         taint_rows.setdefault(i, []).append((j, d))
     return rows, taint_rows
@@ -162,17 +193,9 @@ class GradedEndomorphism:
         """
         _check_compatible(self.ring, x.ring, "application")
         trunc = x.trunc if trunc is None else trunc
-        acc = {}  # j -> {monomial: unreduced coefficient}
         rows, taint_rows = self._rows()
-        for i, f in x.components.items():
-            for j, d, c, k in rows.get(i, ()):
-                terms = acc.setdefault(j, {})
-                for (mq, mt, mth), v in f.terms.items():
-                    if mq + d <= trunc:
-                        m = Monomial(mq + d, mt + k, mth)
-                        terms[m] = terms.get(m, 0) + c * v
         taint = _reach(_slots(x), taint_rows, trunc)
-        return element_from_terms(self.ring, trunc, acc), taint
+        return _apply_rows(self.ring, self.degree, rows, x, trunc), taint
 
     def slot_text(self, i, j, d):
         """Label of slot (i -> j, q^d); a residual can sit at t^-1, one t-order below it."""

@@ -119,14 +119,6 @@ def ring_from_data(data, prime):
                 field="products",
             )
         products[key] = terms
-    nonunit = [i for i, b in enumerate(data["basis"]) if b["degree"] > 0]
-    for a in nonunit:
-        for b in nonunit:
-            if a <= b and (a, b) not in seen_pairs:
-                raise ManifoldFormatError(
-                    "missing product entry for (%s, %s)" % (names[a], names[b]),
-                    field="products",
-                )
     steenrod = {}
     for pstr, table in data.get("steenrod", {}).items():
         entry = {}
@@ -136,7 +128,7 @@ def ring_from_data(data, prime):
             ]
         steenrod[int(pstr)] = entry
     try:
-        return QuantumRing(
+        ring = QuantumRing(
             name=data["name"],
             prime=prime,
             basis=basis,
@@ -149,6 +141,16 @@ def ring_from_data(data, prime):
         )
     except ValueError as exc:
         raise ManifoldFormatError(str(exc)) from exc
+    # checked once the ring has checked the basis, so a bad class is named as such
+    nonunit = [i for i, b in enumerate(data["basis"]) if b["degree"] > 0]
+    for a in nonunit:
+        for b in nonunit:
+            if a <= b and (a, b) not in seen_pairs:
+                raise ManifoldFormatError(
+                    "missing product entry for (%s, %s)" % (names[a], names[b]),
+                    field="products",
+                )
+    return ring
 
 
 def dump_manifold(data):

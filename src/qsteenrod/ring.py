@@ -20,9 +20,6 @@ from .fp import require_prime
 from .series import (
     Monomial,
     SeriesElement,
-    _pack_series,
-    _slot_bytes,
-    _unpack,
     derivation_apply,
     format_series,
     series_one,
@@ -101,10 +98,13 @@ class QuantumRing:
 
         self._sc = {}
         for (i, j, d), terms in products.items():
+            entry = (names[i], names[j], d)
             if i == 0 or j == 0:
-                raise ValueError("products of the unit are implied, not stored")
+                raise ValueError(
+                    "products of the unit are implied, not stored: (%s, %s, q^%d)" % entry
+                )
             if d < 0:
-                raise ValueError("negative q-order")
+                raise ValueError("negative q-order in product (%s, %s, q^%d)" % entry)
             clean = {k: int(c) for k, c in terms.items() if int(c) != 0}
             for key in ((i, j, d), (j, i, d)):
                 if key in self._sc and self._sc[key] != clean:
@@ -322,41 +322,6 @@ class CohomologyElement:
             self.ring, {k: f.scale(c) for k, f in self.components.items()}
         )
 
-    def times_series(self, s):
-        """Each component f times the series s; equal to f * s (series_mul).
-
-        Computed by Kronecker substitution.  The terms of a series are
-        grouped by their grading key (t + (q_degree/2) q, theta), within
-        which q fixes t, so a group packs into one int with q^q in slot q
-        (series._pack) and one big-int product multiplies two groups.  A
-        homogeneous series is a single group.
-        """
-        ring = self.ring
-        p = ring.prime
-        half = ring.q_degree // 2
-        # A slot of a group product sums at most trunc + 1 products of
-        # coefficients in [0, p - 1].
-        k = _slot_bytes(((s.trunc + 1) * (p - 1) ** 2).bit_length())
-        right = _packed_groups(s, half, k)
-        comps = {}
-        for i, f in self.components.items():
-            f._check(s)
-            terms = {}
-            for (key1, h1), u in _packed_groups(f, half, k).items():
-                for (key2, h2), v in right.items():
-                    key, h = key1 + key2, h1 + h2
-                    if h == 2:
-                        # theta^2 -> t for p = 2, 0 for odd p
-                        if p != 2:
-                            continue
-                        key, h = key + 1, 0
-                    for d, c in enumerate(_unpack(u * v, k, s.trunc + 1)):
-                        if c:
-                            m = Monomial(d, key - half * d, h)
-                            terms[m] = terms.get(m, 0) + c
-            comps[i] = SeriesElement(p, s.trunc, terms)
-        return CohomologyElement(ring, comps)
-
     def times_monomial(self, q=0, t=0, coeff=1):
         return CohomologyElement(
             self.ring,
@@ -384,11 +349,6 @@ class CohomologyElement:
 
     def __repr__(self):
         return "<%s>" % format_element(self)
-
-
-def _packed_groups(f, half, k):
-    """{(t + half*q, theta): int} with the coefficient of q^q in k-byte slot q."""
-    return _pack_series({(t + half * q, h, q): c for (q, t, h), c in f.terms.items()}, k, f.trunc)
 
 
 def zero_element(ring, trunc):

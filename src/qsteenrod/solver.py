@@ -18,8 +18,9 @@ pinned by the t^0 seeds or by degree pruning is marked tainted, and taint
 propagates forward through later right-hand sides.  The solver reports; it
 never guesses.
 
-A is built once per ring and divisor (_divisor_map): its rows, read by
-the connection chain and qst_auto's peel; per block, the commutator
+A is built once per ring and divisor (_divisor_map): its rows, from which
+the generator route's nabla_a takes its values (endo._apply_rows) and its
+taint, and which qst_auto's peel reads; per block, the commutator
 X -> [X, A_e] as one list per flat slot s = i*n + j of the slots it touches
 (_ad_map), which both the values and the taint follow; and A packed for the
 re-check.  Each q-order is a list of n^2 ints and its taint a set of slots.
@@ -30,7 +31,15 @@ product, so a fault in the commutator lists cannot cancel out.
 from dataclasses import dataclass
 
 from .errors import InconsistentSeed, NegativePowerResidue, NotDivisor, NotGenerated
-from .endo import GradedEndomorphism, _packed_matmul, _reach, _slots, kappa
+from .endo import (
+    GradedEndomorphism,
+    _apply_rows,
+    _packed_matmul,
+    _reach,
+    _slots,
+    kappa,
+    multiplication_matrix,
+)
 from .fp import fp_inv, solve_mod_p
 from .ring import (
     CohomologyElement,
@@ -39,10 +48,9 @@ from .ring import (
     _power,
     _reduced,
     basis_class,
-    connection_apply,
     zero_element,
 )
-from .series import _pack_series, _slot_bytes, _unpack, _unpack_series, series_one
+from .series import _pack_series, _slot_bytes, _unpack, _unpack_series, derivation_apply, series_one
 
 
 @dataclass(frozen=True)
@@ -64,21 +72,6 @@ class QstResult:
 
 
 # -- A, the map of multiplication by a divisor, and its commutators ------------
-
-
-def _divisor_blocks(ring, div):
-    """Blocks A_e = {(i, j): c} of quantum multiplication by the divisor.
-
-    Block e holds the q^e e_j terms of a * e_i (_class_product).  Each is
-    checked against the grading, |e_j| + |q| e = |e_i| + 2: block 0 then
-    raises degree by 2, as the sweep relies on, and a later block cannot force
-    a value onto a dead slot.
-    """
-    blocks = {}
-    for i in range(len(ring.basis)):
-        for (j, e), c in _class_product(ring, {(div.index, 0): 1}, {(i, 0): 1}).items():
-            blocks.setdefault(e, {})[(i, j)] = c
-    return dict(sorted(blocks.items()))
 
 
 def _ad_map(block, n):
@@ -109,26 +102,37 @@ def _ad_map(block, n):
 def _divisor_map(ring, div):
     """A, the map of quantum multiplication by the divisor, built once per ring.
 
-    Returns ring._mult[div.index] = (rows, tables, k, A, -A mod p), all from
-    one _divisor_blocks call: rows[i] = {(j, e): c} lists the q^e e_j terms
-    of a * e_i, tables = {e: _ad_map(A_e)} are the sweep's, and the
-    re-check's A = {(i, j, e): c} and -A are packed in k-byte slots.
+    Returns ring._mult[div.index] = (rows, tables, k, A, -A mod p), ints
+    only, from one multiplication_matrix (whose product reader checks the
+    grading, so block 0 raises degree by 2, as the sweep relies on):
+    rows[i] = {(i, j, e): c}, the q^e e_j terms of a * e_i, as _apply_rows
+    reads them; tables = {e: _ad_map(A_e)}, the sweep's; the re-check's
+    A = {(i, j, e): c} and -A, packed in k-byte slots.
     """
     entry = ring._mult.get(div.index)
     if entry is None:
         n, p = len(ring.basis), ring.prime
-        blocks = _divisor_blocks(ring, div)
-        a = {(i, j, e): c for e, block in blocks.items() for (i, j), c in block.items()}
-        rows = [{} for _ in range(n)]
+        a = multiplication_matrix(ring.basis[div.index].name, ring).entries
+        rows = {i: {} for i in range(n)}
+        blocks = {}
         for (i, j, e), c in a.items():
-            rows[i][(j, e)] = c
+            rows[i][(i, j, e)] = c
+            blocks.setdefault(e, {})[(i, j)] = c
         # A slot of S A + (-A) S sums at most 2n products per block, each below p^2.
         k = _slot_bytes((2 * n * len(blocks) * (p - 1) ** 2).bit_length() + 1)
         minus = {s: -c % p for s, c in a.items()}
         packed = tuple(_pack_series(x, k, max(blocks)) for x in (a, minus))
-        tables = {e: _ad_map(block, n) for e, block in blocks.items()}
+        tables = {e: _ad_map(blocks[e], n) for e in sorted(blocks)}
         entry = ring._mult[div.index] = (rows, tables, k) + packed
     return entry
+
+
+def _nabla(ring, x):
+    """nabla_a x = t lambda_a q d/dq x + a * x, a the primary divisor; a * x on A's rows."""
+    lam = ring.primary.pairing
+    deriv = {k: derivation_apply(lam, f).times_monomial(t=1) for k, f in x.components.items()}
+    a_x = _apply_rows(ring, 2, _divisor_map(ring, ring.primary)[0], x, x.trunc)
+    return CohomologyElement(ring, deriv) + a_x
 
 
 # -- seeds -------------------------------------------------------------------
@@ -463,10 +467,9 @@ def _rewrite_in_connection_powers(ring, target_index):
     """
     deg = ring.degree(target_index)
     search_trunc = ring.dimension_top // ring.q_degree + ring.max_q_order() + 1
-    a_name = ring.basis[ring.primary.index].name
     powers = [basis_class(ring, "1", search_trunc)]
     for _ in range(deg // 2):
-        powers.append(connection_apply(a_name, powers[-1], ring))
+        powers.append(_nabla(ring, powers[-1]))
     candidates = []
     for n in range(deg // 2 + 1):
         for s in range((deg - 2 * n) // 2 + 1):
@@ -502,38 +505,46 @@ def qsigma_apply(b, x, ring, trunc=None):
     a and push QSt(b) through the covariant-constancy relation
         QSigma_b(nabla_a c) = nabla_a QSigma_b(c),   nabla_a = t d_a + (a *),
     and use that repair when its taint is a subset of the column's; else
-    keep the tainted column.  Returns (element, taint).
+    keep the tainted column.  The solved rows, with each repaired column's
+    terms in place of row k, are applied to x in one _apply_rows.  Returns
+    (element, taint).
     """
     _check_truncation(trunc)
     _check_compatible(ring, x.ring, "qsigma_apply")
-    endo, report = solve_qsigma(b, ring)
+    endo = solve_qsigma(b, ring)[0]
     if trunc is None:
         trunc = x.trunc if x.trunc is not None else endo.trunc
-    a_name = ring.basis[ring.primary.index].name
+    solved, taint_rows = endo._rows()
+    rows = dict(solved)  # repaired rows go here, not into the cached index
     chain, chain_taint = {}, {}  # n -> nabla_a^n QSt(b), and its taint
-    out = zero_element(ring, trunc)
     columns_taint = {}
-    for k, f in sorted(x.components.items()):
-        col, col_taint = endo.column(ring.basis[k].name, trunc)
+    for k in sorted(x.components):
+        col_taint = _reach({(k, 0)}, taint_rows, trunc)
         if col_taint:
             rewritten = _rewrite_in_connection_powers(ring, k)
             if rewritten is not None:
                 if not chain:  # t d_a keeps a slot (k, q); a * moves it along A's row k
                     chain[0], chain_taint[0] = endo.column("1", trunc)
-                    rows = _divisor_map(ring, ring.primary)[0]
-                    nabla = {k: [(k, 0), *row] for k, row in enumerate(rows)}
+                    a_rows = _divisor_map(ring, ring.primary)[0]
+                    nabla = {
+                        i: [(i, 0)] + [(j, e) for _, j, e in row] for i, row in a_rows.items()
+                    }
                 while len(chain) <= max(n for n, _, _, _ in rewritten):
                     n = len(chain)
-                    chain[n] = connection_apply(a_name, chain[n - 1], ring)
+                    chain[n] = _nabla(ring, chain[n - 1])
                     chain_taint[n] = _reach(chain_taint[n - 1], nabla, trunc)
                 repair_taint = _reach({(n, m) for n, m, _, _ in rewritten}, chain_taint, trunc)
                 if repair_taint <= col_taint:
                     col, col_taint = zero_element(ring, trunc), repair_taint
                     for n, m, s, c in rewritten:
                         col = col + chain[n].times_monomial(q=m, t=s, coeff=c)
-        out = out + col.retruncate(trunc).times_series(f.retruncate(trunc))
+                    rows[k] = {
+                        (k, j, m.q): c
+                        for j, f in col.components.items()
+                        for m, c in f.terms.items()
+                    }
         columns_taint[k] = col_taint
-    return out, _reach(_slots(x), columns_taint, trunc)
+    return _apply_rows(ring, endo.degree, rows, x, trunc), _reach(_slots(x), columns_taint, trunc)
 
 
 def _divisor_step(a_name, x, x_taint, ring, trunc):
@@ -546,7 +557,7 @@ def _divisor_step(a_name, x, x_taint, ring, trunc):
     if x_taint:
         rows, taint_rows = solve_qsigma(a_name, ring)[0]._rows()
         support = {
-            k: [(j, d) for j, d, _, _ in rows.get(k, ())] + taint_rows.get(k, [])
+            k: [(j, d) for _, j, d in rows.get(k, ())] + taint_rows.get(k, [])
             for k, _ in x_taint
         }
         taint |= _reach(x_taint, support, trunc)
@@ -614,15 +625,15 @@ def qst_auto(name, ring, trunc=None):
         return r.element, set(), "direct"
     out_trunc = r.element.trunc if r.element.trunc is not None else r.endo.trunc
     a_name = ring.basis[ring.primary.index].name
-    for be, product in zip(ring.basis, _divisor_map(ring, ring.primary)[0]):
+    for be, product in zip(ring.basis, _divisor_map(ring, ring.primary)[0].values()):
         # a * be, A's row, must be u e_target at q^0 alone: simultaneous
         # degree-peers are unsupported
-        lead = {k: c for (k, d), c in product.items() if not d}
+        lead = {k: c for (_, k, d), c in product.items() if not d}
         if set(lead) != {target}:
             continue
         sub, sub_taint, _ = qst_auto(be.name, ring, trunc)
         val, taint = _divisor_step(a_name, sub.retruncate(out_trunc), sub_taint, ring, out_trunc)
-        for (k, d), c in product.items():
+        for (_, k, d), c in product.items():
             if d:
                 rest, rest_taint, _ = qst_auto(ring.basis[k].name, ring, trunc)
                 m = ring.prime * d

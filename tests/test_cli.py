@@ -293,7 +293,8 @@ def _product(left, right, q, basis, coeff):
 
 
 # Every rejection of a ring definition, on the quadric intersection: the
-# change to its file and the one error line that names the cause
+# change to its file, the one error line that names the cause and, where it
+# differs from that line, the case's id
 REJECTED = [
     (lambda d: d["basis"].append({"name": "h_2", "degree": 8}),
      "basis[4].name: duplicate class 'h_2'"),
@@ -307,14 +308,19 @@ REJECTED = [
     (lambda d: d["divisors"][0].update(name="h_4"), "divisor h_4 has degree != 2"),
     (lambda d: d["divisors"][0].update(primary=False), "exactly one divisor must be flagged primary"),
     (lambda d: d["products"].append(_product("1", "h_2", 0, "h_2", 1)),
+     "products of the unit are implied, not stored: (1, h_2, q^0)",
      "products of the unit are implied, not stored"),
-    (lambda d: d["products"].append(_product("h_2", "h_2", -1, "h_6", 1)), "negative q-order"),
+    (lambda d: d["products"].append(_product("h_2", "h_2", -1, "h_6", 1)),
+     "negative q-order in product (h_2, h_2, q^-1)", "negative q-order"),
+    (lambda d: d["basis"].append({"name": "x", "degree": 3}), "odd or negative degree class 'x'"),
     (lambda d: d["products"].append(_product("h_4", "h_2", 0, "h_6", 2)),
      "conflicting product entry (h_4, h_2, q^0)"),
 ]
 
 
-@pytest.mark.parametrize("change, message", REJECTED, ids=[m for _, m in REJECTED])
+@pytest.mark.parametrize(
+    "change, message", [case[:2] for case in REJECTED], ids=[case[-1] for case in REJECTED]
+)
 def test_rejected_ring_definition_names_the_cause(tmp_path, capsys, change, message):
     data = builtin_manifold("quadric_intersection")
     change(data)
@@ -536,20 +542,21 @@ def test_verify_cells_cap_below_two_fails():
         assert text == "FAIL cells: error: the cells cap must be at least 2, got cap=%s\n" % cap
 
 
-def test_truncation_env_override(monkeypatch):
-    monkeypatch.setenv("QSROD_TRUNCATE_DEFAULT", "1")
-    code, text = run_cli(
-        ["compute", "--manifold", "builtin:s2", "--prime", "3", "--class", "h",
-         "--op", "qsigma"]
-    )
-    assert code == 0
-    assert "q-truncation 1" in text
-    monkeypatch.delenv("QSROD_TRUNCATE_DEFAULT")
+def test_truncation_env_override():
     code, text = run_cli(
         ["compute", "--manifold", "builtin:s2", "--prime", "3", "--class", "h",
          "--op", "qsigma", "--truncate", "2"]
     )
     assert "q-truncation 2" in text
+
+
+def test_truncation_env_variable_is_ignored(monkeypatch):
+    argv = ["compute", "--manifold", "builtin:s2", "--prime", "3", "--class", "h", "--op", "qsigma"]
+    default = run_cli(argv)
+    assert default[0] == 0 and "q-truncation 2" in default[1]
+    for value in ("1", "abc"):
+        monkeypatch.setenv("QSROD_TRUNCATE_DEFAULT", value)
+        assert run_cli(argv) == default
 
 
 def test_negative_truncation_exits_one(capsys):
@@ -559,18 +566,6 @@ def test_negative_truncation_exits_one(capsys):
     )
     assert code == 1 and text == ""
     assert "truncation must be non-negative, got trunc=-1" in capsys.readouterr().err
-
-
-def test_bad_truncation_env_names_the_variable(monkeypatch, capsys):
-    for value in ("abc", "-2"):
-        monkeypatch.setenv("QSROD_TRUNCATE_DEFAULT", value)
-        code, text = run_cli(
-            ["compute", "--manifold", "builtin:s2", "--prime", "3", "--class", "h",
-             "--op", "qsigma"]
-        )
-        assert code == 1 and text == ""
-        err = capsys.readouterr().err
-        assert "QSROD_TRUNCATE_DEFAULT must be a non-negative integer, got %r" % value in err
 
 
 def test_console_entry_point_subprocess():

@@ -114,7 +114,7 @@ def _push_taint_reference(taint, endo, trunc):
     rows, taint_rows = endo._rows()
     out = set()
     for k, qv in taint:
-        reach = [(j, d) for j, d, _, _ in rows.get(k, ())] + taint_rows.get(k, [])
+        reach = [(j, d) for _, j, d in rows.get(k, ())] + taint_rows.get(k, [])
         out.update((j, qv + d) for j, d in reach if qv + d <= trunc)
     return out
 
@@ -142,7 +142,8 @@ def test_reach_matches_the_taint_rules_it_replaced(p):
         a_name = ring.basis[a].name
         sigma_a = solve_qsigma(a_name, ring)[0]
         rows = solver._divisor_map(ring, ring.primary)[0]
-        nabla = {k: [(k, 0), *row] for k, row in enumerate(rows)}  # qsigma_apply's columns
+        # qsigma_apply's columns
+        nabla = {k: [(k, 0)] + [(j, e) for _, j, e in row] for k, row in rows.items()}
         for b in ring.basis:
             endo = solve_qsigma(b.name, ring)[0]
             trunc = endo.trunc

@@ -20,6 +20,7 @@ from qsteenrod.ring import (
 )
 from qsteenrod.endo import (
     GradedEndomorphism,
+    _apply_rows,
     compose,
     kappa,
     multiplication_endo,
@@ -27,6 +28,11 @@ from qsteenrod.endo import (
 )
 from qsteenrod.series import series, series_mul
 from qsteenrod.solver import solve_qsigma
+
+
+def _times_series(x, s):
+    """Each component of x times the series s (series_mul)."""
+    return CohomologyElement(x.ring, {k: f * s for k, f in x.components.items()})
 
 
 def test_builtin_rings_verify_clean():
@@ -242,12 +248,12 @@ def test_connection_leibniz_rule():
                 3, 4, [(rng.randrange(4), rng.randrange(0, 3), 0, rng.randrange(1, 3)) for _ in range(3)]
             )
             x = basis_class(ring, rng.choice([b.name for b in ring.basis]), 4)
-            lhs = connection_apply(div, x.times_series(f), ring)
+            lhs = connection_apply(div, _times_series(x, f), ring)
             from qsteenrod.series import derivation_apply
 
-            rhs = x.times_series(derivation_apply(lam, f).times_monomial(t=1)) + connection_apply(
-                div, x, ring
-            ).times_series(f)
+            rhs = _times_series(x, derivation_apply(lam, f).times_monomial(t=1)) + _times_series(
+                connection_apply(div, x, ring), f
+            )
             assert lhs == rhs
 
 
@@ -343,7 +349,7 @@ def test_quantum_product_matches_dense_reference():
             coeff = series(p, trunc, [(0, 0, 0, 1), (1, 1, 0, 2), (0, -1, 1, 1)])
             for b1 in ring.basis:
                 for b2 in ring.basis:
-                    x = basis_class(ring, b1.name, trunc).times_series(coeff)
+                    x = _times_series(basis_class(ring, b1.name, trunc), coeff)
                     y = basis_class(ring, b2.name, trunc)
                     assert quantum_product(x, y) == _dense_product(x, y)
                     z = basis_class(ring, b1.name, trunc)
@@ -370,21 +376,28 @@ def test_pfold_power_matches_sequential_products():
             assert pfold_power(c, ring) == loop, (name, p)
 
 
-# -- the packed element x series product against series_mul ----------------------
+# -- the packed application kernel against series_mul -------------------------
 
 
-def _assert_times_series_is_series_mul(x, s):
-    """x.times_series(s) equals series_mul per component, term by term, with
-    the same truncation."""
-    got = x.times_series(s)
-    want = {k: series_mul(f, s) for k, f in x.components.items()}
+def _assert_apply_rows_is_series_mul(endo, x, trunc=None):
+    """_apply_rows on endo's rows equals the sum over x's classes k of column k
+    times x's series f_k (series_mul), term by term, with the same truncation."""
+    ring = endo.ring
+    trunc = x.trunc if trunc is None else trunc
+    got = _apply_rows(ring, endo.degree, endo._rows()[0], x, trunc)
+    want = {}
+    for k, f in x.components.items():
+        col, _ = endo.column(ring.basis[k].name, trunc)
+        for j, g in col.components.items():
+            term = series_mul(g, f.retruncate(trunc))
+            want[j] = want[j] + term if j in want else term
     assert {k: (f.trunc, f.terms) for k, f in got.components.items()} == {
         k: (f.trunc, f.terms) for k, f in want.items() if f.terms
     }
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101, 211])
-def test_times_series_matches_series_mul_on_every_column(p):
+def test_apply_rows_matches_series_mul_on_every_column(p):
     for name in ("s2", "cubic_surface", "quadric_intersection"):
         ring = builtin_ring(name, p)
         for b in ring.basis:
@@ -393,25 +406,33 @@ def test_times_series_matches_series_mul_on_every_column(p):
                 col, _ = endo.column(c.name)
                 if col.is_zero():
                     continue
-                # the shape qsigma_apply multiplies: a column by a
-                # homogeneous series of the same length scale
+                # the shape qsigma_apply multiplies: a class times a
+                # homogeneous series of the column's length scale
                 s = min(col.components.values(), key=lambda f: len(f.terms))
-                _assert_times_series_is_series_mul(col, s)
+                x = CohomologyElement(ring, {ring.index(c.name): s})
+                _assert_apply_rows_is_series_mul(endo, x)
 
 
-def test_times_series_applies_the_theta_rule():
-    for p, square in ((2, series(2, 2, [(0, 1, 0, 1)])), (3, series(3, 2, []))):
+def test_apply_rows_keeps_theta_terms_apart():
+    # theta is part of the grading key, so a theta term and a theta-free term
+    # at the same q and t stay apart; the map is theta-free, so theta never
+    # squares here (the theta^2 rule is series_mul's, see test_series.py)
+    for p in (2, 3):
         ring = builtin_ring("s2", p)
-        theta = series(p, 2, [(0, 0, 1, 1)])
-        x = basis_class(ring, "h", 2).times_series(theta)
-        assert x.times_series(theta) == basis_class(ring, "h", 2).times_series(square)
-        _assert_times_series_is_series_mul(x, theta)
+        endo, _ = solve_qsigma("h", ring)
+        both = series(p, endo.trunc, [(0, 0, 0, 1), (0, 0, 1, 1), (1, 0, 1, p - 1)])
+        for k in range(len(ring.basis)):
+            x = CohomologyElement(ring, {k: both})
+            got, _ = endo.apply(x)
+            assert any(m.theta for f in got.components.values() for m in f.terms)
+            _assert_apply_rows_is_series_mul(endo, x)
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_times_series_matches_series_mul_on_inhomogeneous_theta_series(p):
+def test_apply_rows_matches_series_mul_on_inhomogeneous_theta_input(p):
     rng = random.Random(p)
     ring = builtin_ring("quadric_intersection", p)
+    endos = [solve_qsigma(b.name, ring)[0] for b in ring.basis]
     trunc = 6
 
     def random_series():
@@ -422,21 +443,30 @@ def test_times_series_matches_series_mul_on_inhomogeneous_theta_series(p):
 
     for _ in range(20):
         x = CohomologyElement(ring, {k: random_series() for k in range(len(ring.basis))})
-        s = random_series()
-        keys = {(t + 2 * q, h) for (q, t, h) in s.terms}
+        keys = {(ring.degree(k) + 2 * t + 4 * q, h) for k, f in x.components.items() for (q, t, h) in f.terms}
         assert len(keys) > 1  # several packed groups
-        _assert_times_series_is_series_mul(x, s)
+        _assert_apply_rows_is_series_mul(rng.choice(endos), x)
 
 
-def test_times_series_width_holds_full_length_maximal_coefficients():
-    # Every slot of the product sums trunc + 1 products (p - 1)^2, the
-    # largest load the packing width is sized for.
+def test_apply_rows_width_holds_full_length_maximal_coefficients():
+    # Every slot of the product sums n (trunc + 1) products (p - 1)^2, the
+    # largest load the packing width is sized for: p - 1 on every slot of a
+    # map whose degree makes every slot live, applied to a homogeneous x
+    # whose every class carries a full series of p - 1
     p = 211
     ring = builtin_ring("cubic_surface", p)
+    n = len(ring.basis)
     trunc = ring.default_truncation(2)
-    full = series(p, trunc, [(q, 3 - q, 0, p - 1) for q in range(trunc + 1)])
-    x = CohomologyElement(ring, {0: full, 2: full})
-    _assert_times_series_is_series_mul(x, full)
+    g = ring.dimension_top + ring.q_degree * trunc
+    entries = {(i, j, d): p - 1 for i in range(n) for j in range(n) for d in range(trunc + 1)}
+    assert all(kappa(ring, g, *slot) is not None for slot in entries)
+    endo = GradedEndomorphism(ring, g, trunc, entries)
+    x = CohomologyElement(ring, {
+        k: series(p, trunc, [(q, 3 - ring.degree(k) // 2 - q, 0, p - 1) for q in range(trunc + 1)])
+        for k in range(n)
+    })
+    assert x.degree is not None
+    _assert_apply_rows_is_series_mul(endo, x)
 
 
 def _verify_ring_all_pairs(ring, trunc=None):

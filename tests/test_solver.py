@@ -21,6 +21,7 @@ from qsteenrod.endo import (
     format_endo,
     identity_endo,
     kappa,
+    multiplication_matrix,
     qpi,
 )
 from qsteenrod.fp import fp_inv
@@ -33,6 +34,7 @@ from qsteenrod.ring import (
     classical_product,
     connection_apply,
     element,
+    element_from_terms,
     quantum_product,
     verify_ring,
     zero_element,
@@ -57,6 +59,19 @@ from qsteenrod.solver import (
     tzero_layer,
     verify_covariant_constancy,
 )
+
+
+def _times_series(x, s):
+    """Each component of x times the series s (series_mul)."""
+    return CohomologyElement(x.ring, {k: f * s for k, f in x.components.items()})
+
+
+def _divisor_blocks(ring, div):
+    """Blocks A_e = {(i, j): c} of quantum multiplication by the divisor, by e."""
+    blocks = {}
+    for (i, j, e), c in multiplication_matrix(ring.basis[div.index].name, ring).entries.items():
+        blocks.setdefault(e, {})[(i, j)] = c
+    return dict(sorted(blocks.items()))
 
 
 # -- seeds ---------------------------------------------------------------------
@@ -363,7 +378,7 @@ def _ref_full_steenrod(ring, i, trunc):
     st = _ref_cup_power(ring, i, p, trunc)
     if lead_t > 0:
         lead = SeriesElement(p, trunc, {Monomial(0, lead_t, 0): sign})
-        st = st + basis_class(ring, name, trunc).times_series(lead)
+        st = st + _times_series(basis_class(ring, name, trunc), lead)
     return st
 
 
@@ -814,7 +829,7 @@ def _constancy_by_slot_walk(endo, divisor_name, ring, pi=None):
     trunc = endo.trunc
     com = {}
     com_mask = set()
-    for e, block in solver._divisor_blocks(ring, div).items():
+    for e, block in _divisor_blocks(ring, div).items():
         values, reach = _ad_map_by_tuple(block, n, p)
         for (i, j, d), c in endo.entries.items():
             if d + e <= trunc:
@@ -912,7 +927,7 @@ def _constancy_on_ad_tables(endo, divisor_name, ring, pi=None):
     p = ring.prime
     n = len(ring.basis)
     trunc = endo.trunc
-    blocks = solver._divisor_blocks(ring, div)
+    blocks = _divisor_blocks(ring, div)
     tables = {e: _ad_map_by_tuple(block, n, p) for e, block in blocks.items()}
     k = _slot_bytes((2 * n * len(tables) * (p - 1) ** 2).bit_length() + 1)
     count = trunc + 1
@@ -1187,13 +1202,97 @@ def test_one_pass_assembly_cubic_p211():
     for b in ring.basis:
         col, _ = endo.column(b.name)
         assert col == _column_term_by_term(endo, b.name)
-        x = basis_class(ring, b.name, endo.trunc).times_series(
-            series(211, endo.trunc, [(0, 0, 0, 1), (1, 1, 0, 5), (2, 0, 1, 7)])
+        x = _times_series(
+            basis_class(ring, b.name, endo.trunc),
+            series(211, endo.trunc, [(0, 0, 0, 1), (1, 1, 0, 5), (2, 0, 1, 7)]),
         )
         out, _ = endo.apply(x)
         assert out == _apply_term_by_term(endo, x)
     lines = format_endo(endo).split("\n")
     assert lines == _format_endo_term_by_term(endo)
+
+
+def _term_loop_rows(endo):
+    """{i: [(j, d, c, kappa)]}, the row index _apply_by_term_loop reads."""
+    rows = {}
+    for (i, j, d), c in endo.entries.items():
+        rows.setdefault(i, []).append((j, d, c, endo.kappa(i, j, d)))
+    return rows
+
+
+def _apply_by_term_loop(endo, x, trunc=None, rows=None):
+    """The value of GradedEndomorphism.apply as a loop over row terms and x's terms."""
+    trunc = x.trunc if trunc is None else trunc
+    rows = _term_loop_rows(endo) if rows is None else rows
+    acc = {}  # j -> {monomial: unreduced coefficient}
+    for i, f in x.components.items():
+        for j, d, c, k in rows.get(i, ()):
+            terms = acc.setdefault(j, {})
+            for (mq, mt, mth), v in f.terms.items():
+                if mq + d <= trunc:
+                    m = Monomial(mq + d, mt + k, mth)
+                    terms[m] = terms.get(m, 0) + c * v
+    return element_from_terms(endo.ring, trunc, acc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 211])
+def test_apply_matches_the_term_loop(p):
+    rng = random.Random(p)
+    cases = 0
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        ring = builtin_ring(name, p)
+        n = len(ring.basis)
+        for b in ring.basis:
+            endo, _ = solve_qsigma(b.name, ring)
+            trunc = endo.trunc
+            rows = _term_loop_rows(endo)
+            for c in ring.basis:  # every column
+                x = basis_class(ring, c.name, trunc)
+                assert endo.column(c.name)[0] == _apply_by_term_loop(endo, x, rows=rows)
+                cases += 1
+            # theta terms, negative t, q-terms above trunc, and the zero x
+            xs = [zero_element(ring, trunc)]
+            assert xs[0].trunc is None
+            for _ in range(2):
+                terms = {}
+                for _ in range(rng.randint(2, 8)):
+                    m = Monomial(rng.randrange(trunc + 4), rng.randint(-3, 4), rng.randint(0, 1))
+                    terms.setdefault(rng.randrange(n), {})[m] = rng.randrange(1, p)
+                xs.append(element_from_terms(ring, trunc + 3, terms))
+            for x in xs:
+                top = x.trunc if x.trunc is not None else trunc
+                for cut in (None, rng.randrange(top) if top else 0, top + 2):
+                    got, _ = endo.apply(x, cut)
+                    assert got == _apply_by_term_loop(endo, x, cut, rows), (name, b.name, cut)
+                    cases += 1
+            # a class with no stored row
+            dropped = rng.randrange(n)
+            rowless = GradedEndomorphism(
+                ring, endo.degree, trunc, {s: c for s, c in endo.entries.items() if s[0] != dropped}
+            )
+            x = element_from_terms(ring, trunc, {k: {Monomial(0, 0, 0): 1} for k in range(n)})
+            assert rowless.apply(x)[0] == _apply_by_term_loop(rowless, x)
+            cases += 1
+    assert cases == 2 * 2 + 3 * 3 + 4 * 4 + 9 * (3 * 3 + 1)  # columns, then per class
+    # the full width: p - 1 on every live slot of QSigma_h_2 on the cubic
+    # surface, applied to a homogeneous x of length trunc + 1 with every
+    # coefficient p - 1
+    ring = builtin_ring("cubic_surface", p)
+    n, g = len(ring.basis), 2 * p
+    trunc = ring.default_truncation(2)
+    full = GradedEndomorphism(ring, g, trunc, {
+        (i, j, d): p - 1
+        for i in range(n) for j in range(n) for d in range(trunc + 1)
+        if kappa(ring, g, i, j, d) is not None
+    })
+    x = CohomologyElement(ring, {
+        k: SeriesElement(p, trunc, {
+            Monomial(q, (ring.dimension_top - ring.degree(k)) // 2 - q, 0): p - 1
+            for q in range(trunc + 1)
+        })
+        for k in range(n)
+    })
+    assert full.apply(x)[0] == _apply_by_term_loop(full, x)
 
 
 # -- compose against the all-pairs reference --------------------------------------
@@ -1278,7 +1377,7 @@ def test_compose_matches_all_pairs_reference(name, p, left, right, trunc, tainte
 
 def test_ad_tables_are_built_once_per_ring_and_shared(monkeypatch):
     calls = []
-    real = {name: getattr(solver, name) for name in ("_divisor_blocks", "_ad_map")}
+    real = {name: getattr(solver, name) for name in ("multiplication_matrix", "_ad_map")}
     for name, fn in real.items():
         monkeypatch.setattr(
             solver, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args)
@@ -1286,9 +1385,9 @@ def test_ad_tables_are_built_once_per_ring_and_shared(monkeypatch):
     ring = builtin_ring("quadric_intersection", 5)
     div = ring.primary
     n = len(ring.basis)
-    blocks = real["_divisor_blocks"](ring, div)
+    blocks = _divisor_blocks(ring, div)
     endo, _ = solve_qsigma("h_2", ring)  # the solve, then its re-check
-    built = ["_divisor_blocks"] + ["_ad_map"] * len(blocks)
+    built = ["multiplication_matrix"] + ["_ad_map"] * len(blocks)
     assert calls == built
     entry = ring._mult[div.index]
     rows, tables = entry[:2]
@@ -1296,7 +1395,17 @@ def test_ad_tables_are_built_once_per_ring_and_shared(monkeypatch):
     for e, block in blocks.items():
         assert tables[e] == real["_ad_map"](block, n)
     for i in range(n):  # the rows the connection chain and qst_auto's peel read
-        assert rows[i] == _class_product(ring, {(div.index, 0): 1}, {(i, 0): 1})
+        product = _class_product(ring, {(div.index, 0): 1}, {(i, 0): 1})
+        assert rows[i] == {(i, j, e): c for (j, e), c in product.items()}
+
+    def ints_only(obj):
+        if isinstance(obj, dict):
+            return all(ints_only(k) and ints_only(v) for k, v in obj.items())
+        if isinstance(obj, (tuple, list)):
+            return all(map(ints_only, obj))
+        return type(obj) is int
+
+    assert ints_only(entry)  # no reference to the ring
     for b in ring.basis:
         solve_qsigma(b.name, ring)
         qst_auto(b.name, ring)
@@ -1369,7 +1478,7 @@ def _solve_by_tuple(b, ring, trunc):
     div = ring.primary
     lam = div.pairing % p
     n = len(ring.basis)
-    ads = {e: _ad_map_by_tuple(block, n, p) for e, block in solver._divisor_blocks(ring, div).items()}
+    ads = {e: _ad_map_by_tuple(block, n, p) for e, block in _divisor_blocks(ring, div).items()}
     exps, order = _slot_exponents_by_tuple(ring, g)
     seeds = tzero_layer(b, ring, trunc)
     init = initial_layer(b, ring, trunc)
@@ -1519,7 +1628,7 @@ def test_ad_map_matches_slot_map_products(p):
         n = len(ring.basis)
         slots = [(i, j) for i in range(n) for j in range(n)]
         for div in ring.divisors:
-            for e, block in solver._divisor_blocks(ring, div).items():
+            for e, block in _divisor_blocks(ring, div).items():
                 ad = solver._ad_map(block, n)
                 a = {(i, j, e): c for (i, j), c in block.items()}
                 # every unit slot alone, then seeded random masked slot maps
@@ -1543,7 +1652,7 @@ def test_ad_map_taint_reaches_cancelled_slots():
     # its list sums to 0 there and still names the slot
     ring = builtin_ring("cubic_surface", 211)
     h2 = ring.index("h_2")
-    block = solver._divisor_blocks(ring, ring.primary)[1]
+    block = _divisor_blocks(ring, ring.primary)[1]
     assert block == {(h2, h2): 9}
     n = len(ring.basis)
     table = solver._ad_map(block, n)
@@ -1600,7 +1709,7 @@ def test_sweep_matches_neumann_reference(p):
         slots = [(i, j) for i in range(n) for j in range(n)]
         _, order = _slot_exponents_by_tuple(ring, 0)  # the order depends on degrees only
         for div in ring.divisors:
-            ad0 = _ad_map_by_tuple(solver._divisor_blocks(ring, div)[0], n, p)
+            ad0 = _ad_map_by_tuple(_divisor_blocks(ring, div)[0], n, p)
             # every unit slot alone, every masked slot alone, then seeded random problems
             problems = [({s: 1}, set()) for s in slots] + [({}, {s}) for s in slots]
             for _ in range(25):
@@ -1622,7 +1731,7 @@ def _solved_orders_against_neumann(ring):
     p = ring.prime
     n = len(ring.basis)
     div = ring.primary
-    ads = {e: _ad_map_by_tuple(block, n, p) for e, block in solver._divisor_blocks(ring, div).items()}
+    ads = {e: _ad_map_by_tuple(block, n, p) for e, block in _divisor_blocks(ring, div).items()}
     orders = 0
     for b in ring.basis:
         endo, _ = solve_qsigma(b.name, ring)
