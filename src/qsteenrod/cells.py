@@ -26,7 +26,7 @@ x theta^eps; the rest cell by cell or by small linear algebra mod p.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import CapExceeded
 from .fp import require_prime, solve_mod_p
@@ -268,13 +268,6 @@ class FiniteComplex:
     basis: tuple
     diff: dict
     sigma: dict
-
-    @cached_property
-    def _degrees(self):
-        return dict(self.basis)
-
-    def degree(self, name):
-        return self._degrees[name]
 
 
 def trivial_complex():

@@ -8,15 +8,17 @@ coefficient is stored.  The taint set lists slots whose value the solver
 could not determine; tainted slots carry no stored value.
 
 Every graded F_p matrix in the package is such a slot map {(i, j, d): c};
-the solver keeps one q-order as n^2 ints, slot (i, j) at i*n + j.  A
-product (i, j, d1) then (j, k, d2) lands on (i, k, d1 + d2), and a tainted
-slot taints its product with every stored or tainted slot of the other
-factor.  compose and the solver's residual re-check multiply whole graded
-maps by Kronecker substitution in k-byte slots (_packed_matmul); a map
-applied to an element goes through the same product (_apply_rows, used by
-apply and column, qsigma_apply and the generator route's nabla); the sweep
-multiplies by a divisor block through its commutator lists (solver._ad_map),
-and a masked slot taints every slot its list names.
+the solver keeps one q-order as n^2 ints, slot (i, j) at i*n + j.  Every
+matrix of multiplication by a class, A = a * and both seeds of the solver,
+comes from _multiplication_entries.  A product (i, j, d1) then (j, k, d2)
+lands on (i, k, d1 + d2), and a tainted slot taints its product with every
+stored or tainted slot of the other factor.  compose and the solver's
+residual re-check multiply whole graded maps by Kronecker substitution in
+k-byte slots (_packed_matmul); a map applied to an element goes through
+the same product (_apply_rows, used by apply and column, qsigma_apply and
+the generator route's nabla); the sweep multiplies by a divisor block
+through its commutator lists (solver._ad_map), and a masked slot taints
+every slot its list names.
 On a single class the rule is _reach: a coefficient slot (k, q) of e_k q^q
 reaches (j, q + d) for every slot (j, d) of the operator's column k.
 """
@@ -112,6 +114,12 @@ def _row_index(s):
     for (i, j, d) in s.taint:
         taint_rows.setdefault(i, []).append((j, d))
     return rows, taint_rows
+
+
+def _check_truncation(trunc):
+    """Reject a negative q-truncation; None (the default) passes."""
+    if trunc is not None and trunc < 0:
+        raise ValueError("the q-truncation must be non-negative, got trunc=%d" % trunc)
 
 
 @dataclass(frozen=True)
@@ -215,19 +223,34 @@ class GradedEndomorphism:
 
 
 def identity_endo(ring, trunc=None):
+    _check_truncation(trunc)
     if trunc is None:
         trunc = ring.dimension_top // ring.q_degree
     entries = {(i, i, 0): 1 for i in range(len(ring.basis))}
     return GradedEndomorphism(ring, 0, trunc, entries)
 
 
+def _multiplication_entries(ring, vector):
+    """The matrix {(i, j, d): c} of x *, for the vector x = {(k, q): c} of q^q e_k.
+
+    c is the q^d e_j coefficient of x * e_i mod p, at every q-order; every
+    product is read through ring._class_product.
+    """
+    return {
+        (i, j, d): c
+        for i in range(len(ring.basis))
+        for (j, d), c in _class_product(ring, vector, {(i, 0): 1}).items()
+    }
+
+
 def multiplication_endo(x, trunc=None, degree=None):
-    """The endomorphism c -> x * c: column i is x * e_i over x's (k, q) terms (_class_product).
+    """The endomorphism c -> x * c over x's (k, q) terms (_multiplication_entries).
 
     x must be homogeneous and theta-free.  The degree argument is only read
     when x is zero (degree is undefined then but the zero endomorphism still
     wants a grading).
     """
+    _check_truncation(trunc)
     ring = x.ring
     g = degree if x.is_zero() else x.degree
     if g is None:
@@ -241,22 +264,14 @@ def multiplication_endo(x, trunc=None, degree=None):
                 if m.theta:
                     raise ValueError("theta term in multiplication endomorphism")
                 vector[(k, m.q)] = c
-    entries = {
-        (i, j, d): c
-        for i in range(len(ring.basis))
-        for (j, d), c in _class_product(ring, vector, {(i, 0): 1}).items()
-    }
-    return GradedEndomorphism(ring, g, trunc, entries)
+    return GradedEndomorphism(ring, g, trunc, _multiplication_entries(ring, vector))
 
 
 def multiplication_matrix(divisor_name, ring, trunc=None):
     """Matrix of quantum multiplication by a degree-2 divisor class."""
-    div = ring.divisor(divisor_name)  # raises NotDivisor
-    if trunc is None:
-        trunc = (2 + ring.dimension_top) // ring.q_degree
-    return multiplication_endo(
-        basis_class(ring, divisor_name, trunc), trunc=trunc
-    )
+    _check_truncation(trunc)
+    ring.divisor(divisor_name)  # raises NotDivisor
+    return multiplication_endo(basis_class(ring, divisor_name, 0), trunc=trunc)
 
 
 def compose(s1, s2):

@@ -210,14 +210,19 @@ class QuantumRing:
         An explicit table entry is used when present; otherwise, with the
         leading-term default enabled, St(b) is taken to be
         (-1)^(|b|/2) t^((p-1)|b|/2) b  plus the forced t^0 part b^(cup p).
-        The t^0 part of an explicit entry is checked against the cup power,
-        which stays zero once it is zero.
+        St(b) is homogeneous of degree p|b|: the cup power, which stays zero
+        once it is zero, reads graded constants (_graded_sc), and an explicit
+        entry is checked term by term, its t^0 part against the cup power and,
+        for |b| > 0, its t^((p-1)|b|/2) b term for being nonzero mod p.
         """
         p, deg, name = self.prime, self.degree(i), self.basis[i].name
+        lead_t = (p - 1) * deg // 2
         cup = {i: 1}
         for _ in range(p - 1):
             if cup:
-                pairs = ((m, c * v) for k, c in cup.items() for m, v in self.sc(k, i, 0).items())
+                pairs = (
+                    (m, c * v) for k, c in cup.items() for m, v in self._graded_sc(k, i, 0).items()
+                )
                 cup = _reduced(pairs, p)
         table = self.steenrod.get(p, {})
         if i in table:
@@ -235,11 +240,14 @@ class QuantumRing:
                 raise MissingSteenrodData(
                     "t^0 part of St(%s) must be the %d-fold cup power" % (name, p)
                 )
+            if lead_t and (i, lead_t) not in st:
+                raise MissingSteenrodData(
+                    "St(%s) mod %d has no leading term t^%d*%s" % (name, p, lead_t, name)
+                )
             return st
         if not self.default_leading_steenrod:
             raise MissingSteenrodData("no Steenrod entry for %s mod %d" % (name, p))
         st = {(k, 0): c for k, c in cup.items()}
-        lead_t = (p - 1) * deg // 2
         if lead_t > 0:
             st[(i, lead_t)] = (-1 if (deg // 2) % 2 else 1) % p
         return st
@@ -534,7 +542,7 @@ def verify_ring(ring, trunc=None):
     for i in table:
         try:
             ring.full_steenrod(i, trunc)
-        except MissingSteenrodData as exc:
+        except (MissingSteenrodData, ValueError) as exc:  # ValueError: an ungraded cup constant
             findings.append("steenrod table: %s" % exc)
     return findings
 

@@ -2,10 +2,11 @@
 
 QSigma_b is the unique degree p|b| endomorphism that commutes with the
 quantum connection, has q^0 layer equal to cup product with the classical
-St(b), and has t^0 layer equal to p-fold quantum multiplication by b, both
-built on coefficient vectors; every product of basis classes is read
-through ring._class_product on (class, q) vectors.  Per q-order
-d the commutation condition reads
+St(b), and has t^0 layer equal to quantum multiplication by b^(*p).  Both
+seeds, like A below, are matrices of multiplication by one (class, q) vector
+from endo._multiplication_entries, which reads every product of basis
+classes through ring._class_product.  Per q-order d the commutation
+condition reads
 
     lambda*d * E_d  +  sum_{e>=0} (E_{d-e} A_e - A_e E_{d-e})  =  0,
 
@@ -34,10 +35,11 @@ from .errors import InconsistentSeed, NegativePowerResidue, NotDivisor, NotGener
 from .endo import (
     GradedEndomorphism,
     _apply_rows,
+    _check_truncation,
+    _multiplication_entries,
     _packed_matmul,
     _reach,
     _slots,
-    kappa,
     multiplication_matrix,
 )
 from .fp import fp_inv, solve_mod_p
@@ -152,33 +154,18 @@ def _seed_class(b, ring, what):
 def initial_layer(b, ring, trunc=None):
     """q^0 layer: cup product with the full classical St(b).
 
-    St(b) is q-free, a vector {(k, t): c} (QuantumRing._steenrod), so slot
-    (i, j, 0) sums c sc(k, i, 0)[j] over its terms t^t e_k, at its forced t.
+    St(b) is q-free and homogeneous of degree p|b| (QuantumRing._steenrod), so
+    its t-exponents are implied: the layer is the q^0 part of the matrix of
+    multiplication by the vector {(k, 0): c} (_multiplication_entries).
     """
+    _check_truncation(trunc)
     vector, deg = _seed_class(b, ring, "initial layer")
     if trunc is None:
         trunc = ring.default_truncation(deg)
-    p = ring.prime
-    pairs = ((key, c * v) for (i, _), c in vector.items() for key, v in ring._steenrod(i).items())
-    st = _reduced(pairs, p)
-    degrees = {ring.degree(k) + 2 * t for k, t in st}
-    if len(degrees) != 1:
-        raise ValueError("multiplication by an inhomogeneous element")
-    g = degrees.pop()
-    products = (  # (i, j, t) -> coefficient of t^t e_j in St(b) e_i
-        ((i, j, t), c * v)
-        for i in range(len(ring.basis))
-        for (k, t), c in st.items()
-        for j, v in ring.sc(k, i, 0).items()
-    )
-    entries = {}
-    for (i, j, t), c in _reduced(products, p).items():
-        if kappa(ring, g, i, j, 0) != t:
-            raise ValueError("inhomogeneous product: slot (%d,%d,0) t^%d" % (i, j, t))
-        entries[(i, j, 0)] = c
-    if g != p * deg:
-        raise ValueError("classical Steenrod data has the wrong degree")
-    return GradedEndomorphism(ring, g, trunc, entries)
+    pairs = ((k, c * v) for (i, _), c in vector.items() for (k, _), v in ring._steenrod(i).items())
+    st = {(k, 0): c for k, c in _reduced(pairs, ring.prime).items()}
+    entries = {(i, j, d): c for (i, j, d), c in _multiplication_entries(ring, st).items() if not d}
+    return GradedEndomorphism(ring, ring.prime * deg, trunc, entries)
 
 
 def tzero_layer(b, ring, trunc=None):
@@ -187,30 +174,26 @@ def tzero_layer(b, ring, trunc=None):
     Returns {(i, j, d): value} covering all kappa == 0 slots with d <= trunc,
     zeros included (a zero seed is still a determination).  Each (i, j) has
     at most one such slot, d = (p|b| + |e_i| - |e_j|) / q_degree, and its
-    value is the q^d e_j coefficient of b^(*p) * e_i (_class_product).
+    value is read off the matrix of multiplication by b^(*p), the power
+    taken by square-and-multiply on (class, q) vectors (_class_product).
     """
+    _check_truncation(trunc)
     vector, deg = _seed_class(b, ring, "t^0 layer")
     if trunc is None:
         trunc = ring.default_truncation(deg)
-    g = ring.prime * deg
+    g, degrees = ring.prime * deg, ring._degrees
     power = _power(vector, ring.prime, lambda x, y: _class_product(ring, x, y))
+    entries = _multiplication_entries(ring, power)
     seeds = {}
-    for i, be in enumerate(ring.basis):
-        col = _class_product(ring, power, {(i, 0): 1})
-        for j in range(len(ring.basis)):
-            d, r = divmod(g + be.degree - ring.degree(j), ring.q_degree)
+    for i, deg_i in enumerate(degrees):
+        for j, deg_j in enumerate(degrees):
+            d, r = divmod(g + deg_i - deg_j, ring.q_degree)
             if not r and 0 <= d <= trunc:
-                seeds[(i, j, d)] = col.get((j, d), 0)
+                seeds[(i, j, d)] = entries.get((i, j, d), 0)
     return seeds
 
 
 # -- the solver ---------------------------------------------------------------
-
-
-def _check_truncation(trunc):
-    """Reject a negative q-truncation; None (the default) passes."""
-    if trunc is not None and trunc < 0:
-        raise ValueError("the q-truncation must be non-negative, got trunc=%d" % trunc)
 
 
 def solve_qsigma(b, ring, trunc=None):
@@ -255,7 +238,7 @@ def solve_qsigma(b, ring, trunc=None):
     seeds = {i * n + j: c for (i, j, _), c in tzero_layer(b, ring, trunc).items()}  # one per slot
     init = initial_layer(b, ring, trunc)
     # per order: its nonzero (s, c) in row-major order, and its tainted slots
-    layers = [[(i * n + j, c) for (i, j, d), c in init.entries.items() if d == 0]]
+    layers = [[(i * n + j, c) for (i, j, _), c in init.entries.items()]]
     masks = [set()]
     seed_checks = 0
     seeds_resolving = 0

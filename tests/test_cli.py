@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from qsteenrod.manifold_io import (
     ring_from_data,
 )
 from qsteenrod.oracles import builtin_manifold
+from qsteenrod.solver import _residuals
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -467,6 +469,21 @@ def test_ungraded_q2_product_exits_one_naming_it(tmp_path, capsys):
     )
 
 
+def test_steenrod_entry_vanishing_mod_p_exits_one_naming_it(tmp_path, capsys):
+    """St(h_2) = 3 t^2 h_2 mod 3 has no leading term: compute and verify ring both fail."""
+    data = builtin_manifold("cubic_surface")
+    data["steenrod"]["3"]["h_2"] = [{"basis": "h_2", "t": 2, "theta": 0, "coeff": 3}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_manifold(data))
+    message = "St(h_2) mod 3 has no leading term t^2*h_2"
+    code, text = run_cli(["compute", "--manifold", str(bad), "--prime", "3", "--class", "h_2"])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == "error: %s\n" % message
+    code, text = run_cli(["verify", "--manifold", str(bad), "--prime", "3", "--suite", "ring"])
+    assert code == 1
+    assert text == "FAIL ring: ring: steenrod table: %s\n" % message
+
+
 def test_verify_runs_every_suite_past_a_raising_one(tmp_path):
     bad = _ungraded_cubic(tmp_path)
     code, text = run_cli(["verify", "--manifold", str(bad), "--prime", "5", "--suite", "all"])
@@ -501,6 +518,62 @@ def test_verify_constancy_reports_an_entry_on_a_dead_slot(monkeypatch):
     )
     assert code == 1
     assert text == "FAIL constancy: constancy[h]: entry on a dead slot (1 -> h, q^2 t^-2)\n"
+
+
+def _bend(endo, slot, taint):
+    """endo with one slot raised by 1, or with that slot tainted instead of stored."""
+    entries = dict(endo.entries)
+    if taint:
+        entries.pop(slot, None)
+    else:
+        entries[slot] = entries.get(slot, 0) + 1
+    return GradedEndomorphism(
+        endo.ring, endo.degree, endo.trunc, entries, endo.taint | ({slot} if taint else set())
+    )
+
+
+@pytest.mark.parametrize(
+    "target, cls, slot, taint, line",
+    [
+        ("solve_qsigma", "h", (1, 1, 1), False, "constancy[h, a=h]: residual 2 at (1 -> h, q)"),
+        ("initial_layer", "h", (1, 1, 0), False, "constancy[h]: q^0 layer differs from cup St"),
+        ("solve_qsigma", "h", (1, 0, 2), True, "constancy[h]: tainted t^0 slot (1, 0, 2)"),
+        ("tzero_layer", "h", (1, 0, 2), False, "constancy[h]: t^0 layer differs at (1, 0, 2)"),
+        ("solve_qsigma", "1", (1, 0, 0), True, "constancy: QSigma_1 is not the identity"),
+    ],
+    ids=["residual", "q0_layer", "tainted_t0_slot", "t0_layer", "qsigma_1"],
+)
+def test_verify_constancy_fails_on_one_bent_slot(monkeypatch, target, cls, slot, taint, line):
+    """Each comparison of the constancy suite reports a solve or seed bent at one slot.
+
+    A bent solve carries the residuals of the bent operator, as a real one would.
+    """
+    real = getattr(cli, target)
+
+    def solve(b, ring, trunc=None):
+        endo, report = real(b, ring, trunc)
+        if b != cls:
+            return endo, report
+        bent = _bend(endo, slot, taint)
+        return bent, dataclasses.replace(report, residual_failures=_residuals(bent, ring)[1])
+
+    def initial(b, ring, trunc=None):
+        layer = real(b, ring, trunc)
+        return _bend(layer, slot, taint) if b == cls else layer
+
+    def tzero(b, ring, trunc=None):
+        seeds = dict(real(b, ring, trunc))
+        if b == cls:
+            seeds[slot] += 1
+        return seeds
+
+    bent = {"solve_qsigma": solve, "initial_layer": initial, "tzero_layer": tzero}[target]
+    monkeypatch.setattr(cli, target, bent)
+    code, text = run_cli(
+        ["verify", "--manifold", "builtin:s2", "--prime", "3", "--suite", "constancy"]
+    )
+    assert code == 1
+    assert text.splitlines()[0] == "FAIL constancy: " + line
 
 
 def test_verify_suites_pass():

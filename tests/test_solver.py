@@ -21,6 +21,7 @@ from qsteenrod.endo import (
     format_endo,
     identity_endo,
     kappa,
+    multiplication_endo,
     multiplication_matrix,
     qpi,
 )
@@ -500,6 +501,43 @@ def test_ungraded_power_is_named_not_a_seed_mismatch(tmp_path):
     assert out.getvalue().startswith(
         "FAIL ring: ring: homogeneity: (h_4,h_4,q^2) -> h_4 violates the grading\n"
     )
+
+
+def test_ungraded_cup_constant_is_named_by_both_seeds():
+    """An ungraded (h_2, h_4, q^0) -> h_4 term is named as the product that reads it.
+
+    St(h_4) mod 2 is explicit and the layer's products read the term; St(h_2)
+    mod 5 is the default, whose cup power h_2^5 reads it.
+    """
+    data = builtin_manifold("quadric_intersection")
+    for product in data["products"]:
+        if (product["left"], product["right"], product["q"]) == ("h_2", "h_4", 0):
+            product["terms"].append({"basis": "h_4", "coeff": 1})
+    message = "(h_4, h_2, q^0) -> h_4 violates the grading; see verify --suite ring"
+    for p, name in ((2, "h_4"), (5, "h_2")):
+        ring = ring_from_data(data, p)
+        with pytest.raises(ValueError) as info:
+            initial_layer(name, ring)
+        assert str(info.value) == message
+        assert "homogeneity: (h_4,h_2,q^0) -> h_4 violates the grading" in verify_ring(ring)
+    # an explicit St(h_2) mod 5 reads the term too: one more finding, not an error
+    data["steenrod"]["5"] = {"h_2": [{"basis": "h_2", "t": 4, "theta": 0, "coeff": 1}]}
+    findings = verify_ring(ring_from_data(data, 5))
+    assert "homogeneity: (h_4,h_2,q^0) -> h_4 violates the grading" in findings
+    assert findings[-1] == "steenrod table: " + message
+
+
+def test_steenrod_entry_vanishing_mod_p_has_no_leading_term():
+    """St(h_2) = 3 t^2 h_2 is zero mod 3: rejected, not read as a zero q^0 layer."""
+    data = builtin_manifold("cubic_surface")
+    data["steenrod"]["3"]["h_2"] = [{"basis": "h_2", "t": 2, "theta": 0, "coeff": 3}]
+    ring = ring_from_data(data, 3)
+    message = "St(h_2) mod 3 has no leading term t^2*h_2"
+    for call in (lambda: initial_layer("h_2", ring), lambda: solve_qsigma("h_2", ring)):
+        with pytest.raises(MissingSteenrodData) as info:
+            call()
+        assert str(info.value) == message
+    assert verify_ring(ring) == ["steenrod table: " + message]
 
 
 # -- one solve per (ring, class, truncation) -----------------------------------
@@ -1818,8 +1856,22 @@ def test_ungraded_q2_product_is_named():
         lambda ring: qsigma_apply("h_2", basis_class(ring, "h_2", 3), ring, -1),
         lambda ring: qst_via_generators([(1, 0, ("h_2", "h_2"))], ring, -1),
         lambda ring: qsigma_lambda(basis_class(ring, "h_2", 3), ring, -1),
+        lambda ring: tzero_layer("h_2", ring, -1),
+        lambda ring: initial_layer("h_2", ring, -1),
+        lambda ring: identity_endo(ring, -1),
+        lambda ring: multiplication_endo(basis_class(ring, "h_2", 3), -1),
+        lambda ring: multiplication_matrix("h_2", ring, -1),
     ],
-    ids=["qsigma_apply", "qst_via_generators", "qsigma_lambda"],
+    ids=[
+        "qsigma_apply",
+        "qst_via_generators",
+        "qsigma_lambda",
+        "tzero_layer",
+        "initial_layer",
+        "identity_endo",
+        "multiplication_endo",
+        "multiplication_matrix",
+    ],
 )
 def test_negative_truncation_is_rejected_by_every_entry_point(call):
     ring = builtin_ring("cubic_surface", 2)
