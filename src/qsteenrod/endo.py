@@ -147,11 +147,11 @@ class GradedEndomorphism:
 
     @classmethod
     def _trusted(cls, ring, degree, trunc, entries, taint, index):
-        """An operator from the state of one __post_init__ has normalised.
+        """An operator from entries and taint as __post_init__ leaves them.
 
-        entries and taint are used as given (reduced, live, within trunc);
-        index is the row-index box of the operator they came from, so its
-        rows are built once for both.
+        They are used as given (nonzero mod p, live, within trunc; a frozenset);
+        index is [None] or the row-index box of the operator they came from,
+        so its rows are built once for both.
         """
         self = object.__new__(cls)
         self.__dict__.update(
@@ -230,16 +230,16 @@ def identity_endo(ring, trunc=None):
     return GradedEndomorphism(ring, 0, trunc, entries)
 
 
-def _multiplication_entries(ring, vector):
+def _multiplication_entries(ring, vector, top=None):
     """The matrix {(i, j, d): c} of x *, for the vector x = {(k, q): c} of q^q e_k.
 
-    c is the q^d e_j coefficient of x * e_i mod p, at every q-order; every
-    product is read through ring._class_product.
+    c is the q^d e_j coefficient of x * e_i mod p, at every q-order d (d <= top
+    if top is given); every product is read through ring._class_product.
     """
     return {
         (i, j, d): c
         for i in range(len(ring.basis))
-        for (j, d), c in _class_product(ring, vector, {(i, 0): 1}).items()
+        for (j, d), c in _class_product(ring, vector, {(i, 0): 1}, top).items()
     }
 
 
@@ -320,10 +320,10 @@ def compose_sign(deg_b1, deg_b2, p):
 def qpi(divisor_name, s):
     """QPi_{a,b} = the divisor derivation applied slot-wise to QSigma_b."""
     div = s.ring.divisor(divisor_name)
-    entries = {
-        (i, j, d): div.pairing * d * c for (i, j, d), c in s.entries.items()
-    }
-    return GradedEndomorphism(s.ring, s.degree, s.trunc, entries, s.taint)
+    lam, p = div.pairing, s.ring.prime
+    # s's slots are live and within trunc, so reducing and dropping zeros normalises
+    entries = {slot: v for slot, c in s.entries.items() if (v := lam * slot[2] * c % p)}
+    return GradedEndomorphism._trusted(s.ring, s.degree, s.trunc, entries, s.taint, [None])
 
 
 def equal_on_untainted(s1, s2):
@@ -337,22 +337,28 @@ def equal_on_untainted(s1, s2):
     return a == b
 
 
-def format_endo(s):
-    """Grouped (from -> to) listing, each (i, j) series as format_series renders it."""
-    ring = s.ring
-    half = ring.q_degree // 2
-    degrees = ring._degrees
-    rows = {}  # (i, j) -> [(d, c)]
+def _series_rows(s):
+    """s's entries as {(i, j): [((d, t, 0), c)]} in slot order, t the forced kappa."""
+    degrees, half = s.ring._degrees, s.ring.q_degree // 2
+    rows = {}
     for (i, j, d), c in s.entries.items():
         rows.setdefault((i, j), []).append((d, c))
-    lines = []
-    for (i, j), row in sorted(rows.items()):
+    out = {}
+    for i, j in sorted(rows):
         top = (s.degree + degrees[i] - degrees[j]) // 2  # kappa at q^0
-        terms = (((d, top - half * d, 0), c) for d, c in sorted(row))
-        lines.append(
-            "  (%s -> %s) = %s"
-            % (ring.basis[i].name, ring.basis[j].name, _format_terms(terms, ring.prime))
-        )
+        out[i, j] = [((d, top - half * d, 0), c) for d, c in sorted(rows[i, j])]
+    return out
+
+
+def format_endo(s):
+    """Grouped (from -> to) listing, each (i, j) series as format_series renders it,
+    all in one _format_terms call."""
+    names = [b.name for b in s.ring.basis]
+    rows = _series_rows(s)
+    lines = [
+        "  (%s -> %s) = %s" % (names[i], names[j], text)
+        for (i, j), text in zip(rows, _format_terms(rows.values(), s.ring.prime))
+    ]
     if s.taint:
         lines.append("taint:")
         for (i, j, d) in sorted(s.taint):

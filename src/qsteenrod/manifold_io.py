@@ -4,13 +4,14 @@ A manifold file is a single JSON document with integral structure constants;
 the prime is applied at load time, so one file serves every prime.  Unknown
 fields are rejected.  Result files echo their inputs and list matrix/vector
 entries and taint slots.  Dumping is byte-stable: the layout is the stdlib
-json.dumps(data, sort_keys=True, indent=2) one, with the bulky row lists
-run through the C encoder (dump_result).
+json.dumps(data, sort_keys=True, indent=2) one, the bulky row lists laid out
+with one fixed % layout per row shape and each class name JSON-encoded once.
 """
 
 import json
-from itertools import chain
+from operator import itemgetter
 
+from .endo import _series_rows
 from .errors import ManifoldFormatError
 from .ring import QuantumRing
 
@@ -182,23 +183,14 @@ _RESULT_FIELDS = {
 
 
 def endo_result_data(endo, meta, report=None):
-    ring = endo.ring
-    rows = []
-    for (i, j, d) in sorted(endo.entries):
-        rows.append(
-            {
-                "from": ring.basis[i].name,
-                "to": ring.basis[j].name,
-                "q": d,
-                "t": endo.kappa(i, j, d),
-                "theta": 0,
-                "coeff": endo.entries[(i, j, d)],
-            }
-        )
-    taint = [
-        {"from": ring.basis[i].name, "to": ring.basis[j].name, "q": d}
-        for (i, j, d) in sorted(endo.taint)
+    """endo's rows in slot order, each t-exponent the one the degrees force (_series_rows)."""
+    names = [b.name for b in endo.ring.basis]
+    rows = [
+        {"from": names[i], "to": names[j], "q": d, "t": t, "theta": 0, "coeff": c}
+        for (i, j), terms in _series_rows(endo).items()
+        for (d, t, _), c in terms
     ]
+    taint = [{"from": names[i], "to": names[j], "q": d} for (i, j, d) in sorted(endo.taint)]
     return _result_data(meta, endo.trunc, endo.degree, rows, taint, report)
 
 
@@ -241,25 +233,36 @@ def _report_data(report):
     }
 
 
-# The C encoder, with the separator indent=2 puts between a row's items
-_encode_rows = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+# Result and taint rows by sorted keys, laid out as json.dumps(data,
+# sort_keys=True, indent=2) does: a class name as %s (JSON-encoded), the rest %d
+_NAMES = ("from", "to")
+_ROW_LAYOUTS = {
+    keys: "{" + ",".join('\n      "%s": %%%s' % (k, "s" if k in _NAMES else "d") for k in keys)
+    + "\n    }"
+    for keys in (("coeff", "from", "q", "t", "theta", "to"), ("from", "q", "to"))
+}
 
 
 def _rows_text(rows):
-    """A top-level non-empty list of flat rows (non-empty dicts of str to str or
-    int) laid out as json.dumps(data, sort_keys=True, indent=2) does, else None.
-
-    A C-encoded string holds no raw newline and only a row's end is "},", so
-    the row breaks are laid out by hand.
-    """
-    if not (
-        type(rows) is list and rows and set(map(type, rows)) <= {dict} and all(rows)
-        and set(map(type, chain.from_iterable(rows))) <= {str}
-        and set(map(type, chain.from_iterable(map(dict.values, rows)))) <= {str, int}
-    ):
+    """A top-level non-empty list of rows of one _ROW_LAYOUTS shape, str names
+    and int values, laid out as json.dumps(data, sort_keys=True, indent=2) does; else None."""
+    if type(rows) is not list or not rows or set(map(type, rows)) != {dict}:
         return None
-    body = _encode_rows(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    return "[\n    {\n      " + body + "\n    }\n  ]"
+    keys = tuple(sorted(rows[0]))
+    layout = _ROW_LAYOUTS.get(keys)
+    if layout is None or set(map(len, rows)) != {len(keys)}:
+        return None
+    try:
+        columns = list(zip(*map(itemgetter(*keys), rows)))
+    except KeyError:
+        return None
+    kinds = [str if k in _NAMES else int for k in keys]
+    if any(set(map(type, col)) != {kind} for kind, col in zip(kinds, columns)):
+        return None
+    code = {v: json.dumps(v) for kind, col in zip(kinds, columns) if kind is str for v in set(col)}
+    columns = [list(map(code.__getitem__, col)) if kind is str else col
+               for kind, col in zip(kinds, columns)]
+    return "[\n    " + ",\n    ".join(map(layout.__mod__, zip(*columns))) + "\n  ]"
 
 
 def dump_result(data):

@@ -26,6 +26,8 @@ from .series import (
     series_zero,
 )
 
+_SEE_RING = "; see verify --suite ring"  # ends _graded_sc's error; verify_ring drops it
+
 
 class BasisElement(NamedTuple):
     name: str
@@ -197,8 +199,8 @@ class QuantumRing:
         for k in terms:
             if self._degrees[i] + self._degrees[j] != self._degrees[k] + self.q_degree * d:
                 raise ValueError(
-                    "(%s, %s, q^%d) -> %s violates the grading; see verify --suite ring"
-                    % (self.basis[i].name, self.basis[j].name, d, self.basis[k].name)
+                    "(%s, %s, q^%d) -> %s violates the grading%s"
+                    % (self.basis[i].name, self.basis[j].name, d, self.basis[k].name, _SEE_RING)
                 )
         return terms
 
@@ -463,17 +465,18 @@ def _power(x, n, mul):
         square = mul(square, square)
 
 
-def _class_product(ring, x, y):
+def _class_product(ring, x, y, top=None):
     """Quantum product of t-free classes as vectors {(k, q): c} of q^q e_k, mod p.
 
-    The package's one reader of e_i * e_j: every constant is checked against
-    the grading (_graded_sc), and nothing is truncated.
+    The package's one reader of e_i * e_j: every constant it reads is checked
+    against the grading (_graded_sc); only q-orders <= top are read, if given.
     """
     pairs = (
         ((k, q + r + d), a * b * v)
         for (i, q), a in x.items()
         for (j, r), b in y.items()
         for d in ring.q_orders(i, j)
+        if top is None or q + r + d <= top
         for k, v in ring._graded_sc(i, j, d).items()
     )
     return _reduced(pairs, ring.prime)
@@ -543,7 +546,7 @@ def verify_ring(ring, trunc=None):
         try:
             ring.full_steenrod(i, trunc)
         except (MissingSteenrodData, ValueError) as exc:  # ValueError: an ungraded cup constant
-            findings.append("steenrod table: %s" % exc)
+            findings.append("steenrod table: %s" % str(exc).removesuffix(_SEE_RING))
     return findings
 
 

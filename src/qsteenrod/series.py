@@ -207,32 +207,39 @@ def format_series(x, unit=""):
     With unit="h" renders terms like "q*t*h - t^2*h"; with unit="" renders
     scalar series like "q - t^2".
     """
-    return _format_terms(((m, x.terms[m]) for m in sorted(x.terms)), x.prime, unit)
+    return _format_terms([[(m, x.terms[m]) for m in sorted(x.terms)]], x.prime, unit)[0]
 
 
-def _format_terms(terms, p, unit=""):
-    """format_series of the nonzero ((q, t, theta), c) pairs, in the order given."""
-    parts = []
-    for (q, t, theta), c in terms:
-        c = balanced(c, p)
-        factors = []
-        if q == 1:
-            factors.append("q")
-        elif q:
-            factors.append("q^%d" % q)
-        if t == 1:
-            factors.append("t")
-        elif t:
-            factors.append("t^%d" % t)
-        if theta:
-            factors.append("th")
-        if unit:
-            factors.append(unit)
-        if abs(c) != 1 or not factors:
-            factors.insert(0, str(abs(c)))
-        text = "*".join(factors)
-        if not parts:
-            parts.append(text if c > 0 else "-" + text)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + text)
-    return " ".join(parts) or "0"
+# p -> {c mod p: (sign as the first term, sign after one, "|b|*" or "" for
+# |b| = 1, "|b|")}, b = fp.balanced(c, p), filled as coefficients are read
+_COEFFICIENT_TEXTS = {}
+
+
+def _format_terms(rows, p, unit=""):
+    """format_series of each row of nonzero ((q, t, theta), c) pairs, in the order given.
+
+    The one term formatter: each coefficient's text comes from the prime's
+    _COEFFICIENT_TEXTS, each monomial's label from a memo the rows share.
+    """
+    table, labels, texts = _COEFFICIENT_TEXTS.setdefault(p, {}), {}, []
+    for terms in rows:
+        parts = []
+        for mono, c in terms:
+            coeff = table.get(c % p)
+            if coeff is None:
+                b = balanced(c, p)
+                sign = ("", "+ ") if b > 0 else ("-", "- ")
+                coeff = table[c % p] = sign + ("" if abs(b) == 1 else "%d*" % abs(b), str(abs(b)))
+            label = labels.get(mono)
+            if label is None:
+                q, t, theta = mono
+                label = labels[mono] = "*".join(filter(None, (
+                    "q" if q == 1 else "q^%d" % q if q else "",
+                    "t" if t == 1 else "t^%d" % t if t else "",
+                    "th" if theta else "",
+                    unit,
+                )))
+            first, after, scale, alone = coeff
+            parts.append((after if parts else first) + (scale + label if label else alone))
+        texts.append(" ".join(parts) or "0")
+    return texts

@@ -155,8 +155,8 @@ def initial_layer(b, ring, trunc=None):
     """q^0 layer: cup product with the full classical St(b).
 
     St(b) is q-free and homogeneous of degree p|b| (QuantumRing._steenrod), so
-    its t-exponents are implied: the layer is the q^0 part of the matrix of
-    multiplication by the vector {(k, 0): c} (_multiplication_entries).
+    its t-exponents are implied: the layer is the matrix of multiplication by
+    the vector {(k, 0): c} (_multiplication_entries), read at q^0 only.
     """
     _check_truncation(trunc)
     vector, deg = _seed_class(b, ring, "initial layer")
@@ -164,8 +164,7 @@ def initial_layer(b, ring, trunc=None):
         trunc = ring.default_truncation(deg)
     pairs = ((k, c * v) for (i, _), c in vector.items() for (k, _), v in ring._steenrod(i).items())
     st = {(k, 0): c for k, c in _reduced(pairs, ring.prime).items()}
-    entries = {(i, j, d): c for (i, j, d), c in _multiplication_entries(ring, st).items() if not d}
-    return GradedEndomorphism(ring, ring.prime * deg, trunc, entries)
+    return GradedEndomorphism(ring, ring.prime * deg, trunc, _multiplication_entries(ring, st, 0))
 
 
 def tzero_layer(b, ring, trunc=None):

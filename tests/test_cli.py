@@ -520,6 +520,59 @@ def test_verify_constancy_reports_an_entry_on_a_dead_slot(monkeypatch):
     assert text == "FAIL constancy: constancy[h]: entry on a dead slot (1 -> h, q^2 t^-2)\n"
 
 
+@pytest.mark.parametrize(
+    "extra, slot",
+    [({(1, 1, 0): 1}, "(h -> h, t^3)"), ({(1, 1, 0): 1, (0, 1, 0): 1}, "(1 -> h, t^2)")],
+    ids=["extra_entry", "two_slots"],
+)
+def test_verify_constancy_compares_the_q0_layer_both_ways(monkeypatch, extra, slot):
+    """A solve with an entry where cup St(b) is zero fails too, in one line naming the first slot.
+
+    (0 -> 1, q^0) = 2 + 1 vanishes mod 3, so the second case also drops an entry.
+    """
+    real = cli.solve_qsigma
+
+    def with_extra(b, ring, trunc=None):
+        endo, report = real(b, ring, trunc)
+        if b != "h":
+            return endo, report
+        assert (1, 1, 0) not in endo.entries and endo.entries[(0, 1, 0)] == 2  # h cup St(h) = 0
+        entries = dict(endo.entries)
+        for s, c in extra.items():
+            entries[s] = entries.get(s, 0) + c
+        return GradedEndomorphism(ring, endo.degree, endo.trunc, entries, endo.taint), report
+
+    monkeypatch.setattr(cli, "solve_qsigma", with_extra)
+    code, text = run_cli(
+        ["verify", "--manifold", "builtin:s2", "--prime", "3", "--suite", "constancy"]
+    )
+    assert code == 1
+    assert text == "FAIL constancy: constancy[h]: q^0 layer differs from cup St at %s\n" % slot
+
+
+def test_ring_suite_names_an_ungraded_cup_constant_without_the_hint(tmp_path, capsys):
+    """verify --suite ring does not point at itself; compute still points at it."""
+    data = builtin_manifold("quadric_intersection")
+    for product in data["products"]:
+        if (product["left"], product["right"], product["q"]) == ("h_2", "h_4", 0):
+            product["terms"].append({"basis": "h_4", "coeff": 1})
+    data["steenrod"]["5"] = {"h_2": [{"basis": "h_2", "t": 4, "theta": 0, "coeff": 1}]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_manifold(data))
+    message = "(h_4, h_2, q^0) -> h_4 violates the grading"
+    code, text = run_cli(["verify", "--manifold", str(bad), "--prime", "5", "--suite", "ring"])
+    assert code == 1
+    assert text.endswith("\n     ring: steenrod table: %s\n" % message)
+    assert "see verify" not in text
+    code, text = run_cli(
+        ["compute", "--manifold", str(bad), "--prime", "5", "--class", "h_2", "--op", "qsigma"]
+    )
+    assert code == 1 and text == ""
+    # the divisor map reads the constant first, as h_2 * h_4
+    err = "error: (h_2, h_4, q^0) -> h_4 violates the grading; see verify --suite ring\n"
+    assert capsys.readouterr().err == err
+
+
 def _bend(endo, slot, taint):
     """endo with one slot raised by 1, or with that slot tainted instead of stored."""
     entries = dict(endo.entries)
@@ -536,7 +589,10 @@ def _bend(endo, slot, taint):
     "target, cls, slot, taint, line",
     [
         ("solve_qsigma", "h", (1, 1, 1), False, "constancy[h, a=h]: residual 2 at (1 -> h, q)"),
-        ("initial_layer", "h", (1, 1, 0), False, "constancy[h]: q^0 layer differs from cup St"),
+        (
+            "initial_layer", "h", (1, 1, 0), False,
+            "constancy[h]: q^0 layer differs from cup St at (h -> h, t^3)",
+        ),
         ("solve_qsigma", "h", (1, 0, 2), True, "constancy[h]: tainted t^0 slot (1, 0, 2)"),
         ("tzero_layer", "h", (1, 0, 2), False, "constancy[h]: t^0 layer differs at (1, 0, 2)"),
         ("solve_qsigma", "1", (1, 0, 0), True, "constancy: QSigma_1 is not the identity"),

@@ -1,0 +1,252 @@
+"""compute's output path against the plain constructions it replaces.
+
+The references below are the per-term formatting rule, the per-entry kappa
+rows and the normalising GradedEndomorphism constructor, kept here as they
+were so that every byte compute writes can be compared with them.
+"""
+
+import json
+import random
+from enum import IntEnum
+
+import pytest
+
+from qsteenrod import manifold_io
+from qsteenrod.endo import GradedEndomorphism, format_endo, qpi
+from qsteenrod.fp import balanced
+from qsteenrod.manifold_io import dump_result, endo_result_data
+from qsteenrod.oracles import builtin_ring
+from qsteenrod.ring import format_element
+from qsteenrod.series import _format_terms, format_series, series
+from qsteenrod.solver import qst_auto, solve_qsigma
+
+BUILTINS = ("s2", "cubic_surface", "quadric_intersection")
+
+
+# -- references ----------------------------------------------------------------
+
+
+def _reference_terms(terms, p, unit=""):
+    """The per-term rule: balanced coefficient, then q, t, th and the unit."""
+    parts = []
+    for (q, t, theta), c in terms:
+        c = balanced(c, p)
+        factors = []
+        if q == 1:
+            factors.append("q")
+        elif q:
+            factors.append("q^%d" % q)
+        if t == 1:
+            factors.append("t")
+        elif t:
+            factors.append("t^%d" % t)
+        if theta:
+            factors.append("th")
+        if unit:
+            factors.append(unit)
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        text = "*".join(factors)
+        if not parts:
+            parts.append(text if c > 0 else "-" + text)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + text)
+    return " ".join(parts) or "0"
+
+
+def _reference_series(x, unit=""):
+    return _reference_terms(((m, x.terms[m]) for m in sorted(x.terms)), x.prime, unit)
+
+
+def _reference_endo(s):
+    """format_endo from one kappa call per entry and one formatter call per (i, j)."""
+    ring = s.ring
+    rows = {}
+    for (i, j, d), c in s.entries.items():
+        rows.setdefault((i, j), []).append(((d, s.kappa(i, j, d), 0), c))
+    lines = [
+        "  (%s -> %s) = %s"
+        % (ring.basis[i].name, ring.basis[j].name, _reference_terms(sorted(row), ring.prime))
+        for (i, j), row in sorted(rows.items())
+    ]
+    if s.taint:
+        lines.append("taint:")
+        lines += ["  " + s.slot_text(i, j, d) for (i, j, d) in sorted(s.taint)]
+    return "\n".join(lines)
+
+
+def _reference_element(v):
+    if v.is_zero():
+        return "0"
+    parts = []
+    for k in sorted(v.components):
+        text = _reference_series(v.components[k], unit=v.ring.basis[k].name)
+        if not parts:
+            parts.append(text)
+        else:
+            parts.append("- " + text[1:] if text.startswith("-") else "+ " + text)
+    return " ".join(parts)
+
+
+def _reference_rows(s):
+    names = [b.name for b in s.ring.basis]
+    return [
+        {"from": names[i], "to": names[j], "q": d, "t": s.kappa(i, j, d), "theta": 0,
+         "coeff": s.entries[(i, j, d)]}
+        for (i, j, d) in sorted(s.entries)
+    ]
+
+
+def _stdlib_dump(data):
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _payload(result, taint=()):
+    return {
+        "manifold": "s2", "prime": 3, "class": "h", "op": "qsigma", "truncation": 2,
+        "degree": 6, "result": result, "taint": list(taint), "report": {},
+    }
+
+
+# -- result rows -----------------------------------------------------------------
+
+
+class _Int(IntEnum):
+    TWO = 2
+
+
+class _Name(str):
+    pass
+
+
+def _row(**changes):
+    row = {"coeff": 2, "from": "1", "q": 1, "t": 0, "theta": 0, "to": "h"}
+    row.update(changes)
+    return row
+
+
+_TAINT_ROW = {"from": "h", "q": 3, "to": "1"}
+
+# name -> (row list, whether it keeps the fixed layout)
+_ROW_LISTS = {
+    "plain": ([_row(), _row(q=2, coeff=1)], True),
+    "taint_rows": ([_TAINT_ROW, dict(_TAINT_ROW, q=4)], True),
+    "bool": ([_row(), _row(coeff=True)], False),
+    "float": ([_row(q=1.5)], False),
+    "int_subclass": ([_row(), _row(coeff=_Int.TWO)], False),
+    "str_subclass": ([_row(to=_Name("h"))], False),
+    "int_name": ([_row(to=3)], False),
+    "str_value": ([_row(q="3")], False),
+    "nested_value": ([_row(t=[1, {"t": 2}])], False),
+    "nested_name": ([_row(**{"from": ["1"]})], False),
+    "none": ([_row(theta=None)], False),
+    "missing_key": ([_row(), {k: v for k, v in _row().items() if k != "theta"}], False),
+    "extra_key": ([_row(), _row(extra=1)], False),
+    "extra_key_first": ([_row(extra=1), _row()], False),
+    "renamed_key": ([_row(), {k.replace("theta", "thata"): v for k, v in _row().items()}], False),
+    "mixed_shapes": ([_row(), _TAINT_ROW], False),
+    "mixed_shapes_taint_first": ([_TAINT_ROW, _row()], False),
+    "not_a_dict": ([_row(), [("q", 1)]], False),
+    "dict_subclass": ([type("Row", (dict,), {})(_row())], False),
+    "escaped_names": (
+        [
+            _row(**{"from": 'h"2', "to": "é"}),
+            _row(**{"from": "a\nb", "to": "},\n      {"}),
+            _row(**{"from": "\\", "to": "é\t"}),
+        ],
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_LISTS))
+def test_rows_text_and_dump_result_equal_the_stdlib(name):
+    rows, fixed = _ROW_LISTS[name]
+    assert (manifold_io._rows_text(rows) is not None) == fixed
+    for data in (_payload(rows), _payload([], rows), _payload(rows, rows)):
+        assert dump_result(data) == _stdlib_dump(data)
+    if fixed:
+        whole = json.dumps({"result": rows}, sort_keys=True, indent=2)
+        assert manifold_io._rows_text(rows) == whole[len('{\n  "result": ') : -len("\n}")]
+
+
+@pytest.mark.parametrize("p", [2, 3, 31])
+def test_endo_result_data_rows_are_the_kappa_rows(p):
+    for name in BUILTINS:
+        ring = builtin_ring(name, p)
+        for b in ring.basis:
+            s, report = solve_qsigma(b.name, ring)
+            for endo in [s] + [qpi(ring.basis[d.index].name, s) for d in ring.divisors]:
+                data = endo_result_data(endo, {"op": "qsigma"}, report)
+                assert data["result"] == _reference_rows(endo)
+                assert dump_result(data) == _stdlib_dump(data)
+
+
+# -- the term formatter ------------------------------------------------------------
+
+
+def _random_terms(rng, p, count):
+    """Up to count ((q, t, theta), c) pairs in monomial order, c nonzero mod p.
+
+    About half the coefficients are +-1 mod p; the others are unreduced and of
+    either sign.
+    """
+    monos = {(rng.randrange(4), rng.randrange(-3, 5), rng.randrange(2)) for _ in range(count)}
+    terms = []
+    for m in sorted(monos):
+        c = rng.choice([1, -1, p - 1, p + 1, 1 - p, rng.randrange(-3 * p, 3 * p)])
+        if c % p:
+            terms.append((m, c))
+    return terms
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 211])
+@pytest.mark.parametrize("unit", ["", "h_2"])
+def test_format_terms_equals_the_per_term_rule(p, unit):
+    rng = random.Random(p)
+    rows = [_random_terms(rng, p, n) for n in (0, 1, 3, 12, 40)]
+    rows.append([((0, 0, 0), 1)])
+    rows.append([((0, 0, 0), -1), ((0, 0, 1), 1), ((2, -1, 1), -1)])
+    want = [_reference_terms(row, p, unit) for row in rows]
+    assert _format_terms(rows, p, unit) == want  # one call, one shared label memo
+    assert [_format_terms([row], p, unit)[0] for row in rows] == want
+    for row in rows:
+        x = series(p, 5, [(q, t, theta, c) for (q, t, theta), c in row])
+        assert format_series(x, unit) == _reference_series(x, unit)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 101, 211])
+def test_format_endo_and_format_element_are_unchanged_on_every_builtin(p):
+    for name in BUILTINS:
+        ring = builtin_ring(name, p)
+        divisors = [ring.basis[d.index].name for d in ring.divisors]
+        for b in ring.basis:
+            s, _ = solve_qsigma(b.name, ring)
+            for endo in [s] + [qpi(a, s) for a in divisors]:
+                assert format_endo(endo) == _reference_endo(endo)
+            elem, _, _ = qst_auto(b.name, ring)
+            assert format_element(elem) == _reference_element(elem)
+
+
+# -- qpi -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_qpi_equals_the_normalised_construction(p):
+    dropped = tainted = 0
+    for name in BUILTINS:
+        ring = builtin_ring(name, p)
+        for b in ring.basis:
+            s, _ = solve_qsigma(b.name, ring)
+            for div in ring.divisors:
+                a = ring.basis[div.index].name
+                got = qpi(a, s)
+                entries = {(i, j, d): div.pairing * d * c for (i, j, d), c in s.entries.items()}
+                want = GradedEndomorphism(ring, s.degree, s.trunc, entries, s.taint)
+                assert got == want and got.entries == want.entries
+                assert got.taint == s.taint and type(got.taint) is frozenset
+                assert (got.degree, got.trunc) == (s.degree, s.trunc)
+                assert got.column("1") == want.column("1")
+                dropped += sum(1 for (_, _, d) in s.entries if d % p == 0 and d)
+                tainted += bool(s.taint)
+    assert dropped and tainted  # entries at q^d, d = 0 mod p, vanish and taint is kept

@@ -166,6 +166,20 @@ def test_class_product_is_the_element_product(p):
                 assert _vector_element(ring, trunc, got) == want, (name, x, y)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_class_product_to_top_is_the_product_cut_at_top(p):
+    rng = random.Random(p)
+    for name in BUILTINS:
+        ring = builtin_ring(name, p)
+        vectors = _class_vectors(ring, rng)
+        for x in vectors:
+            for y in vectors:
+                full = _class_product(ring, x, y)
+                for top in range(4):
+                    want = {s: c for s, c in full.items() if s[1] <= top}
+                    assert _class_product(ring, x, y, top) == want, (name, x, y, top)
+
+
 def _element_built_multiplication_endo(x, trunc=None, degree=None):
     """multiplication_endo as it was built from n element products, kept as the reference."""
     ring = x.ring

@@ -102,6 +102,22 @@ def test_initial_layer_quadrics_h4_p2():
     assert layer.kappa(0, 2, 0) == 2
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_initial_layer_reads_only_q0_products(p, monkeypatch):
+    """The layer is the q^0 part of the whole matrix of St(b) *, read at q^0 alone."""
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        ring = builtin_ring(name, p)
+        orders, graded = set(), ring._graded_sc
+        monkeypatch.setattr(ring, "_graded_sc", lambda i, j, d: orders.add(d) or graded(i, j, d))
+        for i, b in enumerate(ring.basis):
+            layer = initial_layer(b.name, ring)
+            assert orders <= {0}
+            st = {(k, 0): c for (k, _), c in ring._steenrod(i).items()}
+            whole = endo_mod._multiplication_entries(ring, st)
+            assert layer.entries == {s: c for s, c in whole.items() if not s[2]}
+            orders.clear()
+
+
 def test_initial_layer_missing_data():
     data = builtin_manifold("s2")
     data["default_leading_steenrod"] = False
@@ -520,11 +536,12 @@ def test_ungraded_cup_constant_is_named_by_both_seeds():
             initial_layer(name, ring)
         assert str(info.value) == message
         assert "homogeneity: (h_4,h_2,q^0) -> h_4 violates the grading" in verify_ring(ring)
-    # an explicit St(h_2) mod 5 reads the term too: one more finding, not an error
+    # an explicit St(h_2) mod 5 reads the term too: one more finding, not an
+    # error, and without the hint to run the suite that prints it
     data["steenrod"]["5"] = {"h_2": [{"basis": "h_2", "t": 4, "theta": 0, "coeff": 1}]}
     findings = verify_ring(ring_from_data(data, 5))
     assert "homogeneity: (h_4,h_2,q^0) -> h_4 violates the grading" in findings
-    assert findings[-1] == "steenrod table: " + message
+    assert findings[-1] == "steenrod table: (h_4, h_2, q^0) -> h_4 violates the grading"
 
 
 def test_steenrod_entry_vanishing_mod_p_has_no_leading_term():
