@@ -129,26 +129,33 @@ def _suite_constancy(ring, args, failures):
     ident = identity_endo(ring)
     for b in ring.basis:
         endo, report = solve_qsigma(b.name, ring)
+        rows, zeros = endo.rows, (0,) * (endo.trunc + 1)
         for div, fails in report.residual_failures.items():
             for f in fails:
                 failures.append("constancy[%s, a=%s]: %s" % (b.name, div, f))
-        for (i, j, d) in endo.entries:
-            if endo.kappa(i, j, d) is None:
+        for (i, j), row in rows.items():
+            for d in [d for d, c in enumerate(row) if c and endo.kappa(i, j, d) is None]:
                 failures.append(
                     "constancy[%s]: entry on a dead slot %s" % (b.name, endo.slot_text(i, j, d))
                 )
-        init = initial_layer(b.name, ring, endo.trunc).entries
-        layer = {slot: c for slot, c in endo.entries.items() if not slot[2]}
+        init, layer = ({(i, j, 0): r[0] for (i, j), r in x.rows.items() if r[0]}
+                       for x in (initial_layer(b.name, ring, 0), endo))
         differ = sorted(s for s in init.keys() | layer.keys() if init.get(s) != layer.get(s))
         if differ:
             line = "constancy[%s]: q^0 layer differs from cup St at %s"
             failures.append(line % (b.name, endo.slot_text(*differ[0])))
         seeds = tzero_layer(b.name, ring, endo.trunc)
-        for slot, val in seeds.items():
-            if slot in endo.taint:
-                failures.append("constancy[%s]: tainted t^0 slot %r" % (b.name, slot))
-            elif endo.entries.get(slot, 0) != val % ring.prime:
-                failures.append("constancy[%s]: t^0 layer differs at %r" % (b.name, slot))
+        tainted = sorted(s for s in seeds if s in endo.taint)
+        if tainted:
+            line = "constancy[%s]: tainted t^0 slot %s"
+            failures.append(line % (b.name, endo.slot_text(*tainted[0])))
+        differ = sorted(
+            (i, j, d) for (i, j, d), c in seeds.items()
+            if (i, j, d) not in endo.taint and rows.get((i, j), zeros)[d] != c % ring.prime
+        )
+        if differ:
+            line = "constancy[%s]: t^0 layer differs from b^(*p) at %s"
+            failures.append(line % (b.name, endo.slot_text(*differ[0])))
     one, _ = solve_qsigma("1", ring)
     if one != ident:
         failures.append("constancy: QSigma_1 is not the identity")

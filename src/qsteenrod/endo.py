@@ -7,15 +7,16 @@ kappa negative or non-integral are identically zero, so only the scalar
 coefficient is stored.  The taint set lists slots whose value the solver
 could not determine; tainted slots carry no stored value.
 
-Every graded F_p matrix in the package is such a slot map {(i, j, d): c};
-the solver keeps one q-order as n^2 ints, slot (i, j) at i*n + j.  Every
+An operator stores rows {(i, j): row}, one per nonzero (e_i -> e_j) series
+in (i, j) order, row[d] its q^d coefficient mod p for d = 0 .. trunc; the
+slot map {(i, j, d): c}, entries, is a view built on first use.  Every
 matrix of multiplication by a class, A = a * and both seeds of the solver,
 comes from _multiplication_entries.  A product (i, j, d1) then (j, k, d2)
 lands on (i, k, d1 + d2), and a tainted slot taints its product with every
 stored or tainted slot of the other factor.  compose and the solver's
 residual re-check multiply whole graded maps by Kronecker substitution in
-k-byte slots (_packed_matmul); a map applied to an element goes through
-the same product (_apply_rows, used by apply and column, qsigma_apply and
+k-byte slots, one int per row (_packed_matmul); a map applied to an element
+goes through the same product (_apply_rows, used by apply, qsigma_apply and
 the generator route's nabla); the sweep multiplies by a divisor block
 through its commutator lists (solver._ad_map), and a masked slot taints
 every slot its list names.
@@ -23,10 +24,13 @@ On a single class the rule is _reach: a coefficient slot (k, q) of e_k q^q
 reaches (j, q + d) for every slot (j, d) of the operator's column k.
 """
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from types import MappingProxyType
 
 from .ring import _check_compatible, _class_product, basis_class, element_from_terms, zero_element
-from .series import Monomial, _format_terms, _pack_series, _slot_bytes, _unpack_series
+from .series import (
+    Monomial, _format_terms, _pack, _pack_series, _slot_bytes, _unpack, _unpack_series
+)
 
 
 def kappa(ring, g, i, j, d):
@@ -39,17 +43,17 @@ def kappa(ring, g, i, j, d):
     return k if k >= 0 else None
 
 
-# -- sparse graded F_p matrices: slot maps {(i, j, d): c} ----------------------
+# -- sparse graded F_p matrices: rows {(i, j): row} -----------------------------
 
 
 def _packed_matmul(pairs):
     """Sum of the products x y over (x, y) in pairs, by Kronecker substitution.
 
-    Each factor is a packed map {(i, j): int} (_pack_series), so one big-int
-    product multiplies whole series.  Coefficients are non-negative; the
-    caller picks k so that the sums at the orders it reads fit in k bytes
-    (higher orders may overflow, since carries only move up).  Returns the
-    packed sum {(i, h): int}.
+    Each factor is a packed map {(i, j): int}, one int per series (_pack,
+    _pack_series), so one big-int product multiplies whole series.
+    Coefficients are non-negative; the caller picks k so that the sums at
+    the orders it reads fit in k bytes (higher orders may overflow, since
+    carries only move up).  Returns the packed sum {(i, h): int}.
     """
     acc = {}
     for x, y in pairs:
@@ -63,13 +67,13 @@ def _packed_matmul(pairs):
 
 
 def _apply_rows(ring, g, rows, x, trunc):
-    """The image of x, truncated at q^trunc, under the degree-g map with rows {k: {(k, j, d): c}}.
+    """The image of x, truncated at q^trunc, under the degree-g map with rows {(k, j): row}.
 
     x's terms are grouped by grading key (|e_k| + 2t + |q| q, theta), within
     which q fixes t, so each (key, k) packs into one int (_pack_series); one
-    _packed_matmul multiplies them by the packed rows of the classes x
+    _packed_matmul multiplies them by the packed rows out of the classes x
     touches, and each output term's t-exponent follows from the grading.
-    Row values lie in [0, p), as x's coefficients do.
+    Row values lie in [0, p), as x's coefficients do; orders past trunc are not read.
     """
     if x.is_zero():
         return zero_element(ring, trunc)
@@ -81,9 +85,7 @@ def _apply_rows(ring, g, rows, x, trunc):
         for k, f in x.components.items()
         for (q, t, h), c in f.terms.items()
     }
-    right = {}
-    for k in x.components:
-        right.update(_pack_series(rows.get(k, {}), w, trunc))
+    right = {s: _pack(row, w) for s, row in rows.items() if s[0] in x.components}
     products = _packed_matmul([(_pack_series(terms, w, trunc), right)])
     acc = {}  # j -> {monomial: unreduced coefficient}
     for ((key, h), j, d), c in _unpack_series(products, w, trunc).items():
@@ -101,19 +103,12 @@ def _slots(x):
     return {(k, m.q) for k, f in x.components.items() for m in f.terms}
 
 
-def _row_index(s):
-    """Rows of s by source index: ({i: {(i, j, d): c}}, {i: [(j, d)]}).
-
-    The second map lists the tainted slots.  Both hold only ints, so an
-    index kept with a solve_qsigma cache entry holds no reference to the
-    ring.
-    """
-    rows, taint_rows = {}, {}
-    for (i, j, d), c in s.entries.items():
-        rows.setdefault(i, {})[(i, j, d)] = c
-    for (i, j, d) in s.taint:
-        taint_rows.setdefault(i, []).append((j, d))
-    return rows, taint_rows
+def _by_source(slots):
+    """Slots (i, j, d) by source index, {i: [(j, d)]}, as _reach reads them."""
+    out = {}
+    for i, j, d in slots:
+        out.setdefault(i, []).append((j, d))
+    return out
 
 
 def _check_truncation(trunc):
@@ -122,51 +117,48 @@ def _check_truncation(trunc):
         raise ValueError("the q-truncation must be non-negative, got trunc=%d" % trunc)
 
 
-@dataclass(frozen=True)
 class GradedEndomorphism:
-    ring: object
-    degree: int
-    trunc: int
-    entries: dict = field(default_factory=dict)
-    taint: frozenset = field(default_factory=frozenset)
+    """Read-only; built from entries {(i, j, d): c}, reduced mod p, orders past trunc dropped."""
 
-    def __post_init__(self):
-        clean = {}
-        for (i, j, d), c in self.entries.items():
-            c %= self.ring.prime
-            if not c:
+    def __init__(self, ring, degree, trunc, entries=None, taint=frozenset()):
+        rows = defaultdict(lambda: [0] * (trunc + 1))
+        for (i, j, d), c in (entries or {}).items():
+            c %= ring.prime
+            if not c or d > trunc:
                 continue
-            if d > self.trunc:
-                continue
-            if kappa(self.ring, self.degree, i, j, d) is None:
+            if kappa(ring, degree, i, j, d) is None:
                 raise ValueError("entry on a dead slot (%d,%d,%d)" % (i, j, d))
-            clean[(i, j, d)] = c
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "taint", frozenset(self.taint))
-        object.__setattr__(self, "_index", [None])
+            rows[i, j][d] = c
+        rows, taint, view = {s: tuple(rows[s]) for s in sorted(rows)}, frozenset(taint), [None]
+        vars(self).update(ring=ring, degree=degree, trunc=trunc, rows=rows, taint=taint, _view=view)
 
     @classmethod
-    def _trusted(cls, ring, degree, trunc, entries, taint, index):
-        """An operator from entries and taint as __post_init__ leaves them.
-
-        They are used as given (nonzero mod p, live, within trunc; a frozenset);
-        index is [None] or the row-index box of the operator they came from,
-        so its rows are built once for both.
-        """
+    def _trusted(cls, ring, degree, trunc, rows, taint, view):
+        """An operator from rows and taint as __init__ leaves them (nonzero tuples of trunc + 1
+        values in [0, p), live, in (i, j) order; a frozenset), used as given; view is [None]
+        or the entries box of the operator they came from, so one view serves both."""
         self = object.__new__(cls)
-        self.__dict__.update(
-            ring=ring, degree=degree, trunc=trunc, entries=entries, taint=taint, _index=index
-        )
+        vars(self).update(ring=ring, degree=degree, trunc=trunc, rows=rows, taint=taint, _view=view)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedEndomorphism is read-only: cannot change %r" % name)
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)
 
     def kappa(self, i, j, d):
         return kappa(self.ring, self.degree, i, j, d)
 
-    def _rows(self):
-        """The row index of _row_index, built on first use."""
-        box = self._index
+    @property
+    def entries(self):
+        """The nonzero {(i, j, d): c} in (d, i, j) order, a read-only view built on first use."""
+        box, rows = self._view, self.rows
         if box[0] is None:
-            box[0] = _row_index(self)
+            layers = enumerate(zip(*rows.values()))
+            box[0] = MappingProxyType(
+                {(i, j, d): c for d, layer in layers for (i, j), c in zip(rows, layer) if c}
+            )
         return box[0]
 
     @property
@@ -184,14 +176,18 @@ class GradedEndomorphism:
             isinstance(other, GradedEndomorphism)
             and self.ring._context == other.ring._context
             and self.degree == other.degree
-            and self.entries == other.entries
             and self.taint == other.taint
+            and (self.rows == other.rows if self.trunc == other.trunc
+                 else self.entries == other.entries)
         )
 
     def column(self, name, trunc=None):
-        """Image of a basis class, as (element, taint slots (to_index, q))."""
+        """Image of a basis class, as (element, taint slots (to_index, q)), read off its rows."""
         trunc = self.trunc if trunc is None else trunc
-        return self.apply(basis_class(self.ring, name, trunc), trunc)
+        k = self.ring.index(name)
+        terms = {j: dict(row) for (i, j), row in _series_rows(self, k).items()}
+        taint = {(j, d) for i, j, d in self.taint if i == k and d <= trunc}
+        return element_from_terms(self.ring, trunc, terms), taint
 
     def apply(self, x, trunc=None):
         """Lambda[t]-linear application to an element.
@@ -201,9 +197,8 @@ class GradedEndomorphism:
         """
         _check_compatible(self.ring, x.ring, "application")
         trunc = x.trunc if trunc is None else trunc
-        rows, taint_rows = self._rows()
-        taint = _reach(_slots(x), taint_rows, trunc)
-        return _apply_rows(self.ring, self.degree, rows, x, trunc), taint
+        taint = _reach(_slots(x), _by_source(self.taint), trunc)
+        return _apply_rows(self.ring, self.degree, self.rows, x, trunc), taint
 
     def slot_text(self, i, j, d):
         """Label of slot (i -> j, q^d); a residual can sit at t^-1, one t-order below it."""
@@ -294,8 +289,9 @@ def compose(s1, s2):
     # A coefficient at q-order <= trunc sums at most n*(trunc+1) products of
     # entries in [0, p-1], or of taint indicators in {0, 1} on two sides.
     k = _slot_bytes((n * (trunc + 1) * (p - 1) ** 2).bit_length() + 1)
-    pair = _pack_series(s2.entries, k, trunc), _pack_series(s1.entries, k, trunc)
-    products = _unpack_series(_packed_matmul([pair]), k, trunc)
+    pair = [{s: _pack(row, k) for s, row in x.rows.items()} for x in (s2, s1)]
+    products = _packed_matmul([pair])
+    rows = {s: [c % p for c in _unpack(products[s], k, trunc + 1)] for s in sorted(products)}
     taint = set()
     if s1.taint or s2.taint:
         k = _slot_bytes((2 * n * (trunc + 1)).bit_length() + 1)
@@ -308,8 +304,11 @@ def compose(s1, s2):
             (ones(s2.entries), ones(s1.taint)),
         ]
         taint = set(_unpack_series(_packed_matmul(pairs), k, trunc))
-    entries = {s: c % p for s, c in products.items() if c % p and s not in taint}
-    return GradedEndomorphism(ring, g, trunc, entries, frozenset(taint))
+    for i, j, d in taint:
+        if (i, j) in rows:
+            rows[i, j][d] = 0
+    rows = {s: tuple(row) for s, row in rows.items() if any(row)}
+    return GradedEndomorphism._trusted(ring, g, trunc, rows, frozenset(taint), [None])
 
 
 def compose_sign(deg_b1, deg_b2, p):
@@ -321,32 +320,31 @@ def qpi(divisor_name, s):
     """QPi_{a,b} = the divisor derivation applied slot-wise to QSigma_b."""
     div = s.ring.divisor(divisor_name)
     lam, p = div.pairing, s.ring.prime
-    # s's slots are live and within trunc, so reducing and dropping zeros normalises
-    entries = {slot: v for slot, c in s.entries.items() if (v := lam * slot[2] * c % p)}
-    return GradedEndomorphism._trusted(s.ring, s.degree, s.trunc, entries, s.taint, [None])
+    # s's rows are live and within trunc, so reducing and dropping zero rows normalises
+    rows = {key: tuple(lam * d * c % p for d, c in enumerate(row)) for key, row in s.rows.items()}
+    rows = {key: row for key, row in rows.items() if any(row)}
+    return GradedEndomorphism._trusted(s.ring, s.degree, s.trunc, rows, s.taint, [None])
 
 
 def equal_on_untainted(s1, s2):
-    """Compare entries on slots untainted in both endomorphisms."""
-    if s1.degree != s2.degree:
+    """Compare entries on slots untainted in both; never equal across incompatible rings."""
+    if s1.ring._context != s2.ring._context or s1.degree != s2.degree:
         return False
-    bad = s1.taint | s2.taint
-    bound = min(s1.trunc, s2.trunc)
-    a = {s: c for s, c in s1.entries.items() if s not in bad and s[2] <= bound}
-    b = {s: c for s, c in s2.entries.items() if s not in bad and s[2] <= bound}
+    bad, top = s1.taint | s2.taint, min(s1.trunc, s2.trunc) + 1
+    a, b = ({(i, j, d): c for (i, j), row in s.rows.items() for d, c in enumerate(row[:top])
+             if c and (i, j, d) not in bad} for s in (s1, s2))
     return a == b
 
 
-def _series_rows(s):
-    """s's entries as {(i, j): [((d, t, 0), c)]} in slot order, t the forced kappa."""
+def _series_rows(s, source=None):
+    """s's rows as {(i, j): [((d, t, 0), c)]} over the nonzero c, t the forced kappa;
+    only the rows out of e_source if source is given."""
     degrees, half = s.ring._degrees, s.ring.q_degree // 2
-    rows = {}
-    for (i, j, d), c in s.entries.items():
-        rows.setdefault((i, j), []).append((d, c))
     out = {}
-    for i, j in sorted(rows):
-        top = (s.degree + degrees[i] - degrees[j]) // 2  # kappa at q^0
-        out[i, j] = [((d, top - half * d, 0), c) for d, c in sorted(rows[i, j])]
+    for (i, j), row in s.rows.items():
+        if source is None or i == source:
+            top = (s.degree + degrees[i] - degrees[j]) // 2  # kappa at q^0
+            out[i, j] = [((d, top - half * d, 0), c) for d, c in enumerate(row) if c]
     return out
 
 

@@ -24,9 +24,10 @@ the generator route's nabla_a takes its values (endo._apply_rows) and its
 taint, and which qst_auto's peel reads; per block, the commutator
 X -> [X, A_e] as one list per flat slot s = i*n + j of the slots it touches
 (_ad_map), which both the values and the taint follow; and A packed for the
-re-check.  Each q-order is a list of n^2 ints and its taint a set of slots.
-The residual re-check multiplies by A itself, with compose's packed
-product, so a fault in the commutator lists cannot cancel out.
+re-check.  Each q-order is a list of n^2 ints and its taint a set of slots;
+the operator's rows (endo) are their transpose.  The residual re-check
+multiplies by A itself, with compose's packed product, so a fault in the
+commutator lists cannot cancel out.
 """
 
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .errors import InconsistentSeed, NegativePowerResidue, NotDivisor, NotGener
 from .endo import (
     GradedEndomorphism,
     _apply_rows,
+    _by_source,
     _check_truncation,
     _multiplication_entries,
     _packed_matmul,
@@ -52,7 +54,9 @@ from .ring import (
     basis_class,
     zero_element,
 )
-from .series import _pack_series, _slot_bytes, _unpack, _unpack_series, derivation_apply, series_one
+from .series import (
+    _pack, _pack_series, _slot_bytes, _unpack, _unpack_series, derivation_apply, series_one
+)
 
 
 @dataclass(frozen=True)
@@ -107,25 +111,23 @@ def _divisor_map(ring, div):
     Returns ring._mult[div.index] = (rows, tables, k, A, -A mod p), ints
     only, from one multiplication_matrix (whose product reader checks the
     grading, so block 0 raises degree by 2, as the sweep relies on):
-    rows[i] = {(i, j, e): c}, the q^e e_j terms of a * e_i, as _apply_rows
-    reads them; tables = {e: _ad_map(A_e)}, the sweep's; the re-check's
-    A = {(i, j, e): c} and -A, packed in k-byte slots.
+    rows = {(i, j): row}, row[e] the q^e e_j coefficient of a * e_i, as
+    _apply_rows reads them; tables = {e: _ad_map(A_e)}, the sweep's; the
+    re-check's A and -A, each row packed in k-byte slots.
     """
     entry = ring._mult.get(div.index)
     if entry is None:
         n, p = len(ring.basis), ring.prime
-        a = multiplication_matrix(ring.basis[div.index].name, ring).entries
-        rows = {i: {} for i in range(n)}
-        blocks = {}
-        for (i, j, e), c in a.items():
-            rows[i][(i, j, e)] = c
+        a = multiplication_matrix(ring.basis[div.index].name, ring)
+        rows, blocks = a.rows, {}
+        for (i, j, e), c in a.entries.items():
             blocks.setdefault(e, {})[(i, j)] = c
         # A slot of S A + (-A) S sums at most 2n products per block, each below p^2.
         k = _slot_bytes((2 * n * len(blocks) * (p - 1) ** 2).bit_length() + 1)
-        minus = {s: -c % p for s, c in a.items()}
-        packed = tuple(_pack_series(x, k, max(blocks)) for x in (a, minus))
+        plus = {s: _pack(row, k) for s, row in rows.items()}
+        minus = {s: _pack([-c % p for c in row], k) for s, row in rows.items()}
         tables = {e: _ad_map(blocks[e], n) for e in sorted(blocks)}
-        entry = ring._mult[div.index] = (rows, tables, k) + packed
+        entry = ring._mult[div.index] = (rows, tables, k, plus, minus)
     return entry
 
 
@@ -143,6 +145,7 @@ def _nabla(ring, x):
 def _seed_class(b, ring, what):
     """b as a vector {(k, 0): c}, and its degree; b must be a homogeneous q,t-free class."""
     b = basis_class(ring, b, 0) if isinstance(b, str) else b
+    _check_compatible(ring, b.ring, what)
     if any(m.q or m.t or m.theta for f in b.components.values() for m in f.terms):
         raise ValueError("%s needs a q,t-free class; see qsigma_lambda" % what)
     deg = b.degree
@@ -202,7 +205,6 @@ def solve_qsigma(b, ring, trunc=None):
     an equal endomorphism and the same report, which callers must not mutate.
     """
     b = basis_class(ring, b, 0) if isinstance(b, str) else b
-    _check_compatible(ring, b.ring, "solve_qsigma")
     if b.is_zero():
         raise ValueError("b must be nonzero")
     vector, deg = _seed_class(b, ring, "solve_qsigma")
@@ -217,13 +219,13 @@ def solve_qsigma(b, ring, trunc=None):
         raise NotDivisor("primary divisor pairing vanishes mod p")
     # One solve per (ring, class, truncation); a class of a compatible ring
     # keys it like one of the ring's own.  The cache keeps no endo, only its
-    # normalised state and row-index box, so it holds no reference back to
-    # the ring; a hit rebuilds the endo without normalising it again.
+    # rows, taint and entries-view box, so it holds no reference back to the
+    # ring; a hit rebuilds the endo without normalising it again.
     cls = sorted((k, c % p) for (k, _), c in vector.items())
     key = (tuple(cls), trunc)
     if key in ring._solved:
-        entries, taint, index, report = ring._solved[key]
-        return GradedEndomorphism._trusted(ring, g, trunc, entries, taint, index), report
+        rows, taint, view, report = ring._solved[key]
+        return GradedEndomorphism._trusted(ring, g, trunc, rows, taint, view), report
     n = len(ring.basis)
     tables = _divisor_map(ring, div)[1]
     ad0 = tables[0]
@@ -235,10 +237,10 @@ def solve_qsigma(b, ring, trunc=None):
     live_end = n * n  # order[:live_end] is live at the current order
 
     seeds = {i * n + j: c for (i, j, _), c in tzero_layer(b, ring, trunc).items()}  # one per slot
-    init = initial_layer(b, ring, trunc)
-    # per order: its nonzero (s, c) in row-major order, and its tainted slots
-    layers = [[(i * n + j, c) for (i, j, _), c in init.entries.items()]]
-    masks = [set()]
+    x = [0] * (n * n)
+    for (i, j), row in initial_layer(b, ring, 0).rows.items():  # q^0 only
+        x[i * n + j] = row[0]
+    xs, masks = [x], [set()]  # per order: its n^2 values, and its tainted slots
     seed_checks = 0
     seeds_resolving = 0
 
@@ -256,9 +258,10 @@ def solve_qsigma(b, ring, trunc=None):
             # slot taints every slot its table lists.
             for e, table in tables.items():
                 if 1 <= e <= d:
-                    for s, c in layers[d - e]:
-                        for t, v in table[s]:
-                            x[t] -= c * v
+                    for s, c in enumerate(xs[d - e]):
+                        if c:
+                            for t, v in table[s]:
+                                x[t] -= c * v
                     for s in masks[d - e]:
                         mask.update(t for t, _ in table[s])
             inv = fp_inv(lam * d, p)
@@ -297,12 +300,12 @@ def solve_qsigma(b, ring, trunc=None):
                 "recurrence gives %d but the p-fold power seeds %d at (%s -> %s, q^%d)"
                 % ((x[s], seeds[s]) + names)
             )
-        layers.append([(s, c) for s, c in enumerate(x) if c])
+        xs.append(x)
         masks.append(mask.intersection(order[:live_end]) if mask else mask)
 
-    entries = {divmod(s, n) + (d,): c for d, layer in enumerate(layers) for s, c in layer}
+    rows = {divmod(s, n): row for s, row in enumerate(zip(*xs)) if any(row)}
     taint = {divmod(s, n) + (d,) for d, mask in enumerate(masks) for s in mask}
-    endo = GradedEndomorphism._trusted(ring, g, trunc, entries, frozenset(taint), [None])
+    endo = GradedEndomorphism._trusted(ring, g, trunc, rows, frozenset(taint), [None])
     checked, failures = _residuals(endo, ring)
     report = SolveReport(
         taint=tuple(sorted(taint)),
@@ -312,7 +315,7 @@ def solve_qsigma(b, ring, trunc=None):
         residual_checked=checked,
         residual_failures=failures,
     )
-    ring._solved[key] = (endo.entries, endo.taint, endo._index, report)
+    ring._solved[key] = (rows, endo.taint, endo._view, report)
     return endo, report
 
 
@@ -345,45 +348,48 @@ def verify_covariant_constancy(endo, divisor_name, ring, pi=None):
 
     [S, a*] = S A - A S, with A = {(i, j, e): c} the map of quantum
     multiplication by the divisor, is one endo._packed_matmul, the product
-    compose uses, on S packed once and on A and -A mod p packed once per ring
-    (_divisor_map).  A tainted slot (i, j, d) reaches (i, l, d + e) for each
-    (j, l, e) of A and (h, j, d + e) for each (h, i, e) of A: the support of
-    the same product on S's taint.  lambda*d*S + [S, a*] is then checked
-    slot by slot mod p on the unpacked series.  Every slot with d <= trunc
-    is checked unless it is tainted or a tainted slot reaches it; failures
-    are listed in (d, i, j) order.
+    compose uses, on S's rows packed once and on A and -A mod p packed once
+    per ring (_divisor_map).  A tainted slot (i, j, d) reaches (i, l, d + e)
+    for each (j, l, e) of A and (h, j, d + e) for each (h, i, e) of A: the
+    support of the same product on S's taint.  lambda*d*S + [S, a*] is then
+    checked slot by slot mod p, S's rows against the unpacked series.  Every
+    slot with d <= trunc is checked unless it is tainted or a tainted slot
+    reaches it; failures are listed in (d, i, j) order.
 
     When the matching QPi output is supplied, the relation
     t*QPi_{a,b}(c) = QSigma_b(a*c) - a*QSigma_b(c) is checked as well.
     """
+    _check_compatible(ring, endo.ring, "verify_covariant_constancy")
+    if pi is not None:
+        _check_compatible(ring, pi.ring, "verify_covariant_constancy")
     div = ring.divisor(divisor_name)
     _, _, k, plus, minus = _divisor_map(ring, div)
     p, n, trunc = ring.prime, len(ring.basis), endo.trunc
-    count = trunc + 1
-    series = _pack_series(endo.entries, k, trunc)
+    count, zeros = trunc + 1, (0,) * (trunc + 1)
+    series = {s: _pack(row, k) for s, row in endo.rows.items()}
     com = _packed_matmul([(series, plus), (minus, series)])  # orders above trunc are never read
     mask = set()
     if endo.taint:
         ones = _pack_series(dict.fromkeys(endo.taint, 1), k, trunc)
         mask = set(_unpack_series(_packed_matmul([(ones, plus), (minus, ones)]), k, trunc))
 
-    def residuals(x, weights, taint):
-        """The checked count, and sorted (d, i, j, r) with r = weights[d] x + [S, a*] != 0 mod p."""
+    def residuals(rows, weights, taint):
+        """The checked count, and sorted (d, i, j, r) with r = weights[d] x + [S, a*] != 0 mod p,
+        x the operator with rows {(i, j): row}."""
         skip = mask.union(s for s in taint if s[2] <= trunc)
         out = []
-        for s in x.keys() | com.keys():
-            u, v = _unpack(x.get(s, 0), k, count), _unpack(com.get(s, 0), k, count)
-            for d in range(count):
-                r = (weights[d] * u[d] + v[d]) % p
-                if r and s + (d,) not in skip:
-                    out.append((d,) + s + (r,))
+        for s in rows.keys() | com.keys():
+            x = zip(weights, rows.get(s, ()) + zeros, _unpack(com.get(s, 0), k, count))
+            res = [(w * u + v) % p for w, u, v in x]
+            if any(res):
+                out += [(d,) + s + (r,) for d, r in enumerate(res) if r and s + (d,) not in skip]
         return n * n * count - len(skip), sorted(out)
 
-    checked, found = residuals(series, [div.pairing * d % p for d in range(count)], endo.taint)
+    checked, found = residuals(endo.rows, [div.pairing * d % p for d in range(count)], endo.taint)
     failures = tuple("residual %d at %s" % (r, endo.slot_text(i, j, d)) for d, i, j, r in found)
     pi_checked, pi_failures = 0, ()
     if pi is not None:
-        pi_checked, found = residuals(_pack_series(pi.entries, k, trunc), [1] * count, pi.taint)
+        pi_checked, found = residuals(pi.rows, [1] * count, pi.taint)
         pi_failures = tuple(
             "divisor relation fails at %s" % endo.slot_text(i, j, d) for d, i, j, _ in found
         )
@@ -406,6 +412,7 @@ def qsigma_lambda(beta, ring, trunc=None):
     beta = sum_d q^d b_d gives QSigma_beta = sum_d q^(p d) QSigma_{b_d}.
     """
     _check_truncation(trunc)
+    _check_compatible(ring, beta.ring, "qsigma_lambda")
     p = ring.prime
     deg = beta.degree
     if deg is None:
@@ -496,8 +503,7 @@ def qsigma_apply(b, x, ring, trunc=None):
     endo = solve_qsigma(b, ring)[0]
     if trunc is None:
         trunc = x.trunc if x.trunc is not None else endo.trunc
-    solved, taint_rows = endo._rows()
-    rows = dict(solved)  # repaired rows go here, not into the cached index
+    rows, taint_rows = endo.rows, _by_source(endo.taint)
     chain, chain_taint = {}, {}  # n -> nabla_a^n QSt(b), and its taint
     columns_taint = {}
     for k in sorted(x.components):
@@ -508,9 +514,9 @@ def qsigma_apply(b, x, ring, trunc=None):
                 if not chain:  # t d_a keeps a slot (k, q); a * moves it along A's row k
                     chain[0], chain_taint[0] = endo.column("1", trunc)
                     a_rows = _divisor_map(ring, ring.primary)[0]
-                    nabla = {
-                        i: [(i, 0)] + [(j, e) for _, j, e in row] for i, row in a_rows.items()
-                    }
+                    nabla = {i: [(i, 0)] for i in range(len(ring.basis))}
+                    for (i, j), row in a_rows.items():
+                        nabla[i] += [(j, e) for e, c in enumerate(row) if c]
                 while len(chain) <= max(n for n, _, _, _ in rewritten):
                     n = len(chain)
                     chain[n] = _nabla(ring, chain[n - 1])
@@ -520,11 +526,10 @@ def qsigma_apply(b, x, ring, trunc=None):
                     col, col_taint = zero_element(ring, trunc), repair_taint
                     for n, m, s, c in rewritten:
                         col = col + chain[n].times_monomial(q=m, t=s, coeff=c)
-                    rows[k] = {
-                        (k, j, m.q): c
-                        for j, f in col.components.items()
-                        for m, c in f.terms.items()
-                    }
+                    rows = {s: row for s, row in rows.items() if s[0] != k}  # not endo's own
+                    for j, f in col.components.items():
+                        terms = {m.q: c for m, c in f.terms.items()}
+                        rows[k, j] = [terms.get(d, 0) for d in range(trunc + 1)]
         columns_taint[k] = col_taint
     return _apply_rows(ring, endo.degree, rows, x, trunc), _reach(_slots(x), columns_taint, trunc)
 
@@ -537,12 +542,8 @@ def _divisor_step(a_name, x, x_taint, ring, trunc):
     """
     val, taint = qsigma_apply(a_name, x, ring, trunc)
     if x_taint:
-        rows, taint_rows = solve_qsigma(a_name, ring)[0]._rows()
-        support = {
-            k: [(j, d) for _, j, d in rows.get(k, ())] + taint_rows.get(k, [])
-            for k, _ in x_taint
-        }
-        taint |= _reach(x_taint, support, trunc)
+        endo = solve_qsigma(a_name, ring)[0]
+        taint |= _reach(x_taint, _by_source(endo.entries.keys() | endo.taint), trunc)
     return val, taint
 
 
@@ -607,15 +608,17 @@ def qst_auto(name, ring, trunc=None):
         return r.element, set(), "direct"
     out_trunc = r.element.trunc if r.element.trunc is not None else r.endo.trunc
     a_name = ring.basis[ring.primary.index].name
-    for be, product in zip(ring.basis, _divisor_map(ring, ring.primary)[0].values()):
-        # a * be, A's row, must be u e_target at q^0 alone: simultaneous
-        # degree-peers are unsupported
-        lead = {k: c for (_, k, d), c in product.items() if not d}
+    for i, be in enumerate(ring.basis):
+        # a * be, A's rows out of be, must be u e_target at q^0 alone:
+        # simultaneous degree-peers are unsupported
+        product = [(j, d, c) for (h, j), row in _divisor_map(ring, ring.primary)[0].items()
+                   if h == i for d, c in enumerate(row) if c]
+        lead = {k: c for k, d, c in product if not d}
         if set(lead) != {target}:
             continue
         sub, sub_taint, _ = qst_auto(be.name, ring, trunc)
         val, taint = _divisor_step(a_name, sub.retruncate(out_trunc), sub_taint, ring, out_trunc)
-        for (_, k, d), c in product.items():
+        for k, d, c in product:
             if d:
                 rest, rest_taint, _ = qst_auto(ring.basis[k].name, ring, trunc)
                 m = ring.prime * d

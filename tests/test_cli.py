@@ -132,7 +132,7 @@ def test_dump_result_escapes_as_the_stdlib_does():
         {"from": "\u00e9", "to": "a\nb}", "q": 0, "t": 1, "theta": 0, "coeff": 1},
     ]
     taint = [{"from": 'h"2', "to": "},\n      {", "q": 3}]
-    assert manifold_io._rows_text(rows) is not None  # the C-encoder path
+    assert manifold_io._rows_text(rows) is not None  # the fixed-layout path
     for data in (_payload(rows, taint, 'h"2'), _payload(rows, taint, "\u00e9")):
         assert dump_result(data) == _stdlib_dump(data)
         assert load_result(dump_result(data)) == data
@@ -505,10 +505,11 @@ def test_verify_constancy_reports_an_entry_on_a_dead_slot(monkeypatch):
         endo, report = real(b, ring, trunc)
         if b != "h":
             return endo, report
-        entries = dict(endo.entries)
-        entries[(0, 1, 2)] = 1  # 1 -> h at q^2 needs t^-2 in degree 6
+        row = list(endo.rows.get((0, 1), (0,) * (endo.trunc + 1)))
+        row[2] = 1  # 1 -> h at q^2 needs t^-2 in degree 6
+        rows = dict(sorted({**endo.rows, (0, 1): tuple(row)}.items()))
         dead = GradedEndomorphism._trusted(
-            ring, endo.degree, endo.trunc, entries, endo.taint, [None]
+            ring, endo.degree, endo.trunc, rows, endo.taint, [None]
         )
         return dead, report
 
@@ -593,8 +594,11 @@ def _bend(endo, slot, taint):
             "initial_layer", "h", (1, 1, 0), False,
             "constancy[h]: q^0 layer differs from cup St at (h -> h, t^3)",
         ),
-        ("solve_qsigma", "h", (1, 0, 2), True, "constancy[h]: tainted t^0 slot (1, 0, 2)"),
-        ("tzero_layer", "h", (1, 0, 2), False, "constancy[h]: t^0 layer differs at (1, 0, 2)"),
+        ("solve_qsigma", "h", (1, 0, 2), True, "constancy[h]: tainted t^0 slot (h -> 1, q^2)"),
+        (
+            "tzero_layer", "h", (1, 0, 2), False,
+            "constancy[h]: t^0 layer differs from b^(*p) at (h -> 1, q^2)",
+        ),
         ("solve_qsigma", "1", (1, 0, 0), True, "constancy: QSigma_1 is not the identity"),
     ],
     ids=["residual", "q0_layer", "tainted_t0_slot", "t0_layer", "qsigma_1"],
@@ -631,6 +635,33 @@ def test_verify_constancy_fails_on_one_bent_slot(monkeypatch, target, cls, slot,
     assert code == 1
     assert text.splitlines()[0] == "FAIL constancy: " + line
 
+
+
+@pytest.mark.parametrize("target", ["tzero_layer", "solve_qsigma"], ids=["differ", "tainted"])
+def test_verify_constancy_names_the_first_bent_t0_seed_once(monkeypatch, target):
+    """Both t^0 seeds of QSigma_h on s2 bent, (1 -> h, q) and (h -> 1, q^2): one line, the first."""
+    real = getattr(cli, target)
+    slots = [(0, 1, 1), (1, 0, 2)]
+
+    def solve(b, ring, trunc=None):
+        endo, report = real(b, ring, trunc)
+        for slot in slots if b == "h" else ():
+            endo = _bend(endo, slot, True)
+        return endo, report
+
+    def tzero(b, ring, trunc=None):
+        seeds = dict(real(b, ring, trunc))
+        for slot in slots if b == "h" else ():
+            seeds[slot] += 1
+        return seeds
+
+    monkeypatch.setattr(cli, target, {"solve_qsigma": solve, "tzero_layer": tzero}[target])
+    code, text = run_cli(
+        ["verify", "--manifold", "builtin:s2", "--prime", "3", "--suite", "constancy"]
+    )
+    what = {"tzero_layer": "t^0 layer differs from b^(*p) at", "solve_qsigma": "tainted t^0 slot"}
+    assert code == 1
+    assert text == "FAIL constancy: constancy[h]: %s (1 -> h, q)\n" % what[target]
 
 def test_verify_suites_pass():
     for name in ("s2", "cubic_surface", "quadric_intersection"):

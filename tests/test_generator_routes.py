@@ -111,20 +111,18 @@ def _step_taint_reference(taint, divisor_index, ring, trunc):
 
 def _push_taint_reference(taint, endo, trunc):
     """Output slots that tainted input slots (k, q) reach through endo."""
-    rows, taint_rows = endo._rows()
     out = set()
     for k, qv in taint:
-        reach = [(j, d) for _, j, d in rows.get(k, ())] + taint_rows.get(k, [])
+        reach = [(j, d) for i, j, d in endo.entries.keys() | endo.taint if i == k]
         out.update((j, qv + d) for j, d in reach if qv + d <= trunc)
     return out
 
 
 def _apply_taint_reference(endo, x, trunc):
     """The taint of endo.apply(x, trunc): tainted rows over x's terms."""
-    _, taint_rows = endo._rows()
     taint = set()
     for i, f in x.components.items():
-        for j, d in taint_rows.get(i, ()):
+        for j, d in [(j, d) for h, j, d in endo.taint if h == i]:
             for mono in f.terms:
                 if mono.q + d <= trunc:
                     taint.add((j, mono.q + d))
@@ -143,7 +141,11 @@ def test_reach_matches_the_taint_rules_it_replaced(p):
         sigma_a = solve_qsigma(a_name, ring)[0]
         rows = solver._divisor_map(ring, ring.primary)[0]
         # qsigma_apply's columns
-        nabla = {k: [(k, 0)] + [(j, e) for _, j, e in row] for k, row in rows.items()}
+        nabla = {
+            k: [(k, 0)] + [(j, e) for (i, j), row in rows.items() if i == k
+                           for e, c in enumerate(row) if c]
+            for k in range(n)
+        }
         for b in ring.basis:
             endo = solve_qsigma(b.name, ring)[0]
             trunc = endo.trunc

@@ -398,7 +398,7 @@ def _assert_apply_rows_is_series_mul(endo, x, trunc=None):
     times x's series f_k (series_mul), term by term, with the same truncation."""
     ring = endo.ring
     trunc = x.trunc if trunc is None else trunc
-    got = _apply_rows(ring, endo.degree, endo._rows()[0], x, trunc)
+    got = _apply_rows(ring, endo.degree, endo.rows, x, trunc)
     want = {}
     for k, f in x.components.items():
         col, _ = endo.column(ring.basis[k].name, trunc)

@@ -657,28 +657,22 @@ def test_solve_cache_hit_skips_normalisation(monkeypatch):
     assert hit == first
 
 
-def test_row_index_is_built_once_per_cache_key(monkeypatch):
+def test_entries_view_is_built_once_per_cache_key():
     ring = builtin_ring("cubic_surface", 3)
-    builds = []
-    real = endo_mod._row_index
-
-    def counted(s):
-        builds.append(s.trunc)
-        return real(s)
-
-    monkeypatch.setattr(endo_mod, "_row_index", counted)
     first, _ = solve_qsigma("h_2", ring)
-    assert not builds  # built on first use, not by the solve
+    assert first._view == [None]  # built on first use, not by the solve
     first.column("1")
+    assert first._view == [None]  # application reads the rows
+    view = first.entries
     for _ in range(3):
         hit, _ = solve_qsigma("h_2", ring)
-        for b in ring.basis:
-            hit.column(b.name)
-    assert builds == [first.trunc]
+        assert hit.entries is view
     low, _ = solve_qsigma("h_2", ring, 2)
-    low.column("h_2")
-    solve_qsigma("h_2", ring, 2)[0].apply(basis_class(ring, "1", 2))
-    assert builds == [first.trunc, 2]
+    assert low.entries is not view and solve_qsigma("h_2", ring, 2)[0].entries is low.entries
+    with pytest.raises(TypeError):
+        view[(0, 0, 0)] = 1
+    with pytest.raises(AttributeError, match="read-only"):
+        first.trunc = 0
 
 
 def test_negative_truncation_is_rejected():
@@ -716,16 +710,32 @@ def test_compose_s2():
         lambda s2, quad: basis_class(s2, "h", 2) + basis_class(quad, "h_4", 2),
         lambda s2, quad: zero_element(s2, 2) + basis_class(quad, "h_4", 2),
         lambda s2, quad: basis_class(s2, "h", 2) - zero_element(quad, 2),
+        lambda s2, quad: verify_covariant_constancy(solve_qsigma("h_2", quad)[0], "h", s2),
+        lambda s2, quad: verify_covariant_constancy(
+            solve_qsigma("h", s2)[0], "h", s2, pi=qpi("h_2", solve_qsigma("h_2", quad)[0])
+        ),
+        lambda s2, quad: tzero_layer(basis_class(quad, "h_2", 0), s2),
+        lambda s2, quad: initial_layer(basis_class(quad, "h_2", 0), s2),
+        lambda s2, quad: qsigma_lambda(basis_class(quad, "h_2", 2), s2),
     ],
     ids=[
         "compose", "apply h_2", "apply h_4", "quantum_product", "solve", "qsigma_apply",
-        "add", "add to zero", "subtract zero",
+        "add", "add to zero", "subtract zero", "verify_covariant_constancy", "verify pi",
+        "tzero_layer", "initial_layer", "qsigma_lambda",
     ],
 )
 def test_rings_with_one_prime_but_different_bases_do_not_mix(mix):
     s2, quad = builtin_ring("s2", 3), builtin_ring("quadric_intersection", 3)
     with pytest.raises(MixedContext, match="incompatible rings: s2 mod 3 and quadric"):
         mix(s2, quad)
+
+
+def test_equal_on_untainted_is_false_across_incompatible_rings():
+    """As == is: the same slots and values over another prime or basis are not equal."""
+    three, five = identity_endo(builtin_ring("s2", 3)), identity_endo(builtin_ring("s2", 5))
+    assert three.entries == five.entries and three != five
+    assert not equal_on_untainted(three, five)
+    assert equal_on_untainted(three, identity_endo(builtin_ring("s2", 3)))
 
 
 def test_compatible_rings_mix_and_share_one_solve():
@@ -1451,7 +1461,8 @@ def test_ad_tables_are_built_once_per_ring_and_shared(monkeypatch):
         assert tables[e] == real["_ad_map"](block, n)
     for i in range(n):  # the rows the connection chain and qst_auto's peel read
         product = _class_product(ring, {(div.index, 0): 1}, {(i, 0): 1})
-        assert rows[i] == {(i, j, e): c for (j, e), c in product.items()}
+        out_of_i = [(j, row) for (h, j), row in rows.items() if h == i]
+        assert {(j, e): c for j, row in out_of_i for e, c in enumerate(row) if c} == product
 
     def ints_only(obj):
         if isinstance(obj, dict):
