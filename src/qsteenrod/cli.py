@@ -173,7 +173,7 @@ def _suite_compose(ring, args, failures):
             basis_class(ring, a_name, trunc), basis_class(ring, b.name, trunc)
         )
         if beta.is_zero():
-            if left.entries:
+            if left.rows:
                 failures.append("compose: QSigma_%s o QSigma_%s nonzero" % (a_name, b.name))
             continue
         # the sign, compose_sign(2, |b|, p), is +1 for every class and prime

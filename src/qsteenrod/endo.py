@@ -8,18 +8,21 @@ coefficient is stored.  The taint set lists slots whose value the solver
 could not determine; tainted slots carry no stored value.
 
 An operator stores rows {(i, j): row}, one per nonzero (e_i -> e_j) series
-in (i, j) order, row[d] its q^d coefficient mod p for d = 0 .. trunc; the
-slot map {(i, j, d): c}, entries, is a view built on first use.  Every
-matrix of multiplication by a class, A = a * and both seeds of the solver,
-comes from _multiplication_entries.  A product (i, j, d1) then (j, k, d2)
-lands on (i, k, d1 + d2), and a tainted slot taints its product with every
-stored or tainted slot of the other factor.  compose and the solver's
-residual re-check multiply whole graded maps by Kronecker substitution in
-k-byte slots, one int per row (_packed_matmul); a map applied to an element
-goes through the same product (_apply_rows, used by apply, qsigma_apply and
-the generator route's nabla); the sweep multiplies by a divisor block
-through its commutator lists (solver._ad_map), and a masked slot taints
-every slot its list names.
+in (i, j) order, row[d] its q^d coefficient mod p for d = 0 .. trunc.  Every
+reader in the package reads the rows; the slot map {(i, j, d): c}, entries,
+is a view built on first use for tests and users.  Every matrix of
+multiplication by a class, A = a * and both seeds of the solver, comes from
+_multiplication_entries.  A product (i, j, d1) then (j, k, d2) lands on
+(i, k, d1 + d2), and a tainted slot taints its product with every stored or
+tainted slot of the other factor.  compose and the solver's residual
+re-check multiply whole graded maps by Kronecker substitution in k-byte
+slots, one int per row (_packed_matmul); compose's taint is the same product
+on 0/1 rows packed from the factors' rows and taint.  A map applied to an
+element goes through the same product (_apply_rows, used by apply and
+qsigma_apply), and so does the generator route's nabla on the rows of
+the connection chain (solver._nabla); the sweep multiplies by a divisor
+block through its commutator lists (solver._ad_map), and a masked slot
+taints every slot its list names.
 On a single class the rule is _reach: a coefficient slot (k, q) of e_k q^q
 reaches (j, q + d) for every slot (j, d) of the operator's column k.
 """
@@ -172,13 +175,15 @@ class GradedEndomorphism:
 
     def __eq__(self, other):
         """Equality of the underlying operators (truncation not compared)."""
+        if not isinstance(other, GradedEndomorphism):
+            return False
+        top = max(self.trunc, other.trunc)
         return (
-            isinstance(other, GradedEndomorphism)
-            and self.ring._context == other.ring._context
+            self.ring._context == other.ring._context
             and self.degree == other.degree
             and self.taint == other.taint
             and (self.rows == other.rows if self.trunc == other.trunc
-                 else self.entries == other.entries)
+                 else _padded(self.rows, top) == _padded(other.rows, top))
         )
 
     def column(self, name, trunc=None):
@@ -212,9 +217,14 @@ class GradedEndomorphism:
         return "<GradedEndomorphism deg=%d trunc=%d entries=%d taint=%d>" % (
             self.degree,
             self.trunc,
-            len(self.entries),
+            sum(len(row) - row.count(0) for row in self.rows.values()),
             len(self.taint),
         )
+
+
+def _padded(rows, trunc):
+    """rows with zeros appended up to q^trunc, so that rows of two truncations compare."""
+    return {s: row + (0,) * (trunc + 1 - len(row)) for s, row in rows.items()}
 
 
 def identity_endo(ring, trunc=None):
@@ -296,12 +306,20 @@ def compose(s1, s2):
     if s1.taint or s2.taint:
         k = _slot_bytes((2 * n * (trunc + 1)).bit_length() + 1)
 
-        def ones(slots):
-            return _pack_series(dict.fromkeys(slots, 1), k, trunc)
+        def ones(rows, slots):
+            """The packed 0/1 map of the nonzero positions of rows and of slots, orders <= trunc."""
+            out = {s: [1 if c else 0 for c in row[: trunc + 1]] + [0] * (trunc + 1 - len(row))
+                   for s, row in rows.items()}
+            for i, j, d in slots:
+                if d <= trunc:
+                    if (i, j) not in out:
+                        out[i, j] = [0] * (trunc + 1)
+                    out[i, j][d] = 1
+            return {s: _pack(row, k) for s, row in out.items()}
 
         pairs = [
-            (ones(s2.taint), ones(set(s1.entries) | s1.taint)),
-            (ones(s2.entries), ones(s1.taint)),
+            (ones({}, s2.taint), ones(s1.rows, s1.taint)),
+            (ones(s2.rows, ()), ones({}, s1.taint)),
         ]
         taint = set(_unpack_series(_packed_matmul(pairs), k, trunc))
     for i, j, d in taint:

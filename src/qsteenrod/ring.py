@@ -127,7 +127,7 @@ class QuantumRing:
                 orders.setdefault((i, j), []).append(d)
         self._orders = {key: tuple(sorted(ds)) for key, ds in orders.items()}
         # solve_qsigma's results: (class, truncation) ->
-        # (entries, taint, row-index box, report)
+        # (rows, taint, entries-view box, report)
         self._solved = {}
         self._frozen = True
 

@@ -20,14 +20,18 @@ propagates forward through later right-hand sides.  The solver reports; it
 never guesses.
 
 A is built once per ring and divisor (_divisor_map): its rows, from which
-the generator route's nabla_a takes its values (endo._apply_rows) and its
-taint, and which qst_auto's peel reads; per block, the commutator
-X -> [X, A_e] as one list per flat slot s = i*n + j of the slots it touches
-(_ad_map), which both the values and the taint follow; and A packed for the
-re-check.  Each q-order is a list of n^2 ints and its taint a set of slots;
-the operator's rows (endo) are their transpose.  The residual re-check
-multiplies by A itself, with compose's packed product, so a fault in the
-commutator lists cannot cancel out.
+the generator route's nabla_a takes its taint, and which qst_auto's peel
+reads; per block, the commutator X -> [X, A_e] as one list per flat slot
+s = i*n + j of the slots it touches (_ad_map), which both the values and the
+taint follow; and A packed, for the re-check and for nabla_a's values.  Each
+q-order is a list of n^2 ints and its taint a bitmask with bit s set for a
+tainted slot s; a masked slot ORs in the bitmask of the slots its list names.
+The operator's rows (endo) are the transpose of the q-orders.  The residual
+re-check multiplies by A itself, with compose's packed product, so a fault in
+the commutator lists cannot cancel out.
+
+The connection chain nabla_a^n QSt(b) is homogeneous, so nabla_a acts on its
+rows {j: [c_0 .. c_trunc]}, each term's t-exponent implied (_nabla).
 """
 
 from dataclasses import dataclass
@@ -55,7 +59,7 @@ from .ring import (
     zero_element,
 )
 from .series import (
-    _pack, _pack_series, _slot_bytes, _unpack, _unpack_series, derivation_apply, series_one
+    _pack, _pack_series, _slot_bytes, _unpack, _unpack_series, series_one
 )
 
 
@@ -111,17 +115,20 @@ def _divisor_map(ring, div):
     Returns ring._mult[div.index] = (rows, tables, k, A, -A mod p), ints
     only, from one multiplication_matrix (whose product reader checks the
     grading, so block 0 raises degree by 2, as the sweep relies on):
-    rows = {(i, j): row}, row[e] the q^e e_j coefficient of a * e_i, as
-    _apply_rows reads them; tables = {e: _ad_map(A_e)}, the sweep's; the
-    re-check's A and -A, each row packed in k-byte slots.
+    rows = {(i, j): row}, row[e] the q^e e_j coefficient of a * e_i, which
+    nabla_a's taint and qst_auto's peel read; tables = {e: _ad_map(A_e)},
+    the sweep's; A and -A, each row packed in k-byte slots, the re-check's
+    and (A alone) nabla_a's.
     """
     entry = ring._mult.get(div.index)
     if entry is None:
         n, p = len(ring.basis), ring.prime
         a = multiplication_matrix(ring.basis[div.index].name, ring)
         rows, blocks = a.rows, {}
-        for (i, j, e), c in a.entries.items():
-            blocks.setdefault(e, {})[(i, j)] = c
+        for s, row in rows.items():  # each block in (i, j) order
+            for e, c in enumerate(row):
+                if c:
+                    blocks.setdefault(e, {})[s] = c
         # A slot of S A + (-A) S sums at most 2n products per block, each below p^2.
         k = _slot_bytes((2 * n * len(blocks) * (p - 1) ** 2).bit_length() + 1)
         plus = {s: _pack(row, k) for s, row in rows.items()}
@@ -131,12 +138,32 @@ def _divisor_map(ring, div):
     return entry
 
 
-def _nabla(ring, x):
-    """nabla_a x = t lambda_a q d/dq x + a * x, a the primary divisor; a * x on A's rows."""
-    lam = ring.primary.pairing
-    deriv = {k: derivation_apply(lam, f).times_monomial(t=1) for k, f in x.components.items()}
-    a_x = _apply_rows(ring, 2, _divisor_map(ring, ring.primary)[0], x, x.trunc)
-    return CohomologyElement(ring, deriv) + a_x
+def _nabla(ring, x, trunc):
+    """nabla_a = t lambda_a q d/dq + a *, a the primary divisor, on a homogeneous element.
+
+    x is given by its rows {j: [c_0 .. c_trunc]} with values in [0, p), c_q the
+    q^q e_j coefficient, whose t-exponent the degree implies; so is the result:
+    new[j][q] = lambda q x[j][q] + (x A)[j][q], x A one _packed_matmul on A's
+    packed rows (whose slots hold every sum over i and e).
+    """
+    _, _, k, plus, _ = _divisor_map(ring, ring.primary)
+    p, lam, count = ring.prime, ring.primary.pairing, trunc + 1
+    out = {j: [lam * q * c for q, c in enumerate(row)] for j, row in x.items()}
+    packed = {(0, j): _pack(row, k) for j, row in x.items()}
+    for (_, j), z in _packed_matmul([(packed, plus)]).items():
+        row = out.setdefault(j, [0] * count)
+        for q, c in enumerate(_unpack(z, k, count)):
+            row[q] += c
+    out = {j: [c % p for c in row] for j, row in out.items()}
+    return {j: row for j, row in out.items() if any(row)}
+
+
+def _bits(mask):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # -- seeds -------------------------------------------------------------------
@@ -234,13 +261,14 @@ def solve_qsigma(b, ring, trunc=None):
     degrees = ring._degrees
     exps = [(g + degrees[i] - degrees[j]) // 2 for i in range(n) for j in range(n)]
     order = sorted(range(n * n), key=exps.__getitem__, reverse=True)  # by increasing shift
-    live_end = n * n  # order[:live_end] is live at the current order
+    live_end, live = n * n, (1 << n * n) - 1  # order[:live_end] is live, live its bits
+    reach = None  # per block, each slot's table as a bitmask; built when taint first spreads
 
     seeds = {i * n + j: c for (i, j, _), c in tzero_layer(b, ring, trunc).items()}  # one per slot
     x = [0] * (n * n)
     for (i, j), row in initial_layer(b, ring, 0).rows.items():  # q^0 only
         x[i * n + j] = row[0]
-    xs, masks = [x], [set()]  # per order: its n^2 values, and its tainted slots
+    xs, masks = [x], [0]  # per order: its n^2 values, and its tainted slots as a bitmask
     seed_checks = 0
     seeds_resolving = 0
 
@@ -248,8 +276,9 @@ def solve_qsigma(b, ring, trunc=None):
         floor = ring.q_degree // 2 * d
         while live_end and exps[order[live_end - 1]] <= floor:
             live_end -= 1
+            live ^= 1 << order[live_end]
         x = [0] * (n * n)
-        mask = set()
+        mask = 0
         if (lam * d) % p:
             # x = rhs = -sum_{e >= 1} [E_{d-e}, A_e]; then one sweep by
             # increasing shift sets x_s = inv (rhs_s - [X, A_0]_s) in place,
@@ -262,27 +291,31 @@ def solve_qsigma(b, ring, trunc=None):
                         if c:
                             for t, v in table[s]:
                                 x[t] -= c * v
-                    for s in masks[d - e]:
-                        mask.update(t for t, _ in table[s])
+                    if masks[d - e]:
+                        if reach is None:
+                            reach = {f: [sum(1 << t for t, _ in ts) for ts in tab]
+                                     for f, tab in tables.items()}
+                        for s in _bits(masks[d - e]):
+                            mask |= reach[e][s]
             inv = fp_inv(lam * d, p)
             for s in order:
-                if s in mask:
-                    mask.update(t for t, _ in ad0[s])
+                if mask and mask >> s & 1:
+                    mask |= reach[0][s]
                     x[s] = 0
                     continue
                 c = x[s] = x[s] * inv % p
                 if c:
                     for t, v in ad0[s]:
                         x[t] -= c * v
-        else:  # undetermined: every live slot and seed
-            mask.update(s for s in order if exps[s] >= floor)
+        else:  # undetermined: every slot (the dead ones hold 0)
+            mask = (1 << n * n) - 1
         errors = []
         for s in order[live_end:]:  # the seeds, then the dead slots
             if exps[s] < floor:
                 if x[s]:  # a masked dead slot holds 0
                     errors.append(s)
                 continue
-            if s in mask:
+            if mask and mask >> s & 1:
                 seeds_resolving += 1
                 x[s] = seeds[s]
             else:
@@ -301,10 +334,10 @@ def solve_qsigma(b, ring, trunc=None):
                 % ((x[s], seeds[s]) + names)
             )
         xs.append(x)
-        masks.append(mask.intersection(order[:live_end]) if mask else mask)
+        masks.append(mask & live)
 
     rows = {divmod(s, n): row for s, row in enumerate(zip(*xs)) if any(row)}
-    taint = {divmod(s, n) + (d,) for d, mask in enumerate(masks) for s in mask}
+    taint = {divmod(s, n) + (d,) for d, mask in enumerate(masks) if mask for s in _bits(mask)}
     endo = GradedEndomorphism._trusted(ring, g, trunc, rows, frozenset(taint), [None])
     checked, failures = _residuals(endo, ring)
     report = SolveReport(
@@ -413,6 +446,8 @@ def qsigma_lambda(beta, ring, trunc=None):
     """
     _check_truncation(trunc)
     _check_compatible(ring, beta.ring, "qsigma_lambda")
+    if beta.is_zero():
+        raise ValueError("beta must be nonzero")
     p = ring.prime
     deg = beta.degree
     if deg is None:
@@ -435,14 +470,13 @@ def qsigma_lambda(beta, ring, trunc=None):
         if layer.is_zero():
             continue
         sub, _ = solve_qsigma(layer, ring)
-        shift = p * d0
-        for (i, j, d), c in sub.entries.items():
-            if d + shift <= trunc:
-                key = (i, j, d + shift)
-                entries[key] = (entries.get(key, 0) + c) % p
-        for (i, j, d) in sub.taint:
-            if d + shift <= trunc:
-                taint.add((i, j, d + shift))
+        shift = p * d0  # each sub-solve row moves up by q^shift; orders past trunc are dropped
+        for (i, j), row in sub.rows.items():
+            for d, c in enumerate(row):
+                if c:
+                    key = (i, j, d + shift)
+                    entries[key] = (entries.get(key, 0) + c) % p
+        taint.update((i, j, d + shift) for i, j, d in sub.taint if d + shift <= trunc)
     entries = {s: c for s, c in entries.items() if s not in taint}
     return GradedEndomorphism(ring, g, trunc, entries, frozenset(taint))
 
@@ -456,9 +490,9 @@ def _rewrite_in_connection_powers(ring, target_index):
     """
     deg = ring.degree(target_index)
     search_trunc = ring.dimension_top // ring.q_degree + ring.max_q_order() + 1
-    powers = [basis_class(ring, "1", search_trunc)]
+    powers = [{0: [1] + [0] * search_trunc}]  # nabla_a^n(1) as rows, of degree 2n
     for _ in range(deg // 2):
-        powers.append(_nabla(ring, powers[-1]))
+        powers.append(_nabla(ring, powers[-1], search_trunc))
     candidates = []
     for n in range(deg // 2 + 1):
         for s in range((deg - 2 * n) // 2 + 1):
@@ -466,20 +500,17 @@ def _rewrite_in_connection_powers(ring, target_index):
             if not r:
                 candidates.append((n, m, s))
     candidates.sort(key=lambda cand: cand[2] > 0)
-    # linear system over the (basis, q, t) slots
+    # linear system over the (basis, q) slots: every q^m t^s nabla_a^n(1) has
+    # degree |e_k|, so (j, q) fixes t
     cols = []
     for n, m, s in candidates:
-        shifted = powers[n].times_monomial(q=m, t=s)
         cols.append(
-            {
-                (j, mono.q, mono.t): c
-                for j, f in shifted.components.items()
-                for mono, c in f.terms.items()
-            }
+            {(j, d): row[d - m] for j, row in powers[n].items()
+             for d in range(m, search_trunc + 1) if row[d - m]}
         )
-    slots = sorted(set().union(*cols) | {(target_index, 0, 0)})
+    slots = sorted(set().union(*cols) | {(target_index, 0)})
     rows = [[col.get(slot, 0) for col in cols] for slot in slots]
-    rhs = [1 if slot == (target_index, 0, 0) else 0 for slot in slots]
+    rhs = [1 if slot == (target_index, 0) else 0 for slot in slots]
     sol = solve_mod_p(rows, rhs, ring.prime)
     if sol is None:
         return None
@@ -503,8 +534,9 @@ def qsigma_apply(b, x, ring, trunc=None):
     endo = solve_qsigma(b, ring)[0]
     if trunc is None:
         trunc = x.trunc if x.trunc is not None else endo.trunc
+    p, count = ring.prime, trunc + 1
     rows, taint_rows = endo.rows, _by_source(endo.taint)
-    chain, chain_taint = {}, {}  # n -> nabla_a^n QSt(b), and its taint
+    chain, chain_taint = {}, {}  # n -> nabla_a^n QSt(b) as rows {j: row}, and its taint
     columns_taint = {}
     for k in sorted(x.components):
         col_taint = _reach({(k, 0)}, taint_rows, trunc)
@@ -512,24 +544,30 @@ def qsigma_apply(b, x, ring, trunc=None):
             rewritten = _rewrite_in_connection_powers(ring, k)
             if rewritten is not None:
                 if not chain:  # t d_a keeps a slot (k, q); a * moves it along A's row k
-                    chain[0], chain_taint[0] = endo.column("1", trunc)
+                    chain[0] = {j: (row + (0,) * count)[:count]  # QSt(b), column 0
+                                for (i, j), row in endo.rows.items() if not i}
+                    chain_taint[0] = {(j, d) for i, j, d in endo.taint if not i and d <= trunc}
                     a_rows = _divisor_map(ring, ring.primary)[0]
                     nabla = {i: [(i, 0)] for i in range(len(ring.basis))}
                     for (i, j), row in a_rows.items():
                         nabla[i] += [(j, e) for e, c in enumerate(row) if c]
                 while len(chain) <= max(n for n, _, _, _ in rewritten):
                     n = len(chain)
-                    chain[n] = _nabla(ring, chain[n - 1])
+                    chain[n] = _nabla(ring, chain[n - 1], trunc)
                     chain_taint[n] = _reach(chain_taint[n - 1], nabla, trunc)
                 repair_taint = _reach({(n, m) for n, m, _, _ in rewritten}, chain_taint, trunc)
                 if repair_taint <= col_taint:
-                    col, col_taint = zero_element(ring, trunc), repair_taint
-                    for n, m, s, c in rewritten:
-                        col = col + chain[n].times_monomial(q=m, t=s, coeff=c)
+                    col, col_taint = {}, repair_taint  # sum c q^m t^s nabla_a^n QSt(b), row by row
+                    for n, m, _, c in rewritten:
+                        for j, row in chain[n].items():
+                            acc = col.setdefault(j, [0] * count)
+                            for d in range(m, count):
+                                acc[d] += c * row[d - m]
                     rows = {s: row for s, row in rows.items() if s[0] != k}  # not endo's own
-                    for j, f in col.components.items():
-                        terms = {m.q: c for m, c in f.terms.items()}
-                        rows[k, j] = [terms.get(d, 0) for d in range(trunc + 1)]
+                    for j, acc in col.items():
+                        acc = [c % p for c in acc]
+                        if any(acc):
+                            rows[k, j] = acc
         columns_taint[k] = col_taint
     return _apply_rows(ring, endo.degree, rows, x, trunc), _reach(_slots(x), columns_taint, trunc)
 
@@ -543,7 +581,8 @@ def _divisor_step(a_name, x, x_taint, ring, trunc):
     val, taint = qsigma_apply(a_name, x, ring, trunc)
     if x_taint:
         endo = solve_qsigma(a_name, ring)[0]
-        taint |= _reach(x_taint, _by_source(endo.entries.keys() | endo.taint), trunc)
+        stored = {(i, j, d) for (i, j), row in endo.rows.items() for d, c in enumerate(row) if c}
+        taint |= _reach(x_taint, _by_source(stored | endo.taint), trunc)
     return val, taint
 
 
@@ -557,6 +596,8 @@ def qst_via_generators(expr, ring, trunc=None):
     directly.  Returns (element, taint).
     """
     _check_truncation(trunc)
+    if not expr:
+        raise ValueError("expression must have at least one term")
     p = ring.prime
     degs = set()
     for coeff, q_exp, factors in expr:
