@@ -237,6 +237,22 @@ def test_tampered_manifold_fails_verification(tmp_path):
     assert "FAIL ring" in text and "associativity" in text
 
 
+def test_ring_suite_reads_the_integer_table(tmp_path):
+    """180 -> 187 leaves the cubic associative mod 7 but not over Z: the ring suite fails."""
+    data = builtin_manifold("cubic_surface")
+    for pr in data["products"]:
+        for term in pr["terms"]:
+            if term["coeff"] == 180:
+                term["coeff"] = 187
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_manifold(data))
+    code, text = run_cli(
+        ["verify", "--manifold", str(bad), "--prime", "7", "--suite", "ring"]
+    )
+    assert code == 1
+    assert text.startswith("FAIL ring: ring: associativity fails on (h_2,h_2,h_4)\n")
+
+
 def test_bad_inputs_exit_one():
     assert run_cli(["compute", "--manifold", "builtin:nope", "--prime", "3",
                     "--class", "h"])[0] == 1
@@ -424,12 +440,12 @@ def test_export_needs_the_builtin_prefix(tmp_path, capsys):
     )
 
 
-def _ungraded_cubic(tmp_path):
-    """The cubic surface with an extra q^0 product h_2*h_2 -> h_2."""
+def _ungraded_cubic(tmp_path, coeff=1):
+    """The cubic surface with an extra q^0 product h_2*h_2 -> coeff*h_2."""
     data = builtin_manifold("cubic_surface")
     for product in data["products"]:
         if (product["left"], product["right"], product["q"]) == ("h_2", "h_2", 0):
-            product["terms"].append({"basis": "h_2", "coeff": 1})
+            product["terms"].append({"basis": "h_2", "coeff": coeff})
     bad = tmp_path / "bad.json"
     bad.write_text(dump_manifold(data))
     return bad
@@ -453,6 +469,16 @@ def test_ungraded_q0_product_exits_one_naming_it(tmp_path, capsys):
     )
     assert code == 1 and text == ""
     # one error line and no traceback
+    assert capsys.readouterr().err == (
+        "error: (h_2, h_2, q^0) -> h_2 violates the grading; see verify --suite ring\n"
+    )
+
+
+def test_ungraded_constant_zero_mod_p_exits_one_naming_it(tmp_path, capsys):
+    """5*h_2 vanishes mod 5, but the grading is checked on the integer table."""
+    bad = _ungraded_cubic(tmp_path, coeff=5)
+    code, text = run_cli(["compute", "--manifold", str(bad), "--prime", "5", "--class", "h_2"])
+    assert code == 1 and text == ""
     assert capsys.readouterr().err == (
         "error: (h_2, h_2, q^0) -> h_2 violates the grading; see verify --suite ring\n"
     )

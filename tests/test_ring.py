@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -558,13 +559,13 @@ def _two_divisor_manifold():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_flatness_skips_a_divisor_against_itself(monkeypatch, p):
     calls = []
-    real = ring_mod.connection_apply
+    real = ring_mod._q_derivative
     monkeypatch.setattr(
-        ring_mod, "connection_apply", lambda *args: calls.append(args) or real(*args)
+        ring_mod, "_q_derivative", lambda *args: calls.append(args) or real(*args)
     )
     ring = ring_from_data(_two_divisor_manifold(), p)
     findings = verify_ring(ring)
-    assert len(calls) == 2 * 2 * 2 * len(ring.basis)  # (a, b) and (b, a), two each side
+    assert len(calls) == 2 * 2 * len(ring.basis)  # (a, b) and (b, a), one each side
     assert findings == _verify_ring_all_pairs(ring) == [
         "flatness fails for divisors (%s)" % pair for pair in ("a,b", "a,b", "b,a", "b,a")
     ]
@@ -572,3 +573,77 @@ def test_flatness_skips_a_divisor_against_itself(monkeypatch, p):
         ring = builtin_ring(name, p)
         calls.clear()
         assert verify_ring(ring) == _verify_ring_all_pairs(ring) == [] and not calls
+
+
+RING_FINDINGS = Path(__file__).parent / "golden" / "ring_findings.txt"
+
+
+def _cubic_with_180_as(coeff):
+    """The cubic surface with its (h_2, h_2, q^2) constant 180 replaced."""
+    data = builtin_manifold("cubic_surface")
+    for product in data["products"]:
+        for term in product["terms"]:
+            if term["coeff"] == 180:
+                term["coeff"] = coeff
+    return data
+
+
+def _with_extra_term(name, left, right, q, basis):
+    """The built-in with a term 1*basis added to its (left, right) products at q (all if None)."""
+    data = builtin_manifold(name)
+    for product in data["products"]:
+        if (product["left"], product["right"]) == (left, right) and q in (None, product["q"]):
+            product["terms"].append({"basis": basis, "coeff": 1})
+    return data
+
+
+def _two_divisors_paired(p):
+    """_two_divisor_manifold() with both pairings p: flat mod p, not over Z."""
+    data = _two_divisor_manifold()
+    for div in data["divisors"]:
+        div["pairing"] = p
+    return data
+
+
+RING_FIXTURES = (
+    ("s2", lambda p: builtin_manifold("s2")),
+    ("cubic_surface", lambda p: builtin_manifold("cubic_surface")),
+    ("quadric_intersection", lambda p: builtin_manifold("quadric_intersection")),
+    ("cubic 180->181", lambda p: _cubic_with_180_as(181)),
+    ("cubic 180->187", lambda p: _cubic_with_180_as(187)),
+    (
+        "quadric (h_4,h_4) + h_4",
+        lambda p: _with_extra_term("quadric_intersection", "h_4", "h_4", None, "h_4"),
+    ),
+    (
+        "quadric (h_2,h_4,q^0) + h_4",
+        lambda p: _with_extra_term("quadric_intersection", "h_2", "h_4", 0, "h_4"),
+    ),
+    (
+        "cubic (h_2,h_2,q^0) + h_2",
+        lambda p: _with_extra_term("cubic_surface", "h_2", "h_2", 0, "h_2"),
+    ),
+    ("two_divisors", lambda p: _two_divisor_manifold()),
+    ("two_divisors pairings p", _two_divisors_paired),
+)
+
+
+def ring_findings_lines():
+    """One line per (fixture, p) with verify_ring's findings."""
+    return [
+        "%s p=%d: %s" % (label, p, " | ".join(verify_ring(ring_from_data(make(p), p))) or "none")
+        for label, make in RING_FIXTURES
+        for p in (2, 3, 5, 7)
+    ]
+
+
+def test_ring_findings_golden():
+    assert ring_findings_lines() == RING_FINDINGS.read_text().splitlines()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_flatness_is_checked_over_z(p):
+    """Pairings p make the two-divisor connection flat mod p, but not over Z."""
+    assert verify_ring(ring_from_data(_two_divisors_paired(p), p)) == [
+        "flatness fails for divisors (%s)" % pair for pair in ("a,b", "a,b", "b,a", "b,a")
+    ]

@@ -717,11 +717,13 @@ def test_compose_s2():
         lambda s2, quad: tzero_layer(basis_class(quad, "h_2", 0), s2),
         lambda s2, quad: initial_layer(basis_class(quad, "h_2", 0), s2),
         lambda s2, quad: qsigma_lambda(basis_class(quad, "h_2", 2), s2),
+        lambda s2, quad: classical_product(basis_class(s2, "h", 2), basis_class(quad, "h_2", 2)),
+        lambda s2, quad: s2.steenrod_of(basis_class(quad, "h_2", 2)),
     ],
     ids=[
         "compose", "apply h_2", "apply h_4", "quantum_product", "solve", "qsigma_apply",
         "add", "add to zero", "subtract zero", "verify_covariant_constancy", "verify pi",
-        "tzero_layer", "initial_layer", "qsigma_lambda",
+        "tzero_layer", "initial_layer", "qsigma_lambda", "classical_product", "steenrod_of",
     ],
 )
 def test_rings_with_one_prime_but_different_bases_do_not_mix(mix):
