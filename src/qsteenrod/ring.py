@@ -7,10 +7,12 @@ driving the connection, and a table of classical Steenrod actions per prime.
 
 Structure constants encode  e_i * e_j = sum_d q^d sum_k c[(i,j,d)][k] e_k.
 The quantum connection in the divisor direction a is
-nabla_a = t * lambda_a * q d/dq + (a *).  Inside the package, products of
-basis classes are read through _product_over_z on (class, q) vectors over Z;
-verify_ring checks the axioms on them (commutativity and the unit hold by
-construction) and _class_product reduces them mod p for the solver.
+nabla_a = t * lambda_a * q d/dq + (a *).  Constants are read only through
+_graded_sc, which checks them against the grading, by sc (one constant mod p)
+and _product_over_z (products of (class, q) vectors over Z).  verify_ring
+checks the axioms on the latter (commutativity and the unit hold by
+construction); _class_product reduces them mod p for the solver, the element
+products and the cup power in St.
 """
 
 from itertools import combinations_with_replacement, permutations
@@ -117,7 +119,6 @@ class QuantumRing:
                         % (names[key[0]], names[key[1]], d)
                     )
                 self._sc[key] = clean
-        self._sc_mod = {}
         self._mult = {}  # divisor index -> solver._divisor_map
         self._degrees = tuple(b.degree for b in self.basis)  # read by endo.kappa, slot_text
         self._context = (self.prime, self.basis, q_degree, dimension_top)  # _check_compatible
@@ -169,18 +170,8 @@ class QuantumRing:
         raise NotDivisor("%s is not a divisor of %s" % (name, self.name))
 
     def sc(self, i, j, d):
-        """Structure constants of e_i * e_j at q-order d, reduced mod p."""
-        if i == 0:
-            return {j: 1} if d == 0 else {}
-        if j == 0:
-            return {i: 1} if d == 0 else {}
-        key = (i, j, d)
-        if key not in self._sc_mod:
-            raw = self._sc.get(key, {})
-            self._sc_mod[key] = {
-                k: c % self.prime for k, c in raw.items() if c % self.prime
-            }
-        return self._sc_mod[key]
+        """Structure constants {k: c} of e_i * e_j at q^d mod p, checked like _graded_sc."""
+        return _reduced(self._graded_sc(i, j, d).items(), self.prime)
 
     def q_orders(self, i, j):
         """Ascending q-orders d at which e_i * e_j has stored constants."""
@@ -217,19 +208,16 @@ class QuantumRing:
         leading-term default enabled, St(b) is taken to be
         (-1)^(|b|/2) t^((p-1)|b|/2) b  plus the forced t^0 part b^(cup p).
         St(b) is homogeneous of degree p|b|: the cup power, which stays zero
-        once it is zero, reads graded constants (_graded_sc), and an explicit
+        once it is zero, is taken by _class_product at q^0, and an explicit
         entry is checked term by term, its t^0 part against the cup power and,
         for |b| > 0, its t^((p-1)|b|/2) b term for being nonzero mod p.
         """
         p, deg, name = self.prime, self.degree(i), self.basis[i].name
         lead_t = (p - 1) * deg // 2
-        cup = {i: 1}
+        cup = {(i, 0): 1}  # b^(cup p) as a vector {(k, 0): c}, the t^0 part of St(b)
         for _ in range(p - 1):
             if cup:
-                pairs = (
-                    (m, c * v) for k, c in cup.items() for m, v in self._graded_sc(k, i, 0).items()
-                )
-                cup = _reduced(pairs, p)
+                cup = _class_product(self, cup, {(i, 0): 1}, 0)
         table = self.steenrod.get(p, {})
         if i in table:
             for k, t_exp, th_exp, c in table[i]:
@@ -242,7 +230,7 @@ class QuantumRing:
                         "inhomogeneous Steenrod entry for %s mod %d" % (name, p)
                     )
             st = _reduced((((k, t_exp), c) for k, t_exp, _, c in table[i]), p)
-            if {k: c for (k, t), c in st.items() if t == 0} != cup:
+            if {key: c for key, c in st.items() if key[1] == 0} != cup:
                 raise MissingSteenrodData(
                     "t^0 part of St(%s) must be the %d-fold cup power" % (name, p)
                 )
@@ -253,7 +241,7 @@ class QuantumRing:
             return st
         if not self.default_leading_steenrod:
             raise MissingSteenrodData("no Steenrod entry for %s mod %d" % (name, p))
-        st = {(k, 0): c for k, c in cup.items()}
+        st = dict(cup)
         if lead_t > 0:
             st[(i, lead_t)] = (-1 if (deg // 2) % 2 else 1) % p
         return st
@@ -401,54 +389,42 @@ def _check_compatible(ring, other, what):
 
 
 def quantum_product(x, y):
-    """Small quantum product, bilinear over the coefficient series."""
-    _check_compatible(x.ring, y.ring, "quantum product")
+    """Small quantum product, bilinear over the coefficient series (_element_product)."""
+    return _element_product(x, y, "quantum product")
+
+
+def classical_product(x, y):
+    """Cup product: the q^0 part of each e_i * e_j only (_element_product)."""
+    return _element_product(x, y, "classical product", cup=True)
+
+
+def _element_product(x, y, what, cup=False):
+    """x * y with each e_i * e_j read by _class_product, up to q^trunc, or q^0 if cup."""
+    _check_compatible(x.ring, y.ring, what)
     ring = x.ring
     if x.is_zero() or y.is_zero():
-        trunc = x.trunc if x.trunc is not None else y.trunc
-        return zero_element(ring, trunc)
+        return zero_element(ring, x.trunc if x.trunc is not None else y.trunc)
     if x.trunc != y.trunc:
-        raise MixedContext("quantum product at mixed truncations")
+        raise MixedContext("%s at mixed truncations" % what)
     trunc = x.trunc
     acc = {}  # k -> {monomial: unreduced coefficient}
     for i, f in x.components.items():
         for j, g in y.components.items():
             fg = (f * g).terms
-            if not fg:
-                continue
-            for d in ring.q_orders(i, j):
-                if d > trunc:
-                    break
-                for k, c in ring.sc(i, j, d).items():
-                    terms = acc.setdefault(k, {})
-                    for (mq, mt, mth), v in fg.items():
-                        if mq + d <= trunc:
-                            m = Monomial(mq + d, mt, mth)
-                            terms[m] = terms.get(m, 0) + c * v
+            product = _class_product(ring, {(i, 0): 1}, {(j, 0): 1}, 0 if cup else trunc)
+            for (k, d), c in product.items():
+                terms = acc.setdefault(k, {})
+                for (mq, mt, mth), v in fg.items():
+                    if mq + d <= trunc:
+                        m = Monomial(mq + d, mt, mth)
+                        terms[m] = terms.get(m, 0) + c * v
     return element_from_terms(ring, trunc, acc)
 
 
-def classical_product(x, y):
-    """Cup product: the q-order-0 structure constants only."""
-    _check_compatible(x.ring, y.ring, "classical product")
-    ring = x.ring
-    if x.is_zero() or y.is_zero():
-        return zero_element(ring, x.trunc if x.trunc is not None else y.trunc)
-    comps = {}
-    for i, f in x.components.items():
-        for j, g in y.components.items():
-            fg = f * g
-            for k, c in ring.sc(i, j, 0).items():
-                term = fg.scale(c)
-                if term.is_zero():
-                    continue
-                comps[k] = comps[k] + term if k in comps else term
-    return CohomologyElement(ring, comps)
-
-
 def pfold_power(b, ring=None):
-    """p-fold quantum power b * b * ... * b, by square-and-multiply (_power)."""
+    """p-fold quantum power of b in ring (b's, or a compatible one), by square-and-multiply."""
     ring = ring or b.ring
+    _check_compatible(ring, b.ring, "p-fold power")
     return _power(b, ring.prime, quantum_product)
 
 
@@ -473,7 +449,8 @@ def _power(x, n, mul):
 
 def _class_product(ring, x, y, top=None):
     """Quantum product of t-free classes as vectors {(k, q): c} of q^q e_k, mod p."""
-    return _reduced(_product_over_z(ring, x, y, top).items(), ring.prime)
+    p = ring.prime
+    return {key: c % p for key, c in _product_over_z(ring, x, y, top).items() if c % p}
 
 
 def _product_over_z(ring, x, y, top=None):
@@ -513,17 +490,16 @@ def connection_apply(divisor_name, x, ring=None):
     return deriv + quantum_product(basis_class(ring, divisor_name, trunc), x)
 
 
-def verify_ring(ring, trunc=None):
-    """Check homogeneity, then associativity and flatness over Z up to q^trunc.
+def verify_ring(ring):
+    """Check homogeneity, then associativity and flatness over Z on whole products.
 
     Commutativity and the unit law hold by construction (QuantumRing).  The
-    axioms are read through _product_over_z, so a finding does not depend on
-    p, and are skipped once a constant breaks the grading.  The Steenrod
-    table is checked at ring.prime.  Returns human-readable findings; empty
-    means the presentation is consistent up to q^trunc.
+    axioms are read through _product_over_z without a q-cut (products of
+    basis classes are polynomials in q), so a finding does not depend on p,
+    and are skipped once a constant breaks the grading.  The Steenrod table
+    is checked at ring.prime.  Returns human-readable findings; empty means
+    the presentation is consistent.
     """
-    if trunc is None:
-        trunc = max(ring.max_q_order(), ring.default_truncation(2))
     findings = []
     names = [b.name for b in ring.basis]
     for (i, j, d), terms in ring._sc.items():
@@ -535,7 +511,7 @@ def verify_ring(ring, trunc=None):
                 )
 
     def star(x, j):  # x * e_j
-        return _product_over_z(ring, x, {(j, 0): 1}, trunc)
+        return _product_over_z(ring, x, {(j, 0): 1})
 
     if not findings:
         n = len(names)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qsteenrod import ring as ring_mod
-from qsteenrod.errors import ManifoldFormatError, MissingSteenrodData, NotDivisor
+from qsteenrod.errors import ManifoldFormatError, MissingSteenrodData, MixedContext, NotDivisor
 from qsteenrod.oracles import builtin_manifold, builtin_ring
 from qsteenrod.manifold_io import ring_from_data
 from qsteenrod.ring import (
@@ -14,6 +14,7 @@ from qsteenrod.ring import (
     classical_product,
     connection_apply,
     element,
+    element_from_terms,
     pfold_power,
     quantum_product,
     verify_ring,
@@ -27,7 +28,7 @@ from qsteenrod.endo import (
     multiplication_endo,
     multiplication_matrix,
 )
-from qsteenrod.series import series, series_mul
+from qsteenrod.series import Monomial, series, series_mul
 from qsteenrod.solver import solve_qsigma
 
 
@@ -39,7 +40,7 @@ def _times_series(x, s):
 def test_builtin_rings_verify_clean():
     for name in ("s2", "cubic_surface", "quadric_intersection"):
         for p in (2, 3, 5):
-            assert verify_ring(builtin_ring(name, p), trunc=4) == []
+            assert verify_ring(builtin_ring(name, p)) == []
 
 
 def test_ring_is_read_only():
@@ -55,8 +56,9 @@ def test_ring_is_read_only():
         ring.steenrod[2][1] = ()
     # the read-only table still compares equal to plain dicts
     assert ring.steenrod == {2: {1: ((2, 0, 0, 1), (1, 1, 0, 1))}, 3: {1: ((1, 2, 0, -1),)}}
-    assert ring.sc(1, 1, 0) == {2: 1}  # the private lazy caches still fill
-    assert ring._sc_mod[(1, 1, 0)] == {2: 1}
+    assert ring.sc(1, 1, 0) == {2: 1}
+    solve_qsigma("h_2", ring)
+    assert ring._solved  # the private lazy caches still fill
 
 
 def test_ring_built_directly_rejects_duplicate_names():
@@ -152,6 +154,96 @@ def _class_vectors(ring, rng):
     return vectors
 
 
+def _loop_quantum_product(x, y):
+    """quantum_product as it was, reading ring.sc per q-order; kept as the reference."""
+    ring_mod._check_compatible(x.ring, y.ring, "quantum product")
+    ring = x.ring
+    if x.is_zero() or y.is_zero():
+        trunc = x.trunc if x.trunc is not None else y.trunc
+        return zero_element(ring, trunc)
+    if x.trunc != y.trunc:
+        raise MixedContext("quantum product at mixed truncations")
+    trunc = x.trunc
+    acc = {}  # k -> {monomial: unreduced coefficient}
+    for i, f in x.components.items():
+        for j, g in y.components.items():
+            fg = (f * g).terms
+            if not fg:
+                continue
+            for d in ring.q_orders(i, j):
+                if d > trunc:
+                    break
+                for k, c in ring.sc(i, j, d).items():
+                    terms = acc.setdefault(k, {})
+                    for (mq, mt, mth), v in fg.items():
+                        if mq + d <= trunc:
+                            m = Monomial(mq + d, mt, mth)
+                            terms[m] = terms.get(m, 0) + c * v
+    return element_from_terms(ring, trunc, acc)
+
+
+def _loop_classical_product(x, y):
+    """classical_product as it was, reading ring.sc at q^0; kept as the reference."""
+    ring_mod._check_compatible(x.ring, y.ring, "classical product")
+    ring = x.ring
+    if x.is_zero() or y.is_zero():
+        return zero_element(ring, x.trunc if x.trunc is not None else y.trunc)
+    comps = {}
+    for i, f in x.components.items():
+        for j, g in y.components.items():
+            fg = f * g
+            for k, c in ring.sc(i, j, 0).items():
+                term = fg.scale(c)
+                if term.is_zero():
+                    continue
+                comps[k] = comps[k] + term if k in comps else term
+    return CohomologyElement(ring, comps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 211])
+def test_element_products_match_the_loop_references(p):
+    for name in BUILTINS:
+        ring = builtin_ring(name, p)
+        trunc = ring.max_q_order() + 2
+        coeff = series(p, trunc, [(0, 0, 0, 1), (1, 1, 0, 2), (0, -1, 1, 1)])
+        classes = [basis_class(ring, b.name, trunc) for b in ring.basis]
+        with_coeff = [_times_series(x, coeff) for x in classes]  # q, t and theta terms
+        combos = [sum(classes[1:], classes[0]), classes[1] + with_coeff[-1].scale(3)]
+        operands = classes + with_coeff + combos + [zero_element(ring, trunc)]
+        for x in operands:
+            for y in operands:
+                assert quantum_product(x, y) == _loop_quantum_product(x, y), (name, x, y)
+                assert classical_product(x, y) == _loop_classical_product(x, y), (name, x, y)
+
+
+@pytest.mark.parametrize("coeff", [5, 1])
+def test_every_product_names_an_ungraded_constant(coeff):
+    """The cubic with (h_2, h_2, q^0) + coeff*h_2 at p=5, the constant 5 vanishing mod p."""
+    data = _with_extra_term("cubic_surface", "h_2", "h_2", 0, "h_2", coeff)
+    ring = ring_from_data(data, 5)
+    h2 = basis_class(ring, "h_2", 4)
+    products = (
+        lambda: quantum_product(h2, h2),
+        lambda: classical_product(h2, h2),
+        lambda: connection_apply("h_2", h2),
+        lambda: pfold_power(h2),
+        lambda: ring.sc(1, 1, 0),
+    )
+    message = "(h_2, h_2, q^0) -> h_2 violates the grading; see verify --suite ring"
+    for product in products:
+        with pytest.raises(ValueError) as info:
+            product()
+        assert str(info.value) == message
+    assert verify_ring(ring) == ["homogeneity: (h_2,h_2,q^0) -> h_2 violates the grading"]
+
+
+def test_pfold_power_rejects_an_incompatible_ring():
+    h = basis_class(builtin_ring("s2", 3), "h", 4)
+    with pytest.raises(MixedContext, match="incompatible rings: s2 mod 5 and s2 mod 3"):
+        pfold_power(h, builtin_ring("s2", 5))
+    assert pfold_power(h, builtin_ring("s2", 3)) == pfold_power(h)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 31])
 def test_class_product_is_the_element_product(p):
     rng = random.Random(p)
@@ -163,7 +255,9 @@ def test_class_product_is_the_element_product(p):
             for y in vectors:
                 got = _class_product(ring, x, y)
                 assert max((q for _, q in got), default=0) <= trunc
-                want = quantum_product(_vector_element(ring, trunc, x), _vector_element(ring, trunc, y))
+                want = _loop_quantum_product(
+                    _vector_element(ring, trunc, x), _vector_element(ring, trunc, y)
+                )
                 assert _vector_element(ring, trunc, got) == want, (name, x, y)
 
 
@@ -309,7 +403,7 @@ def test_homogeneity_violation_reported():
     data["products"].append(
         {"left": "h_2", "right": "h_4", "q": 2, "terms": [{"basis": "h_6", "coeff": 1}]}
     )
-    findings = verify_ring(ring_from_data(data, 5), trunc=3)
+    findings = verify_ring(ring_from_data(data, 5))
     assert any("homogeneity" in f for f in findings)
 
 
@@ -588,12 +682,12 @@ def _cubic_with_180_as(coeff):
     return data
 
 
-def _with_extra_term(name, left, right, q, basis):
-    """The built-in with a term 1*basis added to its (left, right) products at q (all if None)."""
+def _with_extra_term(name, left, right, q, basis, coeff=1):
+    """The built-in with coeff*basis added to its (left, right) products at q (all if None)."""
     data = builtin_manifold(name)
     for product in data["products"]:
         if (product["left"], product["right"]) == (left, right) and q in (None, product["q"]):
-            product["terms"].append({"basis": basis, "coeff": 1})
+            product["terms"].append({"basis": basis, "coeff": coeff})
     return data
 
 
