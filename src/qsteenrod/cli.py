@@ -95,7 +95,7 @@ def cmd_compute(args, out):
         if args.op.startswith("qpi:"):
             endo = qpi_endo(args.op[len("qpi:"):], endo)
             label = "QPi[%s]" % args.op[len("qpi:"):]
-        tainted = bool(endo.taint)
+        tainted = bool(endo.taint_rows)
         if args.format == "json":
             text = dump_result(endo_result_data(endo, meta, report))
         else:
@@ -145,13 +145,14 @@ def _suite_constancy(ring, args, failures):
             line = "constancy[%s]: q^0 layer differs from cup St at %s"
             failures.append(line % (b.name, endo.slot_text(*differ[0])))
         seeds = tzero_layer(b.name, ring, endo.trunc)
-        tainted = sorted(s for s in seeds if s in endo.taint)
+        taint = endo.taint_rows
+        tainted = sorted(s for s in seeds if taint.get(s[:2], 0) >> s[2] & 1)
         if tainted:
             line = "constancy[%s]: tainted t^0 slot %s"
             failures.append(line % (b.name, endo.slot_text(*tainted[0])))
         differ = sorted(
             (i, j, d) for (i, j, d), c in seeds.items()
-            if (i, j, d) not in endo.taint and rows.get((i, j), zeros)[d] != c % ring.prime
+            if not taint.get((i, j), 0) >> d & 1 and rows.get((i, j), zeros)[d] != c % ring.prime
         )
         if differ:
             line = "constancy[%s]: t^0 layer differs from b^(*p) at %s"

@@ -4,25 +4,28 @@ An endomorphism of degree g sends e_i to sum over (j, d) of
 entry[(i,j,d)] * t^kappa * q^d * e_j, where homogeneity forces the single
 t-exponent kappa = (g + deg(e_i) - deg(e_j) - q_degree*d) / 2.  Slots with
 kappa negative or non-integral are identically zero, so only the scalar
-coefficient is stored.  The taint set lists slots whose value the solver
+coefficient is stored.  The taint lists slots whose value the solver
 could not determine; tainted slots carry no stored value.
 
 An operator stores rows {(i, j): row}, one per nonzero (e_i -> e_j) series
-in (i, j) order, row[d] its q^d coefficient mod p for d = 0 .. trunc.  Every
-reader in the package reads the rows; the slot map {(i, j, d): c}, entries,
-is a view built on first use for tests and users.  Every matrix of
+in (i, j) order, row[d] its q^d coefficient mod p for d = 0 .. trunc, and
+beside them its taint as bit rows taint_rows {(i, j): mask}, bit d set when
+slot (i, j, d) is tainted.  Every reader in the package reads the rows and
+bit rows; the slot map {(i, j, d): c}, entries, and the slot set taint are
+views built on first use for tests and users.  Every matrix of
 multiplication by a class, A = a * and both seeds of the solver, comes from
 _multiplication_entries.  A product (i, j, d1) then (j, k, d2) lands on
 (i, k, d1 + d2), and a tainted slot taints its product with every stored or
 tainted slot of the other factor.  compose and the solver's residual
 re-check multiply whole graded maps by Kronecker substitution in k-byte
-slots, one int per row (_packed_matmul); compose's taint is the same product
-on 0/1 rows packed from the factors' rows and taint.  A map applied to an
-element goes through the same product (_apply_rows, used by apply and
-qsigma_apply), and so does the generator route's nabla on the rows of
-the connection chain (solver._nabla); the sweep multiplies by a divisor
-block through its commutator lists (solver._ad_map), and a masked slot
-taints every slot its list names.
+slots, one int per row (_packed_matmul); the taint rule is the same product
+on supports, an OR-product of bit rows (_or_product): compose's taint, and
+the slots the re-check skips.  A map applied to an element goes through
+_packed_matmul too (_apply_rows, used by apply and qsigma_apply), and so
+does the generator route's nabla on the rows of the connection chain
+(solver._nabla); the sweep multiplies by a divisor block through its
+commutator lists (solver._ad_map), and a masked slot taints every slot its
+list names.
 On a single class the rule is _reach: a coefficient slot (k, q) of e_k q^q
 reaches (j, q + d) for every slot (j, d) of the operator's column k.
 """
@@ -30,9 +33,13 @@ reaches (j, q + d) for every slot (j, d) of the operator's column k.
 from collections import defaultdict
 from types import MappingProxyType
 
-from .ring import _check_compatible, _class_product, basis_class, element_from_terms, zero_element
+from .ring import (
+    CohomologyElement, _check_compatible, _class_product, basis_class, element_from_terms,
+    zero_element,
+)
 from .series import (
-    Monomial, _format_terms, _pack, _pack_series, _slot_bytes, _unpack, _unpack_series
+    Monomial, _format_terms, _pack, _pack_series, _slot_bytes, _trusted_series, _unpack,
+    _unpack_series,
 )
 
 
@@ -67,6 +74,25 @@ def _packed_matmul(pairs):
             for h, v in rows.get(j, ()):
                 acc[(i, h)] = acc.get((i, h), 0) + u * v
     return acc
+
+
+def _or_matmul(pairs, trunc):
+    """The union over (x, y) in pairs of the support products x y, orders <= trunc.
+
+    Each factor is a map of bit rows {(i, j): mask}; bit d1 of (i, j) and bit
+    d2 of (j, h) give bit d1 + d2 of (i, h), as _packed_matmul multiplies
+    values (_or_product).  Returns the nonzero {(i, h): mask} in (i, h) order.
+    """
+    acc = {}
+    for x, y in pairs:
+        rows = {}
+        for (j, h), v in y.items():
+            rows.setdefault(j, []).append((h, v))
+        for (i, j), u in x.items():
+            for h, v in rows.get(j, ()):
+                acc[i, h] = acc.get((i, h), 0) | _or_product(u, v)
+    full = (1 << trunc + 1) - 1
+    return {s: acc[s] & full for s in sorted(acc) if acc[s] & full}
 
 
 def _apply_rows(ring, g, rows, x, trunc):
@@ -106,11 +132,52 @@ def _slots(x):
     return {(k, m.q) for k, f in x.components.items() for m in f.terms}
 
 
-def _by_source(slots):
-    """Slots (i, j, d) by source index, {i: [(j, d)]}, as _reach reads them."""
+def _bits(mask):
+    """The set bits of mask, lowest first."""
+    return [d for d, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _supports(rows, taint_rows):
+    """The bit rows of the nonzero slots of rows {(i, j): row}, ORed with taint_rows."""
+    out = {s: int("".join(["1" if c else "0" for c in row[::-1]]), 2) for s, row in rows.items()}
+    for s, m in taint_rows.items():
+        out[s] = out.get(s, 0) | m
+    return out
+
+
+def _or_product(a, b):
+    """The support product of two bit rows: bit d1 + d2 for every bit d1 of a and d2 of b.
+
+    Each run of ones of the sparser row, of length L at bit lo, adds b shifted by
+    lo .. lo + L - 1, which doubling builds in about log2(L) shifts.
+    """
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        run = a & (a ^ (a + low))  # the lowest run of ones
+        a ^= run
+        x, width, length = b, 1, run.bit_length() - low.bit_length() + 1
+        while 2 * width <= length:
+            x |= x << width
+            width *= 2
+        if width < length:
+            x |= x << length - width
+        out |= x * low
+    return out
+
+
+def _taint_slots(masks):
+    """The slots (i, j, d) of bit rows {(i, j): mask}, in (i, j, d) order when the rows are."""
+    return [(i, j, d) for (i, j), m in masks.items() for d in _bits(m)]
+
+
+def _columns(masks):
+    """Bit rows {(i, j): mask} as the columns {i: [(j, d)]} that _reach reads."""
     out = {}
-    for i, j, d in slots:
-        out.setdefault(i, []).append((j, d))
+    for (i, j), m in masks.items():
+        out.setdefault(i, []).extend((j, d) for d in _bits(m))
     return out
 
 
@@ -121,27 +188,38 @@ def _check_truncation(trunc):
 
 
 class GradedEndomorphism:
-    """Read-only; built from entries {(i, j, d): c}, reduced mod p, orders past trunc dropped."""
+    """Read-only; built from entries {(i, j, d): c} and tainted slots {(i, j, d)}.
+
+    Both are checked the same way: an index out of range or a negative order
+    raises, orders past trunc are dropped, and a slot within trunc must be
+    live.  Entries are reduced mod p, and a tainted slot's value is dropped.
+    """
 
     def __init__(self, ring, degree, trunc, entries=None, taint=frozenset()):
+        masks = {}
+        for i, j, d in taint:
+            if _kept(ring, degree, trunc, "taint", i, j, d):
+                masks[i, j] = masks.get((i, j), 0) | 1 << d
         rows = defaultdict(lambda: [0] * (trunc + 1))
         for (i, j, d), c in (entries or {}).items():
             c %= ring.prime
-            if not c or d > trunc:
-                continue
-            if kappa(ring, degree, i, j, d) is None:
-                raise ValueError("entry on a dead slot (%d,%d,%d)" % (i, j, d))
-            rows[i, j][d] = c
-        rows, taint, view = {s: tuple(rows[s]) for s in sorted(rows)}, frozenset(taint), [None]
-        vars(self).update(ring=ring, degree=degree, trunc=trunc, rows=rows, taint=taint, _view=view)
+            kept = _kept(ring, degree, trunc, "entry", i, j, d, c)
+            if kept and not masks.get((i, j), 0) >> d & 1:
+                rows[i, j][d] = c
+        rows = {s: tuple(rows[s]) for s in sorted(rows)}
+        masks = {s: masks[s] for s in sorted(masks)}
+        vars(self).update(ring=ring, degree=degree, trunc=trunc, rows=rows, taint_rows=masks,
+                          _view=[None], _taint_view=[None])
 
     @classmethod
-    def _trusted(cls, ring, degree, trunc, rows, taint, view):
-        """An operator from rows and taint as __init__ leaves them (nonzero tuples of trunc + 1
-        values in [0, p), live, in (i, j) order; a frozenset), used as given; view is [None]
-        or the entries box of the operator they came from, so one view serves both."""
+    def _trusted(cls, ring, degree, trunc, rows, taint_rows, view=None, taint_view=None):
+        """An operator from rows and bit rows as __init__ leaves them (nonzero tuples of
+        trunc + 1 values in [0, p) and nonzero masks of bits <= trunc, live, in (i, j) order,
+        no slot in both), used as given; view and taint_view are [None] or the entries and
+        taint boxes of the operator they came from, so one view serves both."""
         self = object.__new__(cls)
-        vars(self).update(ring=ring, degree=degree, trunc=trunc, rows=rows, taint=taint, _view=view)
+        vars(self).update(ring=ring, degree=degree, trunc=trunc, rows=rows, taint_rows=taint_rows,
+                          _view=view or [None], _taint_view=taint_view or [None])
         return self
 
     def __setattr__(self, name, value):
@@ -165,6 +243,14 @@ class GradedEndomorphism:
         return box[0]
 
     @property
+    def taint(self):
+        """The tainted slots {(i, j, d)}, a frozenset built on first use from taint_rows."""
+        box = self._taint_view
+        if box[0] is None:
+            box[0] = frozenset(_taint_slots(self.taint_rows))
+        return box[0]
+
+    @property
     def complete_bound(self):
         return (self.degree + self.ring.dimension_top) // self.ring.q_degree
 
@@ -181,18 +267,32 @@ class GradedEndomorphism:
         return (
             self.ring._context == other.ring._context
             and self.degree == other.degree
-            and self.taint == other.taint
+            and self.taint_rows == other.taint_rows
             and (self.rows == other.rows if self.trunc == other.trunc
                  else _padded(self.rows, top) == _padded(other.rows, top))
         )
 
+    def _image_trunc(self, trunc):
+        """trunc, or the operator's own if it is incomplete and trunc reads past it."""
+        if trunc is not None and trunc > self.trunc and not self.is_complete:
+            return self.trunc
+        return trunc
+
     def column(self, name, trunc=None):
         """Image of a basis class, as (element, taint slots (to_index, q)), read off its rows."""
-        trunc = self.trunc if trunc is None else trunc
-        k = self.ring.index(name)
-        terms = {j: dict(row) for (i, j), row in _series_rows(self, k).items()}
-        taint = {(j, d) for i, j, d in self.taint if i == k and d <= trunc}
-        return element_from_terms(self.ring, trunc, terms), taint
+        trunc = self._image_trunc(self.trunc if trunc is None else trunc)
+        ring, k, top = self.ring, self.ring.index(name), trunc + 1
+        degrees, half = ring._degrees, ring.q_degree // 2
+        image = {}  # the rows' values are reduced and nonzero, so each series is built as is
+        for (i, j), row in self.rows.items():
+            if i == k:
+                kappa0 = (self.degree + degrees[i] - degrees[j]) // 2
+                terms = {Monomial(d, kappa0 - half * d, 0): c for d, c in enumerate(row[:top]) if c}
+                if terms:
+                    image[j] = _trusted_series(ring.prime, trunc, terms)
+        full = (1 << top) - 1
+        taint = {(j, d) for (i, j), m in self.taint_rows.items() if i == k for d in _bits(m & full)}
+        return CohomologyElement(ring, image), taint
 
     def apply(self, x, trunc=None):
         """Lambda[t]-linear application to an element.
@@ -201,25 +301,54 @@ class GradedEndomorphism:
         pairs marking undetermined output coefficients.
         """
         _check_compatible(self.ring, x.ring, "application")
-        trunc = x.trunc if trunc is None else trunc
-        taint = _reach(_slots(x), _by_source(self.taint), trunc)
+        trunc = self._image_trunc(x.trunc if trunc is None else trunc)
+        taint = _reach(_slots(x), _columns(self.taint_rows), trunc)
         return _apply_rows(self.ring, self.degree, self.rows, x, trunc), taint
 
     def slot_text(self, i, j, d):
         """Label of slot (i -> j, q^d); a residual can sit at t^-1, one t-order below it."""
-        degrees = self.ring._degrees
-        k = (self.degree + degrees[i] - degrees[j] - self.ring.q_degree * d) // 2
-        t_part = "" if k == 0 else (" t" if k == 1 else " t^%d" % k)
-        label = (t_part.strip() or "1") if d == 0 else ("q" if d == 1 else "q^%d" % d) + t_part
-        return "(%s -> %s, %s)" % (self.ring.basis[i].name, self.ring.basis[j].name, label)
+        degrees, ring = self.ring._degrees, self.ring
+        k = (self.degree + degrees[i] - degrees[j] - ring.q_degree * d) // 2
+        return "(%s -> %s, %s)" % (ring.basis[i].name, ring.basis[j].name, _slot_label(d, k))
 
     def __repr__(self):
         return "<GradedEndomorphism deg=%d trunc=%d entries=%d taint=%d>" % (
             self.degree,
             self.trunc,
             sum(len(row) - row.count(0) for row in self.rows.values()),
-            len(self.taint),
+            sum(m.bit_count() for m in self.taint_rows.values()),
         )
+
+
+def _kept(ring, degree, trunc, what, i, j, d, c=1):
+    """True when slot (i, j, d) holds c != 0 within trunc.  Raises ValueError naming the
+    slot when an index is out of range or the order negative, and when a kept slot is dead."""
+    n = len(ring.basis)
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError("%s at (%d,%d,%d): basis indices run 0 .. %d" % (what, i, j, d, n - 1))
+    if d < 0:
+        raise ValueError("%s at (%d,%d,%d): negative q-order" % (what, i, j, d))
+    if not c or d > trunc:
+        return False
+    if kappa(ring, degree, i, j, d) is None:
+        raise ValueError("%s on a dead slot (%d,%d,%d)" % (what, i, j, d))
+    return True
+
+
+def _slot_label(d, k):
+    """The q^d t^k part of a slot's label."""
+    t_part = "" if k == 0 else (" t" if k == 1 else " t^%d" % k)
+    return (t_part.strip() or "1") if d == 0 else ("q" if d == 1 else "q^%d" % d) + t_part
+
+
+def _taint_texts(s):
+    """s.slot_text of each tainted slot, in (i, j, d) order, each row's names read once."""
+    names, degrees, half = [b.name for b in s.ring.basis], s.ring._degrees, s.ring.q_degree // 2
+    texts = []
+    for (i, j), m in s.taint_rows.items():
+        head, top = "(%s -> %s, " % (names[i], names[j]), (s.degree + degrees[i] - degrees[j]) // 2
+        texts += [head + _slot_label(d, top - half * d) + ")" for d in _bits(m)]
+    return texts
 
 
 def _padded(rows, trunc):
@@ -285,7 +414,8 @@ def compose(s1, s2):
     When both factors are complete the result is computed exactly out to its
     own pruning bound; otherwise it is truncated at the smaller truncation.
     The product and the taint rule are the slot-map ones (see the module
-    docstring), computed on whole series by _packed_matmul.
+    docstring), the values computed on whole series by _packed_matmul and
+    the taint on bit rows by _or_product.
     """
     ring = s1.ring
     _check_compatible(ring, s2.ring, "composition")
@@ -297,36 +427,20 @@ def compose(s1, s2):
     else:
         trunc = min(s1.trunc, s2.trunc)
     # A coefficient at q-order <= trunc sums at most n*(trunc+1) products of
-    # entries in [0, p-1], or of taint indicators in {0, 1} on two sides.
+    # entries in [0, p-1].
     k = _slot_bytes((n * (trunc + 1) * (p - 1) ** 2).bit_length() + 1)
     pair = [{s: _pack(row, k) for s, row in x.rows.items()} for x in (s2, s1)]
     products = _packed_matmul([pair])
     rows = {s: [c % p for c in _unpack(products[s], k, trunc + 1)] for s in sorted(products)}
-    taint = set()
-    if s1.taint or s2.taint:
-        k = _slot_bytes((2 * n * (trunc + 1)).bit_length() + 1)
-
-        def ones(rows, slots):
-            """The packed 0/1 map of the nonzero positions of rows and of slots, orders <= trunc."""
-            out = {s: [1 if c else 0 for c in row[: trunc + 1]] + [0] * (trunc + 1 - len(row))
-                   for s, row in rows.items()}
-            for i, j, d in slots:
-                if d <= trunc:
-                    if (i, j) not in out:
-                        out[i, j] = [0] * (trunc + 1)
-                    out[i, j][d] = 1
-            return {s: _pack(row, k) for s, row in out.items()}
-
-        pairs = [
-            (ones({}, s2.taint), ones(s1.rows, s1.taint)),
-            (ones(s2.rows, ()), ones({}, s1.taint)),
-        ]
-        taint = set(_unpack_series(_packed_matmul(pairs), k, trunc))
-    for i, j, d in taint:
-        if (i, j) in rows:
-            rows[i, j][d] = 0
+    t1, t2 = s1.taint_rows, s2.taint_rows  # the taint is T2 (S1 + T1) + S2 T1, S the supports
+    left, right = _supports(s2.rows, {}) if t1 else {}, _supports(s1.rows, t1) if t2 else {}
+    taint = _or_matmul([(t2, right), (left, t1)], trunc)
+    for s, m in taint.items():
+        if s in rows:
+            for d in _bits(m):
+                rows[s][d] = 0
     rows = {s: tuple(row) for s, row in rows.items() if any(row)}
-    return GradedEndomorphism._trusted(ring, g, trunc, rows, frozenset(taint), [None])
+    return GradedEndomorphism._trusted(ring, g, trunc, rows, taint)
 
 
 def compose_sign(deg_b1, deg_b2, p):
@@ -341,28 +455,29 @@ def qpi(divisor_name, s):
     # s's rows are live and within trunc, so reducing and dropping zero rows normalises
     rows = {key: tuple(lam * d * c % p for d, c in enumerate(row)) for key, row in s.rows.items()}
     rows = {key: row for key, row in rows.items() if any(row)}
-    return GradedEndomorphism._trusted(s.ring, s.degree, s.trunc, rows, s.taint, [None])
+    return GradedEndomorphism._trusted(
+        s.ring, s.degree, s.trunc, rows, s.taint_rows, None, s._taint_view
+    )
 
 
 def equal_on_untainted(s1, s2):
     """Compare entries on slots untainted in both; never equal across incompatible rings."""
     if s1.ring._context != s2.ring._context or s1.degree != s2.degree:
         return False
-    bad, top = s1.taint | s2.taint, min(s1.trunc, s2.trunc) + 1
+    top, t1, t2 = min(s1.trunc, s2.trunc) + 1, s1.taint_rows, s2.taint_rows
+    bad = {s: t1.get(s, 0) | t2.get(s, 0) for s in t1.keys() | t2.keys()}
     a, b = ({(i, j, d): c for (i, j), row in s.rows.items() for d, c in enumerate(row[:top])
-             if c and (i, j, d) not in bad} for s in (s1, s2))
+             if c and not bad.get((i, j), 0) >> d & 1} for s in (s1, s2))
     return a == b
 
 
-def _series_rows(s, source=None):
-    """s's rows as {(i, j): [((d, t, 0), c)]} over the nonzero c, t the forced kappa;
-    only the rows out of e_source if source is given."""
+def _series_rows(s):
+    """s's rows as {(i, j): [((d, t, 0), c)]} over the nonzero c, t the forced kappa."""
     degrees, half = s.ring._degrees, s.ring.q_degree // 2
     out = {}
     for (i, j), row in s.rows.items():
-        if source is None or i == source:
-            top = (s.degree + degrees[i] - degrees[j]) // 2  # kappa at q^0
-            out[i, j] = [((d, top - half * d, 0), c) for d, c in enumerate(row) if c]
+        top = (s.degree + degrees[i] - degrees[j]) // 2  # kappa at q^0
+        out[i, j] = [((d, top - half * d, 0), c) for d, c in enumerate(row) if c]
     return out
 
 
@@ -375,8 +490,7 @@ def format_endo(s):
         "  (%s -> %s) = %s" % (names[i], names[j], text)
         for (i, j), text in zip(rows, _format_terms(rows.values(), s.ring.prime))
     ]
-    if s.taint:
+    if s.taint_rows:
         lines.append("taint:")
-        for (i, j, d) in sorted(s.taint):
-            lines.append("  " + s.slot_text(i, j, d))
+        lines += ["  " + text for text in _taint_texts(s)]
     return "\n".join(lines)

@@ -11,7 +11,7 @@ with one fixed % layout per row shape and each class name JSON-encoded once.
 import json
 from operator import itemgetter
 
-from .endo import _series_rows
+from .endo import _series_rows, _taint_slots
 from .errors import ManifoldFormatError
 from .ring import QuantumRing
 
@@ -190,7 +190,8 @@ def endo_result_data(endo, meta, report=None):
         for (i, j), terms in _series_rows(endo).items()
         for (d, t, _), c in terms
     ]
-    taint = [{"from": names[i], "to": names[j], "q": d} for (i, j, d) in sorted(endo.taint)]
+    slots = _taint_slots(endo.taint_rows)  # in (i, j, d) order
+    taint = [{"from": names[i], "to": names[j], "q": d} for i, j, d in slots]
     return _result_data(meta, endo.trunc, endo.degree, rows, taint, report)
 
 

@@ -130,8 +130,9 @@ class QuantumRing:
                 orders.setdefault((i, j), []).append(d)
         self._orders = {key: tuple(sorted(ds)) for key, ds in orders.items()}
         # solve_qsigma's results: (class, truncation) ->
-        # (rows, taint, entries-view box, report)
+        # (rows, taint bit rows, entries-view box, taint-view box, report)
         self._solved = {}
+        self._st = {}  # _steenrod's results, i -> {(k, t): c}; a failing entry is not kept
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -210,8 +211,17 @@ class QuantumRing:
         St(b) is homogeneous of degree p|b|: the cup power, which stays zero
         once it is zero, is taken by _class_product at q^0, and an explicit
         entry is checked term by term, its t^0 part against the cup power and,
-        for |b| > 0, its t^((p-1)|b|/2) b term for being nonzero mod p.
+        for |b| > 0, its t^((p-1)|b|/2) b term for being nonzero mod p.  Computed
+        once per class and ring (callers must not mutate the result); a class whose
+        data fails raises on every call.
         """
+        st = self._st.get(i)
+        if st is None:
+            st = self._st[i] = self._compute_steenrod(i)
+        return st
+
+    def _compute_steenrod(self, i):
+        """St(e_i), uncached; see _steenrod."""
         p, deg, name = self.prime, self.degree(i), self.basis[i].name
         lead_t = (p - 1) * deg // 2
         cup = {(i, 0): 1}  # b^(cup p) as a vector {(k, 0): c}, the t^0 part of St(b)

@@ -100,6 +100,14 @@ class SeriesElement:
         return SeriesElement(self.prime, trunc, dict(self.terms))
 
 
+def _trusted_series(prime, trunc, terms):
+    """A SeriesElement from terms as __post_init__ leaves them (Monomial keys with
+    q <= trunc, values in [1, p)), used as given."""
+    x = object.__new__(SeriesElement)
+    vars(x).update(prime=prime, trunc=trunc, terms=terms)
+    return x
+
+
 def series(p, trunc, items=()):
     """Build a SeriesElement from (q, t, theta, coeff) tuples."""
     terms = {}

@@ -26,9 +26,10 @@ s = i*n + j of the slots it touches (_ad_map), which both the values and the
 taint follow; and A packed, for the re-check and for nabla_a's values.  Each
 q-order is a list of n^2 ints and its taint a bitmask with bit s set for a
 tainted slot s; a masked slot ORs in the bitmask of the slots its list names.
-The operator's rows (endo) are the transpose of the q-orders.  The residual
-re-check multiplies by A itself, with compose's packed product, so a fault in
-the commutator lists cannot cancel out.
+The operator's rows and taint bit rows (endo) are the transposes of the
+q-orders and their masks.  The residual re-check multiplies by A itself,
+with compose's packed product, so a fault in the commutator lists cannot
+cancel out; the slots it skips are the taint rows OR-multiplied by A's supports.
 
 The connection chain nabla_a^n QSt(b) is homogeneous, so nabla_a acts on its
 rows {j: [c_0 .. c_trunc]}, each term's t-exponent implied (_nabla).
@@ -40,12 +41,17 @@ from .errors import InconsistentSeed, NegativePowerResidue, NotDivisor, NotGener
 from .endo import (
     GradedEndomorphism,
     _apply_rows,
-    _by_source,
+    _bits,
     _check_truncation,
+    _columns,
     _multiplication_entries,
+    _or_matmul,
     _packed_matmul,
     _reach,
     _slots,
+    _supports,
+    _taint_slots,
+    _taint_texts,
     multiplication_matrix,
 )
 from .fp import fp_inv, solve_mod_p
@@ -58,9 +64,7 @@ from .ring import (
     basis_class,
     zero_element,
 )
-from .series import (
-    _pack, _pack_series, _slot_bytes, _unpack, _unpack_series, series_one
-)
+from .series import _pack, _slot_bytes, _unpack, series_one
 
 
 @dataclass(frozen=True)
@@ -158,14 +162,6 @@ def _nabla(ring, x, trunc):
     return {j: row for j, row in out.items() if any(row)}
 
 
-def _bits(mask):
-    """The set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # -- seeds -------------------------------------------------------------------
 
 
@@ -251,8 +247,9 @@ def solve_qsigma(b, ring, trunc=None):
     cls = sorted((k, c % p) for (k, _), c in vector.items())
     key = (tuple(cls), trunc)
     if key in ring._solved:
-        rows, taint, view, report = ring._solved[key]
-        return GradedEndomorphism._trusted(ring, g, trunc, rows, taint, view), report
+        rows, taint_rows, view, taint_view, report = ring._solved[key]
+        endo = GradedEndomorphism._trusted(ring, g, trunc, rows, taint_rows, view, taint_view)
+        return endo, report
     n = len(ring.basis)
     tables = _divisor_map(ring, div)[1]
     ad0 = tables[0]
@@ -337,18 +334,22 @@ def solve_qsigma(b, ring, trunc=None):
         masks.append(mask & live)
 
     rows = {divmod(s, n): row for s, row in enumerate(zip(*xs)) if any(row)}
-    taint = {divmod(s, n) + (d,) for d, mask in enumerate(masks) if mask for s in _bits(mask)}
-    endo = GradedEndomorphism._trusted(ring, g, trunc, rows, frozenset(taint), [None])
+    bits = {}  # the per-order masks transposed: flat slot -> bit d set when tainted at q^d
+    for d, mask in enumerate(masks):
+        for s in _bits(mask):
+            bits[s] = bits.get(s, 0) | 1 << d
+    taint_rows = {divmod(s, n): bits[s] for s in sorted(bits)}
+    endo = GradedEndomorphism._trusted(ring, g, trunc, rows, taint_rows)
     checked, failures = _residuals(endo, ring)
     report = SolveReport(
-        taint=tuple(sorted(taint)),
-        taint_text=tuple(endo.slot_text(*s) for s in sorted(taint)),
+        taint=tuple(_taint_slots(taint_rows)),
+        taint_text=tuple(_taint_texts(endo)),
         seed_checks=seed_checks,
         seeds_resolving_taint=seeds_resolving,
         residual_checked=checked,
         residual_failures=failures,
     )
-    ring._solved[key] = (rows, endo.taint, endo._view, report)
+    ring._solved[key] = (rows, taint_rows, endo._view, endo._taint_view, report)
     return endo, report
 
 
@@ -384,10 +385,11 @@ def verify_covariant_constancy(endo, divisor_name, ring, pi=None):
     compose uses, on S's rows packed once and on A and -A mod p packed once
     per ring (_divisor_map).  A tainted slot (i, j, d) reaches (i, l, d + e)
     for each (j, l, e) of A and (h, j, d + e) for each (h, i, e) of A: the
-    support of the same product on S's taint.  lambda*d*S + [S, a*] is then
-    checked slot by slot mod p, S's rows against the unpacked series.  Every
-    slot with d <= trunc is checked unless it is tainted or a tainted slot
-    reaches it; failures are listed in (d, i, j) order.
+    support of the same product on S's taint, found by shifting S's taint
+    bit rows along A's.  lambda*d*S + [S, a*] is then checked slot by slot
+    mod p, S's rows against the unpacked series.  Every slot with d <= trunc
+    is checked unless it is tainted or a tainted slot reaches it; failures
+    are listed in (d, i, j) order.
 
     When the matching QPi output is supplied, the relation
     t*QPi_{a,b}(c) = QSigma_b(a*c) - a*QSigma_b(c) is checked as well.
@@ -396,33 +398,36 @@ def verify_covariant_constancy(endo, divisor_name, ring, pi=None):
     if pi is not None:
         _check_compatible(ring, pi.ring, "verify_covariant_constancy")
     div = ring.divisor(divisor_name)
-    _, _, k, plus, minus = _divisor_map(ring, div)
+    a_rows, _, k, plus, minus = _divisor_map(ring, div)
     p, n, trunc = ring.prime, len(ring.basis), endo.trunc
-    count, zeros = trunc + 1, (0,) * (trunc + 1)
+    count, zeros, full = trunc + 1, (0,) * (trunc + 1), (1 << trunc + 1) - 1
     series = {s: _pack(row, k) for s, row in endo.rows.items()}
     com = _packed_matmul([(series, plus), (minus, series)])  # orders above trunc are never read
-    mask = set()
-    if endo.taint:
-        ones = _pack_series(dict.fromkeys(endo.taint, 1), k, trunc)
-        mask = set(_unpack_series(_packed_matmul([(ones, plus), (minus, ones)]), k, trunc))
+    taint = endo.taint_rows
+    a = _supports(a_rows, {}) if taint else {}
+    mask = _or_matmul([(taint, a), (a, taint)], trunc)  # the slots S's taint reaches
 
-    def residuals(rows, weights, taint):
+    def residuals(rows, weights, taint_rows):
         """The checked count, and sorted (d, i, j, r) with r = weights[d] x + [S, a*] != 0 mod p,
         x the operator with rows {(i, j): row}."""
-        skip = mask.union(s for s in taint if s[2] <= trunc)
+        skip = dict(mask)
+        for s, t in taint_rows.items():
+            skip[s] = skip.get(s, 0) | t & full
         out = []
         for s in rows.keys() | com.keys():
             x = zip(weights, rows.get(s, ()) + zeros, _unpack(com.get(s, 0), k, count))
             res = [(w * u + v) % p for w, u, v in x]
             if any(res):
-                out += [(d,) + s + (r,) for d, r in enumerate(res) if r and s + (d,) not in skip]
-        return n * n * count - len(skip), sorted(out)
+                m = skip.get(s, 0)
+                out += [(d,) + s + (r,) for d, r in enumerate(res) if r and not m >> d & 1]
+        return n * n * count - sum(m.bit_count() for m in skip.values()), sorted(out)
 
-    checked, found = residuals(endo.rows, [div.pairing * d % p for d in range(count)], endo.taint)
+    weights = [div.pairing * d % p for d in range(count)]
+    checked, found = residuals(endo.rows, weights, endo.taint_rows)
     failures = tuple("residual %d at %s" % (r, endo.slot_text(i, j, d)) for d, i, j, r in found)
     pi_checked, pi_failures = 0, ()
     if pi is not None:
-        pi_checked, found = residuals(pi.rows, [1] * count, pi.taint)
+        pi_checked, found = residuals(pi.rows, [1] * count, pi.taint_rows)
         pi_failures = tuple(
             "divisor relation fails at %s" % endo.slot_text(i, j, d) for d, i, j, _ in found
         )
@@ -470,15 +475,15 @@ def qsigma_lambda(beta, ring, trunc=None):
         if layer.is_zero():
             continue
         sub, _ = solve_qsigma(layer, ring)
-        shift = p * d0  # each sub-solve row moves up by q^shift; orders past trunc are dropped
+        shift = p * d0  # each sub-solve row moves up by q^shift
         for (i, j), row in sub.rows.items():
             for d, c in enumerate(row):
                 if c:
                     key = (i, j, d + shift)
-                    entries[key] = (entries.get(key, 0) + c) % p
-        taint.update((i, j, d + shift) for i, j, d in sub.taint if d + shift <= trunc)
-    entries = {s: c for s, c in entries.items() if s not in taint}
-    return GradedEndomorphism(ring, g, trunc, entries, frozenset(taint))
+                    entries[key] = entries.get(key, 0) + c
+        taint.update((i, j, d + shift) for i, j, d in _taint_slots(sub.taint_rows))
+    # the constructor drops orders past trunc and the values of tainted slots
+    return GradedEndomorphism(ring, g, trunc, entries, taint)
 
 
 def _rewrite_in_connection_powers(ring, target_index):
@@ -535,18 +540,18 @@ def qsigma_apply(b, x, ring, trunc=None):
     if trunc is None:
         trunc = x.trunc if x.trunc is not None else endo.trunc
     p, count = ring.prime, trunc + 1
-    rows, taint_rows = endo.rows, _by_source(endo.taint)
+    rows, taint_columns = endo.rows, _columns(endo.taint_rows)
     chain, chain_taint = {}, {}  # n -> nabla_a^n QSt(b) as rows {j: row}, and its taint
     columns_taint = {}
     for k in sorted(x.components):
-        col_taint = _reach({(k, 0)}, taint_rows, trunc)
+        col_taint = _reach({(k, 0)}, taint_columns, trunc)
         if col_taint:
             rewritten = _rewrite_in_connection_powers(ring, k)
             if rewritten is not None:
                 if not chain:  # t d_a keeps a slot (k, q); a * moves it along A's row k
                     chain[0] = {j: (row + (0,) * count)[:count]  # QSt(b), column 0
                                 for (i, j), row in endo.rows.items() if not i}
-                    chain_taint[0] = {(j, d) for i, j, d in endo.taint if not i and d <= trunc}
+                    chain_taint[0] = _reach({(0, 0)}, taint_columns, trunc)
                     a_rows = _divisor_map(ring, ring.primary)[0]
                     nabla = {i: [(i, 0)] for i in range(len(ring.basis))}
                     for (i, j), row in a_rows.items():
@@ -581,8 +586,7 @@ def _divisor_step(a_name, x, x_taint, ring, trunc):
     val, taint = qsigma_apply(a_name, x, ring, trunc)
     if x_taint:
         endo = solve_qsigma(a_name, ring)[0]
-        stored = {(i, j, d) for (i, j), row in endo.rows.items() for d, c in enumerate(row) if c}
-        taint |= _reach(x_taint, _by_source(stored | endo.taint), trunc)
+        taint |= _reach(x_taint, _columns(_supports(endo.rows, endo.taint_rows)), trunc)
     return val, taint
 
 

@@ -535,7 +535,7 @@ def test_verify_constancy_reports_an_entry_on_a_dead_slot(monkeypatch):
         row[2] = 1  # 1 -> h at q^2 needs t^-2 in degree 6
         rows = dict(sorted({**endo.rows, (0, 1): tuple(row)}.items()))
         dead = GradedEndomorphism._trusted(
-            ring, endo.degree, endo.trunc, rows, endo.taint, [None]
+            ring, endo.degree, endo.trunc, rows, endo.taint_rows, [None]
         )
         return dead, report
 

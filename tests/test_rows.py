@@ -301,6 +301,7 @@ def test_a_cache_entry_holds_no_ring():
     ring = builtin_ring("quadric_intersection", 5)
     s, _ = solve_qsigma("h_2", ring)
     assert s.entries and s.column("1")  # the view, built on first use, is shared with the cache
+    assert isinstance(s.taint, frozenset)  # and so is the taint view
     (entry,) = ring._solved.values()
     held = {type(x) for x in _reachable(entry)}
     assert MappingProxyType in held and held <= {

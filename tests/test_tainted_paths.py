@@ -293,7 +293,7 @@ def test_row_nabla_matches_the_element_nabla(p):
 # -- compose's taint rule from rows against the rule on entries ------------------
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 31, 101])
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 101, 211])
 def test_compose_taint_from_rows_matches_the_entries_rule(p):
     tainted = 0
     for name in BUILTINS:
@@ -310,7 +310,7 @@ def test_compose_taint_from_rows_matches_the_entries_rule(p):
 # -- qsigma_lambda's row shifts against the shifted slot maps ---------------------
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 31])
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 101, 211])
 def test_qsigma_lambda_rows_match_the_shifted_entries(p):
     tainted_shifts = 0
     for name in BUILTINS:
