@@ -215,7 +215,7 @@ class GradedEndomorphism:
     def _trusted(cls, ring, degree, trunc, rows, taint_rows, view=None, taint_view=None):
         """An operator from rows and bit rows as __init__ leaves them (nonzero tuples of
         trunc + 1 values in [0, p) and nonzero masks of bits <= trunc, live, in (i, j) order,
-        no slot in both), used as given; view and taint_view are [None] or the entries and
+        no slot in both), used as given; view and taint_view, when given, are the entries and
         taint boxes of the operator they came from, so one view serves both."""
         self = object.__new__(cls)
         vars(self).update(ring=ring, degree=degree, trunc=trunc, rows=rows, taint_rows=taint_rows,
