@@ -18,10 +18,9 @@ from .endo import (
 )
 from .fp import require_prime
 from .manifold_io import (
+    _element_result_text,
+    _endo_result_text,
     dump_manifold,
-    dump_result,
-    element_result_data,
-    endo_result_data,
     load_manifold,
     ring_from_data,
 )
@@ -80,8 +79,7 @@ def cmd_compute(args, out):
         if args.format == "json":
             used_trunc = elem.trunc if elem.trunc is not None else 0
             deg = ring.prime * ring.degree(ring.index(args.cls))
-            payload = element_result_data(elem, taint, meta, deg, used_trunc)
-            text = dump_result(payload)
+            text = _element_result_text(elem, taint, meta, deg, used_trunc)
         else:
             lines = ["QSt(%s) = %s" % (args.cls, format_element(elem))]
             if taint:
@@ -97,7 +95,7 @@ def cmd_compute(args, out):
             label = "QPi[%s]" % args.op[len("qpi:"):]
         tainted = bool(endo.taint_rows)
         if args.format == "json":
-            text = dump_result(endo_result_data(endo, meta, report))
+            text = _endo_result_text(endo, meta, report)
         else:
             header = "%s(%s) on %s mod %d (degree %d, q-truncation %d)" % (
                 label,

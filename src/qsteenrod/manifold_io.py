@@ -3,15 +3,15 @@
 A manifold file is a single JSON document with integral structure constants;
 the prime is applied at load time, so one file serves every prime.  Unknown
 fields are rejected.  Result files echo their inputs and list matrix/vector
-entries and taint slots.  Dumping is byte-stable: the layout is the stdlib
-json.dumps(data, sort_keys=True, indent=2) one, the bulky row lists laid out
-with one fixed % layout per row shape and each class name JSON-encoded once.
+entries and taint slots, in the stdlib json.dumps(data, sort_keys=True,
+indent=2) layout that dump_result writes.  compute writes the same bytes
+straight from an operator's rows and taint rows, or a QSt element's terms:
+one fixed % layout per row and each class name JSON-encoded once.
 """
 
 import json
-from operator import itemgetter
 
-from .endo import _series_rows, _taint_slots
+from .endo import _bits, _series_rows
 from .errors import ManifoldFormatError
 from .ring import QuantumRing
 
@@ -182,45 +182,47 @@ _RESULT_FIELDS = {
 }
 
 
-def endo_result_data(endo, meta, report=None):
-    """endo's rows in slot order, each t-exponent the one the degrees force (_series_rows)."""
-    names = [b.name for b in endo.ring.basis]
-    rows = [
-        {"from": names[i], "to": names[j], "q": d, "t": t, "theta": 0, "coeff": c}
-        for (i, j), terms in _series_rows(endo).items()
-        for (d, t, _), c in terms
-    ]
-    slots = _taint_slots(endo.taint_rows)  # in (i, j, d) order
-    taint = [{"from": names[i], "to": names[j], "q": d} for i, j, d in slots]
-    return _result_data(meta, endo.trunc, endo.degree, rows, taint, report)
+# A result row and a taint row, keys sorted, as json.dumps(data, sort_keys=True,
+# indent=2) lays them out: a class name as %s (JSON-encoded), the rest %d
+_ROW_LAYOUTS = {
+    kind: "{" + ",".join('\n      "%s": %%%s' % (k, "s" if k in ("from", "to") else "d")
+                         for k in keys) + "\n    }"
+    for kind, keys in (("term", ("coeff", "from", "q", "t", "theta", "to")),
+                       ("slot", ("from", "q", "to")))
+}
 
 
-def element_result_data(elem, taint, meta, degree, trunc, report=None):
-    ring = elem.ring
-    rows = []
-    for k in sorted(elem.components):
-        f = elem.components[k]
-        for mono in sorted(f.terms):
-            rows.append(
-                {
-                    "from": "1",
-                    "to": ring.basis[k].name,
-                    "q": mono.q,
-                    "t": mono.t,
-                    "theta": mono.theta,
-                    "coeff": f.terms[mono],
-                }
-            )
-    taint_rows = [
-        {"from": "1", "to": ring.basis[j].name, "q": d} for (j, d) in sorted(taint)
-    ]
-    return _result_data(meta, trunc, degree, rows, taint_rows, report)
+def _endo_result_text(endo, meta, report):
+    """compute's result file for an operator, written from its rows and taint rows,
+    each t-exponent the one the degrees force (_series_rows)."""
+    names = [json.dumps(b.name) for b in endo.ring.basis]
+    term, slot = _ROW_LAYOUTS["term"], _ROW_LAYOUTS["slot"]
+    terms = [term % (c, names[i], d, t, 0, names[j])
+             for (i, j), row in _series_rows(endo).items() for (d, t, _), c in row]
+    slots = [slot % (names[i], d, names[j]) for (i, j), m in endo.taint_rows.items()
+             for d in _bits(m)]
+    return _result_text(meta, endo.trunc, endo.degree, report, terms, slots)
 
 
-def _result_data(meta, trunc, degree, rows, taint, report):
-    """A result file's data: meta, then truncation, degree, result and taint rows, report."""
-    report = _report_data(report)
-    return dict(meta, truncation=trunc, degree=degree, result=rows, taint=taint, report=report)
+def _element_result_text(elem, taint, meta, degree, trunc):
+    """compute's result file for QSt: the element's terms and tainted (j, d), each row from 1."""
+    names = [json.dumps(b.name) for b in elem.ring.basis]
+    term, slot = _ROW_LAYOUTS["term"], _ROW_LAYOUTS["slot"]
+    terms = [term % (c, '"1"', q, t, theta, names[k]) for k, f in sorted(elem.components.items())
+             for (q, t, theta), c in sorted(f.terms.items())]
+    slots = [slot % ('"1"', d, names[j]) for j, d in sorted(taint)]
+    return _result_text(meta, trunc, degree, None, terms, slots)
+
+
+def _result_text(meta, trunc, degree, report, terms, slots):
+    """The text dump_result writes for meta, truncation, degree, report and the result and
+    taint lists, whose rows are given laid out."""
+    data = dict(meta, truncation=trunc, degree=degree, report=_report_data(report))
+    parts = {k: json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
+             for k, v in data.items()}
+    for key, rows in (("result", terms), ("taint", slots)):
+        parts[key] = "[\n    %s\n  ]" % ",\n    ".join(rows) if rows else "[]"
+    return "{\n" + ",\n".join('  "%s": %s' % (k, parts[k]) for k in sorted(parts)) + "\n}\n"
 
 
 def _report_data(report):
@@ -234,51 +236,17 @@ def _report_data(report):
     }
 
 
-# Result and taint rows by sorted keys, laid out as json.dumps(data,
-# sort_keys=True, indent=2) does: a class name as %s (JSON-encoded), the rest %d
-_NAMES = ("from", "to")
-_ROW_LAYOUTS = {
-    keys: "{" + ",".join('\n      "%s": %%%s' % (k, "s" if k in _NAMES else "d") for k in keys)
-    + "\n    }"
-    for keys in (("coeff", "from", "q", "t", "theta", "to"), ("from", "q", "to"))
-}
-
-
-def _rows_text(rows):
-    """A top-level non-empty list of rows of one _ROW_LAYOUTS shape, str names
-    and int values, laid out as json.dumps(data, sort_keys=True, indent=2) does; else None."""
-    if type(rows) is not list or not rows or set(map(type, rows)) != {dict}:
-        return None
-    keys = tuple(sorted(rows[0]))
-    layout = _ROW_LAYOUTS.get(keys)
-    if layout is None or set(map(len, rows)) != {len(keys)}:
-        return None
-    try:
-        columns = list(zip(*map(itemgetter(*keys), rows)))
-    except KeyError:
-        return None
-    kinds = [str if k in _NAMES else int for k in keys]
-    if any(set(map(type, col)) != {kind} for kind, col in zip(kinds, columns)):
-        return None
-    code = {v: json.dumps(v) for kind, col in zip(kinds, columns) if kind is str for v in set(col)}
-    columns = [list(map(code.__getitem__, col)) if kind is str else col
-               for kind, col in zip(kinds, columns)]
-    return "[\n    " + ",\n    ".join(map(layout.__mod__, zip(*columns))) + "\n  ]"
-
-
-def dump_result(data):
+def _checked_result(data):
+    """data, once it is an object with no field but the result fields."""
+    _check_type(data, dict, "result", ())
     for key in data:
         if key not in _RESULT_FIELDS:
             raise ManifoldFormatError("unknown result field %r" % key, field=key)
-    if type(data) is not dict or not data:
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
-    parts = []
-    for key in sorted(data):
-        text = _rows_text(data[key]) if key in ("result", "taint") else None
-        if text is None:
-            text = json.dumps(data[key], sort_keys=True, indent=2).replace("\n", "\n  ")
-        parts.append("  %s: %s" % (json.dumps(key), text))
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+    return data
+
+
+def dump_result(data):
+    return json.dumps(_checked_result(data), sort_keys=True, indent=2) + "\n"
 
 
 def load_result(text):
@@ -286,7 +254,4 @@ def load_result(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifoldFormatError("line %d: %s" % (exc.lineno, exc.msg)) from exc
-    for key in data:
-        if key not in _RESULT_FIELDS:
-            raise ManifoldFormatError("unknown result field %r" % key, field=key)
-    return data
+    return _checked_result(data)

@@ -97,6 +97,22 @@ def test_golden_json_and_result_roundtrip():
     assert data["degree"] == 6 and data["prime"] == 3
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("compute_cubic_p3_qsigma_h2.json", ["--prime", "3", "--class", "h_2", "--op", "qsigma"]),
+        ("compute_cubic_p2_qst_h4.json", ["--prime", "2", "--class", "h_4", "--op", "qst"]),
+    ],
+)
+def test_golden_json_of_a_tainted_operator_and_an_element(golden, argv):
+    code, text = run_cli(
+        ["compute", "--manifold", "builtin:cubic_surface", *argv, "--format", "json"]
+    )
+    assert code == 0
+    assert text == (GOLDEN / golden).read_text()
+    assert dump_result(load_result(text)) == text
+
+
 def _stdlib_dump(data):
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
@@ -132,7 +148,6 @@ def test_dump_result_escapes_as_the_stdlib_does():
         {"from": "\u00e9", "to": "a\nb}", "q": 0, "t": 1, "theta": 0, "coeff": 1},
     ]
     taint = [{"from": 'h"2', "to": "},\n      {", "q": 3}]
-    assert manifold_io._rows_text(rows) is not None  # the fixed-layout path
     for data in (_payload(rows, taint, 'h"2'), _payload(rows, taint, "\u00e9")):
         assert dump_result(data) == _stdlib_dump(data)
         assert load_result(dump_result(data)) == data
@@ -140,11 +155,49 @@ def test_dump_result_escapes_as_the_stdlib_does():
 
 def test_dump_result_lays_out_empty_and_nested_rows_as_the_stdlib_does():
     nested = [{"from": "1", "to": "h", "q": 0, "terms": [1, {"t": 2}]}, {}]
-    assert manifold_io._rows_text(nested) is None  # the stdlib fallback
     for result, taint in (([], []), (nested, []), ([], [{"q": True}, {"q": 1.5}])):
         data = _payload(result, taint)
         assert dump_result(data) == _stdlib_dump(data)
     assert dump_result({}) == "{}\n"
+
+
+@pytest.mark.parametrize(
+    "call, value, got",
+    [
+        (load_result, "3", "3"),
+        (load_result, "null", "None"),
+        (load_result, "[]", "[]"),
+        (dump_result, [], "[]"),
+        (dump_result, "manifold", "'manifold'"),
+    ],
+    ids=["load_int", "load_null", "load_list", "dump_list", "dump_str"],
+)
+def test_a_result_that_is_not_an_object_is_rejected(call, value, got):
+    with pytest.raises(manifold_io.ManifoldFormatError) as info:
+        call(value)
+    assert str(info.value) == "result: expected an object, got " + got
+    assert info.value.field == "result"
+
+
+def test_escaped_class_names_are_written_as_the_stdlib_does(tmp_path):
+    name = 'h"\\\n\t\u00e9'
+    path = tmp_path / "s2_escaped.json"
+    data = json.loads(json.dumps(builtin_manifold("s2")).replace('"h"', json.dumps(name)))
+    path.write_text(dump_manifold(data))
+    named = 0
+    for p in (2, 3):
+        for op in ("qsigma", "qpi:" + name, "qst"):
+            code, text = run_cli(
+                ["compute", "--manifold", str(path), "--prime", str(p), "--class", name,
+                 "--op", op, "--format", "json"]
+            )
+            assert code == 0
+            data = json.loads(text)
+            assert text == _stdlib_dump(data)
+            assert load_result(text) == data and dump_result(data) == text
+            rows = data["result"] + data["taint"]
+            named += any(name in (row["from"], row["to"]) for row in rows)
+    assert named == 6
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):

@@ -5,16 +5,18 @@ rows and the normalising GradedEndomorphism constructor, kept here as they
 were so that every byte compute writes can be compared with them.
 """
 
+import io
 import json
 import random
 from enum import IntEnum
 
 import pytest
 
-from qsteenrod import manifold_io
+from qsteenrod import cli, manifold_io
+from qsteenrod.cli import main
 from qsteenrod.endo import GradedEndomorphism, format_endo, qpi
 from qsteenrod.fp import balanced
-from qsteenrod.manifold_io import dump_result, endo_result_data
+from qsteenrod.manifold_io import _endo_result_text, dump_result, load_result
 from qsteenrod.oracles import builtin_ring
 from qsteenrod.ring import format_element
 from qsteenrod.series import _format_terms, format_series, series
@@ -127,47 +129,40 @@ def _row(**changes):
 
 _TAINT_ROW = {"from": "h", "q": 3, "to": "1"}
 
-# name -> (row list, whether it keeps the fixed layout)
+# name -> row list
 _ROW_LISTS = {
-    "plain": ([_row(), _row(q=2, coeff=1)], True),
-    "taint_rows": ([_TAINT_ROW, dict(_TAINT_ROW, q=4)], True),
-    "bool": ([_row(), _row(coeff=True)], False),
-    "float": ([_row(q=1.5)], False),
-    "int_subclass": ([_row(), _row(coeff=_Int.TWO)], False),
-    "str_subclass": ([_row(to=_Name("h"))], False),
-    "int_name": ([_row(to=3)], False),
-    "str_value": ([_row(q="3")], False),
-    "nested_value": ([_row(t=[1, {"t": 2}])], False),
-    "nested_name": ([_row(**{"from": ["1"]})], False),
-    "none": ([_row(theta=None)], False),
-    "missing_key": ([_row(), {k: v for k, v in _row().items() if k != "theta"}], False),
-    "extra_key": ([_row(), _row(extra=1)], False),
-    "extra_key_first": ([_row(extra=1), _row()], False),
-    "renamed_key": ([_row(), {k.replace("theta", "thata"): v for k, v in _row().items()}], False),
-    "mixed_shapes": ([_row(), _TAINT_ROW], False),
-    "mixed_shapes_taint_first": ([_TAINT_ROW, _row()], False),
-    "not_a_dict": ([_row(), [("q", 1)]], False),
-    "dict_subclass": ([type("Row", (dict,), {})(_row())], False),
-    "escaped_names": (
-        [
-            _row(**{"from": 'h"2', "to": "é"}),
-            _row(**{"from": "a\nb", "to": "},\n      {"}),
-            _row(**{"from": "\\", "to": "é\t"}),
-        ],
-        True,
-    ),
+    "plain": [_row(), _row(q=2, coeff=1)],
+    "taint_rows": [_TAINT_ROW, dict(_TAINT_ROW, q=4)],
+    "bool": [_row(), _row(coeff=True)],
+    "float": [_row(q=1.5)],
+    "int_subclass": [_row(), _row(coeff=_Int.TWO)],
+    "str_subclass": [_row(to=_Name("h"))],
+    "int_name": [_row(to=3)],
+    "str_value": [_row(q="3")],
+    "nested_value": [_row(t=[1, {"t": 2}])],
+    "nested_name": [_row(**{"from": ["1"]})],
+    "none": [_row(theta=None)],
+    "missing_key": [_row(), {k: v for k, v in _row().items() if k != "theta"}],
+    "extra_key": [_row(), _row(extra=1)],
+    "extra_key_first": [_row(extra=1), _row()],
+    "renamed_key": [_row(), {k.replace("theta", "thata"): v for k, v in _row().items()}],
+    "mixed_shapes": [_row(), _TAINT_ROW],
+    "mixed_shapes_taint_first": [_TAINT_ROW, _row()],
+    "not_a_dict": [_row(), [("q", 1)]],
+    "dict_subclass": [type("Row", (dict,), {})(_row())],
+    "escaped_names": [
+        _row(**{"from": 'h"2', "to": "é"}),
+        _row(**{"from": "a\nb", "to": "},\n      {"}),
+        _row(**{"from": "\\", "to": "é\t"}),
+    ],
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ROW_LISTS))
 def test_rows_text_and_dump_result_equal_the_stdlib(name):
-    rows, fixed = _ROW_LISTS[name]
-    assert (manifold_io._rows_text(rows) is not None) == fixed
+    rows = _ROW_LISTS[name]
     for data in (_payload(rows), _payload([], rows), _payload(rows, rows)):
         assert dump_result(data) == _stdlib_dump(data)
-    if fixed:
-        whole = json.dumps({"result": rows}, sort_keys=True, indent=2)
-        assert manifold_io._rows_text(rows) == whole[len('{\n  "result": ') : -len("\n}")]
 
 
 @pytest.mark.parametrize("p", [2, 3, 31])
@@ -177,9 +172,29 @@ def test_endo_result_data_rows_are_the_kappa_rows(p):
         for b in ring.basis:
             s, report = solve_qsigma(b.name, ring)
             for endo in [s] + [qpi(ring.basis[d.index].name, s) for d in ring.divisors]:
-                data = endo_result_data(endo, {"op": "qsigma"}, report)
+                text = _endo_result_text(endo, {"op": "qsigma"}, report)
+                data = load_result(text)
                 assert data["result"] == _reference_rows(endo)
-                assert dump_result(data) == _stdlib_dump(data)
+                assert text == dump_result(data) == _stdlib_dump(data)
+
+
+def test_compute_writes_json_without_dump_result(monkeypatch):
+    def refuse(data):
+        raise AssertionError("dump_result called")
+
+    monkeypatch.setattr(manifold_io, "dump_result", refuse)
+    monkeypatch.setattr(cli, "dump_result", refuse, raising=False)
+    for name in BUILTINS:
+        ring = builtin_ring(name, 2)
+        divisors = [ring.basis[d.index].name for d in ring.divisors]
+        for p in (2, 3, 31):
+            for b in ring.basis:
+                for op in ["qsigma", "qst"] + ["qpi:" + d for d in divisors]:
+                    out = io.StringIO()
+                    argv = ["compute", "--manifold", "builtin:" + name, "--prime", str(p),
+                            "--class", b.name, "--op", op, "--format", "json"]
+                    assert main(argv, out=out) == 0
+                    assert load_result(out.getvalue())["op"] == op
 
 
 # -- the term formatter ------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The references below are the solver's order-major layers turned into a slot
 map {(i, j, d): c}, the re-check on that map packed with _pack_series, and
-compose, qpi, column, format_endo and endo_result_data on the map, kept here
+compose, qpi, column, format_endo and the result rows on the map, kept here
 as they were so that every result and every byte can be compared with them.
 """
 
@@ -22,7 +22,7 @@ from qsteenrod.endo import (
 )
 from qsteenrod.errors import InconsistentSeed, NegativePowerResidue
 from qsteenrod.fp import fp_inv
-from qsteenrod.manifold_io import endo_result_data
+from qsteenrod.manifold_io import _endo_result_text, load_result
 from qsteenrod.oracles import builtin_ring
 from qsteenrod.ring import QuantumRing, element_from_terms
 from qsteenrod.series import (
@@ -243,7 +243,8 @@ def test_rows_match_the_slot_map_path(p):
                 pi = qpi(a_name, s)
                 for x in (s, pi) if trunc is None else (s,):
                     assert format_endo(x) == _reference_format(x)
-                    assert endo_result_data(x, {}, report)["result"] == _reference_result_rows(x)
+                    data = load_result(_endo_result_text(x, {}, report))
+                    assert data["result"] == _reference_result_rows(x)
                 assert pi.entries == {
                     slot: v for slot, c in entries.items()
                     if (v := ring.primary.pairing * slot[2] * c % p)

@@ -23,7 +23,7 @@ from qsteenrod.endo import (
     qpi,
 )
 from qsteenrod.errors import MissingSteenrodData
-from qsteenrod.manifold_io import endo_result_data, ring_from_data
+from qsteenrod.manifold_io import _endo_result_text, ring_from_data
 from qsteenrod.oracles import builtin_manifold, builtin_ring
 from qsteenrod.ring import basis_class, quantum_product
 from qsteenrod.series import SeriesElement
@@ -146,7 +146,7 @@ def test_the_package_never_reads_the_taint_view(monkeypatch):
                 s.apply(basis_class(ring, c, 2))
                 low.column(c, 3)
                 format_endo(s)
-                endo_result_data(s, {}, report)
+                _endo_result_text(s, {}, report)
                 verify_covariant_constancy(s, a_name, ring, qpi(a_name, s))
                 assert s == solve_qsigma(c, ring, s.trunc + 1)[0] and repr(s)
                 assert equal_on_untainted(s, low)

@@ -24,7 +24,7 @@ from qsteenrod.endo import (
 )
 from qsteenrod.errors import InconsistentSeed, NegativePowerResidue
 from qsteenrod.fp import fp_inv, solve_mod_p
-from qsteenrod.manifold_io import endo_result_data, ring_from_data
+from qsteenrod.manifold_io import _endo_result_text, ring_from_data
 from qsteenrod.oracles import builtin_ring
 from qsteenrod.ring import (
     CohomologyElement, basis_class, element, quantum_product, zero_element
@@ -358,7 +358,7 @@ def test_the_package_never_reads_entries(monkeypatch):
                 compose(s, solve_qsigma(a_name, ring, 2)[0])
                 qsigma_apply(c, basis_class(ring, c, s.trunc), ring)
                 format_endo(s)
-                endo_result_data(s, {}, report)
+                _endo_result_text(s, {}, report)
                 assert s == solve_qsigma(c, ring, s.trunc + 1)[0] and repr(s)
                 beta = quantum_product(basis_class(ring, a_name, 9), basis_class(ring, c, 9))
                 if not beta.is_zero():
