@@ -165,12 +165,12 @@ def _suite_compose(ring, args, failures):
     a_name = ring.basis[ring.primary.index].name
     s_div, _ = solve_qsigma(a_name, ring)
     trunc = max(ring.default_truncation(b.degree) for b in ring.basis) + ring.max_q_order()
+    a, st = basis_class(ring, a_name, trunc), ring.steenrod_of
     for b in ring.basis:
         s_b, _ = solve_qsigma(b.name, ring)
         left = compose(s_div, s_b)
-        beta = quantum_product(
-            basis_class(ring, a_name, trunc), basis_class(ring, b.name, trunc)
-        )
+        e_b = basis_class(ring, b.name, trunc)
+        beta = quantum_product(a, e_b)
         if beta.is_zero():
             if left.rows:
                 failures.append("compose: QSigma_%s o QSigma_%s nonzero" % (a_name, b.name))
@@ -182,12 +182,7 @@ def _suite_compose(ring, args, failures):
                 % (a_name, b.name, a_name, b.name)
             )
         # Cartan at q = 0: cup St(a) St(b) vs St(a cup b)
-        st_a = ring.steenrod_of(basis_class(ring, a_name, trunc))
-        st_b = ring.steenrod_of(basis_class(ring, b.name, trunc))
-        cup_ab = classical_product(
-            basis_class(ring, a_name, trunc), basis_class(ring, b.name, trunc)
-        )
-        if classical_product(st_a, st_b) != ring.steenrod_of(cup_ab):
+        if classical_product(st(a), st(e_b)) != st(classical_product(a, e_b)):
             failures.append("compose: Cartan relation fails at q=0 for %s" % b.name)
     return "composition rule and q^0 Cartan relation"
 

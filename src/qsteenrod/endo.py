@@ -20,12 +20,10 @@ tainted slot of the other factor.  compose and the solver's residual
 re-check multiply whole graded maps by Kronecker substitution in k-byte
 slots, one int per row (_packed_matmul); the taint rule is the same product
 on supports, an OR-product of bit rows (_or_product): compose's taint, and
-the slots the re-check skips.  A map applied to an element goes through
-_packed_matmul too (_apply_rows, used by apply and qsigma_apply), and so
-does the generator route's nabla on the rows of the connection chain
-(solver._nabla); the sweep multiplies by a divisor block through its
-commutator lists (solver._ad_map), and a masked slot taints every slot its
-list names.
+the slots the re-check skips.  A map applied to an element's pieces goes
+through _packed_matmul too (_apply_rows, used by apply and qsigma_apply);
+the sweep multiplies by a divisor block through its commutator lists
+(solver._ad_map), and a masked slot taints every slot its list names.
 On a single class the rule is _reach: a coefficient slot (k, q) of e_k q^q
 reaches (j, q + d) for every slot (j, d) of the operator's column k.
 """
@@ -34,13 +32,10 @@ from collections import defaultdict
 from types import MappingProxyType
 
 from .ring import (
-    CohomologyElement, _check_compatible, _class_product, basis_class, element_from_terms,
+    CohomologyElement, _check_compatible, _class_product, _reduced_pieces, basis_class,
     zero_element,
 )
-from .series import (
-    Monomial, _format_terms, _pack, _pack_series, _slot_bytes, _trusted_series, _unpack,
-    _unpack_series,
-)
+from .series import _check_truncation, _format_terms, _pack, _slot_bytes, _unpack
 
 
 def kappa(ring, g, i, j, d):
@@ -59,8 +54,8 @@ def kappa(ring, g, i, j, d):
 def _packed_matmul(pairs):
     """Sum of the products x y over (x, y) in pairs, by Kronecker substitution.
 
-    Each factor is a packed map {(i, j): int}, one int per series (_pack,
-    _pack_series), so one big-int product multiplies whole series.
+    Each factor is a packed map {(i, j): int}, one int per series (_pack),
+    so one big-int product multiplies whole series.
     Coefficients are non-negative; the caller picks k so that the sums at
     the orders it reads fit in k bytes (higher orders may overflow, since
     carries only move up).  Returns the packed sum {(i, h): int}.
@@ -98,28 +93,22 @@ def _or_matmul(pairs, trunc):
 def _apply_rows(ring, g, rows, x, trunc):
     """The image of x, truncated at q^trunc, under the degree-g map with rows {(k, j): row}.
 
-    x's terms are grouped by grading key (|e_k| + 2t + |q| q, theta), within
-    which q fixes t, so each (key, k) packs into one int (_pack_series); one
-    _packed_matmul multiplies them by the packed rows out of the classes x
-    touches, and each output term's t-exponent follows from the grading.
-    Row values lie in [0, p), as x's coefficients do; orders past trunc are not read.
+    One _packed_matmul takes x's rows, keyed (piece, k), through the map's rows, so
+    a piece (key, h) lands on (key + g, h).  Row values lie in [0, p), as x's do.
     """
     if x.is_zero():
         return zero_element(ring, trunc)
-    degrees, qd = ring._degrees, ring.q_degree
+    p, count = ring.prime, trunc + 1
     # A slot of the product sums at most n (trunc + 1) products below p^2.
-    w = _slot_bytes((len(degrees) * (trunc + 1) * (ring.prime - 1) ** 2).bit_length())
-    terms = {
-        ((degrees[k] + 2 * t + qd * q, h), k, q): c
-        for k, f in x.components.items()
-        for (q, t, h), c in f.terms.items()
-    }
-    right = {s: _pack(row, w) for s, row in rows.items() if s[0] in x.components}
-    products = _packed_matmul([(_pack_series(terms, w, trunc), right)])
-    acc = {}  # j -> {monomial: unreduced coefficient}
-    for ((key, h), j, d), c in _unpack_series(products, w, trunc).items():
-        acc.setdefault(j, {})[Monomial(d, (key + g - degrees[j] - qd * d) // 2, h)] = c
-    return element_from_terms(ring, trunc, acc)
+    w = _slot_bytes((len(ring.basis) * count * (p - 1) ** 2).bit_length())
+    left = {(key, k): _pack(row[:count], w) for key, rows in x.pieces.items()
+            for k, row in rows.items()}
+    classes = {k for _, k in left}
+    right = {s: _pack(row, w) for s, row in rows.items() if s[0] in classes}
+    acc = {}
+    for ((key, h), j), z in _packed_matmul([(left, right)]).items():
+        acc.setdefault((key + g, h), {})[j] = _unpack(z, w, count)
+    return CohomologyElement._trusted(ring, trunc, _reduced_pieces(acc, p))
 
 
 def _reach(slots, column, trunc):
@@ -128,8 +117,9 @@ def _reach(slots, column, trunc):
 
 
 def _slots(x):
-    """The (basis index, q-exponent) slots an element's terms occupy."""
-    return {(k, m.q) for k, f in x.components.items() for m in f.terms}
+    """The (basis index, q-exponent) slots an element's rows occupy."""
+    return {(k, q) for piece in x.pieces.values() for k, row in piece.items()
+            for q, c in enumerate(row) if c}
 
 
 def _bits(mask):
@@ -179,12 +169,6 @@ def _columns(masks):
     for (i, j), m in masks.items():
         out.setdefault(i, []).extend((j, d) for d in _bits(m))
     return out
-
-
-def _check_truncation(trunc):
-    """Reject a negative q-truncation; None (the default) passes."""
-    if trunc is not None and trunc < 0:
-        raise ValueError("the q-truncation must be non-negative, got trunc=%d" % trunc)
 
 
 class GradedEndomorphism:
@@ -279,20 +263,19 @@ class GradedEndomorphism:
         return trunc
 
     def column(self, name, trunc=None):
-        """Image of a basis class, as (element, taint slots (to_index, q)), read off its rows."""
+        """Image of a basis class, as (element, taint slots (to_index, q)), read off its rows.
+
+        The image of e_k is one piece, of degree the operator's plus |e_k|, whose rows
+        are the operator's rows out of k.
+        """
+        _check_truncation(trunc)
         trunc = self._image_trunc(self.trunc if trunc is None else trunc)
         ring, k, top = self.ring, self.ring.index(name), trunc + 1
-        degrees, half = ring._degrees, ring.q_degree // 2
-        image = {}  # the rows' values are reduced and nonzero, so each series is built as is
-        for (i, j), row in self.rows.items():
-            if i == k:
-                kappa0 = (self.degree + degrees[i] - degrees[j]) // 2
-                terms = {Monomial(d, kappa0 - half * d, 0): c for d, c in enumerate(row[:top]) if c}
-                if terms:
-                    image[j] = _trusted_series(ring.prime, trunc, terms)
-        full = (1 << top) - 1
-        taint = {(j, d) for (i, j), m in self.taint_rows.items() if i == k for d in _bits(m & full)}
-        return CohomologyElement(ring, image), taint
+        image = {j: (row + (0,) * trunc)[:top] for (i, j), row in self.rows.items() if i == k}
+        taint = {(j, d) for (i, j), m in self.taint_rows.items() if i == k
+                 for d in _bits(m & (1 << top) - 1)}
+        pieces = _reduced_pieces({(self.degree + ring._degrees[k], 0): image}, ring.prime)
+        return CohomologyElement._trusted(ring, trunc, pieces), taint
 
     def apply(self, x, trunc=None):
         """Lambda[t]-linear application to an element.
@@ -301,6 +284,7 @@ class GradedEndomorphism:
         pairs marking undetermined output coefficients.
         """
         _check_compatible(self.ring, x.ring, "application")
+        _check_truncation(trunc)
         trunc = self._image_trunc(x.trunc if trunc is None else trunc)
         taint = _reach(_slots(x), _columns(self.taint_rows), trunc)
         return _apply_rows(self.ring, self.degree, self.rows, x, trunc), taint
@@ -391,13 +375,10 @@ def multiplication_endo(x, trunc=None, degree=None):
         raise ValueError("multiplication by an inhomogeneous element")
     if trunc is None:
         trunc = (g + ring.dimension_top) // ring.q_degree
-    vector = {}
-    for k, f in x.components.items():
-        for m, c in f.terms.items():
-            if m.q <= trunc:
-                if m.theta:
-                    raise ValueError("theta term in multiplication endomorphism")
-                vector[(k, m.q)] = c
+    vector = {(k, q): c for rows in x.pieces.values() for k, row in rows.items()
+              for q, c in enumerate(row[:trunc + 1]) if c}
+    if vector and any(h for _, h in x.pieces):  # x is homogeneous: one piece
+        raise ValueError("theta term in multiplication endomorphism")
     return GradedEndomorphism(ring, g, trunc, _multiplication_entries(ring, vector))
 
 

@@ -13,7 +13,7 @@ import json
 
 from .endo import _bits, _series_rows
 from .errors import ManifoldFormatError
-from .ring import QuantumRing
+from .ring import QuantumRing, _class_terms
 
 
 # The fields of each kind of object and their types.  Types are exact: an
@@ -208,8 +208,8 @@ def _element_result_text(elem, taint, meta, degree, trunc):
     """compute's result file for QSt: the element's terms and tainted (j, d), each row from 1."""
     names = [json.dumps(b.name) for b in elem.ring.basis]
     term, slot = _ROW_LAYOUTS["term"], _ROW_LAYOUTS["slot"]
-    terms = [term % (c, '"1"', q, t, theta, names[k]) for k, f in sorted(elem.components.items())
-             for (q, t, theta), c in sorted(f.terms.items())]
+    terms = [term % (c, '"1"', q, t, theta, names[k]) for k, ts in _class_terms(elem).items()
+             for (q, t, theta), c in ts]
     slots = [slot % ('"1"', d, names[j]) for j, d in sorted(taint)]
     return _result_text(meta, trunc, degree, None, terms, slots)
 

@@ -12,22 +12,19 @@ _graded_sc, which checks them against the grading, by sc (one constant mod p)
 and _product_over_z (products of (class, q) vectors over Z).  verify_ring
 checks the axioms on the latter (commutativity and the unit hold by
 construction); _class_product reduces them mod p for the solver, the element
-products and the cup power in St.
+products and the cup power in St.  Elements are stored as homogeneous pieces of
+q-rows mod p (CohomologyElement), as operators are stored as rows (endo).
 """
 
 from itertools import combinations_with_replacement, permutations
+from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import MissingSteenrodData, MixedContext, NotDivisor
 from .fp import require_prime
 from .series import (
-    Monomial,
-    SeriesElement,
-    derivation_apply,
-    format_series,
-    series_one,
-    series_zero,
+    Monomial, SeriesElement, _check_truncation, _format_terms, _pack, _slot_bytes, _unpack,
 )
 
 _SEE_RING = "; see verify --suite ring"  # ends _graded_sc's error; verify_ring drops it
@@ -263,14 +260,12 @@ class QuantumRing:
     def steenrod_of(self, b):
         """St of a q,t-free class, extended additively."""
         _check_compatible(self, b.ring, "Steenrod operation")
-        if any(m.q or m.t or m.theta for f in b.components.values() for m in f.terms):
+        vector = _class_vector(b)
+        if vector is None:
             raise ValueError("St is defined for q,t-free classes")
-        vector = {i: f.coefficient(0, 0) for i, f in b.components.items()}
-        pairs = ((key, c * v) for i, c in vector.items() for key, v in self._steenrod(i).items())
-        terms = {}  # k -> {t^t: coefficient}
-        for (k, t), c in _reduced(pairs, self.prime).items():
-            terms.setdefault(k, {})[Monomial(0, t, 0)] = c
-        return element_from_terms(self, b.trunc, terms)
+        terms = (((k, 0, t, 0), c * v) for i, c in vector.items()
+                 for (k, t), v in self._steenrod(i).items())
+        return CohomologyElement._trusted(self, b.trunc, _pieces(self, b.trunc, terms))
 
 
 def _reduced(pairs, p):
@@ -285,108 +280,169 @@ def _reduced(pairs, p):
 
 
 class CohomologyElement:
-    """Finite combination sum_k f_k(q, t, theta) e_k with f_k series."""
+    """Finite combination sum_k f_k(q, t, theta) e_k, stored as homogeneous pieces.
+
+    pieces = {(g, h): {k: row}} holds the terms c q^q t^t theta^h e_k of even
+    degree g = |e_k| + 2t + |q| q, one row per class: row[q] is the q^q
+    coefficient mod p for q = 0 .. trunc, and t follows from g, as in operator
+    rows.  Rows are tuples, none all zero, and no piece is empty; a zero
+    element has no pieces and trunc None.  components, {k: SeriesElement}, is
+    a read-only view built on first use for tests and users.
+    """
 
     def __init__(self, ring, components):
-        self.ring = ring
-        self.components = {
-            k: f for k, f in components.items() if not f.is_zero()
-        }
-        truncs = {f.trunc for f in self.components.values()}
+        """sum_k components[k] e_k, SeriesElements at one truncation."""
+        truncs = {f.trunc for f in components.values() if not f.is_zero()}
         if len(truncs) > 1:
             raise MixedContext("components at different truncations")
-        self.trunc = truncs.pop() if truncs else None
+        trunc = truncs.pop() if truncs else None
+        terms = (((k,) + m, c) for k, f in components.items() for m, c in f.terms.items())
+        vars(self).update(ring=ring, trunc=trunc, pieces=_pieces(ring, trunc, terms), _view=None)
+
+    @classmethod
+    def _trusted(cls, ring, trunc, pieces):
+        """An element from pieces as the class docstring states them, used as given."""
+        self = object.__new__(cls)
+        vars(self).update(ring=ring, trunc=trunc if pieces else None, pieces=pieces, _view=None)
+        return self
+
+    @property
+    def components(self):
+        """{k: SeriesElement} in basis order, with Monomial keys."""
+        if self._view is None:
+            p, trunc = self.ring.prime, self.trunc
+            self._view = MappingProxyType({
+                k: SeriesElement(p, trunc, {Monomial(*m): c for m, c in terms})
+                for k, terms in _class_terms(self).items()
+            })
+        return self._view
 
     @property
     def degree(self):
-        """Total degree, or None if inhomogeneous or zero."""
-        degs = set()
-        for k, f in self.components.items():
-            for mono in f.terms:
-                degs.add(
-                    self.ring.degree(k)
-                    + 2 * mono.t
-                    + mono.theta
-                    + self.ring.q_degree * mono.q
-                )
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        """Total degree g + h of the one piece, or None if inhomogeneous or zero."""
+        return sum(next(iter(self.pieces))) if len(self.pieces) == 1 else None
 
     def is_zero(self):
-        return not self.components
+        return not self.pieces
 
     def __add__(self, other):
         _check_compatible(self.ring, other.ring, "addition")
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        comps = dict(self.components)
-        for k, f in other.components.items():
-            comps[k] = comps[k] + f if k in comps else f
-        return CohomologyElement(self.ring, comps)
+        if self.is_zero() or other.is_zero():
+            return other if self.is_zero() else self
+        if self.trunc != other.trunc:
+            raise MixedContext("addition at mixed truncations")
+        p, acc = self.ring.prime, {key: dict(rows) for key, rows in self.pieces.items()}
+        for key, rows in other.pieces.items():
+            mine = acc.setdefault(key, {})
+            for k, row in rows.items():
+                mine[k] = tuple(map(add, mine[k], row)) if k in mine else row
+        return CohomologyElement._trusted(self.ring, self.trunc, _reduced_pieces(acc, p))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return CohomologyElement(
-            self.ring, {k: f.scale(c) for k, f in self.components.items()}
-        )
+        return self._map_rows(self.trunc, lambda row: [c * v for v in row])
 
     def times_monomial(self, q=0, t=0, coeff=1):
-        return CohomologyElement(
-            self.ring,
-            {
-                k: f.times_monomial(q=q, t=t, coeff=coeff)
-                for k, f in self.components.items()
-            },
-        )
+        """Multiply by coeff q^q t^t: each row moves q orders up, each piece 2t + |q| q degrees."""
+        def shifted(row):
+            if q < 0 and any(row[:-q]):
+                raise ValueError("negative q exponent")
+            return [coeff * v for v in ((0,) * q + row[max(-q, 0):] + (0,) * -q)[:len(row)]]
+
+        return self._map_rows(self.trunc, shifted, 2 * t + self.ring.q_degree * q)
 
     def retruncate(self, trunc):
-        return CohomologyElement(
-            self.ring, {k: f.retruncate(trunc) for k, f in self.components.items()}
-        )
+        _check_truncation(trunc)
+        return self._map_rows(trunc, lambda row: (row + (0,) * trunc)[:trunc + 1])
+
+    def _map_rows(self, trunc, fn, shift=0):
+        """The element at trunc with rows fn(row) mod p, each piece moved up by shift degrees."""
+        acc = {(g + shift, h): {k: fn(row) for k, row in rows.items()}
+               for (g, h), rows in self.pieces.items()}
+        return CohomologyElement._trusted(self.ring, trunc, _reduced_pieces(acc, self.ring.prime))
 
     def coefficient(self, k, q, t, theta=0):
-        f = self.components.get(k)
-        return f.coefficient(q, t, theta) if f is not None else 0
+        return dict(_class_terms(self).get(k, ())).get((q, t, theta), 0)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CohomologyElement)
-            and self.ring._context == other.ring._context
-            and self.components == other.components
+        return isinstance(other, CohomologyElement) and (
+            (self.ring._context, self.trunc, self.pieces)
+            == (other.ring._context, other.trunc, other.pieces)
         )
 
     def __repr__(self):
         return "<%s>" % format_element(self)
 
 
+def _pieces(ring, trunc, terms):
+    """The pieces of the sum of the terms ((k, q, t, theta), c), cut at q^trunc."""
+    _check_truncation(trunc)
+    degrees, qd, acc = ring._degrees, ring.q_degree, {}
+    for (k, q, t, h), c in terms:
+        if h not in (0, 1):
+            raise ValueError("theta exponent must be 0 or 1")
+        if q < 0:
+            raise ValueError("negative q exponent")
+        if q <= trunc:
+            rows = acc.setdefault((degrees[k] + 2 * t + qd * q, h), {})
+            rows.setdefault(k, [0] * (trunc + 1))[q] += c
+    return _reduced_pieces(acc, ring.prime)
+
+
+def _reduced_pieces(acc, p):
+    """Pieces {(g, h): {k: row}} with each row reduced mod p to a tuple, without zero rows."""
+    out = {}
+    for key, rows in acc.items():
+        rows = {k: tuple([c % p for c in row]) for k, row in rows.items()}
+        rows = {k: row for k, row in rows.items() if any(row)}
+        if rows:
+            out[key] = rows
+    return out
+
+
+def _class_terms(x):
+    """x's nonzero terms ((q, t, theta), c) by class, {k: sorted list}, in basis order."""
+    degrees, half, out = x.ring._degrees, x.ring.q_degree // 2, {}
+    for (g, h), rows in x.pieces.items():
+        for k, row in rows.items():
+            top = (g - degrees[k]) // 2  # the t-exponent at q^0
+            out.setdefault(k, []).extend(((q, top - half * q, h), c)
+                                         for q, c in enumerate(row) if c)
+    return {k: sorted(out[k]) for k in sorted(out)}
+
+
+def _class_vector(x):
+    """x as {k: c} when each of its terms is some c e_k (no q, t or theta), else None."""
+    terms = _class_terms(x)
+    if all(len(ts) == 1 and ts[0][0] == (0, 0, 0) for ts in terms.values()):
+        return {k: ts[0][1] for k, ts in terms.items()}
+    return None
+
+
 def zero_element(ring, trunc):
-    return CohomologyElement(ring, {})
+    _check_truncation(trunc)
+    return CohomologyElement._trusted(ring, None, {})
 
 
 def basis_class(ring, name, trunc):
-    return CohomologyElement(ring, {ring.index(name): series_one(ring.prime, trunc)})
+    _check_truncation(trunc)
+    k = ring.index(name)
+    piece = {k: (1,) + (0,) * trunc}
+    return CohomologyElement._trusted(ring, trunc, {(ring._degrees[k], 0): piece})
 
 
 def element(ring, trunc, items):
     """Build from (basis name, q, t, coeff) tuples (theta-free)."""
-    comps = {}
-    for name, q, t, c in items:
-        k = ring.index(name)
-        f = comps.get(k, series_zero(ring.prime, trunc))
-        comps[k] = f + SeriesElement(ring.prime, trunc, {Monomial(q, t, 0): c})
-    return CohomologyElement(ring, comps)
+    terms = (((ring.index(name), q, t, 0), c) for name, q, t, c in items)
+    return CohomologyElement._trusted(ring, trunc, _pieces(ring, trunc, terms))
 
 
 def element_from_terms(ring, trunc, terms):
-    """Build from {k: {monomial: coefficient}}, one series per basis index."""
-    return CohomologyElement(
-        ring, {k: SeriesElement(ring.prime, trunc, t) for k, t in terms.items()}
-    )
+    """Build from {k: {monomial (q, t, theta): coefficient}}, one term map per basis index."""
+    terms = (((k,) + tuple(m), c) for k, ts in terms.items() for m, c in ts.items())
+    return CohomologyElement._trusted(ring, trunc, _pieces(ring, trunc, terms))
 
 
 def _check_compatible(ring, other, what):
@@ -409,26 +465,38 @@ def classical_product(x, y):
 
 
 def _element_product(x, y, what, cup=False):
-    """x * y with each e_i * e_j read by _class_product, up to q^trunc, or q^0 if cup."""
+    """x * y up to q^trunc, each e_i * e_j read by _class_product (at q^0 only if cup).
+
+    Pieces of degrees g1 and g2 multiply into degree g1 + g2 (theta * theta is t at
+    p = 2, two degrees more, and 0 for odd p), each product of rows one packed product.
+    """
     _check_compatible(x.ring, y.ring, what)
-    ring = x.ring
+    ring, p = x.ring, x.ring.prime
     if x.is_zero() or y.is_zero():
-        return zero_element(ring, x.trunc if x.trunc is not None else y.trunc)
+        return zero_element(ring, None)
     if x.trunc != y.trunc:
         raise MixedContext("%s at mixed truncations" % what)
-    trunc = x.trunc
-    acc = {}  # k -> {monomial: unreduced coefficient}
-    for i, f in x.components.items():
-        for j, g in y.components.items():
-            fg = (f * g).terms
-            product = _class_product(ring, {(i, 0): 1}, {(j, 0): 1}, 0 if cup else trunc)
-            for (k, d), c in product.items():
-                terms = acc.setdefault(k, {})
-                for (mq, mt, mth), v in fg.items():
-                    if mq + d <= trunc:
-                        m = Monomial(mq + d, mt, mth)
-                        terms[m] = terms.get(m, 0) + c * v
-    return element_from_terms(ring, trunc, acc)
+    count, top = x.trunc + 1, 0 if cup else x.trunc
+    # A slot sums, over every pair of rows and order d, count products below p^3.
+    pairs = sum(map(len, x.pieces.values())) * sum(map(len, y.pieces.values()))
+    w = _slot_bytes((pairs * count * count * (p - 1) ** 3).bit_length())
+    products, acc = {}, {}
+    for (g1, h1), xs in x.pieces.items():
+        for (g2, h2), ys in y.pieces.items():
+            if h1 and h2 and p > 2:
+                continue
+            out = acc.setdefault((g1 + g2 + 2, 0) if h1 and h2 else (g1 + g2, h1 + h2), {})
+            for i, f in xs.items():
+                f = _pack(f, w)
+                for j, g in ys.items():
+                    ij = products.get((i, j))
+                    if ij is None:
+                        ij = products[i, j] = _class_product(ring, {(i, 0): 1}, {(j, 0): 1}, top)
+                    fg = f * _pack(g, w)
+                    for (k, d), c in ij.items():
+                        out[k] = out.get(k, 0) + (c * fg << 8 * w * d)
+    acc = {key: {k: _unpack(z, w, count) for k, z in out.items()} for key, out in acc.items()}
+    return CohomologyElement._trusted(ring, x.trunc, _reduced_pieces(acc, p))
 
 
 def pfold_power(b, ring=None):
@@ -486,18 +554,14 @@ def _q_derivative(pairing, x):
 
 
 def connection_apply(divisor_name, x, ring=None):
-    """nabla_a x = t * lambda_a * (q d/dq) x + a * x."""
+    """nabla_a x = t * lambda_a * (q d/dq) x + a * x; a piece of degree g goes to g + 2.
+
+    The one nabla_a of the package: the generator route's connection chain is built with it.
+    """
     ring = ring or x.ring
-    div = ring.divisor(divisor_name)
-    trunc = x.trunc if x.trunc is not None else 0
-    deriv = CohomologyElement(
-        ring,
-        {
-            k: derivation_apply(div.pairing, f).times_monomial(t=1)
-            for k, f in x.components.items()
-        },
-    )
-    return deriv + quantum_product(basis_class(ring, divisor_name, trunc), x)
+    lam = ring.divisor(divisor_name).pairing
+    product = quantum_product(basis_class(ring, divisor_name, x.trunc or 0), x)
+    return x._map_rows(x.trunc, lambda row: [lam * q * c for q, c in enumerate(row)], 2) + product
 
 
 def verify_ring(ring):
@@ -546,15 +610,7 @@ def verify_ring(ring):
 
 def format_element(v):
     """Deterministic text form: basis order, then q, then t."""
-    if v.is_zero():
-        return "0"
-    parts = []
-    for k in sorted(v.components):
-        text = format_series(v.components[k], unit=v.ring.basis[k].name)
-        if not parts:
-            parts.append(text)
-        elif text.startswith("-"):
-            parts.append("- " + text[1:])
-        else:
-            parts.append("+ " + text)
-    return " ".join(parts)
+    texts = [_format_terms([terms], v.ring.prime, v.ring.basis[k].name)[0]
+             for k, terms in _class_terms(v).items()]
+    tail = ["- " + text[1:] if text[0] == "-" else "+ " + text for text in texts[1:]]
+    return " ".join(texts[:1] + tail) or "0"

@@ -33,6 +33,7 @@ class SeriesElement:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_truncation(self.trunc)
         clean = {}
         for mono, c in self.terms.items():
             if type(mono) is not Monomial:
@@ -100,12 +101,10 @@ class SeriesElement:
         return SeriesElement(self.prime, trunc, dict(self.terms))
 
 
-def _trusted_series(prime, trunc, terms):
-    """A SeriesElement from terms as __post_init__ leaves them (Monomial keys with
-    q <= trunc, values in [1, p)), used as given."""
-    x = object.__new__(SeriesElement)
-    vars(x).update(prime=prime, trunc=trunc, terms=terms)
-    return x
+def _check_truncation(trunc):
+    """Reject a negative q-truncation; None (the default) passes."""
+    if trunc is not None and trunc < 0:
+        raise ValueError("the q-truncation must be non-negative, got trunc=%d" % trunc)
 
 
 def series(p, trunc, items=()):
@@ -179,27 +178,6 @@ def _unpack(z, k, count):
     if _BIG_ENDIAN:
         slots.byteswap()
     return slots.tolist()
-
-
-def _pack_series(entries, k, trunc):
-    """{(a, b): _pack(row, k)} with row[d] = c for each ((a, b, d), c) of entries, d <= trunc.
-
-    On a slot map {(i, j, d): c} this packs each (i, j) series into one int.
-    """
-    rows = {}
-    for (a, b, d), c in entries.items():
-        if d <= trunc:
-            row = rows.get((a, b))
-            if row is None:
-                row = rows[a, b] = [0] * (trunc + 1)
-            row[d] = c
-    return {key: _pack(row, k) for key, row in rows.items()}
-
-
-def _unpack_series(packed, k, trunc):
-    """The nonzero coefficients {(a, b, d): c}, d <= trunc, of a packed map {(a, b): int}."""
-    unpacked = ((a, b, _unpack(z, k, trunc + 1)) for (a, b), z in packed.items())
-    return {(a, b, d): c for a, b, row in unpacked for d, c in enumerate(row) if c}
 
 
 def derivation_apply(lam, x):

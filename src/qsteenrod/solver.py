@@ -23,16 +23,14 @@ A is built once per ring and divisor (_divisor_map): its rows, from which
 the generator route's nabla_a takes its taint, and which qst_auto's peel
 reads; per block, the commutator X -> [X, A_e] as one list per flat slot
 s = i*n + j of the slots it touches (_ad_map), which both the values and the
-taint follow; and A packed, for the re-check and for nabla_a's values.  Each
+taint follow; and A packed, for the re-check.  Each
 q-order is a list of n^2 ints and its taint a bitmask with bit s set for a
 tainted slot s; a masked slot ORs in the bitmask of the slots its list names.
 The operator's rows and taint bit rows (endo) are the transposes of the
 q-orders and their masks.  The residual re-check multiplies by A itself,
 with compose's packed product, so a fault in the commutator lists cannot
 cancel out; the slots it skips are the taint rows OR-multiplied by A's supports.
-
-The connection chain nabla_a^n QSt(b) is homogeneous, so nabla_a acts on its
-rows {j: [c_0 .. c_trunc]}, each term's t-exponent implied (_nabla).
+The values of the connection chain nabla_a^n QSt(b) are ring.connection_apply's.
 """
 
 from dataclasses import dataclass
@@ -42,7 +40,6 @@ from .endo import (
     GradedEndomorphism,
     _apply_rows,
     _bits,
-    _check_truncation,
     _columns,
     _multiplication_entries,
     _or_matmul,
@@ -59,12 +56,15 @@ from .ring import (
     CohomologyElement,
     _check_compatible,
     _class_product,
+    _class_terms,
+    _class_vector,
     _power,
     _reduced,
     basis_class,
+    connection_apply,
     zero_element,
 )
-from .series import _pack, _slot_bytes, _unpack, series_one
+from .series import _check_truncation, _pack, _slot_bytes, _unpack
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ def _divisor_map(ring, div):
     grading, so block 0 raises degree by 2, as the sweep relies on):
     rows = {(i, j): row}, row[e] the q^e e_j coefficient of a * e_i, which
     nabla_a's taint and qst_auto's peel read; tables = {e: _ad_map(A_e)},
-    the sweep's; A and -A, each row packed in k-byte slots, the re-check's
-    and (A alone) nabla_a's.
+    the sweep's; A and -A, each row packed in k-byte slots, the re-check's.
     """
     entry = ring._mult.get(div.index)
     if entry is None:
@@ -142,26 +141,6 @@ def _divisor_map(ring, div):
     return entry
 
 
-def _nabla(ring, x, trunc):
-    """nabla_a = t lambda_a q d/dq + a *, a the primary divisor, on a homogeneous element.
-
-    x is given by its rows {j: [c_0 .. c_trunc]} with values in [0, p), c_q the
-    q^q e_j coefficient, whose t-exponent the degree implies; so is the result:
-    new[j][q] = lambda q x[j][q] + (x A)[j][q], x A one _packed_matmul on A's
-    packed rows (whose slots hold every sum over i and e).
-    """
-    _, _, k, plus, _ = _divisor_map(ring, ring.primary)
-    p, lam, count = ring.prime, ring.primary.pairing, trunc + 1
-    out = {j: [lam * q * c for q, c in enumerate(row)] for j, row in x.items()}
-    packed = {(0, j): _pack(row, k) for j, row in x.items()}
-    for (_, j), z in _packed_matmul([(packed, plus)]).items():
-        row = out.setdefault(j, [0] * count)
-        for q, c in enumerate(_unpack(z, k, count)):
-            row[q] += c
-    out = {j: [c % p for c in row] for j, row in out.items()}
-    return {j: row for j, row in out.items() if any(row)}
-
-
 # -- seeds -------------------------------------------------------------------
 
 
@@ -169,12 +148,13 @@ def _seed_class(b, ring, what):
     """b as a vector {(k, 0): c}, and its degree; b must be a homogeneous q,t-free class."""
     b = basis_class(ring, b, 0) if isinstance(b, str) else b
     _check_compatible(ring, b.ring, what)
-    if any(m.q or m.t or m.theta for f in b.components.values() for m in f.terms):
+    vector = _class_vector(b)
+    if vector is None:
         raise ValueError("%s needs a q,t-free class; see qsigma_lambda" % what)
     deg = b.degree
     if deg is None:
         raise ValueError("%s needs a homogeneous class" % what)
-    return {(k, 0): f.coefficient(0, 0) for k, f in b.components.items()}, deg
+    return {(k, 0): c for k, c in vector.items()}, deg
 
 
 def initial_layer(b, ring, trunc=None):
@@ -461,19 +441,15 @@ def qsigma_lambda(beta, ring, trunc=None):
     if trunc is None:
         trunc = (g + ring.dimension_top) // ring.q_degree
     by_order = {}
-    for i, f in beta.components.items():
-        for mono, c in f.terms.items():
-            if mono.t or mono.theta:
+    for i, terms in _class_terms(beta).items():
+        for (d0, t, h), c in terms:
+            if t or h:
                 raise ValueError("beta may carry q-coefficients only")
-            by_order.setdefault(mono.q, {})[i] = c
+            by_order.setdefault(d0, {})[i] = (c,)
     entries = {}
     taint = set()
     for d0, comps in sorted(by_order.items()):
-        layer = CohomologyElement(
-            ring, {i: series_one(p, 0).scale(c) for i, c in comps.items()}
-        )
-        if layer.is_zero():
-            continue
+        layer = CohomologyElement._trusted(ring, 0, {(deg - ring.q_degree * d0, 0): comps})
         sub, _ = solve_qsigma(layer, ring)
         shift = p * d0  # each sub-solve row moves up by q^shift
         for (i, j), row in sub.rows.items():
@@ -495,9 +471,9 @@ def _rewrite_in_connection_powers(ring, target_index):
     """
     deg = ring.degree(target_index)
     search_trunc = ring.dimension_top // ring.q_degree + ring.max_q_order() + 1
-    powers = [{0: [1] + [0] * search_trunc}]  # nabla_a^n(1) as rows, of degree 2n
+    powers = [basis_class(ring, "1", search_trunc)]  # nabla_a^n(1), of degree 2n: one piece
     for _ in range(deg // 2):
-        powers.append(_nabla(ring, powers[-1], search_trunc))
+        powers.append(connection_apply(ring.basis[ring.primary.index].name, powers[-1]))
     candidates = []
     for n in range(deg // 2 + 1):
         for s in range((deg - 2 * n) // 2 + 1):
@@ -510,7 +486,7 @@ def _rewrite_in_connection_powers(ring, target_index):
     cols = []
     for n, m, s in candidates:
         cols.append(
-            {(j, d): row[d - m] for j, row in powers[n].items()
+            {(j, d): row[d - m] for rows in powers[n].pieces.values() for j, row in rows.items()
              for d in range(m, search_trunc + 1) if row[d - m]}
         )
     slots = sorted(set().union(*cols) | {(target_index, 0)})
@@ -539,42 +515,32 @@ def qsigma_apply(b, x, ring, trunc=None):
     endo = solve_qsigma(b, ring)[0]
     if trunc is None:
         trunc = x.trunc if x.trunc is not None else endo.trunc
-    p, count = ring.prime, trunc + 1
     rows, taint_columns = endo.rows, _columns(endo.taint_rows)
-    chain, chain_taint = {}, {}  # n -> nabla_a^n QSt(b) as rows {j: row}, and its taint
-    columns_taint = {}
-    for k in sorted(x.components):
+    chain, chain_taint = {}, {}  # n -> nabla_a^n QSt(b), one piece, and its taint
+    columns_taint, slots = {}, _slots(x)
+    for k in sorted({k for k, _ in slots}):
         col_taint = _reach({(k, 0)}, taint_columns, trunc)
         if col_taint:
             rewritten = _rewrite_in_connection_powers(ring, k)
             if rewritten is not None:
                 if not chain:  # t d_a keeps a slot (k, q); a * moves it along A's row k
-                    chain[0] = {j: (row + (0,) * count)[:count]  # QSt(b), column 0
-                                for (i, j), row in endo.rows.items() if not i}
-                    chain_taint[0] = _reach({(0, 0)}, taint_columns, trunc)
-                    a_rows = _divisor_map(ring, ring.primary)[0]
-                    nabla = {i: [(i, 0)] for i in range(len(ring.basis))}
-                    for (i, j), row in a_rows.items():
-                        nabla[i] += [(j, e) for e, c in enumerate(row) if c]
+                    chain[0], chain_taint[0] = endo.column("1", trunc)
+                    identity = {(i, i): 1 for i in range(len(ring.basis))}
+                    nabla = _columns(_supports(_divisor_map(ring, ring.primary)[0], identity))
                 while len(chain) <= max(n for n, _, _, _ in rewritten):
                     n = len(chain)
-                    chain[n] = _nabla(ring, chain[n - 1], trunc)
+                    chain[n] = connection_apply(ring.basis[ring.primary.index].name, chain[n - 1])
                     chain_taint[n] = _reach(chain_taint[n - 1], nabla, trunc)
                 repair_taint = _reach({(n, m) for n, m, _, _ in rewritten}, chain_taint, trunc)
                 if repair_taint <= col_taint:
-                    col, col_taint = {}, repair_taint  # sum c q^m t^s nabla_a^n QSt(b), row by row
-                    for n, m, _, c in rewritten:
-                        for j, row in chain[n].items():
-                            acc = col.setdefault(j, [0] * count)
-                            for d in range(m, count):
-                                acc[d] += c * row[d - m]
+                    col_taint = repair_taint  # sum c q^m t^s nabla_a^n QSt(b): one piece
+                    col = sum((chain[n].times_monomial(q=m, t=s, coeff=c)
+                               for n, m, s, c in rewritten), zero_element(ring, trunc))
                     rows = {s: row for s, row in rows.items() if s[0] != k}  # not endo's own
-                    for j, acc in col.items():
-                        acc = [c % p for c in acc]
-                        if any(acc):
-                            rows[k, j] = acc
+                    rows.update(((k, j), row) for col_rows in col.pieces.values()
+                                for j, row in col_rows.items())
         columns_taint[k] = col_taint
-    return _apply_rows(ring, endo.degree, rows, x, trunc), _reach(_slots(x), columns_taint, trunc)
+    return _apply_rows(ring, endo.degree, rows, x, trunc), _reach(slots, columns_taint, trunc)
 
 
 def _divisor_step(a_name, x, x_taint, ring, trunc):

@@ -534,6 +534,7 @@ def test_apply_rows_keeps_theta_terms_apart():
             x = CohomologyElement(ring, {k: both})
             got, _ = endo.apply(x)
             assert any(m.theta for f in got.components.values() for m in f.terms)
+            assert {h for _, h in got.pieces} == {0, 1}
             _assert_apply_rows_is_series_mul(endo, x)
 
 
@@ -553,7 +554,7 @@ def test_apply_rows_matches_series_mul_on_inhomogeneous_theta_input(p):
     for _ in range(20):
         x = CohomologyElement(ring, {k: random_series() for k in range(len(ring.basis))})
         keys = {(ring.degree(k) + 2 * t + 4 * q, h) for k, f in x.components.items() for (q, t, h) in f.terms}
-        assert len(keys) > 1  # several packed groups
+        assert set(x.pieces) == keys and len(keys) > 1  # several pieces, one packed group each
         _assert_apply_rows_is_series_mul(rng.choice(endos), x)
 
 

@@ -25,15 +25,31 @@ from qsteenrod.fp import fp_inv
 from qsteenrod.manifold_io import _endo_result_text, load_result
 from qsteenrod.oracles import builtin_ring
 from qsteenrod.ring import QuantumRing, element_from_terms
-from qsteenrod.series import (
-    Monomial, _format_terms, _pack_series, _slot_bytes, _unpack, _unpack_series
-)
+from qsteenrod.series import Monomial, _format_terms, _pack, _slot_bytes, _unpack
 from qsteenrod.solver import SolveReport, initial_layer, solve_qsigma, tzero_layer
 
 BUILTINS = ("s2", "cubic_surface", "quadric_intersection")
 
 
 # -- references ----------------------------------------------------------------
+
+
+def _pack_series(entries, k, trunc):
+    """{(a, b): _pack(row, k)} with row[d] = c for each ((a, b, d), c) of entries, d <= trunc.
+
+    On a slot map {(i, j, d): c} this packs each (i, j) series into one int.
+    """
+    rows = {}
+    for (a, b, d), c in entries.items():
+        if d <= trunc:
+            rows.setdefault((a, b), [0] * (trunc + 1))[d] = c
+    return {key: _pack(row, k) for key, row in rows.items()}
+
+
+def _unpack_series(packed, k, trunc):
+    """The nonzero coefficients {(a, b, d): c}, d <= trunc, of a packed map {(a, b): int}."""
+    unpacked = ((a, b, _unpack(z, k, trunc + 1)) for (a, b), z in packed.items())
+    return {(a, b, d): c for a, b, row in unpacked for d, c in enumerate(row) if c}
 
 
 def _reference_solve(b, ring, trunc):

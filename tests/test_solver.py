@@ -1891,6 +1891,13 @@ def test_ungraded_q2_product_is_named():
         lambda ring: identity_endo(ring, -1),
         lambda ring: multiplication_endo(basis_class(ring, "h_2", 3), -1),
         lambda ring: multiplication_matrix("h_2", ring, -1),
+        lambda ring: basis_class(ring, "h_2", -1),
+        lambda ring: element(ring, -1, [("h_2", 0, 0, 1)]),
+        lambda ring: series(3, -1, [(0, 0, 0, 1)]),
+        lambda ring: zero_element(ring, -1),
+        lambda ring: basis_class(ring, "h_2", 3).retruncate(-1),
+        lambda ring: multiplication_matrix("h_2", ring).apply(basis_class(ring, "h_2", 3), -1),
+        lambda ring: multiplication_matrix("h_2", ring).column("h_2", -1),
     ],
     ids=[
         "qsigma_apply",
@@ -1901,6 +1908,13 @@ def test_ungraded_q2_product_is_named():
         "identity_endo",
         "multiplication_endo",
         "multiplication_matrix",
+        "basis_class",
+        "element",
+        "series",
+        "zero_element",
+        "retruncate",
+        "apply",
+        "column",
     ],
 )
 def test_negative_truncation_is_rejected_by_every_entry_point(call):

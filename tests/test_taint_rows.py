@@ -26,7 +26,7 @@ from qsteenrod.errors import MissingSteenrodData
 from qsteenrod.manifold_io import _endo_result_text, ring_from_data
 from qsteenrod.oracles import builtin_manifold, builtin_ring
 from qsteenrod.ring import basis_class, quantum_product
-from qsteenrod.series import SeriesElement
+from qsteenrod.series import Monomial, SeriesElement
 from qsteenrod.solver import (
     qsigma_apply,
     qsigma_lambda,
@@ -233,11 +233,14 @@ def test_an_incomplete_operator_reads_no_orders_past_its_truncation():
 
 
 def test_column_builds_its_series_without_normalising_them(monkeypatch):
+    # column reads the operator's rows into one piece: it builds no SeriesElement
+    # and no Monomial at all
     ring = builtin_ring("quadric_intersection", 31)
     s, _ = solve_qsigma("h_4", ring)
     calls = []
-    real = SeriesElement.__post_init__
+    real, real_new = SeriesElement.__post_init__, Monomial.__new__
     monkeypatch.setattr(SeriesElement, "__post_init__", lambda self: calls.append(1) or real(self))
+    monkeypatch.setattr(Monomial, "__new__", lambda cls, *a: calls.append(1) or real_new(cls, *a))
     got = [s.column(b.name, 3) for b in ring.basis]
     assert not calls
     assert got == [_reference_column(s, k, 3) for k in range(len(ring.basis))]

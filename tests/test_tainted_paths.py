@@ -1,7 +1,7 @@
 """The tainted paths against the code they replaced, and a package that never reads entries.
 
 The references below are kept here as they were before each q-order's taint
-became a bitmask, before nabla_a acted on rows, and before compose read its
+became a bitmask, before nabla_a acted on pieces, and before compose read its
 taint rule's supports off rows: the sweep with one set of flat slots per
 q-order, nabla_a on CohomologyElement series, the rewriting of a class in
 the connection powers that used it, and compose's taint product on the
@@ -27,11 +27,9 @@ from qsteenrod.fp import fp_inv, solve_mod_p
 from qsteenrod.manifold_io import _endo_result_text, ring_from_data
 from qsteenrod.oracles import builtin_ring
 from qsteenrod.ring import (
-    CohomologyElement, basis_class, element, quantum_product, zero_element
+    CohomologyElement, basis_class, connection_apply, element, quantum_product, zero_element
 )
-from qsteenrod.series import (
-    _pack_series, _slot_bytes, _unpack_series, derivation_apply, series_one
-)
+from qsteenrod.series import _slot_bytes, derivation_apply, series_one
 from qsteenrod.solver import (
     SolveReport,
     initial_layer,
@@ -43,6 +41,7 @@ from qsteenrod.solver import (
     solve_qsigma,
     tzero_layer,
 )
+from test_rows import _pack_series, _unpack_series
 from test_solver import _cpn
 
 BUILTINS = ("s2", "cubic_surface", "quadric_intersection")
@@ -214,12 +213,13 @@ def _entries_qsigma_lambda(beta, ring):
 
 
 def _rows(x, trunc):
-    """A homogeneous theta-free element as rows {j: [c_0 .. c_trunc]}."""
+    """A homogeneous theta-free element as rows {j: (c_0 .. c_trunc)}."""
     out = {}
     for j, f in x.components.items():
-        row = out[j] = [0] * (trunc + 1)
+        row = [0] * (trunc + 1)
         for mono, c in f.terms.items():
             row[mono.q] = c
+        out[j] = tuple(row)
     return out
 
 
@@ -276,14 +276,15 @@ def test_row_nabla_matches_the_element_nabla(p):
     chains = 0
     for name in BUILTINS:
         ring = builtin_ring(name, p)
+        a_name = ring.basis[ring.primary.index].name
         for b in ring.basis:
             endo = solve_qsigma(b.name, ring)[0]
             for trunc in (endo.trunc, 1):
-                x = endo.column("1", trunc)[0]
-                rows = _rows(x, trunc)
+                x = y = endo.column("1", trunc)[0]
                 for _ in range(4):  # nabla_a^n QSt(b), as the connection chain builds it
-                    x, rows = _element_nabla(ring, x), solver._nabla(ring, rows, trunc)
-                    assert rows == _rows(x, trunc)
+                    x, y = _element_nabla(ring, x), connection_apply(a_name, y)
+                    rows = next(iter(y.pieces.values()), {})  # the chain's one piece
+                    assert len(y.pieces) <= 1 and rows == _rows(x, trunc)
                     chains += bool(rows)
         for k in range(len(ring.basis)):
             assert solver._rewrite_in_connection_powers(ring, k) == _element_rewrite(ring, k)
