@@ -25,10 +25,9 @@ x theta^eps; the rest cell by cell or by small linear algebra mod p.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapExceeded
+from .errors import CapExceeded, Record
 from .fp import require_prime, solve_mod_p
 
 
@@ -174,12 +173,8 @@ def eq_cells_of_degree(n, tcap, p):
 # -- homology relations with explicit primitives ------------------------------
 
 
-@dataclass(frozen=True)
-class RelationPrimitive:
-    which: str
-    primitive: dict
-    boundary: dict
-    complex: str  # "product" or "eq"
+class RelationPrimitive(Record):
+    _fields = ("which", "primitive", "boundary", "complex")  # complex: "product" or "eq"
 
 
 def _binom_sigma_power(n, p):
@@ -258,16 +253,13 @@ def is_boundary(target, degree, p, cap=9, chain_complex="product"):
 # -- generic equivariant complexes and the corrected theta --------------------
 
 
-@dataclass(frozen=True)
-class FiniteComplex:
+class FiniteComplex(Record):
     """A finite cochain complex with a Z/p action.
 
     basis: tuple of (name, degree); diff and sigma: name -> {name: coeff}.
     """
 
-    basis: tuple
-    diff: dict
-    sigma: dict
+    _fields = ("basis", "diff", "sigma")
 
 
 def trivial_complex():

@@ -9,10 +9,7 @@ Donaldson for the intersection of quadrics) plus per-prime classical
 Steenrod tables, and the expected-results lists drive the oracle suite.
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
-from .errors import NonReducible, UnknownManifold
+from .errors import NonReducible, Record, UnknownManifold
 from .fp import factorial_ratio, require_prime
 from .endo import GradedEndomorphism, kappa
 from .ring import element
@@ -21,18 +18,18 @@ from .ring import element
 # -- exact rational series in q and t -----------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalSeries:
-    trunc: int
-    terms: dict = field(default_factory=dict)
+class RationalSeries(Record):
+    _fields = ("trunc", "terms")
 
-    def __post_init__(self):
+    def __init__(self, trunc, terms={}):  # terms is only read
+        from fractions import Fraction
+
         clean = {}
-        for (q, t), c in self.terms.items():
+        for (q, t), c in terms.items():
             c = Fraction(c)
-            if c and 0 <= q <= self.trunc:
+            if c and 0 <= q <= trunc:
                 clean[(q, t)] = c
-        object.__setattr__(self, "terms", clean)
+        vars(self).update(trunc=trunc, terms=clean)
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -44,6 +41,8 @@ class RationalSeries:
         return self + other.scale(-1)
 
     def scale(self, c):
+        from fractions import Fraction
+
         return RationalSeries(self.trunc, {m: Fraction(c) * v for m, v in self.terms.items()})
 
     def __neg__(self):
@@ -65,6 +64,8 @@ class RationalSeries:
         return RationalSeries(self.trunc, {(q, t + 1): q * c for (q, t), c in self.terms.items()})
 
     def coefficient(self, q, t):
+        from fractions import Fraction
+
         return self.terms.get((q, t), Fraction(0))
 
     def is_zero(self):
@@ -72,15 +73,17 @@ class RationalSeries:
 
 
 def rational_const(trunc, c=1):
-    return RationalSeries(trunc, {(0, 0): Fraction(c)})
+    return RationalSeries(trunc, {(0, 0): c})
 
 
 def rational_q(trunc):
-    return RationalSeries(trunc, {(1, 0): Fraction(1)})
+    return RationalSeries(trunc, {(1, 0): 1})
 
 
 def xi_series(trunc):
     """Single-valued solution of (t q d/dq)^2 xi = q xi:  sum q^k t^-2k / (k!)^2."""
+    from fractions import Fraction
+
     fact = 1
     terms = {}
     for k in range(trunc + 1):
@@ -294,15 +297,9 @@ def builtin_ring(name, p):
 # -- expected results ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpectedResult:
-    manifold: str
-    prime: int
-    op: str  # "qst" | "qsigma" | "qst_auto"
-    input_class: str
-    expected: object  # CohomologyElement or GradedEndomorphism
-    expected_taint: tuple
-    source: str
+class ExpectedResult(Record):
+    # op: "qst" | "qsigma" | "qst_auto"; expected: a CohomologyElement or GradedEndomorphism
+    _fields = ("manifold", "prime", "op", "input_class", "expected", "expected_taint", "source")
 
 
 def expected_results(name, p):

@@ -16,10 +16,10 @@ products and the cup power in St.  Elements are stored as homogeneous pieces of
 q-rows mod p (CohomologyElement), as operators are stored as rows (endo).
 """
 
+from collections import namedtuple
 from itertools import combinations_with_replacement, permutations
 from operator import add
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import MissingSteenrodData, MixedContext, NotDivisor
 from .fp import require_prime
@@ -30,15 +30,8 @@ from .series import (
 _SEE_RING = "; see verify --suite ring"  # ends _graded_sc's error; verify_ring drops it
 
 
-class BasisElement(NamedTuple):
-    name: str
-    degree: int
-
-
-class Divisor(NamedTuple):
-    index: int
-    pairing: int
-    primary: bool
+BasisElement = namedtuple("BasisElement", "name degree")
+Divisor = namedtuple("Divisor", "index pairing primary")
 
 
 class QuantumRing:

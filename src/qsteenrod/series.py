@@ -13,24 +13,20 @@ even, so no other signs appear.
 
 import sys
 from array import array
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
-from .errors import MixedContext
+from .errors import MixedContext, Record
 from .fp import balanced
 
-
-class Monomial(NamedTuple):
-    q: int
-    t: int
-    theta: int
+Monomial = namedtuple("Monomial", "q t theta")
 
 
-@dataclass(frozen=True)
-class SeriesElement:
-    prime: int
-    trunc: int
-    terms: dict = field(default_factory=dict)
+class SeriesElement(Record):
+    _fields = ("prime", "trunc", "terms")
+
+    def __init__(self, prime, trunc, terms={}):  # terms is only read: __post_init__ copies it
+        vars(self).update(prime=prime, trunc=trunc, terms=terms)
+        self.__post_init__()
 
     def __post_init__(self):
         _check_truncation(self.trunc)
@@ -45,7 +41,7 @@ class SeriesElement:
             c %= self.prime
             if c and mono.q <= self.trunc:
                 clean[mono] = c
-        object.__setattr__(self, "terms", clean)
+        vars(self)["terms"] = clean
 
     def is_zero(self):
         return not self.terms

@@ -33,9 +33,7 @@ cancel out; the slots it skips are the taint rows OR-multiplied by A's supports.
 The values of the connection chain nabla_a^n QSt(b) are ring.connection_apply's.
 """
 
-from dataclasses import dataclass
-
-from .errors import InconsistentSeed, NegativePowerResidue, NotDivisor, NotGenerated
+from .errors import InconsistentSeed, NegativePowerResidue, NotDivisor, NotGenerated, Record
 from .endo import (
     GradedEndomorphism,
     _apply_rows,
@@ -67,22 +65,13 @@ from .ring import (
 from .series import _check_truncation, _pack, _slot_bytes, _unpack
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    taint: tuple
-    taint_text: tuple
-    seed_checks: int
-    seeds_resolving_taint: int
-    residual_checked: int
-    residual_failures: dict
+class SolveReport(Record):
+    _fields = ("taint", "taint_text", "seed_checks", "seeds_resolving_taint",
+               "residual_checked", "residual_failures")
 
 
-@dataclass(frozen=True)
-class QstResult:
-    element: object
-    taint: tuple  # (to_index, q_exp) pairs
-    endo: object
-    report: object
+class QstResult(Record):
+    _fields = ("element", "taint", "endo", "report")  # taint: (to_index, q_exp) pairs
 
 
 # -- A, the map of multiplication by a divisor, and its commutators ------------
@@ -345,12 +334,8 @@ def _residuals(endo, ring):
     return checked, failures
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    checked: int
-    failures: tuple
-    pi_checked: int = 0
-    pi_failures: tuple = ()
+class ResidualReport(Record):
+    _fields, _defaults = ("checked", "failures", "pi_checked", "pi_failures"), (0, ())
 
     @property
     def ok(self):

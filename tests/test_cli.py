@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import io
 import json
 import os
@@ -20,7 +19,7 @@ from qsteenrod.manifold_io import (
     ring_from_data,
 )
 from qsteenrod.oracles import builtin_manifold
-from qsteenrod.solver import _residuals
+from qsteenrod.solver import SolveReport, _residuals
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -694,7 +693,7 @@ def test_verify_constancy_fails_on_one_bent_slot(monkeypatch, target, cls, slot,
         if b != cls:
             return endo, report
         bent = _bend(endo, slot, taint)
-        return bent, dataclasses.replace(report, residual_failures=_residuals(bent, ring)[1])
+        return bent, SolveReport(**dict(vars(report), residual_failures=_residuals(bent, ring)[1]))
 
     def initial(b, ring, trunc=None):
         layer = real(b, ring, trunc)
@@ -821,6 +820,30 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "compute_s2_p3_qst_h.txt").read_text()
+
+
+# Modules the package must not load on import: dataclasses (which brings inspect),
+# typing and copy are never needed, and fractions only by the rational pipeline.
+NOT_ON_IMPORT = ("dataclasses", "inspect", "typing", "fractions", "copy")
+
+
+def test_a_fresh_import_loads_no_heavy_modules_and_the_oracle_suite_still_runs():
+    # -S keeps site, whose .pth files may import typing, out of the child
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    child = "\n".join([
+        "import sys",
+        "sys.path.insert(0, %r)" % src,
+        "from qsteenrod import cli",
+        "print(sorted(set(%r) & set(sys.modules)))" % (NOT_ON_IMPORT,),
+        "code = cli.main(['verify', '--manifold', 'builtin:s2', '--prime', '3', '--suite', 'oracle'])",
+        "print(code, 'fractions' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, report, result = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert report.startswith("PASS oracle:")
+    assert result == "0 True"  # the rational pipeline loaded fractions when it ran
 
 
 def test_compute_out_file(tmp_path):

@@ -1,5 +1,6 @@
-"""Every module parses as Python 3.10, the oldest version pyproject.toml admits, and
-builds the series form of an element only where it may."""
+"""Every module parses as Python 3.10, the oldest version pyproject.toml admits,
+builds the series form of an element only where it may, and imports nothing that
+would slow the package's start-up."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,34 @@ def test_only_the_components_view_builds_the_series_form_outside_series_py():
              for call in _series_form_calls(path)]
     assert set(calls) <= SERIES_FORM_ALLOWED, calls
     assert calls  # the view itself is found, so the walk sees the calls it guards
+
+
+# Importing the package loads neither dataclasses nor typing, and fractions only
+# when a function of the rational pipeline runs.
+NEVER_IMPORTED = {"dataclasses", "typing"}
+IMPORTED_IN_FUNCTIONS_ONLY = {"fractions"}
+
+
+def _imports(path):
+    """(top-level module name, whether the import sits in a function body) of each import."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((alias.name.split(".")[0], in_function) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                found.append((child.module.split(".")[0], in_function))
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), False)
+    return found
+
+
+def test_no_module_imports_dataclasses_or_typing_or_fractions_at_import_time():
+    imports = [(path.name, name, in_function) for path in SOURCES
+               for name, in_function in _imports(path)]
+    assert not [i for i in imports if i[1] in NEVER_IMPORTED], imports
+    assert not [i for i in imports if i[1] in IMPORTED_IN_FUNCTIONS_ONLY and not i[2]], imports
+    # the walk sees imports in function bodies, where the rational pipeline loads fractions
+    assert ("oracles.py", "fractions", True) in imports
