@@ -19,18 +19,18 @@ pinned by the t^0 seeds or by degree pruning is marked tainted, and taint
 propagates forward through later right-hand sides.  The solver reports; it
 never guesses.
 
-A is built once per ring and divisor (_divisor_map): its rows, from which
-the generator route's nabla_a takes its taint, and which qst_auto's peel
-reads; per block, the commutator X -> [X, A_e] as one list per flat slot
+A is built once per ring and divisor (_divisor_map), for the solve and its
+re-check: per block, the commutator X -> [X, A_e] as one list per flat slot
 s = i*n + j of the slots it touches (_ad_map), which both the values and the
-taint follow; and A packed, for the re-check.  Each
-q-order is a list of n^2 ints and its taint a bitmask with bit s set for a
-tainted slot s; a masked slot ORs in the bitmask of the slots its list names.
-The operator's rows and taint bit rows (endo) are the transposes of the
-q-orders and their masks.  The residual re-check multiplies by A itself,
-with compose's packed product, so a fault in the commutator lists cannot
-cancel out; the slots it skips are the taint rows OR-multiplied by A's supports.
-The values of the connection chain nabla_a^n QSt(b) are ring.connection_apply's.
+taint follow; and A's rows, packed.  Each q-order is a list of n^2 ints and
+its taint a bitmask with bit s set for a tainted slot s; a masked slot ORs
+in the bitmask of the slots its list names.  The operator's rows and taint
+bit rows (endo) are the transposes of the q-orders and their masks.  The
+residual re-check multiplies by A itself, with compose's packed product, so
+a fault in the commutator lists cannot cancel out; the slots it skips are
+the taint rows OR-multiplied by A's supports.  The generator route reads
+a * e_i through ring._class_product and nabla_a through connection_apply,
+and takes every q-shifted sum with its taint in one _shifted_sum.
 """
 
 from .errors import InconsistentSeed, NegativePowerResidue, NotDivisor, NotGenerated, Record
@@ -108,9 +108,9 @@ def _divisor_map(ring, div):
     Returns ring._mult[div.index] = (rows, tables, k, A, -A mod p), ints
     only, from one multiplication_matrix (whose product reader checks the
     grading, so block 0 raises degree by 2, as the sweep relies on):
-    rows = {(i, j): row}, row[e] the q^e e_j coefficient of a * e_i, which
-    nabla_a's taint and qst_auto's peel read; tables = {e: _ad_map(A_e)},
-    the sweep's; A and -A, each row packed in k-byte slots, the re-check's.
+    rows = {(i, j): row}, row[e] the q^e e_j coefficient of a * e_i, whose
+    supports the re-check reads; tables = {e: _ad_map(A_e)}, the sweep's;
+    A and -A, each row packed in k-byte slots, the re-check's values.
     """
     entry = ring._mult.get(div.index)
     if entry is None:
@@ -208,7 +208,9 @@ def solve_qsigma(b, ring, trunc=None):
     div = ring.primary
     lam = div.pairing % p
     if lam == 0:
-        raise NotDivisor("primary divisor pairing vanishes mod p")
+        name = ring.basis[div.index].name
+        raise NotDivisor("primary divisor %s has pairing %d, which vanishes mod %d"
+                         % (name, div.pairing, p))
     # One solve per (ring, class, truncation); a class of a compatible ring
     # keys it like one of the ring's own.  The cache keeps no endo, only its
     # rows, taint and entries-view box, so it holds no reference back to the
@@ -468,19 +470,25 @@ def _rewrite_in_connection_powers(ring, target_index):
     candidates.sort(key=lambda cand: cand[2] > 0)
     # linear system over the (basis, q) slots: every q^m t^s nabla_a^n(1) has
     # degree |e_k|, so (j, q) fixes t
-    cols = []
-    for n, m, s in candidates:
-        cols.append(
-            {(j, d): row[d - m] for rows in powers[n].pieces.values() for j, row in rows.items()
-             for d in range(m, search_trunc + 1) if row[d - m]}
-        )
+    cols = [{(j, d): row[d - m] for rows in powers[n].pieces.values() for j, row in rows.items()
+             for d in range(m, search_trunc + 1) if row[d - m]} for n, m, s in candidates]
     slots = sorted(set().union(*cols) | {(target_index, 0)})
     rows = [[col.get(slot, 0) for col in cols] for slot in slots]
     rhs = [1 if slot == (target_index, 0) else 0 for slot in slots]
     sol = solve_mod_p(rows, rhs, ring.prime)
-    if sol is None:
-        return None
-    return [cand + (c,) for cand, c in zip(candidates, sol) if c]
+    return None if sol is None else [cand + (c,) for cand, c in zip(candidates, sol) if c]
+
+
+def _shifted_sum(terms, ring, trunc):
+    """sum c q^m t^s value over terms (c, m, s, value, taint), values at q^trunc, and its taint.
+
+    A taint slot (k, q) of a term moves up to (k, q + m), and is dropped past trunc.
+    """
+    out, taint = zero_element(ring, trunc), set()
+    for c, m, s, value, value_taint in terms:
+        out += value.times_monomial(q=m, t=s, coeff=c)
+        taint |= {(k, q + m) for k, q in value_taint if q + m <= trunc}
+    return out, taint
 
 
 def qsigma_apply(b, x, ring, trunc=None):
@@ -500,40 +508,35 @@ def qsigma_apply(b, x, ring, trunc=None):
     endo = solve_qsigma(b, ring)[0]
     if trunc is None:
         trunc = x.trunc if x.trunc is not None else endo.trunc
-    rows, taint_columns = endo.rows, _columns(endo.taint_rows)
-    chain, chain_taint = {}, {}  # n -> nabla_a^n QSt(b), one piece, and its taint
-    columns_taint, slots = {}, _slots(x)
-    for k in sorted({k for k, _ in slots}):
-        col_taint = _reach({(k, 0)}, taint_columns, trunc)
-        if col_taint:
-            rewritten = _rewrite_in_connection_powers(ring, k)
-            if rewritten is not None:
-                if not chain:  # t d_a keeps a slot (k, q); a * moves it along A's row k
-                    chain[0], chain_taint[0] = endo.column("1", trunc)
-                    identity = {(i, i): 1 for i in range(len(ring.basis))}
-                    nabla = _columns(_supports(_divisor_map(ring, ring.primary)[0], identity))
-                while len(chain) <= max(n for n, _, _, _ in rewritten):
-                    n = len(chain)
-                    chain[n] = connection_apply(ring.basis[ring.primary.index].name, chain[n - 1])
-                    chain_taint[n] = _reach(chain_taint[n - 1], nabla, trunc)
-                repair_taint = _reach({(n, m) for n, m, _, _ in rewritten}, chain_taint, trunc)
-                if repair_taint <= col_taint:
-                    col_taint = repair_taint  # sum c q^m t^s nabla_a^n QSt(b): one piece
-                    col = sum((chain[n].times_monomial(q=m, t=s, coeff=c)
-                               for n, m, s, c in rewritten), zero_element(ring, trunc))
-                    rows = {s: row for s, row in rows.items() if s[0] != k}  # not endo's own
-                    rows.update(((k, j), row) for col_rows in col.pieces.values()
-                                for j, row in col_rows.items())
-        columns_taint[k] = col_taint
+    rows, taint_columns, slots = endo.rows, _columns(endo.taint_rows), _slots(x)
+    columns_taint = {k: _reach({(k, 0)}, taint_columns, trunc)
+                     for k in sorted({k for k, _ in slots})}
+    rewrites = {k: _rewrite_in_connection_powers(ring, k) for k, t in columns_taint.items() if t}
+    rewrites = {k: terms for k, terms in rewrites.items() if terms is not None}
+    if rewrites:
+        # chain[n] = nabla_a^n QSt(b), one piece, and its taint: t d_a keeps a
+        # slot (i, q), and a * moves it along the slots of a * e_i
+        a = ring.primary.index
+        nabla = {i: [(i, 0)] + list(_class_product(ring, {(a, 0): 1}, {(i, 0): 1}))
+                 for i in range(len(ring.basis))}
+        chain = [endo.column("1", trunc)]
+        for _ in range(max(n for terms in rewrites.values() for n, _, _, _ in terms)):
+            value, taint = chain[-1]
+            chain.append((connection_apply(ring.basis[a].name, value), _reach(taint, nabla, trunc)))
+    for k, rewritten in rewrites.items():
+        terms = [(c, m, s) + chain[n] for n, m, s, c in rewritten]
+        col, col_taint = _shifted_sum(terms, ring, trunc)
+        if col_taint <= columns_taint[k]:
+            columns_taint[k] = col_taint
+            rows = {s: row for s, row in rows.items() if s[0] != k}  # not endo's own
+            rows.update(((k, j), row) for col_rows in col.pieces.values()
+                        for j, row in col_rows.items())
     return _apply_rows(ring, endo.degree, rows, x, trunc), _reach(slots, columns_taint, trunc)
 
 
 def _divisor_step(a_name, x, x_taint, ring, trunc):
-    """QSigma_a(x) for a divisor a, with x's own taint pushed through QSigma_a.
-
-    A tainted slot of x reaches every stored or tainted slot of QSigma_a's
-    column under it.
-    """
+    """QSigma_a(x) for a divisor a, with x's own taint pushed through QSigma_a: a tainted
+    slot of x reaches every stored or tainted slot of QSigma_a's column under it."""
     val, taint = qsigma_apply(a_name, x, ring, trunc)
     if x_taint:
         endo = solve_qsigma(a_name, ring)[0]
@@ -548,46 +551,32 @@ def qst_via_generators(expr, ring, trunc=None):
     left-to-right quantum product word whose non-final entries must be
     divisors (the generator strategy composes their QSigma through the
     connection).  The final factor may be any basis class; its QSt is solved
-    directly.  Returns (element, taint).
+    directly.  The whole expression is checked before the first solve.
+    Returns (element, taint).
     """
     _check_truncation(trunc)
     if not expr:
         raise ValueError("expression must have at least one term")
-    p = ring.prime
-    degs = set()
-    for coeff, q_exp, factors in expr:
-        d = ring.q_degree * q_exp
-        for name in factors:
-            d += ring.degree(ring.index(name))
-        degs.add(d)
+    divisors = {ring.basis[d.index].name for d in ring.divisors}
+    degs, non_divisors = set(), []
+    for _, q_exp, factors in expr:
+        degs.add(ring.q_degree * q_exp + sum(ring.degree(ring.index(name)) for name in factors))
+        non_divisors += [name for name in factors[:-1] if name not in divisors]
     if len(degs) != 1:
         raise ValueError("expression must be homogeneous")
-    deg_total = degs.pop()
+    if non_divisors:
+        raise NotGenerated("non-divisor %r in a composite factor word" % (non_divisors[0],))
     if trunc is None:
-        trunc = ring.default_truncation(deg_total)
-    out = zero_element(ring, trunc)
-    taint = set()
-
-    def eval_word(word):
-        if not word:
-            return basis_class(ring, "1", trunc), set()
-        if len(word) == 1:
-            return qst(word[0], ring).endo.column("1", trunc)
-        head = word[0]
-        try:
-            ring.divisor(head)
-        except NotDivisor as exc:
-            raise NotGenerated(
-                "non-divisor %r in a composite factor word" % (head,)
-            ) from exc
-        return _divisor_step(head, *eval_word(word[1:]), ring, trunc)
-
+        trunc = ring.default_truncation(degs.pop())
+    terms = []
     for coeff, q_exp, factors in expr:
-        val, val_taint = eval_word(tuple(factors))
-        m = p * q_exp
-        out = out + val.times_monomial(q=m, coeff=coeff)
-        taint |= _reach(val_taint, {j: [(j, m)] for j, _ in val_taint}, trunc)
-    return out, taint
+        # the word's QSt from its innermost factor out, one QSigma_a per divisor
+        val, taint = (qst(factors[-1], ring).endo.column("1", trunc) if factors
+                      else (basis_class(ring, "1", trunc), set()))
+        for head in reversed(factors[:-1]):
+            val, taint = _divisor_step(head, val, taint, ring, trunc)
+        terms.append((coeff, ring.prime * q_exp, 0, val, taint))
+    return _shifted_sum(terms, ring, trunc)
 
 
 def qst_auto(name, ring, trunc=None):
@@ -602,25 +591,23 @@ def qst_auto(name, ring, trunc=None):
     r = qst(name, ring, trunc)
     if not r.taint:
         return r.element, set(), "direct"
-    out_trunc = r.element.trunc if r.element.trunc is not None else r.endo.trunc
-    a_name = ring.basis[ring.primary.index].name
+    out_trunc = r.endo.trunc  # the unit column's, also when that column is zero
+    a = ring.primary.index
     for i, be in enumerate(ring.basis):
-        # a * be, A's rows out of be, must be u e_target at q^0 alone:
-        # simultaneous degree-peers are unsupported
-        product = [(j, d, c) for (h, j), row in _divisor_map(ring, ring.primary)[0].items()
-                   if h == i for d, c in enumerate(row) if c]
-        lead = {k: c for k, d, c in product if not d}
+        # a * e_i must be u e_target at q^0 alone: simultaneous degree-peers
+        # are unsupported; QSt(e_target) = (QSigma_a(QSt(e_i)) - the q-terms) / u
+        product = _class_product(ring, {(a, 0): 1}, {(i, 0): 1})
+        lead = {k: c for (k, d), c in product.items() if not d}
         if set(lead) != {target}:
             continue
         sub, sub_taint, _ = qst_auto(be.name, ring, trunc)
-        val, taint = _divisor_step(a_name, sub.retruncate(out_trunc), sub_taint, ring, out_trunc)
-        for k, d, c in product:
+        terms = [(1, 0, 0) + _divisor_step(ring.basis[a].name, sub.retruncate(out_trunc),
+                                           sub_taint, ring, out_trunc)]
+        for (k, d), c in sorted(product.items()):
             if d:
                 rest, rest_taint, _ = qst_auto(ring.basis[k].name, ring, trunc)
-                m = ring.prime * d
-                val = val - rest.retruncate(out_trunc).times_monomial(q=m, coeff=c)
-                taint |= _reach(rest_taint, {j: [(j, m)] for j, _ in rest_taint}, out_trunc)
-        val = val.scale(fp_inv(lead[target], ring.prime))
+                terms.append((-c, ring.prime * d, 0, rest.retruncate(out_trunc), rest_taint))
+        val, taint = _shifted_sum(terms, ring, out_trunc)
         if not taint:
-            return val, taint, "generators via %s" % be.name
+            return val.scale(fp_inv(lead[target], ring.prime)), taint, "generators via %s" % be.name
     return r.element, set(r.taint), "direct (tainted)"

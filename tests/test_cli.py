@@ -178,6 +178,31 @@ def test_a_result_that_is_not_an_object_is_rejected(call, value, got):
     assert info.value.field == "result"
 
 
+@pytest.mark.parametrize(
+    "call, text, message",
+    [
+        (load_manifold, '{\n  "name": "s2",\n  oops\n}',
+         "line 3: Expecting property name enclosed in double quotes"),
+        (load_result, '{"prime": 3,}', "line 1: Expecting property name enclosed in double quotes"),
+        (load_result, '{"prime": 3, "extra": 1}', "unknown result field 'extra'"),
+        (dump_result, {"prime": 3, "extra": 1}, "unknown result field 'extra'"),
+    ],
+    ids=["manifold_json", "result_json", "load_field", "dump_field"],
+)
+def test_an_unreadable_file_names_the_cause(call, text, message):
+    with pytest.raises(manifold_io.ManifoldFormatError) as info:
+        call(text)
+    assert str(info.value) == message
+
+
+def test_invalid_json_manifold_exits_one_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(dump_manifold(builtin_manifold("s2"))[:-3])
+    code, text = run_cli(["compute", "--manifold", str(path), "--prime", "3", "--class", "h"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: line 36: Expecting ',' delimiter\n"
+
+
 def test_escaped_class_names_are_written_as_the_stdlib_does(tmp_path):
     name = 'h"\\\n\t\u00e9'
     path = tmp_path / "s2_escaped.json"
@@ -314,6 +339,16 @@ def test_bad_inputs_exit_one():
                     "--class", "nope"])[0] == 1
 
 
+def test_unknown_op_and_a_missing_manifold_exit_one_naming_them(capsys):
+    code, text = run_cli(["compute", "--manifold", "builtin:s2", "--prime", "3", "--class", "h",
+                          "--op", "qsgima"])
+    assert (code, text, capsys.readouterr().err) == (1, "", "error: unknown op 'qsgima'\n")
+    code, text = run_cli(["verify", "--prime", "3", "--suite", "constancy"])
+    assert (code, text, capsys.readouterr().err) == (
+        1, "", "error: --manifold is required for suite 'constancy'\n"
+    )
+
+
 def test_unknown_class_exits_one_naming_the_manifold(capsys):
     code, text = run_cli(
         ["compute", "--manifold", "builtin:cubic_surface", "--prime", "3", "--class", "x"]
@@ -385,6 +420,8 @@ REJECTED = [
     (lambda d: d["basis"].append({"name": "x", "degree": 3}), "odd or negative degree class 'x'"),
     (lambda d: d["products"].append(_product("h_4", "h_2", 0, "h_6", 2)),
      "conflicting product entry (h_4, h_2, q^0)"),
+    (lambda d: d.update(products=[e for e in d["products"] if e["left"] + e["right"] != "h_2h_6"]),
+     "missing product entry for (h_2, h_6)"),
 ]
 
 
@@ -463,6 +500,7 @@ MALFORMED = [
     ),
     (["products", 0], _put("terms", {}), "products[0].terms: expected a list, got {}"),
     (["steenrod", "2"], _put("h_2", {}), "steenrod.2.h_2: expected a list, got {}"),
+    (["steenrod"], _put("3a", {}), "steenrod: prime keys must be digit strings"),
 ]
 
 
@@ -560,6 +598,20 @@ def test_steenrod_entry_vanishing_mod_p_exits_one_naming_it(tmp_path, capsys):
     code, text = run_cli(["verify", "--manifold", str(bad), "--prime", "3", "--suite", "ring"])
     assert code == 1
     assert text == "FAIL ring: ring: steenrod table: %s\n" % message
+
+
+def test_primary_pairing_vanishing_mod_p_exits_one_naming_it(tmp_path, capsys):
+    """The sphere with pairing 3: at p = 3 the t-part of nabla_h vanishes, so no order is pinned."""
+    data = builtin_manifold("s2")
+    data["divisors"][0]["pairing"] = 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_manifold(data))
+    message = "primary divisor h has pairing 3, which vanishes mod 3"
+    code, text = run_cli(["compute", "--manifold", str(bad), "--prime", "3", "--class", "h"])
+    assert (code, text, capsys.readouterr().err) == (1, "", "error: %s\n" % message)
+    code, text = run_cli(["verify", "--manifold", str(bad), "--prime", "3", "--suite", "constancy"])
+    assert (code, text) == (1, "FAIL constancy: error: %s\n" % message)
+    assert run_cli(["compute", "--manifold", str(bad), "--prime", "5", "--class", "h"])[0] == 0
 
 
 def test_verify_runs_every_suite_past_a_raising_one(tmp_path):

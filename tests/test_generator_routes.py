@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from qsteenrod import solver
-from qsteenrod.endo import _reach
+from qsteenrod.endo import _columns, _reach, _supports
 from qsteenrod.oracles import builtin_ring
-from qsteenrod.ring import CohomologyElement, basis_class, zero_element
+from qsteenrod.ring import CohomologyElement, _class_product, basis_class, zero_element
 from qsteenrod.series import Monomial, SeriesElement
 from qsteenrod.solver import qsigma_apply, qst_auto, solve_qsigma
 
@@ -140,11 +140,16 @@ def test_reach_matches_the_taint_rules_it_replaced(p):
         a_name = ring.basis[a].name
         sigma_a = solve_qsigma(a_name, ring)[0]
         rows = solver._divisor_map(ring, ring.primary)[0]
-        # qsigma_apply's columns
-        nabla = {
-            k: [(k, 0)] + [(j, e) for (i, j), row in rows.items() if i == k
-                           for e, c in enumerate(row) if c]
-            for k in range(n)
+        # a * e_k as qsigma_apply's nabla columns and qst_auto's peel read it, through
+        # _class_product, against the scans of A's rows that they replaced
+        products = [_class_product(ring, {(a, 0): 1}, {(k, 0): 1}) for k in range(n)]
+        for k, product in enumerate(products):
+            assert product == {(j, e): c for (i, j), row in rows.items() if i == k
+                               for e, c in enumerate(row) if c}
+        nabla = {k: [(k, 0)] + list(product) for k, product in enumerate(products)}
+        identity = {(k, k): 1 for k in range(n)}
+        assert {k: sorted(col) for k, col in nabla.items()} == {
+            k: sorted(col) for k, col in _columns(_supports(rows, identity)).items()
         }
         for b in ring.basis:
             endo = solve_qsigma(b.name, ring)[0]

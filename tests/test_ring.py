@@ -105,6 +105,32 @@ def test_multiplication_matrix_s2():
         multiplication_matrix("1", ring)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda ring: CohomologyElement(ring, {0: series(2, 2, [(0, 0, 0, 1)]),
+                                               1: series(2, 3, [(0, 0, 0, 1)])}),
+         MixedContext, "components at different truncations"),
+        (lambda ring: basis_class(ring, "h_2", 3).times_monomial(q=-1), ValueError,
+         "negative q exponent"),
+        (lambda ring: element_from_terms(ring, 3, {1: {(0, 0, 2): 1}}), ValueError,
+         "theta exponent must be 0 or 1"),
+        (lambda ring: element(ring, 3, [("h_2", -1, 0, 1)]), ValueError, "negative q exponent"),
+        (lambda ring: multiplication_endo(basis_class(ring, "h_2", 3)
+                                          + basis_class(ring, "h_4", 3)),
+         ValueError, "multiplication by an inhomogeneous element"),
+        (lambda ring: multiplication_endo(element_from_terms(ring, 3, {1: {(0, 0, 1): 1}})),
+         ValueError, "theta term in multiplication endomorphism"),
+    ],
+    ids=["mixed truncations", "negative q shift", "theta exponent", "negative q",
+         "inhomogeneous multiplier", "theta multiplier"],
+)
+def test_element_input_checks_name_the_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call(builtin_ring("cubic_surface", 2))
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_unit_column_is_the_class_itself():
     for name in ("s2", "cubic_surface", "quadric_intersection"):
         ring = builtin_ring(name, 3)

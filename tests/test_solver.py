@@ -1155,6 +1155,49 @@ def test_qst_via_generators_rejects_nondivisor_heads():
         qst_via_generators([(1, 0, ("h_4", "h_2"))], ring)
 
 
+@pytest.mark.parametrize(
+    "expr, error, message",
+    [
+        ([(1, 0, ("h_2", "h_2")), (1, 0, ("h_4", "1"))], NotGenerated,
+         "non-divisor 'h_4' in a composite factor word"),
+        ([(1, 0, ("h_2", "h_2")), (1, 0, ("h_4",)), (1, 0, ("h_2",))], ValueError,
+         "expression must be homogeneous"),
+    ],
+    ids=["non-divisor head in a later term", "inhomogeneous"],
+)
+def test_qst_via_generators_checks_the_whole_expression_before_any_solve(
+    monkeypatch, expr, error, message
+):
+    # the first term alone is valid, so evaluating term by term would solve it first
+    ring = builtin_ring("cubic_surface", 2)
+    calls, real = [], solver.solve_qsigma
+    monkeypatch.setattr(solver, "solve_qsigma", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(error) as info:
+        qst_via_generators(expr, ring)
+    assert type(info.value) is error and str(info.value) == message
+    assert calls == []
+    qst_via_generators(expr[:1], ring)
+    assert calls  # the counter sees the solves of a valid expression
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda ring: solve_qsigma(zero_element(ring, 0), ring), "b must be nonzero"),
+        (lambda ring: qsigma_lambda(basis_class(ring, "h_2", 3) + basis_class(ring, "h_4", 3),
+                                    ring), "beta must be homogeneous"),
+        (lambda ring: qsigma_lambda(basis_class(ring, "h_2", 3)
+                                    + basis_class(ring, "1", 3).times_monomial(t=1), ring),
+         "beta may carry q-coefficients only"),
+    ],
+    ids=["zero class", "inhomogeneous beta", "beta with a t-term"],
+)
+def test_solver_input_checks_name_the_cause(call, message):
+    with pytest.raises(ValueError) as info:
+        call(builtin_ring("cubic_surface", 2))
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 @pytest.mark.parametrize("p", [5, 7, 31])
 def test_qst_via_generators_taint_covers_the_tail_taint(p):
     # QSt(h_2 * h_4) = QSigma_h_2(QSt(h_4)): any values on the tail's tainted

@@ -25,8 +25,8 @@ SERIES_FORM = {"Monomial", "SeriesElement", "_trusted_series"}
 SERIES_FORM_ALLOWED = {("ring.py", "CohomologyElement.components")}
 
 
-def _series_form_calls(path):
-    """(file, enclosing qualified name) of each call that builds the series form."""
+def _calls(path, names):
+    """(file, enclosing qualified name) of each call to a function in names."""
     found = []
 
     def visit(node, where):
@@ -37,7 +37,7 @@ def _series_form_calls(path):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in SERIES_FORM:
+                if name in names:
                     found.append((path.name, ".".join(inner)))
             visit(child, inner)
 
@@ -47,7 +47,7 @@ def _series_form_calls(path):
 
 def test_only_the_components_view_builds_the_series_form_outside_series_py():
     calls = [call for path in SOURCES if path.name != "series.py"
-             for call in _series_form_calls(path)]
+             for call in _calls(path, SERIES_FORM)]
     assert set(calls) <= SERIES_FORM_ALLOWED, calls
     assert calls  # the view itself is found, so the walk sees the calls it guards
 
@@ -81,3 +81,15 @@ def test_no_module_imports_dataclasses_or_typing_or_fractions_at_import_time():
     assert not [i for i in imports if i[1] in IMPORTED_IN_FUNCTIONS_ONLY and not i[2]], imports
     # the walk sees imports in function bodies, where the rational pipeline loads fractions
     assert ("oracles.py", "fractions", True) in imports
+
+
+# The generator route reads a * e_i through ring._class_product, like the rest of
+# the package; the solver's cached map of a divisor serves only the sweep and the
+# re-check.
+DIVISOR_MAP_CALLERS = {"solve_qsigma", "verify_covariant_constancy", "_divisor_map"}
+
+
+def test_only_the_sweep_and_the_re_check_read_the_divisor_map():
+    calls = {call for path in SOURCES for call in _calls(path, {"_divisor_map"})}
+    assert calls <= {("solver.py", name) for name in DIVISOR_MAP_CALLERS}, calls
+    assert ("solver.py", "verify_covariant_constancy") in calls  # the walk sees the calls
