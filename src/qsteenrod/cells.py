@@ -11,7 +11,8 @@ Three complexes are derived from it:
   rotations, with integer coefficients (_d_cell, sinf_boundary);
 * the cell structure on (infinite sphere) x_{Z/p} S^2, cells D_i x X_j with
   F_p coefficients: d(D_i x X_j) = (d D_i) x X_j + (-1)^i D_i x d X_j, where
-  the rotated cell tau^r D_i x X_j is D_i x X_(j+r) (product_boundary);
+  the rotated cell tau^r D_i x X_j is D_i x X_(j+r) (product_boundary, read
+  from the chain table of the equivariant complex below);
 * the cochain complex of the sphere, sphere_cochain_complex, and its
   equivariant complex C[[t, theta]] with the twisted differential d_eq.
   EquivariantComplex builds C[[t, theta]] for any finite complex C with a
@@ -121,18 +122,15 @@ def product_cell(i, x, j=0):
 def product_boundary(chain, p):
     """The equivariant differential on cells (i, X, j) of D_i x sigma^j X.
 
-    d(D_i x X_j) = (d D_i) x X_j + (-1)^i D_i x d X_j; d D_i is _d_cell of
-    D_i rotated by j, and a rotated tau^r D x X is D x X_r.
+    d(D_i x X_j) = (d D_i) x X_j + (-1)^i D_i x d X_j, read from the chain
+    table of the sphere's EquivariantComplex, where D_(2k+eps) x X_j is
+    X_j t^k theta^eps; terms below D_0 are dropped.
     """
-    out = {}
-    for (i, x, j), c in chain.items():
-        bnd = _sphere_boundary(x)
-        for r, c2 in _d_cell(i, j, p):
-            _add(out, product_cell(i - 1, x, r), c * c2)
-        sign = -c if i % 2 else c
-        for y, r, c2 in bnd:
-            _add(out, product_cell(i, y, (j + r) % p), sign * c2)
-    return {cell: c % p for cell, c in out.items() if c % p}
+    eq, cells = _sphere_eq(p)
+    image = eq._apply(eq._chain, {(_cell_name(x, j),) + divmod(i, 2): c
+                                  for (i, x, j), c in chain.items()})
+    return {product_cell(2 * k + eps, *cells[name]): c
+            for (name, k, eps), c in image.items() if k >= 0}
 
 
 def product_cells_of_degree(n, cap, p):
@@ -297,6 +295,11 @@ class EquivariantComplex:
     dropped.  With tcap = math.inf nothing is dropped, so sums and composites
     of operators are again such tables (_table_sum, _compose), and two of them
     agree on every x t^k theta^eps exactly when their tables are equal.
+
+    _chain is the Borel chain complex on the same generators, D_(2k+eps) x x
+    standing for x t^k theta^eps: D_2k x x -> D_(2k-1) x Nx + D_2k x dx and
+    D_(2k+1) x x -> D_2k x (sigma - 1)x - D_(2k+1) x dx, so dk = -1 reaches
+    below D_0 at k = 0, where its readers drop it.
     """
 
     def __init__(self, cpx, p, tcap):
@@ -305,7 +308,7 @@ class EquivariantComplex:
         self.tcap = tcap
         norm = self._orbit_sums([1] * p)
         self._weighted = self._orbit_sums(range(p))
-        self._sigma, self._t, self._d, self._theta, self._h = {}, {}, {}, {}, {}
+        self._sigma, self._t, self._d, self._theta, self._h, self._chain = {}, {}, {}, {}, {}, {}
         for name, deg in cpx.basis:
             s = -1 if deg % 2 else 1
             x, sx, dx = {name: 1}, cpx.sigma.get(name, {}), cpx.diff.get(name, {})
@@ -319,6 +322,8 @@ class EquivariantComplex:
             self._theta[name, 1] = self._image((self._weighted[name], 1, 0, s))
             self._h[name, 0] = {}
             self._h[name, 1] = self._image((x, 1, 0, s))
+            self._chain[name, 0] = self._image((norm[name], -1, 1, 1), (dx, 0, 0, 1))
+            self._chain[name, 1] = self._image((sx, 0, 0, 1), (x, 0, 0, -1), (dx, 0, 1, -1))
 
     def _orbit_sums(self, weights):
         """{name: sum_j weights[j] sigma^j name} for every basis name."""
@@ -456,11 +461,14 @@ def verify_cells(p, cap=9):
         for r in range(p):
             if sinf_boundary(sinf_boundary({("D", i, r): 1}, p), p):
                 failures.append("d^2 != 0 on D_%d (rot %d) over Z" % (i, r))
-    for i in range(cap + 1):
-        for x, _, j in _rotated_cells(p):
-            if product_boundary(product_boundary({(i, x, j): 1}, p), p):
-                failures.append("d^2 != 0 on product cell (%d,%s,%d)" % (i, x, j))
     eq, _ = _sphere_eq(p)
+    # d^2 on D_i x X_j is the part of its composed column at D_0 and above
+    chain_squared = eq._compose(eq._chain, eq._chain)
+    for i in range(cap + 1):
+        k, eps = divmod(i, 2)
+        for x, _, j in _rotated_cells(p):
+            if any(k + dk >= 0 for _, dk, _ in chain_squared[_cell_name(x, j), eps]):
+                failures.append("d^2 != 0 on product cell (%d,%s,%d)" % (i, x, j))
     d_squared = eq._compose(eq._d, eq._d)
     for x, _, j in _rotated_cells(p):
         for k in range(cap - 1):

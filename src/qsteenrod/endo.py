@@ -281,7 +281,8 @@ class GradedEndomorphism:
         """Lambda[t]-linear application to an element.
 
         Returns (element, taint) where taint is a set of (to_index, q_exp)
-        pairs marking undetermined output coefficients.
+        pairs marking undetermined output coefficients: the element's
+        coefficient at such a slot is not determined and may be nonzero.
         """
         _check_compatible(self.ring, x.ring, "application")
         _check_truncation(trunc)

@@ -302,130 +302,59 @@ class ExpectedResult(Record):
     _fields = ("manifold", "prime", "op", "input_class", "expected", "expected_taint", "source")
 
 
+# (manifold, prime, op, class, expected, source): expected is (trunc, items) for
+# an element (see ring.element), (degree, trunc, entries) for a qsigma operator
+_EXPECTED = (
+    ("s2", 3, "qst", "h", (2, [("1", 1, 1, 1), ("h", 0, 2, -1), ("h", 1, 0, 1)]),
+     "sphere operator column evaluated at p = 3"),
+    ("cubic_surface", 2, "qst", "h_2", (4, [("h_4", 0, 0, 1), ("h_2", 1, 0, 1), ("h_2", 0, 1, 1)]),
+     "degree-2 squares on the cubic surface: QSt(c) = c*c + tc"),
+    ("cubic_surface", 2, "qst_auto", "h_4", (6, [("h_4", 0, 2, 1)]),
+     "point class on the cubic surface via the generator strategy"),
+    ("cubic_surface", 3, "qst", "h_2", (5, [("h_2", 0, 2, -1)]),
+     "anticanonical class mod 3: purely classical answer"),
+    ("quadric_intersection", 2, "qst", "h_2", (2, [("h_2", 0, 1, 1)]),
+     "divisor class mod 2 on the quadric intersection"),
+    ("quadric_intersection", 2, "qst", "h_4", (3, [("h_4", 0, 2, 1), ("1", 2, 0, 1)]),
+     "point-line class mod 2: classical part plus q^2"),
+    ("quadric_intersection", 2, "qst_auto", "h_6", (4, [("h_6", 0, 3, 1), ("h_2", 2, 1, 1)]),
+     "top class mod 2 via one generator step"),
+    ("quadric_intersection", 3, "qsigma", "h_2", (6, 3, {
+        (0, 0, 1): 1, (1, 0, 2): 1, (2, 0, 2): -1, (3, 0, 3): 1,
+        (0, 1, 0): -1, (1, 1, 1): 1, (3, 1, 2): 1,
+        (1, 2, 0): -1, (1, 2, 1): 1, (2, 2, 1): -1, (3, 2, 2): 1,
+        (0, 3, 0): 1, (2, 3, 0): -1, (3, 3, 1): -1,
+    }), "full 4x4 divisor operator mod 3"),
+    ("quadric_intersection", 3, "qst", "h_2",
+     (3, [("1", 1, 1, 1), ("h_2", 0, 2, -1), ("h_6", 0, 0, 1)]),
+     "unit column of the divisor operator mod 3"),
+    ("quadric_intersection", 3, "qst_auto", "h_4", (4, [
+        ("h_2", 2, 1, 1), ("h_2", 1, 3, 1),
+        ("h_4", 2, 0, 1), ("h_4", 1, 2, 2), ("h_4", 0, 4, 1),
+    ]), "middle class mod 3 via the generator strategy"),
+    ("quadric_intersection", 3, "qst_auto", "h_6", (6, [
+        ("1", 4, 1, 1), ("1", 3, 3, -1), ("1", 2, 5, -1),
+        ("h_2", 2, 4, 1),
+        ("h_4", 2, 3, 1), ("h_4", 1, 5, 1),
+        ("h_6", 3, 0, 1), ("h_6", 2, 2, -1), ("h_6", 1, 4, 1), ("h_6", 0, 6, -1),
+    ]), "top class mod 3 via two generator steps"),
+)
+
+
 def expected_results(name, p):
-    """Tabulated answers reproduced by the solver path (oracle suite)."""
+    """Tabulated answers reproduced by the solver path (oracle suite): the
+    sphere's closed form for odd p, then the rows of _EXPECTED for (name, p)."""
     if name not in _BUILTINS:
         raise UnknownManifold("unknown builtin %r" % (name,))
     ring = builtin_ring(name, p)
     out = []
-
-    def elem(items, trunc):
-        return element(ring, trunc, items)
-
     if name == "s2" and p > 2:
-        out.append(
-            ExpectedResult(
-                name, p, "qsigma", "h", s2_closed_form(p), (),
-                "closed-form factorial sums for the sphere operator",
-            )
-        )
-    if name == "s2" and p == 3:
-        out.append(
-            ExpectedResult(
-                name, 3, "qst", "h",
-                elem([("1", 1, 1, 1), ("h", 0, 2, -1), ("h", 1, 0, 1)], 2), (),
-                "sphere operator column evaluated at p = 3",
-            )
-        )
-    if name == "cubic_surface" and p == 2:
-        out.append(
-            ExpectedResult(
-                name, 2, "qst", "h_2",
-                elem([("h_4", 0, 0, 1), ("h_2", 1, 0, 1), ("h_2", 0, 1, 1)], 4), (),
-                "degree-2 squares on the cubic surface: QSt(c) = c*c + tc",
-            )
-        )
-        out.append(
-            ExpectedResult(
-                name, 2, "qst_auto", "h_4", elem([("h_4", 0, 2, 1)], 6), (),
-                "point class on the cubic surface via the generator strategy",
-            )
-        )
-    if name == "cubic_surface" and p == 3:
-        out.append(
-            ExpectedResult(
-                name, 3, "qst", "h_2", elem([("h_2", 0, 2, -1)], 5), (),
-                "anticanonical class mod 3: purely classical answer",
-            )
-        )
-    if name == "quadric_intersection" and p == 2:
-        out.append(
-            ExpectedResult(
-                name, 2, "qst", "h_2", elem([("h_2", 0, 1, 1)], 2), (),
-                "divisor class mod 2 on the quadric intersection",
-            )
-        )
-        out.append(
-            ExpectedResult(
-                name, 2, "qst", "h_4",
-                elem([("h_4", 0, 2, 1), ("1", 2, 0, 1)], 3), (),
-                "point-line class mod 2: classical part plus q^2",
-            )
-        )
-        out.append(
-            ExpectedResult(
-                name, 2, "qst_auto", "h_6",
-                elem([("h_6", 0, 3, 1), ("h_2", 2, 1, 1)], 4), (),
-                "top class mod 2 via one generator step",
-            )
-        )
-    if name == "quadric_intersection" and p == 3:
-        entries = {
-            (0, 0, 1): 1,
-            (1, 0, 2): 1,
-            (2, 0, 2): -1,
-            (3, 0, 3): 1,
-            (0, 1, 0): -1,
-            (1, 1, 1): 1,
-            (3, 1, 2): 1,
-            (1, 2, 0): -1,
-            (1, 2, 1): 1,
-            (2, 2, 1): -1,
-            (3, 2, 2): 1,
-            (0, 3, 0): 1,
-            (2, 3, 0): -1,
-            (3, 3, 1): -1,
-        }
-        out.append(
-            ExpectedResult(
-                name, 3, "qsigma", "h_2",
-                GradedEndomorphism(ring, 6, 3, entries), (),
-                "full 4x4 divisor operator mod 3",
-            )
-        )
-        out.append(
-            ExpectedResult(
-                name, 3, "qst", "h_2",
-                elem([("1", 1, 1, 1), ("h_2", 0, 2, -1), ("h_6", 0, 0, 1)], 3), (),
-                "unit column of the divisor operator mod 3",
-            )
-        )
-        out.append(
-            ExpectedResult(
-                name, 3, "qst_auto", "h_4",
-                elem(
-                    [
-                        ("h_2", 2, 1, 1), ("h_2", 1, 3, 1),
-                        ("h_4", 2, 0, 1), ("h_4", 1, 2, 2), ("h_4", 0, 4, 1),
-                    ],
-                    4,
-                ), (),
-                "middle class mod 3 via the generator strategy",
-            )
-        )
-        out.append(
-            ExpectedResult(
-                name, 3, "qst_auto", "h_6",
-                elem(
-                    [
-                        ("1", 4, 1, 1), ("1", 3, 3, -1), ("1", 2, 5, -1),
-                        ("h_2", 2, 4, 1),
-                        ("h_4", 2, 3, 1), ("h_4", 1, 5, 1),
-                        ("h_6", 3, 0, 1), ("h_6", 2, 2, -1), ("h_6", 1, 4, 1), ("h_6", 0, 6, -1),
-                    ],
-                    6,
-                ), (),
-                "top class mod 3 via two generator steps",
-            )
-        )
+        out.append(ExpectedResult(
+            name, p, "qsigma", "h", s2_closed_form(p), (),
+            "closed-form factorial sums for the sphere operator",
+        ))
+    for manifold, prime, op, cls, expected, source in _EXPECTED:
+        if (manifold, prime) == (name, p):
+            build = GradedEndomorphism if op == "qsigma" else element
+            out.append(ExpectedResult(name, p, op, cls, build(ring, *expected), (), source))
     return out

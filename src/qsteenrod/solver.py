@@ -501,7 +501,8 @@ def qsigma_apply(b, x, ring, trunc=None):
     and use that repair when its taint is a subset of the column's; else
     keep the tainted column.  The solved rows, with each repaired column's
     terms in place of row k, are applied to x in one _apply_rows.  Returns
-    (element, taint).
+    (element, taint); the element's coefficient at a slot listed in taint is
+    not determined and may be nonzero.
     """
     _check_truncation(trunc)
     _check_compatible(ring, x.ring, "qsigma_apply")
@@ -552,14 +553,18 @@ def qst_via_generators(expr, ring, trunc=None):
     divisors (the generator strategy composes their QSigma through the
     connection).  The final factor may be any basis class; its QSt is solved
     directly.  The whole expression is checked before the first solve.
-    Returns (element, taint).
+    Returns (element, taint); the element's coefficient at a slot listed in
+    taint is not determined and may be nonzero.
     """
     _check_truncation(trunc)
     if not expr:
         raise ValueError("expression must have at least one term")
     divisors = {ring.basis[d.index].name for d in ring.divisors}
     degs, non_divisors = set(), []
-    for _, q_exp, factors in expr:
+    for term in expr:
+        _, q_exp, factors = term
+        if q_exp < 0:
+            raise ValueError("term %r has a negative q exponent" % (term,))
         degs.add(ring.q_degree * q_exp + sum(ring.degree(ring.index(name)) for name in factors))
         non_divisors += [name for name in factors[:-1] if name not in divisors]
     if len(degs) != 1:

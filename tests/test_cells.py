@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qsteenrod import cells
 from qsteenrod.errors import CapExceeded
 from qsteenrod.cells import (
     EquivariantComplex,
@@ -195,6 +196,19 @@ def test_cochain_localization_classes():
 def test_verify_cells_battery():
     for p in WIDE_PRIMES:
         assert verify_cells(p, cap=9) == []
+
+
+def test_verify_cells_applies_product_boundary_only_to_the_relations(monkeypatch):
+    # d^2 on the product complex is read off one composed table, not cell by cell
+    calls = []
+
+    def counting(chain, p):
+        calls.append(chain)
+        return product_boundary(chain, p)
+
+    monkeypatch.setattr(cells, "product_boundary", counting)
+    assert verify_cells(5, 9) == []
+    assert len(calls) <= 8
 
 
 def test_verify_cells_rejects_a_cap_below_two():

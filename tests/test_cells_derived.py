@@ -278,3 +278,19 @@ def test_table_checks_match_the_per_generator_reference(p, mutation, mutate):
         assert report["ok"]
     elif p > 2:
         assert not report["ok"], report
+
+
+def _drop_norm_of_l0(eq):
+    # D_2k x L_0 -> D_2k x d L_0 alone: d^2 != 0 on D_i x B_0 from i = 2 up, not at i = 0
+    if ("L0", 0) in eq._chain:
+        eq._chain["L0", 0] = {cell: c for cell, c in eq._chain["L0", 0].items() if cell[1] >= 0}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_product_d_squared_lines_match_the_per_cell_reference(p, mutate):
+    mutate(_drop_norm_of_l0)
+    for cap in (2, 4, 9):
+        failures = cells.verify_cells(p, cap)
+        assert failures == ref_verify_cells(p, cap), cap
+        assert "d^2 != 0 on product cell (2,B,0)" in failures
+        assert "d^2 != 0 on product cell (0,B,0)" not in failures

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from qsteenrod import cli, manifold_io, oracles
+from qsteenrod import cells, cli, manifold_io, oracles
 from qsteenrod.cli import main
-from qsteenrod.endo import GradedEndomorphism
+from qsteenrod.endo import GradedEndomorphism, identity_endo
 from qsteenrod.manifold_io import (
     dump_manifold,
     dump_result,
@@ -18,7 +18,8 @@ from qsteenrod.manifold_io import (
     load_result,
     ring_from_data,
 )
-from qsteenrod.oracles import builtin_manifold
+from qsteenrod.oracles import builtin_manifold, builtin_ring
+from qsteenrod.ring import basis_class, zero_element
 from qsteenrod.solver import SolveReport, _residuals
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -792,6 +793,55 @@ def test_verify_constancy_names_the_first_bent_t0_seed_once(monkeypatch, target)
     what = {"tzero_layer": "t^0 layer differs from b^(*p) at", "solve_qsigma": "tainted t^0 slot"}
     assert code == 1
     assert text == "FAIL constancy: constancy[h]: %s (1 -> h, q)\n" % what[target]
+
+def _tainted_rows(real):
+    return lambda name, p: [
+        oracles.ExpectedResult(e.manifold, e.prime, e.op, e.input_class, e.expected, ((0, 0),),
+                               e.source)
+        for e in real(name, p)
+    ]
+
+
+@pytest.mark.parametrize(
+    "manifold, prime, module, target, bend, line",
+    [
+        ("s2", 3, cli, "quantum_product", lambda real: lambda x, y: zero_element(x.ring, x.trunc),
+         "FAIL compose: compose: QSigma_h o QSigma_1 nonzero"),
+        ("s2", 3, cli, "equal_on_untainted", lambda real: lambda x, y: False,
+         "FAIL compose: compose: QSigma_h o QSigma_1 != sign * QSigma_{h * 1}"),
+        ("s2", 3, cli, "classical_product",
+         lambda real: lambda x, y: real(x, y) + basis_class(x.ring, "h", x.trunc),
+         "FAIL compose: compose: Cartan relation fails at q=0 for 1"),
+        ("s2", 3, cli, "xi_series", lambda real: lambda trunc: real(trunc) * real(trunc),
+         "FAIL oracle: oracle: (t q d/dq)^2 xi != q xi"),
+        ("s2", 3, cli, "s2_closed_form",
+         lambda real: lambda p: real(p) if p < 11 else identity_endo(builtin_ring("s2", p)),
+         "FAIL oracle: oracle: solver differs from the closed form at p=11"),
+        ("s2", 3, cli, "reduce_mod_p", lambda real: lambda x, p: None,
+         "FAIL oracle: oracle: rational pipeline differs at p=3"),
+        ("cubic_surface", 2, cli, "expected_results", _tainted_rows,
+         "FAIL oracle: oracle: qst of h_2 differs from the tabulated value"
+         " (degree-2 squares on the cubic surface: QSt(c) = c*c + tc)"),
+        ("s2", 3, cells, "product_boundary", lambda real: lambda chain, p: {},
+         "FAIL cells: cells: primitive for 'even' k=0 fails to bound its relation"),
+    ],
+    ids=["compose_nonzero", "compose_rule", "cartan", "xi_equation", "closed_form",
+         "rational_pipeline", "tabulated_value", "cells_relation"],
+)
+def test_verify_fail_lines_of_the_compose_oracle_and_cells_suites(
+    monkeypatch, manifold, prime, module, target, bend, line
+):
+    """Each FAIL line, with one dependency bent; the other suites still run and pass."""
+    monkeypatch.setattr(module, target, bend(getattr(module, target)))
+    code, text = run_cli(
+        ["verify", "--manifold", "builtin:" + manifold, "--prime", str(prime), "--suite", "all"]
+    )
+    assert code == 1
+    assert line in text.splitlines()
+    suite = line.split(":")[0][len("FAIL "):]
+    heads = [s.split(":")[0] for s in text.splitlines() if not s.startswith(" ")]
+    assert heads == [("FAIL " if s == suite else "PASS ") + s for s in cli._SUITES]
+
 
 def test_verify_suites_pass():
     for name in ("s2", "cubic_surface", "quadric_intersection"):

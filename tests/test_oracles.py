@@ -1,7 +1,10 @@
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qsteenrod.endo import GradedEndomorphism
 from qsteenrod.errors import NonReducible, UnknownManifold
 from qsteenrod.fp import factorial_ratio
 from qsteenrod.oracles import (
@@ -16,6 +19,8 @@ from qsteenrod.oracles import (
     xi_series,
 )
 from qsteenrod.solver import qst, qst_auto, solve_qsigma
+
+EXPECTED_GOLDEN = Path(__file__).parent / "golden" / "expected_results.txt"
 
 
 def fact(n):
@@ -101,6 +106,20 @@ def test_nonreducible_without_truncation():
         reduce_mod_p(xi_matrix(3), 3)
 
 
+def test_reduce_mod_p_drops_orders_from_p_up():
+    X = xi_matrix(2)
+    X[0][0] = RationalSeries(5, {**X[0][0].terms, (3, -6): Fraction(1, 7), (4, 0): 1})
+    assert reduce_mod_p(X, 3) == reduce_mod_p(xi_matrix(2), 3) == s2_closed_form(3)
+
+
+def test_reduce_mod_p_rejects_a_term_off_its_geometric_slot():
+    X = xi_matrix(2)
+    X[1][0] = X[1][0] + RationalSeries(2, {(1, 5): 1})
+    with pytest.raises(NonReducible) as info:
+        reduce_mod_p(X, 3)
+    assert str(info.value) == "nonzero reduced term q^1 t^5 off the geometric slot"
+
+
 def test_builtin_fields():
     cubic = builtin_manifold("cubic_surface")
     assert cubic["q_degree"] == 2 and cubic["dimension_top"] == 4
@@ -128,3 +147,32 @@ def test_expected_results_reproduced_by_solver():
                     assert elem == exp.expected, exp.source
                     assert tuple(sorted(taint)) == exp.expected_taint, exp.source
                 assert exp.source  # every entry carries its provenance string
+
+
+def _expected_digest(expected):
+    """16 hex digits of sha256 over an operator's entries or an element's terms."""
+    if isinstance(expected, GradedEndomorphism):
+        data = (expected.degree, expected.trunc, sorted(expected.entries.items()))
+    else:
+        data = (expected.trunc, sorted(
+            (k, m.q, m.t, m.theta, c)
+            for k, f in expected.components.items() for m, c in f.terms.items()
+        ))
+    return hashlib.sha256(repr(data).encode()).hexdigest()[:16]
+
+
+def expected_result_lines():
+    """One line per ExpectedResult of every built-in at a ladder of primes, in order."""
+    lines = []
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        for p in (2, 3, 5, 7, 11, 13, 31, 101, 211):
+            for exp in expected_results(name, p):
+                assert (exp.manifold, exp.prime, exp.expected_taint) == (name, p, ())
+                lines.append("%s p=%d %s %s | %s | %s" % (
+                    name, p, exp.op, exp.input_class, _expected_digest(exp.expected), exp.source
+                ))
+    return lines
+
+
+def test_expected_results_golden():
+    assert expected_result_lines() == EXPECTED_GOLDEN.read_text().splitlines()

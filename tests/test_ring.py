@@ -121,14 +121,28 @@ def test_multiplication_matrix_s2():
          ValueError, "multiplication by an inhomogeneous element"),
         (lambda ring: multiplication_endo(element_from_terms(ring, 3, {1: {(0, 0, 1): 1}})),
          ValueError, "theta term in multiplication endomorphism"),
+        (lambda ring: ring.steenrod_of(basis_class(ring, "h_2", 3).times_monomial(q=1)),
+         ValueError, "St is defined for q,t-free classes"),
+        (lambda ring: ring.steenrod_of(basis_class(ring, "h_2", 3).times_monomial(t=1)),
+         ValueError, "St is defined for q,t-free classes"),
     ],
     ids=["mixed truncations", "negative q shift", "theta exponent", "negative q",
-         "inhomogeneous multiplier", "theta multiplier"],
+         "inhomogeneous multiplier", "theta multiplier", "St of a q-term", "St of a t-term"],
 )
 def test_element_input_checks_name_the_cause(call, error, message):
     with pytest.raises(error) as info:
         call(builtin_ring("cubic_surface", 2))
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_kappa_is_none_off_the_even_nonnegative_slots():
+    ring = builtin_ring("cubic_surface", 2)
+    assert kappa(ring, 2, 1, 0, 0) == 2 and kappa(ring, 2, 2, 1, 0) == 2
+    assert kappa(ring, 2, 0, 2, 0) is None  # t^-1
+    for i in range(3):
+        for j in range(3):
+            for d in range(3):
+                assert kappa(ring, 3, i, j, d) is None
 
 
 def test_unit_column_is_the_class_itself():

@@ -1180,6 +1180,19 @@ def test_qst_via_generators_checks_the_whole_expression_before_any_solve(
     assert calls  # the counter sees the solves of a valid expression
 
 
+@pytest.mark.parametrize("term", [(1, -1, ("h_2",)), (1, -1, ("h_2", "h_4"))])
+def test_qst_via_generators_rejects_a_negative_q_exponent_before_any_solve(monkeypatch, term):
+    # both terms are homogeneous (degrees 0 and 4); the second used to divide its QSt by q^5
+    def no_solve(*args):
+        raise AssertionError("solve_qsigma called")
+
+    monkeypatch.setattr(solver, "solve_qsigma", no_solve)
+    with pytest.raises(ValueError) as info:
+        qst_via_generators([term], builtin_ring("cubic_surface", 5))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "term %r has a negative q exponent" % (term,)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
