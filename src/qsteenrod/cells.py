@@ -15,17 +15,17 @@ Three complexes are derived from it:
   from the chain table of the equivariant complex below);
 * the cochain complex of the sphere, sphere_cochain_complex, and its
   equivariant complex C[[t, theta]] with the twisted differential d_eq.
-  EquivariantComplex builds C[[t, theta]] for any finite complex C with a
-  Z/p action; the corrected theta-multiplication and its homotopies live
-  there.
+  EquivariantComplex builds the whole of C[[t, theta]], with no t-cap, for
+  any finite complex C with a Z/p action; the corrected theta-multiplication
+  and its homotopies live there.
 
 Chains are plain dicts cell -> coefficient.  Everything is finite: D-cells
-are capped in dimension and t in exponent.  The operator identities on
-C[[t, theta]] are checked on t-linear tables, one column per generator
-x theta^eps; the rest cell by cell or by small linear algebra mod p.
+are capped in dimension, and the cells checked one by one in t-exponent.
+The operator identities on C[[t, theta]] are checked on t-linear tables,
+one column per generator x theta^eps; the rest cell by cell or by small
+linear algebra mod p.
 """
 
-import math
 from functools import lru_cache
 
 from .errors import CapExceeded, Record
@@ -146,9 +146,9 @@ def product_cells_of_degree(n, cap, p):
 
 @lru_cache(maxsize=8)
 def _sphere_eq(p):
-    """EquivariantComplex on sphere_cochain_complex(p) without a t-cap, and
-    the map from its basis names back to (X, j)."""
-    eq = EquivariantComplex(sphere_cochain_complex(p), p, math.inf)
+    """EquivariantComplex on sphere_cochain_complex(p), and the map from its
+    basis names back to (X, j)."""
+    eq = EquivariantComplex(sphere_cochain_complex(p), p)
     return eq, {_cell_name(x, j): (x, j) for x, _, j in _rotated_cells(p)}
 
 
@@ -291,10 +291,10 @@ class EquivariantComplex:
 
     Each operator commutes with t, so it is stored as a table of the images
     of the generators x theta^eps: (name, eps) -> {(name2, dk, eps2): c} for
-    x t^k theta^eps -> c name2 t^(k+dk) theta^eps2.  Terms beyond t^tcap are
-    dropped.  With tcap = math.inf nothing is dropped, so sums and composites
-    of operators are again such tables (_table_sum, _compose), and two of them
-    agree on every x t^k theta^eps exactly when their tables are equal.
+    x t^k theta^eps -> c name2 t^(k+dk) theta^eps2.  No t-order is dropped,
+    so sums and composites of operators are again such tables (_table_sum,
+    _compose), and two of them agree on every x t^k theta^eps exactly when
+    their tables are equal.
 
     _chain is the Borel chain complex on the same generators, D_(2k+eps) x x
     standing for x t^k theta^eps: D_2k x x -> D_(2k-1) x Nx + D_2k x dx and
@@ -302,10 +302,9 @@ class EquivariantComplex:
     below D_0 at k = 0, where its readers drop it.
     """
 
-    def __init__(self, cpx, p, tcap):
+    def __init__(self, cpx, p):
         self.cpx = cpx
         self.p = require_prime(p)
-        self.tcap = tcap
         norm = self._orbit_sums([1] * p)
         self._weighted = self._orbit_sums(range(p))
         self._sigma, self._t, self._d, self._theta, self._h, self._chain = {}, {}, {}, {}, {}, {}
@@ -346,12 +345,10 @@ class EquivariantComplex:
 
     def _apply(self, table, chain):
         out = {}
-        tcap = self.tcap
         for (name, k, eps), c in chain.items():
             for (name2, dk, eps2), c2 in table[name, eps].items():
-                if k + dk <= tcap:
-                    cell = (name2, k + dk, eps2)
-                    out[cell] = out.get(cell, 0) + c * c2
+                cell = (name2, k + dk, eps2)
+                out[cell] = out.get(cell, 0) + c * c2
         p = self.p
         return {cell: c % p for cell, c in out.items() if c % p}
 
@@ -407,16 +404,16 @@ def homotopy_check(p):
     operator identity theta_tilde^2 = (sigma + 2 sigma^2 + ...) t; and that
     theta_tilde^2 is chain homotopic to t (p = 2) or 0 (p odd) via the
     composite homotopy H = -sigma (sigma - 1)^(p-3) h (h for p = 2).  Both
-    sides of each identity are t-linear, so they are compared as tables on
-    the uncapped complex: equal tables agree on x t^k theta^eps for every k,
-    and unequal ones differ already at t^0, which any t-cap >= 2 reaches.
+    sides of each identity are t-linear, so they are compared as tables:
+    equal tables agree on x t^k theta^eps for every k, and unequal ones
+    differ already at t^0, which any t-cap >= 2 reaches.
     Returns a dict of booleans.
     """
     require_prime(p)
     report = {"group_algebra": group_algebra_identities(p)}
     fixtures = {
-        "trivial": EquivariantComplex(trivial_complex(), p, math.inf),
-        "free_module": EquivariantComplex(free_module_complex(p), p, math.inf),
+        "trivial": EquivariantComplex(trivial_complex(), p),
+        "free_module": EquivariantComplex(free_module_complex(p), p),
         "sphere": _sphere_eq(p)[0],
     }
     for label, eq in fixtures.items():

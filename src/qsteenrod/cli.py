@@ -59,12 +59,8 @@ def _load_data(source):
         return load_manifold(handle.read())
 
 
-def _load_ring(source, prime):
-    return ring_from_data(_load_data(source), prime)
-
-
 def cmd_compute(args, out):
-    ring = _load_ring(args.manifold, require_prime(args.prime))
+    ring = ring_from_data(_load_data(args.manifold), require_prime(args.prime))
     trunc = args.truncate
     meta = {
         "manifold": ring.name,
@@ -117,13 +113,13 @@ def cmd_compute(args, out):
     return 0
 
 
-def _suite_ring(ring, args, failures):
+def _suite_ring(ring, data, args, failures):
     for finding in verify_ring(ring):
         failures.append("ring: %s" % finding)
     return "ring structure (homogeneity, unit, commutativity, associativity, flatness)"
 
 
-def _suite_constancy(ring, args, failures):
+def _suite_constancy(ring, data, args, failures):
     ident = identity_endo(ring)
     for b in ring.basis:
         endo, report = solve_qsigma(b.name, ring)
@@ -161,7 +157,7 @@ def _suite_constancy(ring, args, failures):
     return "covariant constancy, layer seeds, QSigma_1 = id"
 
 
-def _suite_compose(ring, args, failures):
+def _suite_compose(ring, data, args, failures):
     a_name = ring.basis[ring.primary.index].name
     s_div, _ = solve_qsigma(a_name, ring)
     trunc = max(ring.default_truncation(b.degree) for b in ring.basis) + ring.max_q_order()
@@ -187,9 +183,9 @@ def _suite_compose(ring, args, failures):
     return "composition rule and q^0 Cartan relation"
 
 
-def _suite_oracle(ring, args, failures):
+def _suite_oracle(ring, data, args, failures):
     # the tables are keyed by name, so they hold only for the built-in data itself
-    if _load_data(args.manifold) != _BUILTINS.get(ring.name):
+    if data != _BUILTINS.get(ring.name):
         return "no oracle tables for %r (built-in data only)" % ring.name
     if ring.name == "s2":
         xi = xi_series(20)
@@ -197,12 +193,13 @@ def _suite_oracle(ring, args, failures):
         rhs = RationalSeries(xi.trunc, {(q + 1, t): c for (q, t), c in xi.terms.items()})
         if lhs != rhs:
             failures.append("oracle: (t q d/dq)^2 xi != q xi")
-        for p in (3, 5, 7, 11):
+        closed = {p: s2_closed_form(p) for p in (3, 5, 7, 11)}
+        for p, form in closed.items():
             solved, rep = solve_qsigma("h", builtin_ring("s2", p))
-            if solved != s2_closed_form(p) or rep.taint:
+            if solved != form or rep.taint:
                 failures.append("oracle: solver differs from the closed form at p=%d" % p)
         for p in (3, 5, 7):
-            if reduce_mod_p(xi_matrix(p - 1), p) != s2_closed_form(p):
+            if reduce_mod_p(xi_matrix(p - 1), p) != closed[p]:
                 failures.append("oracle: rational pipeline differs at p=%d" % p)
     for exp in expected_results(ring.name, ring.prime):
         if exp.op == "qsigma":
@@ -222,7 +219,7 @@ def _suite_oracle(ring, args, failures):
     return "closed forms, rational pipeline, tabulated values"
 
 
-def _suite_cells(ring, args, failures):
+def _suite_cells(ring, data, args, failures):
     from .cells import verify_cells
 
     for f in verify_cells(args.prime, args.cap):
@@ -230,8 +227,9 @@ def _suite_cells(ring, args, failures):
     return "equivariant cell complexes, relations, homotopies"
 
 
-# verify's suites, run in this order by --suite all: each appends its failures
-# to the list it is given and returns its PASS description.
+# verify's suites, run in this order by --suite all: each is given the ring, the
+# manifold data it was built from (both None for cells alone), the arguments and
+# a list, appends its failures to the list and returns its PASS description.
 _SUITES = {
     "ring": _suite_ring,
     "constancy": _suite_constancy,
@@ -244,17 +242,18 @@ _SUITES = {
 def cmd_verify(args, out):
     prime = require_prime(args.prime)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    ring = None
+    ring = data = None
     if set(suites) - {"cells"}:
         if not args.manifold:
             raise QSteenrodError("--manifold is required for suite %r" % (args.suite,))
-        ring = _load_ring(args.manifold, prime)
+        data = _load_data(args.manifold)
+        ring = ring_from_data(data, prime)
     status = 0
     for suite in suites:
         failures = []
         # a suite that raises fails on its own; the later suites still run
         try:
-            desc = _SUITES[suite](ring, args, failures)
+            desc = _SUITES[suite](ring, data, args, failures)
         except (QSteenrodError, ValueError, KeyError) as exc:
             failures.append("error: %s" % _message(exc))
         if failures:

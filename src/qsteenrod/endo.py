@@ -12,7 +12,7 @@ in (i, j) order, row[d] its q^d coefficient mod p for d = 0 .. trunc, and
 beside them its taint as bit rows taint_rows {(i, j): mask}, bit d set when
 slot (i, j, d) is tainted.  Every reader in the package reads the rows and
 bit rows; the slot map {(i, j, d): c}, entries, and the slot set taint are
-views built on first use for tests and users.  Every matrix of
+views built on first use for tests and users, and kept.  Every matrix of
 multiplication by a class, A = a * and both seeds of the solver, comes from
 _multiplication_entries.  A product (i, j, d1) then (j, k, d2) lands on
 (i, k, d1 + d2), and a tainted slot taints its product with every stored or
@@ -180,6 +180,7 @@ class GradedEndomorphism:
     """
 
     def __init__(self, ring, degree, trunc, entries=None, taint=frozenset()):
+        _check_truncation(trunc)
         masks = {}
         for i, j, d in taint:
             if _kept(ring, degree, trunc, "taint", i, j, d):
@@ -193,17 +194,16 @@ class GradedEndomorphism:
         rows = {s: tuple(rows[s]) for s in sorted(rows)}
         masks = {s: masks[s] for s in sorted(masks)}
         vars(self).update(ring=ring, degree=degree, trunc=trunc, rows=rows, taint_rows=masks,
-                          _view=[None], _taint_view=[None])
+                          _view=None, _taint_view=None)
 
     @classmethod
-    def _trusted(cls, ring, degree, trunc, rows, taint_rows, view=None, taint_view=None):
+    def _trusted(cls, ring, degree, trunc, rows, taint_rows):
         """An operator from rows and bit rows as __init__ leaves them (nonzero tuples of
         trunc + 1 values in [0, p) and nonzero masks of bits <= trunc, live, in (i, j) order,
-        no slot in both), used as given; view and taint_view, when given, are the entries and
-        taint boxes of the operator they came from, so one view serves both."""
+        no slot in both), used as given."""
         self = object.__new__(cls)
         vars(self).update(ring=ring, degree=degree, trunc=trunc, rows=rows, taint_rows=taint_rows,
-                          _view=view or [None], _taint_view=taint_view or [None])
+                          _view=None, _taint_view=None)
         return self
 
     def __setattr__(self, name, value):
@@ -218,21 +218,19 @@ class GradedEndomorphism:
     @property
     def entries(self):
         """The nonzero {(i, j, d): c} in (d, i, j) order, a read-only view built on first use."""
-        box, rows = self._view, self.rows
-        if box[0] is None:
-            layers = enumerate(zip(*rows.values()))
-            box[0] = MappingProxyType(
+        if self._view is None:
+            rows, layers = self.rows, enumerate(zip(*self.rows.values()))
+            vars(self)["_view"] = MappingProxyType(
                 {(i, j, d): c for d, layer in layers for (i, j), c in zip(rows, layer) if c}
             )
-        return box[0]
+        return self._view
 
     @property
     def taint(self):
         """The tainted slots {(i, j, d)}, a frozenset built on first use from taint_rows."""
-        box = self._taint_view
-        if box[0] is None:
-            box[0] = frozenset(_taint_slots(self.taint_rows))
-        return box[0]
+        if self._taint_view is None:
+            vars(self)["_taint_view"] = frozenset(_taint_slots(self.taint_rows))
+        return self._taint_view
 
     @property
     def complete_bound(self):
@@ -373,7 +371,8 @@ def multiplication_endo(x, trunc=None, degree=None):
     ring = x.ring
     g = degree if x.is_zero() else x.degree
     if g is None:
-        raise ValueError("multiplication by an inhomogeneous element")
+        raise ValueError("multiplication by the zero element needs a degree" if x.is_zero()
+                         else "multiplication by an inhomogeneous element")
     if trunc is None:
         trunc = (g + ring.dimension_top) // ring.q_degree
     vector = {(k, q): c for rows in x.pieces.values() for k, row in rows.items()
@@ -437,9 +436,7 @@ def qpi(divisor_name, s):
     # s's rows are live and within trunc, so reducing and dropping zero rows normalises
     rows = {key: tuple(lam * d * c % p for d, c in enumerate(row)) for key, row in s.rows.items()}
     rows = {key: row for key, row in rows.items() if any(row)}
-    return GradedEndomorphism._trusted(
-        s.ring, s.degree, s.trunc, rows, s.taint_rows, None, s._taint_view
-    )
+    return GradedEndomorphism._trusted(s.ring, s.degree, s.trunc, rows, s.taint_rows)
 
 
 def equal_on_untainted(s1, s2):

@@ -119,8 +119,7 @@ class QuantumRing:
             if terms:
                 orders.setdefault((i, j), []).append(d)
         self._orders = {key: tuple(sorted(ds)) for key, ds in orders.items()}
-        # solve_qsigma's results: (class, truncation) ->
-        # (rows, taint bit rows, entries-view box, taint-view box, report)
+        # solve_qsigma's results: (class, truncation) -> (rows, taint bit rows, report)
         self._solved = {}
         self._st = {}  # _steenrod's results, i -> {(k, t): c}; a failing entry is not kept
         self._frozen = True

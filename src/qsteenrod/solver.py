@@ -28,9 +28,11 @@ in the bitmask of the slots its list names.  The operator's rows and taint
 bit rows (endo) are the transposes of the q-orders and their masks.  The
 residual re-check multiplies by A itself, with compose's packed product, so
 a fault in the commutator lists cannot cancel out; the slots it skips are
-the taint rows OR-multiplied by A's supports.  The generator route reads
-a * e_i through ring._class_product and nabla_a through connection_apply,
-and takes every q-shifted sum with its taint in one _shifted_sum.
+the taint rows OR-multiplied by A's supports.  The generator strategy reads
+a * e_i through ring._class_product and nabla_a through connection_apply.
+Both its routes, qst_via_generators and qst_auto's divisor peel, evaluate
+words in divisors in one _word_sum, and every q-shifted sum with its taint
+is one _shifted_sum.
 """
 
 from .errors import InconsistentSeed, NegativePowerResidue, NotDivisor, NotGenerated, Record
@@ -213,14 +215,13 @@ def solve_qsigma(b, ring, trunc=None):
                          % (name, div.pairing, p))
     # One solve per (ring, class, truncation); a class of a compatible ring
     # keys it like one of the ring's own.  The cache keeps no endo, only its
-    # rows, taint and entries-view box, so it holds no reference back to the
-    # ring; a hit rebuilds the endo without normalising it again.
+    # rows, taint rows and report, so it holds no reference back to the ring;
+    # a hit rebuilds the endo without normalising it again.
     cls = sorted((k, c % p) for (k, _), c in vector.items())
     key = (tuple(cls), trunc)
     if key in ring._solved:
-        rows, taint_rows, view, taint_view, report = ring._solved[key]
-        endo = GradedEndomorphism._trusted(ring, g, trunc, rows, taint_rows, view, taint_view)
-        return endo, report
+        rows, taint_rows, report = ring._solved[key]
+        return GradedEndomorphism._trusted(ring, g, trunc, rows, taint_rows), report
     n = len(ring.basis)
     tables = _divisor_map(ring, div)[1]
     ad0 = tables[0]
@@ -320,7 +321,7 @@ def solve_qsigma(b, ring, trunc=None):
         residual_checked=checked,
         residual_failures=failures,
     )
-    ring._solved[key] = (rows, taint_rows, endo._view, endo._taint_view, report)
+    ring._solved[key] = (rows, taint_rows, report)
     return endo, report
 
 
@@ -535,14 +536,24 @@ def qsigma_apply(b, x, ring, trunc=None):
     return _apply_rows(ring, endo.degree, rows, x, trunc), _reach(slots, columns_taint, trunc)
 
 
-def _divisor_step(a_name, x, x_taint, ring, trunc):
-    """QSigma_a(x) for a divisor a, with x's own taint pushed through QSigma_a: a tainted
-    slot of x reaches every stored or tainted slot of QSigma_a's column under it."""
-    val, taint = qsigma_apply(a_name, x, ring, trunc)
-    if x_taint:
-        endo = solve_qsigma(a_name, ring)[0]
-        taint |= _reach(x_taint, _columns(_supports(endo.rows, endo.taint_rows)), trunc)
-    return val, taint
+def _word_sum(expr, leaf, ring, trunc):
+    """sum coeff q^(p q_exp) QSt(word) over expr's terms (coeff, q_exp, word), and its taint.
+
+    A word's QSt is leaf(its last factor), an (element, taint) pair (1 for the empty
+    word), then QSigma_a of each divisor a before it, innermost first, by qsigma_apply;
+    the incoming taint reaches every stored or tainted slot of QSigma_a's column under it.
+    """
+    terms = []
+    for coeff, q_exp, word in expr:
+        val, taint = leaf(word[-1]) if word else (basis_class(ring, "1", trunc), set())
+        for a in reversed(word[:-1]):
+            val, pushed = qsigma_apply(a, val, ring, trunc)
+            if taint:
+                endo = solve_qsigma(a, ring)[0]
+                pushed |= _reach(taint, _columns(_supports(endo.rows, endo.taint_rows)), trunc)
+            taint = pushed
+        terms.append((coeff, ring.prime * q_exp, 0, val, taint))
+    return _shifted_sum(terms, ring, trunc)
 
 
 def qst_via_generators(expr, ring, trunc=None):
@@ -573,15 +584,7 @@ def qst_via_generators(expr, ring, trunc=None):
         raise NotGenerated("non-divisor %r in a composite factor word" % (non_divisors[0],))
     if trunc is None:
         trunc = ring.default_truncation(degs.pop())
-    terms = []
-    for coeff, q_exp, factors in expr:
-        # the word's QSt from its innermost factor out, one QSigma_a per divisor
-        val, taint = (qst(factors[-1], ring).endo.column("1", trunc) if factors
-                      else (basis_class(ring, "1", trunc), set()))
-        for head in reversed(factors[:-1]):
-            val, taint = _divisor_step(head, val, taint, ring, trunc)
-        terms.append((coeff, ring.prime * q_exp, 0, val, taint))
-    return _shifted_sum(terms, ring, trunc)
+    return _word_sum(expr, lambda name: qst(name, ring).endo.column("1", trunc), ring, trunc)
 
 
 def qst_auto(name, ring, trunc=None):
@@ -589,8 +592,9 @@ def qst_auto(name, ring, trunc=None):
 
     Tries the direct solve first; if the unit column is tainted and the ring
     is generated enough, peels one divisor off (e_j appears in a * e_i) and
-    recurses, exactly as the generator strategy prescribes.  Returns
-    (element, taint, route string).
+    recurses, exactly as the generator strategy prescribes: the peel is a word
+    expression that _word_sum evaluates with recursive qst_auto leaves.
+    Returns (element, taint, route string).
     """
     target = ring.index(name)
     r = qst(name, ring, trunc)
@@ -598,21 +602,22 @@ def qst_auto(name, ring, trunc=None):
         return r.element, set(), "direct"
     out_trunc = r.endo.trunc  # the unit column's, also when that column is zero
     a = ring.primary.index
+
+    def leaf(cls):
+        val, taint, _ = qst_auto(cls, ring, trunc)
+        return val.retruncate(out_trunc), taint
+
     for i, be in enumerate(ring.basis):
         # a * e_i must be u e_target at q^0 alone: simultaneous degree-peers
-        # are unsupported; QSt(e_target) = (QSigma_a(QSt(e_i)) - the q-terms) / u
+        # are unsupported; u QSt(e_target) is the word expression
+        # a e_i - sum c q^d e_k over the q-terms c q^d e_k of a * e_i
         product = _class_product(ring, {(a, 0): 1}, {(i, 0): 1})
         lead = {k: c for (k, d), c in product.items() if not d}
         if set(lead) != {target}:
             continue
-        sub, sub_taint, _ = qst_auto(be.name, ring, trunc)
-        terms = [(1, 0, 0) + _divisor_step(ring.basis[a].name, sub.retruncate(out_trunc),
-                                           sub_taint, ring, out_trunc)]
-        for (k, d), c in sorted(product.items()):
-            if d:
-                rest, rest_taint, _ = qst_auto(ring.basis[k].name, ring, trunc)
-                terms.append((-c, ring.prime * d, 0, rest.retruncate(out_trunc), rest_taint))
-        val, taint = _shifted_sum(terms, ring, out_trunc)
+        expr = [(1, 0, (ring.basis[a].name, be.name))]
+        expr += [(-c, d, (ring.basis[k].name,)) for (k, d), c in sorted(product.items()) if d]
+        val, taint = _word_sum(expr, leaf, ring, out_trunc)
         if not taint:
             return val.scale(fp_inv(lead[target], ring.prime)), taint, "generators via %s" % be.name
     return r.element, set(r.taint), "direct (tainted)"

@@ -1,4 +1,3 @@
-import math
 
 import pytest
 
@@ -133,13 +132,13 @@ def test_cap_exceeded():
 
 def test_theta_tilde_formulas():
     p = 3
-    eq = EquivariantComplex(trivial_complex(), p, 6)
+    eq = EquivariantComplex(trivial_complex(), p)
     # invariant x: theta_tilde(x theta) = (1 + 2) x t = 0 mod 3
     assert eq.theta_tilde({("x", 0, 1): 1}) == {}
     # theta_tilde(x t^k) = (-1)^{|x|} x t^k theta
     assert eq.theta_tilde({("x", 2, 0): 1}) == {("x", 2, 1): 1}
     # on the sphere complex, an odd-degree generator picks up the sign
-    eqs = EquivariantComplex(sphere_cochain_complex(p), p, 6)
+    eqs = EquivariantComplex(sphere_cochain_complex(p), p)
     assert eqs.theta_tilde({("L0", 1, 0): 1}) == {("L0", 1, 1): p - 1}
 
 
@@ -220,7 +219,7 @@ def test_verify_cells_rejects_a_cap_below_two():
 
 def test_table_compose_is_a_after_b():
     p = 5
-    eq = EquivariantComplex(sphere_cochain_complex(p), p, math.inf)
+    eq = EquivariantComplex(sphere_cochain_complex(p), p)
     # d and theta_tilde do not commute, so the order shows
     d_theta, theta_d = eq._compose(eq._d, eq._theta), eq._compose(eq._theta, eq._d)
     assert d_theta != theta_d
@@ -237,7 +236,7 @@ def test_table_compose_is_a_after_b():
 
 def test_free_module_fixture():
     p = 5
-    eq = EquivariantComplex(free_module_complex(p), p, 5)
+    eq = EquivariantComplex(free_module_complex(p), p)
     x = {("g0", 0, 0): 1}
     # d_eq(x) = (sigma x - x) theta on a complex with zero differential
     assert eq.d_eq(x) == {("g1", 0, 1): 1, ("g0", 0, 1): p - 1}

@@ -146,7 +146,7 @@ def ref_homotopy_check(p, cap):
         "sphere": cells.sphere_cochain_complex(p),
     }
     for label, cpx in fixtures.items():
-        eq = cells.EquivariantComplex(cpx, p, cap)
+        eq = cells.EquivariantComplex(cpx, p)
         ok_d2 = ok_homotopy = ok_square = ok_square_homotopy = True
         weighted = eq._orbit_sums(range(p))
         generators = [

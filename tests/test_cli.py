@@ -367,7 +367,7 @@ def test_unknown_class_in_verify_is_one_unquoted_finding(tmp_path, monkeypatch):
     argv = ["verify", "--manifold", str(path), "--prime", "3", "--suite", "oracle"]
     assert run_cli(argv) == (0, "PASS oracle: no oracle tables for 's2' (built-in data only)\n")
 
-    def looks_up_h(ring, args, failures):
+    def looks_up_h(ring, data, args, failures):
         ring.index("h")
 
     # a suite's KeyError is one finding, without the quotes str() adds
@@ -392,6 +392,31 @@ def test_oracle_suite_runs_only_on_builtin_data(tmp_path, name):
     run_cli(["export", "--manifold", "builtin:s2", "--out", str(exported)])
     code, text = run_cli(["verify", "--manifold", str(exported), "--prime", "3", "--suite", "oracle"])
     assert (code, text) == (0, "PASS oracle: closed forms, rational pipeline, tabulated values\n")
+
+
+def test_verify_loads_the_manifold_once(tmp_path, monkeypatch):
+    path = tmp_path / "s2.json"
+    run_cli(["export", "--manifold", "builtin:s2", "--out", str(path)])
+    calls, real = [], cli.load_manifold
+    monkeypatch.setattr(cli, "load_manifold", lambda text: calls.append(text) or real(text))
+    code, text = run_cli(["verify", "--manifold", str(path), "--prime", "3", "--suite", "all"])
+    assert code == 0 and text.count("PASS") == 5
+    assert "PASS oracle: closed forms, rational pipeline, tabulated values\n" in text
+    assert len(calls) == 1  # the oracle suite compares the data the ring was built from
+
+
+def test_the_oracle_suite_builds_each_sphere_closed_form_once(monkeypatch):
+    calls, real = [], oracles.s2_closed_form
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(cli, "s2_closed_form", counted)
+    monkeypatch.setattr(oracles, "s2_closed_form", counted)  # expected_results' own
+    argv = ["verify", "--manifold", "builtin:s2", "--prime", "3", "--suite", "oracle"]
+    assert run_cli(argv) == (0, "PASS oracle: closed forms, rational pipeline, tabulated values\n")
+    assert sorted(calls) == [3, 3, 5, 7, 11]  # the sphere block's four, expected_results' one
 
 
 def _product(left, right, q, basis, coeff):
@@ -639,9 +664,7 @@ def test_verify_constancy_reports_an_entry_on_a_dead_slot(monkeypatch):
         row = list(endo.rows.get((0, 1), (0,) * (endo.trunc + 1)))
         row[2] = 1  # 1 -> h at q^2 needs t^-2 in degree 6
         rows = dict(sorted({**endo.rows, (0, 1): tuple(row)}.items()))
-        dead = GradedEndomorphism._trusted(
-            ring, endo.degree, endo.trunc, rows, endo.taint_rows, [None]
-        )
+        dead = GradedEndomorphism._trusted(ring, endo.degree, endo.trunc, rows, endo.taint_rows)
         return dead, report
 
     monkeypatch.setattr(cli, "solve_qsigma", with_dead_entry)

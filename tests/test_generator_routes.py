@@ -161,7 +161,8 @@ def test_reach_matches_the_taint_rules_it_replaced(p):
             for taint in sets:
                 assert _reach(taint, nabla, trunc) == _step_taint_reference(taint, a, ring, trunc)
                 zero = zero_element(ring, trunc)
-                assert solver._divisor_step(a_name, zero, taint, ring, trunc) == (
+                word = [(1, 0, (a_name, a_name))]  # QSigma_a of the leaf
+                assert solver._word_sum(word, lambda _: (zero, taint), ring, trunc) == (
                     zero, _push_taint_reference(taint, sigma_a, trunc)
                 )
                 terms = {}

@@ -119,6 +119,8 @@ def test_multiplication_matrix_s2():
         (lambda ring: multiplication_endo(basis_class(ring, "h_2", 3)
                                           + basis_class(ring, "h_4", 3)),
          ValueError, "multiplication by an inhomogeneous element"),
+        (lambda ring: multiplication_endo(zero_element(ring, 2)), ValueError,
+         "multiplication by the zero element needs a degree"),
         (lambda ring: multiplication_endo(element_from_terms(ring, 3, {1: {(0, 0, 1): 1}})),
          ValueError, "theta term in multiplication endomorphism"),
         (lambda ring: ring.steenrod_of(basis_class(ring, "h_2", 3).times_monomial(q=1)),
@@ -127,7 +129,8 @@ def test_multiplication_matrix_s2():
          ValueError, "St is defined for q,t-free classes"),
     ],
     ids=["mixed truncations", "negative q shift", "theta exponent", "negative q",
-         "inhomogeneous multiplier", "theta multiplier", "St of a q-term", "St of a t-term"],
+         "inhomogeneous multiplier", "zero multiplier", "theta multiplier", "St of a q-term",
+         "St of a t-term"],
 )
 def test_element_input_checks_name_the_cause(call, error, message):
     with pytest.raises(error) as info:

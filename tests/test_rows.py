@@ -317,11 +317,12 @@ def _reachable(obj):
 def test_a_cache_entry_holds_no_ring():
     ring = builtin_ring("quadric_intersection", 5)
     s, _ = solve_qsigma("h_2", ring)
-    assert s.entries and s.column("1")  # the view, built on first use, is shared with the cache
-    assert isinstance(s.taint, frozenset)  # and so is the taint view
+    assert s.entries and s.column("1")  # the views, built on first use, stay on the operator
+    assert isinstance(s.taint, frozenset)
     (entry,) = ring._solved.values()
+    assert len(entry) == 3  # rows, taint bit rows, report
     held = {type(x) for x in _reachable(entry)}
-    assert MappingProxyType in held and held <= {
+    assert SolveReport in held and held <= {
         tuple, dict, frozenset, list, int, str, MappingProxyType, SolveReport
     }
     assert not any(isinstance(x, (QuantumRing, GradedEndomorphism)) for x in _reachable(entry))

@@ -657,18 +657,19 @@ def test_solve_cache_hit_skips_normalisation(monkeypatch):
     assert hit == first
 
 
-def test_entries_view_is_built_once_per_cache_key():
+def test_entries_view_is_built_once_per_operator():
     ring = builtin_ring("cubic_surface", 3)
     first, _ = solve_qsigma("h_2", ring)
-    assert first._view == [None]  # built on first use, not by the solve
+    assert first._view is None  # built on first use, not by the solve
     first.column("1")
-    assert first._view == [None]  # application reads the rows
+    first.apply(basis_class(ring, "h_2", 2))
+    assert first._view is None  # application reads the rows
     view = first.entries
-    for _ in range(3):
-        hit, _ = solve_qsigma("h_2", ring)
-        assert hit.entries is view
+    assert first.entries is view
+    hit, _ = solve_qsigma("h_2", ring)
+    assert hit._view is None and hit.entries == view  # a cache hit is a new operator
     low, _ = solve_qsigma("h_2", ring, 2)
-    assert low.entries is not view and solve_qsigma("h_2", ring, 2)[0].entries is low.entries
+    assert low._view is None and solve_qsigma("h_2", ring, 2)[0].entries == low.entries
     with pytest.raises(TypeError):
         view[(0, 0, 0)] = 1
     with pytest.raises(AttributeError, match="read-only"):
@@ -1945,6 +1946,7 @@ def test_ungraded_q2_product_is_named():
         lambda ring: tzero_layer("h_2", ring, -1),
         lambda ring: initial_layer("h_2", ring, -1),
         lambda ring: identity_endo(ring, -1),
+        lambda ring: GradedEndomorphism(ring, 4, -1, {(0, 1, 0): 1}),
         lambda ring: multiplication_endo(basis_class(ring, "h_2", 3), -1),
         lambda ring: multiplication_matrix("h_2", ring, -1),
         lambda ring: basis_class(ring, "h_2", -1),
@@ -1962,6 +1964,7 @@ def test_ungraded_q2_product_is_named():
         "tzero_layer",
         "initial_layer",
         "identity_endo",
+        "GradedEndomorphism",
         "multiplication_endo",
         "multiplication_matrix",
         "basis_class",

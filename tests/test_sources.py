@@ -93,3 +93,12 @@ def test_only_the_sweep_and_the_re_check_read_the_divisor_map():
     calls = {call for path in SOURCES for call in _calls(path, {"_divisor_map"})}
     assert calls <= {("solver.py", name) for name in DIVISOR_MAP_CALLERS}, calls
     assert ("solver.py", "verify_covariant_constancy") in calls  # the walk sees the calls
+
+
+# The generator strategy evaluates divisor words one way: _word_sum is the only
+# caller of qsigma_apply, and both generator routes go through it.
+def test_only_the_word_evaluator_applies_qsigma():
+    calls = {call for path in SOURCES for call in _calls(path, {"qsigma_apply"})}
+    assert calls == {("solver.py", "_word_sum")}, calls
+    routes = {call for path in SOURCES for call in _calls(path, {"_word_sum"})}
+    assert routes == {("solver.py", "qst_auto"), ("solver.py", "qst_via_generators")}, routes
