@@ -326,14 +326,18 @@ class EquivariantComplex:
 
     def _orbit_sums(self, weights):
         """{name: sum_j weights[j] sigma^j name} for every basis name."""
-        sigma, out = self.cpx.sigma, {}
-        for name, _ in self.cpx.basis:
-            vec, acc = {name: 1}, {}
-            for w in weights:
-                acc = _combine((acc, 1), (vec, w), mod=self.p)
-                vec = _combine(*((sigma.get(n, {}), c) for n, c in vec.items()), mod=self.p)
-            out[name] = acc
-        return out
+        sigma, p = self.cpx.sigma, self.p
+        step = lambda vec: _combine(*((sigma.get(n, {}), c) for n, c in vec.items()), mod=p)
+        return {name: self._power_sum({name: 1}, step, weights) for name, _ in self.cpx.basis}
+
+    def _power_sum(self, vec, step, weights):
+        """sum_j weights[j] step^j(vec), one step at a time, added up in place."""
+        acc = {}
+        for w in weights:
+            for n, c in vec.items():
+                _add(acc, n, c * w, self.p)
+            vec = step(vec)
+        return acc
 
     def _image(self, *parts):
         """The sum of s * vec t^dk theta^eps over parts (vec, dk, eps, s)."""
@@ -420,10 +424,10 @@ def homotopy_check(p):
         after, add, weighted = eq._compose, eq._table_sum, eq._weighted
         d, h, sigma, t, square = eq._d, eq._h, eq._sigma, eq._t, after(eq._theta, eq._theta)
         big_h = h
-        for _ in range(p - 3):
-            big_h = add((after(sigma, big_h), 1), (big_h, -1))
-        if p > 2:
-            big_h = add((after(sigma, big_h), -1))
+        if p > 2:  # H = u h, u = sum_m -c_m sigma^(m+1), (sigma - 1)^(p-3) = sum_m c_m sigma^m
+            weights = [0] + [-c for c in _binom_sigma_power(p - 3, p)[:-1]]
+            u = {(n, e): eq._power_sum({(n, 0, e): 1}, eq.sigma, weights) for n, e in sigma}
+            big_h = after(u, h)
         report[label] = {
             "d_eq_squared_zero": not any(after(d, d).values()),
             "sigma_t_homotopic_to_t": add((after(d, h), 1), (after(h, d), 1))

@@ -35,7 +35,9 @@ from .ring import (
     CohomologyElement, _check_compatible, _class_product, _reduced_pieces, basis_class,
     zero_element,
 )
-from .series import _check_truncation, _format_terms, _pack, _slot_bytes, _unpack
+from .series import (
+    _check_truncation, _format_terms, _label_formats, _labels, _pack, _slot_bytes, _unpack,
+)
 
 
 def kappa(ring, g, i, j, d):
@@ -180,6 +182,8 @@ class GradedEndomorphism:
     """
 
     def __init__(self, ring, degree, trunc, entries=None, taint=frozenset()):
+        if trunc is None:
+            raise ValueError("the q-truncation must be non-negative, got trunc=None")
         _check_truncation(trunc)
         masks = {}
         for i, j, d in taint:
@@ -450,25 +454,18 @@ def equal_on_untainted(s1, s2):
     return a == b
 
 
-def _series_rows(s):
-    """s's rows as {(i, j): [((d, t, 0), c)]} over the nonzero c, t the forced kappa."""
-    degrees, half = s.ring._degrees, s.ring.q_degree // 2
-    out = {}
-    for (i, j), row in s.rows.items():
-        top = (s.degree + degrees[i] - degrees[j]) // 2  # kappa at q^0
-        out[i, j] = [((d, top - half * d, 0), c) for d, c in enumerate(row) if c]
-    return out
-
-
 def format_endo(s):
-    """Grouped (from -> to) listing, each (i, j) series as format_series renders it,
-    all in one _format_terms call."""
-    names = [b.name for b in s.ring.basis]
-    rows = _series_rows(s)
-    lines = [
-        "  (%s -> %s) = %s" % (names[i], names[j], text)
-        for (i, j), text in zip(rows, _format_terms(rows.values(), s.ring.prime))
-    ]
+    """Grouped (from -> to) listing, each row rendered as format_series renders its series;
+    the labels of the rows with one t-exponent at q^0 are built once."""
+    ring, formats, labels, lines = s.ring, _label_formats(0, ""), {}, []
+    basis, degrees, half, count = ring.basis, ring._degrees, ring.q_degree // 2, s.trunc + 1
+    for (i, j), row in s.rows.items():
+        top = (s.degree + degrees[i] - degrees[j]) // 2  # the t-exponent at q^0
+        if top not in labels:
+            ts = range(top, top - half * count, -half)
+            labels[top] = _labels(formats, range(count), ts, [1] * count)  # any row of this top
+        lines.append("  (%s -> %s) = %s" % (basis[i].name, basis[j].name,
+                                            _format_terms(ring.prime, row, labels[top])))
     if s.taint_rows:
         lines.append("taint:")
         lines += ["  " + text for text in _taint_texts(s)]

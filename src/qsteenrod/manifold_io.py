@@ -5,15 +5,15 @@ the prime is applied at load time, so one file serves every prime.  Unknown
 fields are rejected.  Result files echo their inputs and list matrix/vector
 entries and taint slots, in the stdlib json.dumps(data, sort_keys=True,
 indent=2) layout that dump_result writes.  compute writes the same bytes
-straight from an operator's rows and taint rows, or a QSt element's terms:
-one fixed % layout per row and each class name JSON-encoded once.
+row by row from an operator's rows and taint rows or a QSt element's rows:
+a row's _ROW_LAYOUTS layout takes its class names once, then one % a term.
 """
 
 import json
 
-from .endo import _bits, _series_rows
+from .endo import _bits
 from .errors import ManifoldFormatError
-from .ring import QuantumRing, _class_terms
+from .ring import QuantumRing, _class_rows
 
 
 # The fields of each kind of object and their types.  Types are exact: an
@@ -183,34 +183,41 @@ _RESULT_FIELDS = {
 
 
 # A result row and a taint row, keys sorted, as json.dumps(data, sort_keys=True,
-# indent=2) lays them out: a class name as %s (JSON-encoded), the rest %d
+# indent=2) lays them out.  % fills a row's layout once with its class names (%s,
+# JSON-encoded, % escaped) and a term row's theta, and that once per term or slot
 _ROW_LAYOUTS = {
-    kind: "{" + ",".join('\n      "%s": %%%s' % (k, "s" if k in ("from", "to") else "d")
-                         for k in keys) + "\n    }"
+    kind: "{" + ",".join('\n      "%s": %s' % (k, {"from": "%s", "to": "%s", "theta": "%d"}.get(
+        k, "%%d")) for k in keys) + "\n    }"
     for kind, keys in (("term", ("coeff", "from", "q", "t", "theta", "to")),
                        ("slot", ("from", "q", "to")))
 }
 
 
 def _endo_result_text(endo, meta, report):
-    """compute's result file for an operator, written from its rows and taint rows,
-    each t-exponent the one the degrees force (_series_rows)."""
-    names = [json.dumps(b.name) for b in endo.ring.basis]
-    term, slot = _ROW_LAYOUTS["term"], _ROW_LAYOUTS["slot"]
-    terms = [term % (c, names[i], d, t, 0, names[j])
-             for (i, j), row in _series_rows(endo).items() for (d, t, _), c in row]
-    slots = [slot % (names[i], d, names[j]) for (i, j), m in endo.taint_rows.items()
-             for d in _bits(m)]
+    """compute's result file for an operator, written row by row from its rows and taint
+    rows, each t-exponent the one the degrees force."""
+    names = [json.dumps(b.name).replace("%", "%%") for b in endo.ring.basis]
+    degrees, half, terms = endo.ring._degrees, endo.ring.q_degree // 2, []
+    for (i, j), row in endo.rows.items():
+        layout = _ROW_LAYOUTS["term"] % (names[i], 0, names[j])
+        top = (endo.degree + degrees[i] - degrees[j]) // 2  # the t-exponent at q^0
+        terms += [layout % (c, d, top - half * d) for d, c in enumerate(row) if c]
+    slots = [layout % d for (i, j), m in endo.taint_rows.items()
+             for layout in [_ROW_LAYOUTS["slot"] % (names[i], names[j])] for d in _bits(m)]
     return _result_text(meta, endo.trunc, endo.degree, report, terms, slots)
 
 
 def _element_result_text(elem, taint, meta, degree, trunc):
-    """compute's result file for QSt: the element's terms and tainted (j, d), each row from 1."""
-    names = [json.dumps(b.name) for b in elem.ring.basis]
-    term, slot = _ROW_LAYOUTS["term"], _ROW_LAYOUTS["slot"]
-    terms = [term % (c, '"1"', q, t, theta, names[k]) for k, ts in _class_terms(elem).items()
-             for (q, t, theta), c in ts]
-    slots = [slot % ('"1"', d, names[j]) for j, d in sorted(taint)]
+    """compute's result file for QSt: the element's terms, row by row in _class_rows order,
+    and tainted (j, d), each row from 1."""
+    names = [json.dumps(b.name).replace("%", "%%") for b in elem.ring.basis]
+    half, terms = elem.ring.q_degree // 2, []
+    for k, rows in _class_rows(elem).items():
+        layouts = [_ROW_LAYOUTS["term"] % ('"1"', h, names[k]) for _, h, _ in rows]
+        texts = [[layout % (c, q, top - half * q) if c else "" for q, c in enumerate(row)]
+                 for layout, (top, _, row) in zip(layouts, rows)]
+        terms += [text for ts in zip(*texts) for text in ts if text]
+    slots = [_ROW_LAYOUTS["slot"] % ('"1"', names[j]) % d for j, d in sorted(taint)]
     return _result_text(meta, trunc, degree, None, terms, slots)
 
 

@@ -24,7 +24,8 @@ from types import MappingProxyType
 from .errors import MissingSteenrodData, MixedContext, NotDivisor
 from .fp import require_prime
 from .series import (
-    Monomial, SeriesElement, _check_truncation, _format_terms, _pack, _slot_bytes, _unpack,
+    Monomial, SeriesElement, _check_truncation, _format_terms, _label_formats, _labels, _pack,
+    _slot_bytes, _unpack,
 )
 
 _SEE_RING = "; see verify --suite ring"  # ends _graded_sc's error; verify_ring drops it
@@ -396,12 +397,18 @@ def _reduced_pieces(acc, p):
 
 def _class_terms(x):
     """x's nonzero terms ((q, t, theta), c) by class, {k: sorted list}, in basis order."""
-    degrees, half, out = x.ring._degrees, x.ring.q_degree // 2, {}
+    half = x.ring.q_degree // 2
+    return {k: sorted(((q, top - half * q, h), c) for top, h, row in rows
+                      for q, c in enumerate(row) if c) for k, rows in _class_rows(x).items()}
+
+
+def _class_rows(x):
+    """x's rows by class, {k: [(t-exponent at q^0, theta, row)]} in basis order, each class's
+    rows in that order: read q-order by q-order, they give the terms in (q, t, theta) order."""
+    degrees, out = x.ring._degrees, {}
     for (g, h), rows in x.pieces.items():
         for k, row in rows.items():
-            top = (g - degrees[k]) // 2  # the t-exponent at q^0
-            out.setdefault(k, []).extend(((q, top - half * q, h), c)
-                                         for q, c in enumerate(row) if c)
+            out.setdefault(k, []).append(((g - degrees[k]) // 2, h, row))
     return {k: sorted(out[k]) for k in sorted(out)}
 
 
@@ -601,8 +608,12 @@ def verify_ring(ring):
 
 
 def format_element(v):
-    """Deterministic text form: basis order, then q, then t."""
-    texts = [_format_terms([terms], v.ring.prime, v.ring.basis[k].name)[0]
-             for k, terms in _class_terms(v).items()]
-    tail = ["- " + text[1:] if text[0] == "-" else "+ " + text for text in texts[1:]]
-    return " ".join(texts[:1] + tail) or "0"
+    """Deterministic text form: basis order, then q, then t, then theta (_class_rows)."""
+    ring, coeffs, labels = v.ring, [], []
+    half, count = ring.q_degree // 2, (v.trunc or 0) + 1
+    for k, rows in _class_rows(v).items():
+        texts = [_labels(_label_formats(h, ring.basis[k].name), range(count),
+                         range(top, top - half * count, -half), row) for top, h, row in rows]
+        coeffs += [c for cs in zip(*(row for _, _, row in rows)) for c in cs]
+        labels += [label for ls in zip(*texts) for label in ls]
+    return _format_terms(ring.prime, coeffs, labels)

@@ -189,39 +189,40 @@ def format_series(x, unit=""):
     With unit="h" renders terms like "q*t*h - t^2*h"; with unit="" renders
     scalar series like "q - t^2".
     """
-    return _format_terms([[(m, x.terms[m]) for m in sorted(x.terms)]], x.prime, unit)[0]
+    formats, monos = [_label_formats(theta, unit) for theta in (0, 1)], sorted(x.terms)
+    labels = [label for m in monos for label in _labels(formats[m.theta], [m.q], [m.t], [1])]
+    return _format_terms(x.prime, [x.terms[m] for m in monos], labels)
 
 
-# p -> {c mod p: (sign as the first term, sign after one, "|b|*" or "" for
-# |b| = 1, "|b|")}, b = fp.balanced(c, p), filled as coefficients are read
+def _label_formats(theta, unit):
+    """Nine % formats of (q, t) for the labels q^q*t^t*th*unit at theta, by 3 * q's kind + t's,
+    an exponent's kind 0, 1 or 2 for 0, 1 or any other; %.0s takes one a label omits."""
+    tail = "*".join(filter(None, ("th" if theta else "", unit.replace("%", "%%"))))
+    return ["%.0s" * (a < 2) + "*".join(filter(None, (("", "q", "q^%d")[a], ("", "t", "t^%d")[b],
+                                                      tail))) + "%.0s" * (b < 2)
+            for a in range(3) for b in range(3)]
+
+
+def _labels(formats, qs, ts, cs):
+    """The labels at q-exponents qs and t-exponents ts, one % format each; "" where cs is 0."""
+    return [formats[3 * (q > 0) + 3 * (q > 1) + (t != 0) + (t < 0 or t > 1)] % (q, t) if c
+            else "" for q, t, c in zip(qs, ts, cs)]
+
+
+# p -> (scaled, alone): the text of each residue c as a term after the first, before a
+# label ("+ 2*", "- " for b = -1) and without one ("+ 2", "- 1"), b = fp.balanced(c, p)
 _COEFFICIENT_TEXTS = {}
 
 
-def _format_terms(rows, p, unit=""):
-    """format_series of each row of nonzero ((q, t, theta), c) pairs, in the order given.
-
-    The one term formatter: each coefficient's text comes from the prime's
-    _COEFFICIENT_TEXTS, each monomial's label from a memo the rows share.
-    """
-    table, labels, texts = _COEFFICIENT_TEXTS.setdefault(p, {}), {}, []
-    for terms in rows:
-        parts = []
-        for mono, c in terms:
-            coeff = table.get(c % p)
-            if coeff is None:
-                b = balanced(c, p)
-                sign = ("", "+ ") if b > 0 else ("-", "- ")
-                coeff = table[c % p] = sign + ("" if abs(b) == 1 else "%d*" % abs(b), str(abs(b)))
-            label = labels.get(mono)
-            if label is None:
-                q, t, theta = mono
-                label = labels[mono] = "*".join(filter(None, (
-                    "q" if q == 1 else "q^%d" % q if q else "",
-                    "t" if t == 1 else "t^%d" % t if t else "",
-                    "th" if theta else "",
-                    unit,
-                )))
-            first, after, scale, alone = coeff
-            parts.append((after if parts else first) + (scale + label if label else alone))
-        texts.append(" ".join(parts) or "0")
-    return texts
+def _format_terms(p, coeffs, labels):
+    """The terms c * labels[n] over the nonzero residues c = coeffs[n], as format_series
+    lays them out; "0" when there are none.  The one term renderer."""
+    if p not in _COEFFICIENT_TEXTS:
+        signs = [("+ " if b > 0 else "- ", abs(b)) for b in map(balanced, range(p), [p] * p)]
+        _COEFFICIENT_TEXTS[p] = ([s + ("%d*" % b if b != 1 else "") for s, b in signs],
+                                 [s + str(b) for s, b in signs])
+    scaled, alone = _COEFFICIENT_TEXTS[p]
+    parts = [scaled[c] + label if label else alone[c] for c, label in zip(coeffs, labels) if c]
+    if parts:
+        parts[0] = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
+    return " ".join(parts) or "0"

@@ -1,0 +1,55 @@
+"""One sha256 per (manifold, prime, op, format) of what ``qsteenrod compute`` writes.
+
+Each line reads ``MANIFOLD p=PRIME OP FORMAT DIGEST``: DIGEST is 16 hex digits
+of a sha256 over, for every class of the built-in manifold in basis order, the
+class name, the exit code, standard output and standard error of
+
+    compute --manifold builtin:MANIFOLD --prime PRIME --class CLASS --op OP --format FORMAT
+
+for OP in qst, qsigma and qpi:DIVISOR for each divisor.  A diff of two runs
+names what moved.  Run from the root of a source checkout:
+
+    PYTHONPATH=src python tests/output_digests.py > tests/golden/output_digests.txt
+
+Arguments, if given, are the primes to run (default: the whole ladder).
+tests/test_output_digests.py compares the lines at p <= 31 with the golden.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+
+from qsteenrod.cli import main
+from qsteenrod.oracles import builtin_manifold
+
+MANIFOLDS = ("s2", "cubic_surface", "quadric_intersection")
+PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 211)
+
+
+def digest_lines(primes=PRIMES):
+    """The lines for every built-in manifold at each prime, manifold-major."""
+    lines = []
+    for name in MANIFOLDS:
+        data = builtin_manifold(name)
+        classes = [b["name"] for b in data["basis"]]
+        ops = ["qst", "qsigma"] + ["qpi:" + d["name"] for d in data["divisors"]]
+        for p in primes:
+            for op in ops:
+                for fmt in ("text", "json"):
+                    h = hashlib.sha256()
+                    for cls in classes:
+                        out, err = io.StringIO(), io.StringIO()
+                        argv = ["compute", "--manifold", "builtin:" + name, "--prime", str(p),
+                                "--class", cls, "--op", op, "--format", fmt]
+                        with contextlib.redirect_stderr(err):
+                            code = main(argv, out=out)
+                        for part in (cls, str(code), out.getvalue(), err.getvalue()):
+                            h.update(part.encode() + b"\0")
+                    lines.append("%s p=%d %s %s %s" % (name, p, op, fmt, h.hexdigest()[:16]))
+    return lines
+
+
+if __name__ == "__main__":
+    primes = [int(a) for a in sys.argv[1:]] or PRIMES
+    print("\n".join(digest_lines(primes)))

@@ -210,6 +210,23 @@ def test_verify_cells_applies_product_boundary_only_to_the_relations(monkeypatch
     assert len(calls) <= 8
 
 
+def test_verify_cells_composes_a_bounded_number_of_tables(monkeypatch):
+    # H = -sigma (sigma - 1)^(p-3) h is one composition after a sum of sigma powers, each
+    # column walked one cell at a time: not p - 3 compositions on columns that grow to p cells
+    p, calls, cells_read = 101, {"_compose": 0, "_apply": 0}, []
+    for name in calls:
+        def counting(self, table, chain, _name=name, _real=getattr(EquivariantComplex, name)):
+            calls[_name] += 1
+            if _name == "_apply":
+                cells_read.append(len(chain))
+            return _real(self, table, chain)
+
+        monkeypatch.setattr(EquivariantComplex, name, counting)
+    assert verify_cells(p, 3) == []
+    assert calls["_compose"] <= p
+    assert sum(cells_read) <= 40 * p * p  # 26 p^2 here, 167 p^2 with p - 3 compositions
+
+
 def test_verify_cells_rejects_a_cap_below_two():
     # below 2 the battery reaches no t-degree-2 identity at t^0, and below 0 nothing at all
     for cap in (1, 0, -5):

@@ -14,12 +14,15 @@ import pytest
 
 from qsteenrod import cli, manifold_io
 from qsteenrod.cli import main
-from qsteenrod.endo import GradedEndomorphism, format_endo, qpi
+from qsteenrod.endo import GradedEndomorphism, _bits, _taint_texts, format_endo, qpi
 from qsteenrod.fp import balanced
-from qsteenrod.manifold_io import _endo_result_text, dump_result, load_result
+from qsteenrod.manifold_io import (
+    _element_result_text, _endo_result_text, _result_text, dump_result, load_manifold,
+    load_result, ring_from_data,
+)
 from qsteenrod.oracles import builtin_ring
-from qsteenrod.ring import format_element
-from qsteenrod.series import _format_terms, format_series, series
+from qsteenrod.ring import _class_terms, element_from_terms, format_element
+from qsteenrod.series import _format_terms, _label_formats, _labels, format_series, series
 from qsteenrod.solver import qst_auto, solve_qsigma
 
 BUILTINS = ("s2", "cubic_surface", "quadric_intersection")
@@ -97,6 +100,95 @@ def _reference_rows(s):
          "coeff": s.entries[(i, j, d)]}
         for (i, j, d) in sorted(s.entries)
     ]
+
+
+# -- the renderers as they were before rows were rendered one at a time -----------
+# One batch term formatter with a label memo and a coefficient dict per prime,
+# format_endo over (i, j) term lists, format_element class by class, and the
+# result writers with one % layout per term, all names substituted per term.
+
+_OLD_COEFFICIENT_TEXTS = {}
+
+
+def _old_format_terms(rows, p, unit=""):
+    table, labels, texts = _OLD_COEFFICIENT_TEXTS.setdefault(p, {}), {}, []
+    for terms in rows:
+        parts = []
+        for mono, c in terms:
+            coeff = table.get(c % p)
+            if coeff is None:
+                b = balanced(c, p)
+                sign = ("", "+ ") if b > 0 else ("-", "- ")
+                coeff = table[c % p] = sign + ("" if abs(b) == 1 else "%d*" % abs(b), str(abs(b)))
+            label = labels.get(mono)
+            if label is None:
+                q, t, theta = mono
+                label = labels[mono] = "*".join(filter(None, (
+                    "q" if q == 1 else "q^%d" % q if q else "",
+                    "t" if t == 1 else "t^%d" % t if t else "",
+                    "th" if theta else "",
+                    unit,
+                )))
+            first, after, scale, alone = coeff
+            parts.append((after if parts else first) + (scale + label if label else alone))
+        texts.append(" ".join(parts) or "0")
+    return texts
+
+
+def _old_series_rows(s):
+    degrees, half = s.ring._degrees, s.ring.q_degree // 2
+    out = {}
+    for (i, j), row in s.rows.items():
+        top = (s.degree + degrees[i] - degrees[j]) // 2
+        out[i, j] = [((d, top - half * d, 0), c) for d, c in enumerate(row) if c]
+    return out
+
+
+def _old_format_endo(s):
+    names = [b.name for b in s.ring.basis]
+    rows = _old_series_rows(s)
+    lines = [
+        "  (%s -> %s) = %s" % (names[i], names[j], text)
+        for (i, j), text in zip(rows, _old_format_terms(rows.values(), s.ring.prime))
+    ]
+    if s.taint_rows:
+        lines.append("taint:")
+        lines += ["  " + text for text in _taint_texts(s)]
+    return "\n".join(lines)
+
+
+def _old_format_element(v):
+    texts = [_old_format_terms([terms], v.ring.prime, v.ring.basis[k].name)[0]
+             for k, terms in _class_terms(v).items()]
+    tail = ["- " + text[1:] if text[0] == "-" else "+ " + text for text in texts[1:]]
+    return " ".join(texts[:1] + tail) or "0"
+
+
+_OLD_ROW_LAYOUTS = {
+    kind: "{" + ",".join('\n      "%s": %%%s' % (k, "s" if k in ("from", "to") else "d")
+                         for k in keys) + "\n    }"
+    for kind, keys in (("term", ("coeff", "from", "q", "t", "theta", "to")),
+                       ("slot", ("from", "q", "to")))
+}
+
+
+def _old_endo_result_text(endo, meta, report):
+    names = [json.dumps(b.name) for b in endo.ring.basis]
+    term, slot = _OLD_ROW_LAYOUTS["term"], _OLD_ROW_LAYOUTS["slot"]
+    terms = [term % (c, names[i], d, t, 0, names[j])
+             for (i, j), row in _old_series_rows(endo).items() for (d, t, _), c in row]
+    slots = [slot % (names[i], d, names[j]) for (i, j), m in endo.taint_rows.items()
+             for d in _bits(m)]
+    return _result_text(meta, endo.trunc, endo.degree, report, terms, slots)
+
+
+def _old_element_result_text(elem, taint, meta, degree, trunc):
+    names = [json.dumps(b.name) for b in elem.ring.basis]
+    term, slot = _OLD_ROW_LAYOUTS["term"], _OLD_ROW_LAYOUTS["slot"]
+    terms = [term % (c, '"1"', q, t, theta, names[k]) for k, ts in _class_terms(elem).items()
+             for (q, t, theta), c in ts]
+    slots = [slot % ('"1"', d, names[j]) for j, d in sorted(taint)]
+    return _result_text(meta, trunc, degree, None, terms, slots)
 
 
 def _stdlib_dump(data):
@@ -223,8 +315,14 @@ def test_format_terms_equals_the_per_term_rule(p, unit):
     rows.append([((0, 0, 0), 1)])
     rows.append([((0, 0, 0), -1), ((0, 0, 1), 1), ((2, -1, 1), -1)])
     want = [_reference_terms(row, p, unit) for row in rows]
-    assert _format_terms(rows, p, unit) == want  # one call, one shared label memo
-    assert [_format_terms([row], p, unit)[0] for row in rows] == want
+    assert [_old_format_terms([row], p, unit)[0] for row in rows] == want
+    formats = [_label_formats(theta, unit) for theta in (0, 1)]
+    for row, text in zip(rows, want):
+        labels = [_labels(formats[theta], [q], [t], [1])[0] for (q, t, theta), _ in row]
+        assert _format_terms(p, [c % p for _, c in row], labels) == text
+        # zero residues between the terms are skipped
+        padded = [x for (_, c), label in zip(row, labels) for x in ((0, "q"), (c % p, label))]
+        assert _format_terms(p, [c for c, _ in padded], [label for _, label in padded]) == text
     for row in rows:
         x = series(p, 5, [(q, t, theta, c) for (q, t, theta), c in row])
         assert format_series(x, unit) == _reference_series(x, unit)
@@ -241,6 +339,51 @@ def test_format_endo_and_format_element_are_unchanged_on_every_builtin(p):
                 assert format_endo(endo) == _reference_endo(endo)
             elem, _, _ = qst_auto(b.name, ring)
             assert format_element(elem) == _reference_element(elem)
+
+
+# a class name that JSON escapes and % formats would read: %d, a quote, a backslash,
+# a newline, a tab and a non-ASCII letter
+_ODD_NAME = 'h%d"\\\n\té'
+
+
+def _odd_sphere(tmp_path, p):
+    """The exported s2 with h renamed _ODD_NAME, at p."""
+    path = tmp_path / "s2.json"
+    assert main(["export", "--manifold", "builtin:s2", "--out", str(path)], out=io.StringIO()) == 0
+    text = path.read_text().replace('"h"', json.dumps(_ODD_NAME))
+    return ring_from_data(load_manifold(text), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 211])
+def test_renderers_match_the_old_ones_on_a_class_named_with_escapes(p, tmp_path):
+    ring = _odd_sphere(tmp_path, p)
+    assert [b.name for b in ring.basis] == ["1", _ODD_NAME]
+    meta = {"manifold": ring.name, "prime": p, "class": _ODD_NAME, "op": "qsigma"}
+    for b in ring.basis:
+        s, report = solve_qsigma(b.name, ring)
+        for endo in (s, qpi(_ODD_NAME, s)):
+            assert format_endo(endo) == _old_format_endo(endo)
+            text = _endo_result_text(endo, meta, report)
+            assert text == _old_endo_result_text(endo, meta, report)
+            assert {row["to"] for row in load_result(text)["result"]} <= {"1", _ODD_NAME}
+        elem, taint, _ = qst_auto(b.name, ring)
+        assert format_element(elem) == _old_format_element(elem)
+        args = (elem, taint, meta, p * b.degree, elem.trunc or 0)
+        assert _element_result_text(*args) == _old_element_result_text(*args)
+    # inhomogeneous elements: a class's terms come from several pieces, theta ones too
+    rng = random.Random(p)
+    for _ in range(20):
+        terms = {k: {(rng.randrange(5), rng.randrange(-3, 4), rng.randrange(2)): rng.randrange(p)
+                     for _ in range(rng.randrange(8))} for k in (0, 1)}
+        x = element_from_terms(ring, 4, terms)
+        assert format_element(x) == _old_format_element(x)
+        args = (x, {(1, 2), (0, 0)}, meta, 2, 4)
+        assert _element_result_text(*args) == _old_element_result_text(*args)
+    tainted = GradedEndomorphism(ring, 6, 2, {(0, 0, 0): 1, (0, 1, 1): 2, (1, 0, 2): p - 1},
+                                 {(1, 1, 1), (0, 0, 1)})
+    assert format_endo(tainted) == _old_format_endo(tainted)
+    assert (_endo_result_text(tainted, meta, report)
+            == _old_endo_result_text(tainted, meta, report))
 
 
 # -- qpi -----------------------------------------------------------------------------

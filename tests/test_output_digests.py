@@ -1,0 +1,20 @@
+"""compute's outputs at p <= 31 against the committed digests of tests/output_digests.py."""
+
+import time
+from pathlib import Path
+
+import output_digests
+
+GOLDEN = Path(__file__).parent / "golden" / "output_digests.txt"
+PRIMES = [p for p in output_digests.PRIMES if p <= 31]
+
+
+def test_compute_outputs_match_the_committed_digests():
+    want = [line for line in GOLDEN.read_text().splitlines()
+            if int(line.split()[1][len("p="):]) in PRIMES]
+    start = time.perf_counter()
+    got = output_digests.digest_lines(PRIMES)
+    elapsed = time.perf_counter() - start
+    assert got == want
+    assert len(got) == 3 * len(PRIMES) * 6  # each built-in has one divisor: 3 ops, 2 formats
+    assert elapsed < 3.0

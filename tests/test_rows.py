@@ -25,8 +25,9 @@ from qsteenrod.fp import fp_inv
 from qsteenrod.manifold_io import _endo_result_text, load_result
 from qsteenrod.oracles import builtin_ring
 from qsteenrod.ring import QuantumRing, element_from_terms
-from qsteenrod.series import Monomial, _format_terms, _pack, _slot_bytes, _unpack
+from qsteenrod.series import Monomial, _pack, _slot_bytes, _unpack
 from qsteenrod.solver import SolveReport, initial_layer, solve_qsigma, tzero_layer
+from test_output import _old_format_terms
 
 BUILTINS = ("s2", "cubic_surface", "quadric_intersection")
 
@@ -201,7 +202,7 @@ def _reference_format(s):
     rows = _reference_series_rows(s)
     lines = [
         "  (%s -> %s) = %s" % (names[i], names[j], text)
-        for (i, j), text in zip(rows, _format_terms(rows.values(), s.ring.prime))
+        for (i, j), text in zip(rows, _old_format_terms(rows.values(), s.ring.prime))
     ]
     if s.taint:
         lines.append("taint:")

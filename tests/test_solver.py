@@ -1981,3 +1981,10 @@ def test_negative_truncation_is_rejected_by_every_entry_point(call):
     with pytest.raises(ValueError, match="truncation must be non-negative, got trunc=-1"):
         call(ring)
     assert not ring._solved
+
+
+def test_an_operator_without_a_truncation_is_rejected():
+    ring = builtin_ring("cubic_surface", 2)
+    for entries in (None, {(0, 0, 0): 1}):
+        with pytest.raises(ValueError, match=r"truncation must be non-negative, got trunc=None"):
+            GradedEndomorphism(ring, 0, None, entries)
