@@ -1,4 +1,5 @@
-"""compute's outputs at p <= 31 against the committed digests of tests/output_digests.py."""
+"""compute's outputs and solve_qsigma's results at p <= 31 against the committed
+digests of tests/output_digests.py."""
 
 import time
 from pathlib import Path
@@ -16,5 +17,6 @@ def test_compute_outputs_match_the_committed_digests():
     got = output_digests.digest_lines(PRIMES)
     elapsed = time.perf_counter() - start
     assert got == want
-    assert len(got) == 3 * len(PRIMES) * 6  # each built-in has one divisor: 3 ops, 2 formats
+    # each built-in has one divisor: 3 ops in 2 formats, and 4 truncations of the solver
+    assert len(got) == 3 * len(PRIMES) * (6 + len(output_digests.TRUNCATIONS))
     assert elapsed < 3.0
