@@ -22,9 +22,13 @@ never guesses.
 A is built once per ring and divisor (_divisor_map), for the solve and its
 re-check: per block, the commutator X -> [X, A_e] as one list per flat slot
 s = i*n + j of the slots it touches (_ad_map), which both the values and the
-taint follow; and A's rows, packed.  Each q-order is a list of n^2 ints and
-its taint a bitmask with bit s set for a tainted slot s; a masked slot ORs
-in the bitmask of the slots its list names.  The operator's rows and taint
+taint follow; and A's rows, packed.  The values follow the lists through one
+generated function per (lists, sweep order), _compile_step: straight-line
+code, with the lists' coefficients as constants, that sets every slot of an
+invertible order from the orders before it, shared by all rings with equal
+lists.  Each q-order is a list of n^2 ints and its taint a bitmask with bit
+s set for a tainted slot s; a masked slot ORs in the bitmask of the slots
+its list names, and is zeroed after the step.  The operator's rows and taint
 bit rows (endo) are the transposes of the q-orders and their masks.  The
 residual re-check multiplies by A itself, with compose's packed product, so
 a fault in the commutator lists cannot cancel out; the slots it skips are
@@ -34,6 +38,8 @@ Both its routes, qst_via_generators and qst_auto's divisor peel, evaluate
 words in divisors in one _word_sum, and every q-shifted sum with its taint
 is one _shifted_sum.
 """
+
+import functools
 
 from .errors import InconsistentSeed, NegativePowerResidue, NotDivisor, NotGenerated, Record
 from .endo import (
@@ -111,7 +117,8 @@ def _divisor_map(ring, div):
     only, from one multiplication_matrix (whose product reader checks the
     grading, so block 0 raises degree by 2, as the sweep relies on):
     rows = {(i, j): row}, row[e] the q^e e_j coefficient of a * e_i, whose
-    supports the re-check reads; tables = {e: _ad_map(A_e)}, the sweep's;
+    supports the re-check reads; tables = {e: _ad_map(A_e)}, the sweep's
+    step and taint;
     A and -A, each row packed in k-byte slots, the re-check's values.
     """
     entry = ring._mult.get(div.index)
@@ -130,6 +137,57 @@ def _divisor_map(ring, div):
         tables = {e: _ad_map(blocks[e], n) for e in sorted(blocks)}
         entry = ring._mult[div.index] = (rows, tables, k, plus, minus)
     return entry
+
+
+_CHUNK = 500  # terms per statement: compiling one sum recurses once per term
+
+
+@functools.lru_cache(maxsize=64)
+def _compile_step(tables, order):
+    """One invertible q-order of the sweep as a generated straight-line function.
+
+    tables is _divisor_map's {e: _ad_map(A_e)} as (e, table) pairs, order the
+    flat slots by increasing shift; both depend only on the ring's table and
+    degrees, so rings built alike share one step.  Returns step(x_m, ..., x_1,
+    inv, p), x_e the n^2 values of order d - e (oldest first, m = max e), which
+    returns order d's values: in order, each slot s is set to
+
+        y_s = (sum -v x_e[s'] over (s, v) in table_e[s'], e >= 1
+               + sum -v y_s'' over (s, v) in table_0[s''])  * inv % p,
+
+    the coefficients v written in as constants (the cancelled ones, v = 0,
+    dropped).  [., A_0] raises the shift by 2, so every y_s'' a slot reads is
+    set before it.  A sum is split into statements of _CHUNK terms, since
+    CPython cannot compile one expression of a few thousand terms.
+    """
+    tables = dict(tables)
+    m = max(tables)
+    terms = [[] for _ in order]  # per slot, its "-v * name" products known so far
+    for e, table in tables.items():
+        if e:
+            for s, pairs in enumerate(table):
+                for t, v in pairs:
+                    if v:
+                        terms[t].append("%d * x%d_%d" % (-v, e, s))
+    lines = ["def step(%s):" % ", ".join(["x%d" % e for e in range(m, 0, -1)] + ["inv", "p"])]
+    lines += ["    %s, = x%d" % (", ".join("x%d_%d" % (e, s) for s in range(len(order))), e)
+              for e in sorted(tables) if e]
+    values = ["0"] * len(order)  # a slot no product reaches is 0
+    for s in order:
+        sums = [" + ".join(terms[s][i:i + _CHUNK]) for i in range(0, len(terms[s]), _CHUNK)]
+        if not sums:
+            continue
+        lines += ["    y%d %s= %s" % (s, "+" if i else "", part) for i, part in enumerate(sums[:-1])]
+        last = "y%d + %s" % (s, sums[-1]) if len(sums) > 1 else sums[-1]
+        lines.append("    y%d = (%s) * inv %% p" % (s, last))
+        values[s] = "y%d" % s
+        for t, v in tables[0][s]:
+            if v:
+                terms[t].append("%d * y%d" % (-v, s))
+    lines.append("    return [%s]" % ", ".join(values))
+    scope = {}
+    exec("\n".join(lines), scope)
+    return scope["step"]
 
 
 # -- seeds -------------------------------------------------------------------
@@ -224,7 +282,6 @@ def solve_qsigma(b, ring, trunc=None):
         return GradedEndomorphism._trusted(ring, g, trunc, rows, taint_rows), report
     n = len(ring.basis)
     tables = _divisor_map(ring, div)[1]
-    ad0 = tables[0]
     # Slot s = i*n + j has t-exponent exps[s] - (q_degree/2) d at order d:
     # live above that floor, a t^0 seed at it, dead below it.
     degrees = ring._degrees
@@ -232,12 +289,16 @@ def solve_qsigma(b, ring, trunc=None):
     order = sorted(range(n * n), key=exps.__getitem__, reverse=True)  # by increasing shift
     live_end, live = n * n, (1 << n * n) - 1  # order[:live_end] is live, live its bits
     reach = None  # per block, each slot's table as a bitmask; built when taint first spreads
+    step = _compile_step(tuple((e, tuple(table)) for e, table in tables.items()), tuple(order))
+    m = max(tables)  # the top block
 
     seeds = {i * n + j: c for (i, j, _), c in tzero_layer(b, ring, trunc).items()}  # one per slot
     x = [0] * (n * n)
     for (i, j), row in initial_layer(b, ring, 0).rows.items():  # q^0 only
         x[i * n + j] = row[0]
-    xs, masks = [x], [0]  # per order: its n^2 values, and its tainted slots as a bitmask
+    # per order: its n^2 values, and its tainted slots as a bitmask; m zero orders
+    # stand below q^0, so order d reads the m before it as xs[d:] and masks[d:]
+    xs, masks = [[0] * (n * n)] * m + [x], [0] * (m + 1)
     seed_checks = 0
     seeds_resolving = 0
 
@@ -246,37 +307,31 @@ def solve_qsigma(b, ring, trunc=None):
         while live_end and exps[order[live_end - 1]] <= floor:
             live_end -= 1
             live ^= 1 << order[live_end]
-        x = [0] * (n * n)
         mask = 0
         if (lam * d) % p:
-            # x = rhs = -sum_{e >= 1} [E_{d-e}, A_e]; then one sweep by
-            # increasing shift sets x_s = inv (rhs_s - [X, A_0]_s) in place,
-            # since [., A_0] raises the shift by 2.  The mask, the taint of
-            # the right-hand side closed under A_0, takes no value; a masked
-            # slot taints every slot its table lists.
-            for e, table in tables.items():
-                if 1 <= e <= d:
-                    for s, c in enumerate(xs[d - e]):
-                        if c:
-                            for t, v in table[s]:
-                                x[t] -= c * v
-                    if masks[d - e]:
-                        if reach is None:
-                            reach = {f: [sum(1 << t for t, _ in ts) for ts in tab]
-                                     for f, tab in tables.items()}
-                        for s in _bits(masks[d - e]):
-                            mask |= reach[e][s]
-            inv = fp_inv(lam * d, p)
-            for s in order:
-                if mask and mask >> s & 1:
-                    mask |= reach[0][s]
-                    x[s] = 0
-                    continue
-                c = x[s] = x[s] * inv % p
-                if c:
-                    for t, v in ad0[s]:
-                        x[t] -= c * v
+            # x_s = inv (rhs_s - [X, A_0]_s) by increasing shift, with
+            # rhs = -sum_{e >= 1} [E_{d-e}, A_e]: one call of the step
+            x = step(*xs[d:], fp_inv(lam * d, p), p)
+            if any(masks[d:]):
+                # The mask is the taint of the right-hand side closed under A_0
+                # by increasing shift: a masked slot taints every slot its table
+                # lists.  So the step carried a masked slot's value only into
+                # masked slots, and zeroing them all afterwards is exact.
+                if reach is None:
+                    reach = {f: [sum(1 << t for t, _ in ts) for ts in tab]
+                             for f, tab in tables.items()}
+                for e, tab in reach.items():
+                    if e:
+                        for s in _bits(masks[-e]):
+                            mask |= tab[s]
+                if mask:
+                    for s in order:
+                        if mask >> s & 1:
+                            mask |= reach[0][s]
+                    for s in _bits(mask):
+                        x[s] = 0
         else:  # undetermined: every slot (the dead ones hold 0)
+            x = [0] * (n * n)
             mask = (1 << n * n) - 1
         errors = []
         for s in order[live_end:]:  # the seeds, then the dead slots
@@ -305,11 +360,12 @@ def solve_qsigma(b, ring, trunc=None):
         xs.append(x)
         masks.append(mask & live)
 
-    rows = {divmod(s, n): row for s, row in enumerate(zip(*xs)) if any(row)}
+    rows = {divmod(s, n): row for s, row in enumerate(zip(*xs[m:])) if any(row)}
     bits = {}  # the per-order masks transposed: flat slot -> bit d set when tainted at q^d
-    for d, mask in enumerate(masks):
-        for s in _bits(mask):
-            bits[s] = bits.get(s, 0) | 1 << d
+    for d, mask in enumerate(masks[m:]):
+        if mask:
+            for s in _bits(mask):
+                bits[s] = bits.get(s, 0) | 1 << d
     taint_rows = {divmod(s, n): bits[s] for s in sorted(bits)}
     endo = GradedEndomorphism._trusted(ring, g, trunc, rows, taint_rows)
     checked, failures = _residuals(endo, ring)

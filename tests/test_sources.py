@@ -102,3 +102,15 @@ def test_only_the_word_evaluator_applies_qsigma():
     assert calls == {("solver.py", "_word_sum")}, calls
     routes = {call for path in SOURCES for call in _calls(path, {"_word_sum"})}
     assert routes == {("solver.py", "qst_auto"), ("solver.py", "qst_via_generators")}, routes
+
+
+# Each invertible q-order is solved by one step compiled from the divisor map's
+# commutator lists: only solve_qsigma builds and calls it, and code is compiled
+# with exec only there and in the records' constructors.
+def test_only_the_solver_calls_the_step_and_only_two_places_exec():
+    steps = {call for path in SOURCES for call in _calls(path, {"_compile_step"})}
+    assert steps == {("solver.py", "solve_qsigma")}, steps
+    solver_steps = set(_calls(SOURCES[0].with_name("solver.py"), {"step"}))
+    assert solver_steps == {("solver.py", "solve_qsigma")}, solver_steps
+    execs = {call for path in SOURCES for call in _calls(path, {"exec"})}
+    assert execs == {("errors.py", "Record.__init_subclass__"), ("solver.py", "_compile_step")}, execs
