@@ -7,7 +7,13 @@ class name, the exit code, standard output and standard error of
 
     compute --manifold builtin:MANIFOLD --prime PRIME --class CLASS --op OP --format FORMAT
 
-for OP in qst, qsigma and qpi:DIVISOR for each divisor.  The solver group
+for OP in qst, qsigma and qpi:DIVISOR for each divisor.  The verify group
+writes OP ``verify`` and FORMAT ``cap=3``: its digest is over the exit code,
+standard output and standard error of
+
+    verify --manifold builtin:MANIFOLD --prime PRIME --cap 3
+
+The solver group
 writes OP ``solve`` and FORMAT ``trunc=T`` for T in default, 0, 1 and 3: its
 digest is over, for every class, the class name and either the entries, taint
 and report of ``solve_qsigma(CLASS, ring, T)`` or the error it raised.  A diff
@@ -50,6 +56,14 @@ def _compute_parts(name, p, classes, op, fmt):
         yield from (cls, str(code), out.getvalue(), err.getvalue())
 
 
+def _verify_parts(name, p):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--manifold", "builtin:" + name, "--prime", str(p), "--cap", "3"]
+    with contextlib.redirect_stderr(err):
+        code = main(argv, out=out)
+    return str(code), out.getvalue(), err.getvalue()
+
+
 def _solve_parts(ring, classes, trunc):
     for cls in classes:
         try:
@@ -72,6 +86,7 @@ def digest_lines(primes=PRIMES):
             for op in ops:
                 for fmt in ("text", "json"):
                     lines.append(_line(name, p, op, fmt, _compute_parts(name, p, classes, op, fmt)))
+            lines.append(_line(name, p, "verify", "cap=3", _verify_parts(name, p)))
             ring = builtin_ring(name, p)
             for trunc in TRUNCATIONS:
                 fmt = "trunc=%s" % ("default" if trunc is None else trunc)

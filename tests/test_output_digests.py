@@ -1,5 +1,5 @@
-"""compute's outputs and solve_qsigma's results at p <= 31 against the committed
-digests of tests/output_digests.py."""
+"""compute's and verify's outputs and solve_qsigma's results at p <= 31 against
+the committed digests of tests/output_digests.py."""
 
 import time
 from pathlib import Path
@@ -17,6 +17,6 @@ def test_compute_outputs_match_the_committed_digests():
     got = output_digests.digest_lines(PRIMES)
     elapsed = time.perf_counter() - start
     assert got == want
-    # each built-in has one divisor: 3 ops in 2 formats, and 4 truncations of the solver
-    assert len(got) == 3 * len(PRIMES) * (6 + len(output_digests.TRUNCATIONS))
+    # each built-in has one divisor: 3 ops in 2 formats, verify, and 4 truncations of the solver
+    assert len(got) == 3 * len(PRIMES) * (6 + 1 + len(output_digests.TRUNCATIONS))
     assert elapsed < 3.0
