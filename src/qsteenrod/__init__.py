@@ -26,15 +26,7 @@ from .errors import (
     ZeroInverse,
 )
 from .fp import factorial_ratio, fp_inv, is_prime, require_prime
-from .series import (
-    Monomial,
-    SeriesElement,
-    derivation_apply,
-    series,
-    series_mul,
-    series_one,
-    series_zero,
-)
+from .series import Monomial, SeriesElement, series_mul
 from .ring import (
     BasisElement,
     CohomologyElement,
@@ -82,7 +74,6 @@ from .oracles import (
     expected_results,
     reduce_mod_p,
     s2_closed_form,
-    xi_constancy_residual,
     xi_matrix,
     xi_series,
 )

@@ -182,9 +182,7 @@ class GradedEndomorphism:
     """
 
     def __init__(self, ring, degree, trunc, entries=None, taint=frozenset()):
-        if trunc is None:
-            raise ValueError("the q-truncation must be non-negative, got trunc=None")
-        _check_truncation(trunc)
+        _check_truncation(trunc, required=True)
         masks = {}
         for i, j, d in taint:
             if _kept(ring, degree, trunc, "taint", i, j, d):
@@ -455,8 +453,8 @@ def equal_on_untainted(s1, s2):
 
 
 def format_endo(s):
-    """Grouped (from -> to) listing, each row rendered as format_series renders its series;
-    the labels of the rows with one t-exponent at q^0 are built once."""
+    """Grouped (from -> to) listing, each row's terms in q order (_format_terms); the
+    labels of the rows with one t-exponent at q^0 are built once."""
     ring, formats, labels, lines = s.ring, _label_formats(0, ""), {}, []
     basis, degrees, half, count = ring.basis, ring._degrees, ring.q_degree // 2, s.trunc + 1
     for (i, j), row in s.rows.items():

@@ -13,6 +13,7 @@ import json
 
 from .endo import _bits
 from .errors import ManifoldFormatError
+from .fp import is_prime
 from .ring import QuantumRing, _class_rows
 
 
@@ -75,6 +76,11 @@ def validate_manifold_data(data):
         names.append(b["name"])
     for i, dv in enumerate(data["divisors"]):
         _check_fields(dv, "divisors", "divisors[%d]" % i, names)
+        if dv["name"] in (d["name"] for d in data["divisors"][:i]):
+            raise ManifoldFormatError(
+                "divisors[%d].name: duplicate divisor %r" % (i, dv["name"]),
+                field="divisors[%d].name" % i,
+            )
     for i, pr in enumerate(data["products"]):
         _check_fields(pr, "products", "products[%d]" % i, names)
         for j, term in enumerate(pr["terms"]):
@@ -83,6 +89,11 @@ def validate_manifold_data(data):
         if not pstr.isdecimal():
             raise ManifoldFormatError(
                 "steenrod: prime keys must be digit strings", field="steenrod.%s" % pstr
+            )
+        if str(int(pstr)) != pstr or not is_prime(int(pstr)):
+            raise ManifoldFormatError(
+                "steenrod: prime key %r is not a prime in plain decimal form" % pstr,
+                field="steenrod.%s" % pstr,
             )
         _check_type(table, dict, "steenrod.%s" % pstr, names)
         for gen, entry in table.items():

@@ -72,14 +72,6 @@ class RationalSeries(Record):
         return not self.terms
 
 
-def rational_const(trunc, c=1):
-    return RationalSeries(trunc, {(0, 0): c})
-
-
-def rational_q(trunc):
-    return RationalSeries(trunc, {(1, 0): 1})
-
-
 def xi_series(trunc):
     """Single-valued solution of (t q d/dq)^2 xi = q xi:  sum q^k t^-2k / (k!)^2."""
     from fractions import Fraction
@@ -98,28 +90,6 @@ def xi_matrix(trunc):
     xi = xi_series(trunc)
     dxi = xi.tqd()
     return [[-(xi * dxi), -(dxi * dxi)], [xi * xi, xi * dxi]]
-
-
-def xi_constancy_residual(trunc):
-    """t q d/dq (Xi) + [M, Xi] for M = [[0, q], [1, 0]]; zero when correct."""
-    X = xi_matrix(trunc)
-    q = rational_q(trunc)
-    one = rational_const(trunc)
-    zero = RationalSeries(trunc, {})
-    M = [[zero, q], [one, zero]]
-
-    def matmul(A, B):
-        return [
-            [A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)]
-            for i in range(2)
-        ]
-
-    MX = matmul(M, X)
-    XM = matmul(X, M)
-    return [
-        [X[i][j].tqd() + MX[i][j] - XM[i][j] for j in range(2)]
-        for i in range(2)
-    ]
 
 
 def s2_closed_form(p):

@@ -87,7 +87,9 @@ class QuantumRing:
             )
 
         self.divisors = tuple(Divisor(i, lam, prim) for i, lam, prim in divisors)
-        for div in self.divisors:
+        for n, div in enumerate(self.divisors):
+            if div.index in (d.index for d in self.divisors[:n]):
+                raise ValueError("divisor %s listed twice" % names[div.index])
             if self.basis[div.index].degree != 2:
                 raise NotDivisor("divisor %s has degree != 2" % names[div.index])
         if sum(1 for d in self.divisors if d.primary) != 1:
@@ -246,10 +248,6 @@ class QuantumRing:
             st[(i, lead_t)] = (-1 if (deg // 2) % 2 else 1) % p
         return st
 
-    def full_steenrod(self, i, trunc):
-        """Total classical Steenrod action St(e_i) as a (q-free) element; see _steenrod."""
-        return self.steenrod_of(basis_class(self, self.basis[i].name, trunc))
-
     def steenrod_of(self, b):
         """St of a q,t-free class, extended additively."""
         _check_compatible(self, b.ring, "Steenrod operation")
@@ -279,18 +277,10 @@ class CohomologyElement:
     degree g = |e_k| + 2t + |q| q, one row per class: row[q] is the q^q
     coefficient mod p for q = 0 .. trunc, and t follows from g, as in operator
     rows.  Rows are tuples, none all zero, and no piece is empty; a zero
-    element has no pieces and trunc None.  components, {k: SeriesElement}, is
-    a read-only view built on first use for tests and users.
+    element has no pieces and trunc None.  Elements are built by basis_class,
+    element, element_from_terms and zero_element.  components, {k: SeriesElement},
+    is a read-only view built on first use for tests and users.
     """
-
-    def __init__(self, ring, components):
-        """sum_k components[k] e_k, SeriesElements at one truncation."""
-        truncs = {f.trunc for f in components.values() if not f.is_zero()}
-        if len(truncs) > 1:
-            raise MixedContext("components at different truncations")
-        trunc = truncs.pop() if truncs else None
-        terms = (((k,) + m, c) for k, f in components.items() for m, c in f.terms.items())
-        vars(self).update(ring=ring, trunc=trunc, pieces=_pieces(ring, trunc, terms), _view=None)
 
     @classmethod
     def _trusted(cls, ring, trunc, pieces):
@@ -347,7 +337,7 @@ class CohomologyElement:
         return self._map_rows(self.trunc, shifted, 2 * t + self.ring.q_degree * q)
 
     def retruncate(self, trunc):
-        _check_truncation(trunc)
+        _check_truncation(trunc, required=True)
         return self._map_rows(trunc, lambda row: (row + (0,) * trunc)[:trunc + 1])
 
     def _map_rows(self, trunc, fn, shift=0):
@@ -426,7 +416,7 @@ def zero_element(ring, trunc):
 
 
 def basis_class(ring, name, trunc):
-    _check_truncation(trunc)
+    _check_truncation(trunc, required=True)
     k = ring.index(name)
     piece = {k: (1,) + (0,) * trunc}
     return CohomologyElement._trusted(ring, trunc, {(ring._degrees[k], 0): piece})
@@ -434,12 +424,14 @@ def basis_class(ring, name, trunc):
 
 def element(ring, trunc, items):
     """Build from (basis name, q, t, coeff) tuples (theta-free)."""
+    _check_truncation(trunc, required=True)
     terms = (((ring.index(name), q, t, 0), c) for name, q, t, c in items)
     return CohomologyElement._trusted(ring, trunc, _pieces(ring, trunc, terms))
 
 
 def element_from_terms(ring, trunc, terms):
     """Build from {k: {monomial (q, t, theta): coefficient}}, one term map per basis index."""
+    _check_truncation(trunc, required=True)
     terms = (((k,) + tuple(m), c) for k, ts in terms.items() for m, c in ts.items())
     return CohomologyElement._trusted(ring, trunc, _pieces(ring, trunc, terms))
 

@@ -1,10 +1,14 @@
-"""The coefficient ring F_p[t, t^-1, theta] tensor F_p[[q]], truncated in q.
+"""The coefficient ring F_p[t, t^-1, theta] tensor F_p[[q]], truncated in q,
+and the packed q-rows and term texts that elements and operators share.
 
 A monomial is (q_exp, t_exp, theta_exp) with q_exp >= 0, t_exp any integer
 (negative powers occur inside intermediate endomorphisms), theta_exp in
 {0, 1}.  A SeriesElement stores a finite map monomial -> coefficient with no
 zero coefficients and all q exponents <= its truncation D; it represents an
-element of the ring modulo q^(D+1).
+element of the ring modulo q^(D+1).  It is only the form of an element's
+components view (ring.CohomologyElement.components): the package computes on
+q-rows, and series_mul, the product of two such series, is the one operation
+on them.
 
 theta is the odd generator of the group-cohomology coefficient ring: on
 multiplication theta^2 becomes t when p = 2 and 0 when p > 2.  t and q are
@@ -53,71 +57,11 @@ class SeriesElement(Record):
                 % (self.prime, self.trunc, other.prime, other.trunc)
             )
 
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + c
-        return SeriesElement(self.prime, self.trunc, terms)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c %= self.prime
-        return SeriesElement(
-            self.prime, self.trunc, {m: c * v for m, v in self.terms.items()}
-        )
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __mul__(self, other):
-        return series_mul(self, other)
-
-    def times_monomial(self, q=0, t=0, theta=0, coeff=1):
-        """Multiply by coeff * q^q t^t theta^theta."""
-        out = {}
-        p = self.prime
-        for (mq, mt, mth), c in self.terms.items():
-            nth = mth + theta
-            ntq, nt = mq + q, mt + t
-            if nth == 2:
-                if p == 2:
-                    nth, nt = 0, nt + 1
-                else:
-                    continue
-            out[Monomial(ntq, nt, nth)] = out.get(Monomial(ntq, nt, nth), 0) + c * coeff
-        return SeriesElement(p, self.trunc, out)
-
-    def coefficient(self, q, t, theta=0):
-        return self.terms.get(Monomial(q, t, theta), 0)
-
-    def retruncate(self, trunc):
-        return SeriesElement(self.prime, trunc, dict(self.terms))
-
-
-def _check_truncation(trunc):
-    """Reject a negative q-truncation; None (the default) passes."""
-    if trunc is not None and trunc < 0:
-        raise ValueError("the q-truncation must be non-negative, got trunc=%d" % trunc)
-
-
-def series(p, trunc, items=()):
-    """Build a SeriesElement from (q, t, theta, coeff) tuples."""
-    terms = {}
-    for q, t, theta, c in items:
-        m = Monomial(q, t, theta)
-        terms[m] = terms.get(m, 0) + c
-    return SeriesElement(p, trunc, terms)
-
-
-def series_zero(p, trunc):
-    return SeriesElement(p, trunc, {})
-
-
-def series_one(p, trunc):
-    return SeriesElement(p, trunc, {Monomial(0, 0, 0): 1})
+def _check_truncation(trunc, required=False):
+    """Reject a negative q-truncation; None (the default) passes unless required."""
+    if trunc is None and required or trunc is not None and trunc < 0:
+        raise ValueError("the q-truncation must be non-negative, got trunc=%s" % trunc)
 
 
 def series_mul(x, y):
@@ -176,24 +120,6 @@ def _unpack(z, k, count):
     return slots.tolist()
 
 
-def derivation_apply(lam, x):
-    """The divisor derivation: q^d t^k theta^e  ->  (lam*d) q^d t^k theta^e."""
-    return SeriesElement(
-        x.prime, x.trunc, {m: lam * m.q * c for m, c in x.terms.items()}
-    )
-
-
-def format_series(x, unit=""):
-    """Render deterministically, balanced coefficients, q before t.
-
-    With unit="h" renders terms like "q*t*h - t^2*h"; with unit="" renders
-    scalar series like "q - t^2".
-    """
-    formats, monos = [_label_formats(theta, unit) for theta in (0, 1)], sorted(x.terms)
-    labels = [label for m in monos for label in _labels(formats[m.theta], [m.q], [m.t], [1])]
-    return _format_terms(x.prime, [x.terms[m] for m in monos], labels)
-
-
 def _label_formats(theta, unit):
     """Nine % formats of (q, t) for the labels q^q*t^t*th*unit at theta, by 3 * q's kind + t's,
     an exponent's kind 0, 1 or 2 for 0, 1 or any other; %.0s takes one a label omits."""
@@ -215,8 +141,8 @@ _COEFFICIENT_TEXTS = {}
 
 
 def _format_terms(p, coeffs, labels):
-    """The terms c * labels[n] over the nonzero residues c = coeffs[n], as format_series
-    lays them out; "0" when there are none.  The one term renderer."""
+    """The terms c * labels[n] over the nonzero residues c = coeffs[n], balanced, the
+    first without its "+ "; "0" when there are none.  The one term renderer."""
     if p not in _COEFFICIENT_TEXTS:
         signs = [("+ " if b > 0 else "- ", abs(b)) for b in map(balanced, range(p), [p] * p)]
         _COEFFICIENT_TEXTS[p] = ([s + ("%d*" % b if b != 1 else "") for s, b in signs],

@@ -527,6 +527,12 @@ MALFORMED = [
     (["products", 0], _put("terms", {}), "products[0].terms: expected a list, got {}"),
     (["steenrod", "2"], _put("h_2", {}), "steenrod.2.h_2: expected a list, got {}"),
     (["steenrod"], _put("3a", {}), "steenrod: prime keys must be digit strings"),
+    (
+        ["steenrod"],
+        _put("03", {"h_2": [{"basis": "h_2", "t": 2, "theta": 0, "coeff": 1}]}),
+        "steenrod: prime key '03' is not a prime in plain decimal form",
+    ),
+    (["steenrod"], _put("4", {}), "steenrod: prime key '4' is not a prime in plain decimal form"),
 ]
 
 
@@ -545,6 +551,40 @@ def test_malformed_manifold_is_rejected_by_field(tmp_path, capsys, where, change
     path.write_text(text)
     code, out = run_cli(["compute", "--manifold", str(path), "--prime", "2", "--class", "h_2"])
     assert (code, out, capsys.readouterr().err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (_put("03", {"h_2": [{"basis": "h_2", "t": 2, "theta": 0, "coeff": 1}]}), "steenrod.03"),
+        (_put("4", {}), "steenrod.4"),
+        (_put("\u0663", {}), "steenrod.\u0663"),  # ARABIC-INDIC DIGIT THREE: a digit, not plain
+    ],
+    ids=["leading zero", "not a prime", "not ascii"],
+)
+def test_a_steenrod_prime_key_must_be_a_prime_in_plain_decimal_form(change, field):
+    # "03" once replaced the cubic's "3" entry on loading, and "4" was taken without comment
+    data = builtin_manifold("cubic_surface")
+    change(data["steenrod"])
+    for call in (load_manifold, lambda text: ring_from_data(json.loads(text), 3)):
+        with pytest.raises(manifold_io.ManifoldFormatError) as info:
+            call(json.dumps(data))
+        assert info.value.field == field
+
+
+def test_a_divisor_listed_twice_is_rejected(tmp_path, capsys):
+    # it was once checked twice per solve and reported twice per flatness finding
+    data = builtin_manifold("cubic_surface")
+    data["divisors"].append(dict(data["divisors"][0], primary=False))
+    with pytest.raises(manifold_io.ManifoldFormatError) as info:
+        ring_from_data(data, 5)
+    assert info.value.field == "divisors[1].name"
+    assert str(info.value) == "divisors[1].name: duplicate divisor 'h_2'"
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    argv = ["verify", "--manifold", str(path), "--prime", "5", "--suite", "ring"]
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err == "error: divisors[1].name: duplicate divisor 'h_2'\n"
 
 
 def test_export_needs_the_builtin_prefix(tmp_path, capsys):

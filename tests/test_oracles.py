@@ -14,7 +14,6 @@ from qsteenrod.oracles import (
     expected_results,
     reduce_mod_p,
     s2_closed_form,
-    xi_constancy_residual,
     xi_matrix,
     xi_series,
 )
@@ -57,8 +56,21 @@ def test_xi_square_binomial_identity():
         assert sq.coefficient(k, -2 * k) == Fraction(fact(2 * k), fact(k) ** 4)
 
 
+def _xi_constancy_residual(trunc):
+    """t q d/dq (Xi) + [M, Xi] for M = [[0, q], [1, 0]]; zero when Xi is covariantly constant."""
+    X = xi_matrix(trunc)
+    zero, one, q = (RationalSeries(trunc, terms) for terms in ({}, {(0, 0): 1}, {(1, 0): 1}))
+    M = [[zero, q], [one, zero]]
+
+    def matmul(A, B):
+        return [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)] for i in range(2)]
+
+    MX, XM = matmul(M, X), matmul(X, M)
+    return [[X[i][j].tqd() + MX[i][j] - XM[i][j] for j in range(2)] for i in range(2)]
+
+
 def test_xi_matrix_covariantly_constant_over_Q():
-    res = xi_constancy_residual(8)
+    res = _xi_constancy_residual(8)
     assert all(res[i][j].is_zero() for i in range(2) for j in range(2))
 
 

@@ -22,8 +22,9 @@ from qsteenrod.manifold_io import (
 )
 from qsteenrod.oracles import builtin_ring
 from qsteenrod.ring import _class_terms, element_from_terms, format_element
-from qsteenrod.series import _format_terms, _label_formats, _labels, format_series, series
+from qsteenrod.series import _format_terms, _label_formats, _labels
 from qsteenrod.solver import qst_auto, solve_qsigma
+from test_series import format_series, series
 
 BUILTINS = ("s2", "cubic_surface", "quadric_intersection")
 

@@ -8,7 +8,6 @@ from qsteenrod.errors import ManifoldFormatError, MissingSteenrodData, MixedCont
 from qsteenrod.oracles import builtin_manifold, builtin_ring
 from qsteenrod.manifold_io import ring_from_data
 from qsteenrod.ring import (
-    CohomologyElement,
     _class_product,
     basis_class,
     classical_product,
@@ -28,13 +27,16 @@ from qsteenrod.endo import (
     multiplication_endo,
     multiplication_matrix,
 )
-from qsteenrod.series import Monomial, series, series_mul
+from qsteenrod.series import Monomial, series_mul
 from qsteenrod.solver import solve_qsigma
+from test_series import (
+    add, derivation_apply, element_of, retruncate, scale, series, times_monomial,
+)
 
 
 def _times_series(x, s):
     """Each component of x times the series s (series_mul)."""
-    return CohomologyElement(x.ring, {k: f * s for k, f in x.components.items()})
+    return element_of(x.ring, {k: series_mul(f, s) for k, f in x.components.items()})
 
 
 def test_builtin_rings_verify_clean():
@@ -65,6 +67,13 @@ def test_ring_built_directly_rejects_duplicate_names():
     # a manifold file is stopped earlier, by validate_manifold_data
     with pytest.raises(ValueError, match="duplicate basis names"):
         ring_mod.QuantumRing("x", 3, [("1", 0), ("h", 2), ("h", 4)], 4, 4, [(1, 1, True)], {})
+
+
+def test_ring_built_directly_rejects_a_divisor_listed_twice():
+    # a manifold file is stopped earlier, by validate_manifold_data
+    basis = [("1", 0), ("h", 2)]
+    with pytest.raises(ValueError, match="^divisor h listed twice$"):
+        ring_mod.QuantumRing("x", 3, basis, 4, 2, [(1, 1, True), (1, 1, False)], {})
 
 
 def test_s2_products():
@@ -108,9 +117,8 @@ def test_multiplication_matrix_s2():
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda ring: CohomologyElement(ring, {0: series(2, 2, [(0, 0, 0, 1)]),
-                                               1: series(2, 3, [(0, 0, 0, 1)])}),
-         MixedContext, "components at different truncations"),
+        (lambda ring: basis_class(ring, "1", 2) + basis_class(ring, "h_2", 3),
+         MixedContext, "addition at mixed truncations"),
         (lambda ring: basis_class(ring, "h_2", 3).times_monomial(q=-1), ValueError,
          "negative q exponent"),
         (lambda ring: element_from_terms(ring, 3, {1: {(0, 0, 2): 1}}), ValueError,
@@ -210,7 +218,7 @@ def _loop_quantum_product(x, y):
     acc = {}  # k -> {monomial: unreduced coefficient}
     for i, f in x.components.items():
         for j, g in y.components.items():
-            fg = (f * g).terms
+            fg = series_mul(f, g).terms
             if not fg:
                 continue
             for d in ring.q_orders(i, j):
@@ -234,13 +242,13 @@ def _loop_classical_product(x, y):
     comps = {}
     for i, f in x.components.items():
         for j, g in y.components.items():
-            fg = f * g
+            fg = series_mul(f, g)
             for k, c in ring.sc(i, j, 0).items():
-                term = fg.scale(c)
+                term = scale(fg, c)
                 if term.is_zero():
                     continue
-                comps[k] = comps[k] + term if k in comps else term
-    return CohomologyElement(ring, comps)
+                comps[k] = add(comps[k], term) if k in comps else term
+    return element_of(ring, comps)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 31, 211])
@@ -401,9 +409,7 @@ def test_connection_leibniz_rule():
             )
             x = basis_class(ring, rng.choice([b.name for b in ring.basis]), 4)
             lhs = connection_apply(div, _times_series(x, f), ring)
-            from qsteenrod.series import derivation_apply
-
-            rhs = _times_series(x, derivation_apply(lam, f).times_monomial(t=1)) + _times_series(
+            rhs = _times_series(x, times_monomial(derivation_apply(lam, f), t=1)) + _times_series(
                 connection_apply(div, x, ring), f
             )
             assert lhs == rhs
@@ -454,23 +460,25 @@ def test_steenrod_tables():
     # s2: St(h) = -t^(p-1) h for every p
     for p in (2, 3, 5, 7):
         ring = builtin_ring("s2", p)
-        st = ring.full_steenrod(1, 0)
+        st = ring.steenrod_of(basis_class(ring, "h", 0))
         assert st == element(ring, 0, [("h", 0, p - 1, -1)])
     # cubic p=2: St(h_2) = h_4 + t h_2 (explicit table)
     ring = builtin_ring("cubic_surface", 2)
-    assert ring.full_steenrod(1, 0) == element(ring, 0, [("h_4", 0, 0, 1), ("h_2", 0, 1, 1)])
+    h_2 = basis_class(ring, "h_2", 0)
+    assert ring.steenrod_of(h_2) == element(ring, 0, [("h_4", 0, 0, 1), ("h_2", 0, 1, 1)])
     # cubic p=3: St(h_2) = -t^2 h_2
     ring = builtin_ring("cubic_surface", 3)
-    assert ring.full_steenrod(1, 0) == element(ring, 0, [("h_2", 0, 2, -1)])
+    h_2 = basis_class(ring, "h_2", 0)
+    assert ring.steenrod_of(h_2) == element(ring, 0, [("h_2", 0, 2, -1)])
     # quadrics p=2: Sq(h_k) = t^(k/2) h_k
     ring = builtin_ring("quadric_intersection", 2)
-    for i, k in ((1, 2), (2, 4), (3, 6)):
-        assert ring.full_steenrod(i, 0) == element(
-            ring, 0, [(ring.basis[i].name, 0, k // 2, 1)]
+    for name, k in (("h_2", 2), ("h_4", 4), ("h_6", 6)):
+        assert ring.steenrod_of(basis_class(ring, name, 0)) == element(
+            ring, 0, [(name, 0, k // 2, 1)]
         )
     # quadrics p=3: the default rule includes the forced cup-cube h_6
     ring = builtin_ring("quadric_intersection", 3)
-    assert ring.full_steenrod(1, 0) == element(
+    assert ring.steenrod_of(basis_class(ring, "h_2", 0)) == element(
         ring, 0, [("h_2", 0, 2, -1), ("h_6", 0, 0, 1)]
     )
 
@@ -486,10 +494,10 @@ def _dense_product(x, y):
     out = zero_element(ring, x.trunc)
     for i, f in x.components.items():
         for j, g in y.components.items():
-            fg = f * g
+            fg = series_mul(f, g)
             for d in range(x.trunc + 1):
                 for k, c in ring.sc(i, j, d).items():
-                    out = out + CohomologyElement(ring, {k: fg.times_monomial(q=d, coeff=c)})
+                    out = out + element_of(ring, {k: times_monomial(fg, q=d, coeff=c)})
     return out
 
 
@@ -541,8 +549,8 @@ def _assert_apply_rows_is_series_mul(endo, x, trunc=None):
     for k, f in x.components.items():
         col, _ = endo.column(ring.basis[k].name, trunc)
         for j, g in col.components.items():
-            term = series_mul(g, f.retruncate(trunc))
-            want[j] = want[j] + term if j in want else term
+            term = series_mul(g, retruncate(f, trunc))
+            want[j] = add(want[j], term) if j in want else term
     assert {k: (f.trunc, f.terms) for k, f in got.components.items()} == {
         k: (f.trunc, f.terms) for k, f in want.items() if f.terms
     }
@@ -561,7 +569,7 @@ def test_apply_rows_matches_series_mul_on_every_column(p):
                 # the shape qsigma_apply multiplies: a class times a
                 # homogeneous series of the column's length scale
                 s = min(col.components.values(), key=lambda f: len(f.terms))
-                x = CohomologyElement(ring, {ring.index(c.name): s})
+                x = element_of(ring, {ring.index(c.name): s})
                 _assert_apply_rows_is_series_mul(endo, x)
 
 
@@ -574,7 +582,7 @@ def test_apply_rows_keeps_theta_terms_apart():
         endo, _ = solve_qsigma("h", ring)
         both = series(p, endo.trunc, [(0, 0, 0, 1), (0, 0, 1, 1), (1, 0, 1, p - 1)])
         for k in range(len(ring.basis)):
-            x = CohomologyElement(ring, {k: both})
+            x = element_of(ring, {k: both})
             got, _ = endo.apply(x)
             assert any(m.theta for f in got.components.values() for m in f.terms)
             assert {h for _, h in got.pieces} == {0, 1}
@@ -595,7 +603,7 @@ def test_apply_rows_matches_series_mul_on_inhomogeneous_theta_input(p):
         ])
 
     for _ in range(20):
-        x = CohomologyElement(ring, {k: random_series() for k in range(len(ring.basis))})
+        x = element_of(ring, {k: random_series() for k in range(len(ring.basis))})
         keys = {(ring.degree(k) + 2 * t + 4 * q, h) for k, f in x.components.items() for (q, t, h) in f.terms}
         assert set(x.pieces) == keys and len(keys) > 1  # several pieces, one packed group each
         _assert_apply_rows_is_series_mul(rng.choice(endos), x)
@@ -614,7 +622,7 @@ def test_apply_rows_width_holds_full_length_maximal_coefficients():
     entries = {(i, j, d): p - 1 for i in range(n) for j in range(n) for d in range(trunc + 1)}
     assert all(kappa(ring, g, *slot) is not None for slot in entries)
     endo = GradedEndomorphism(ring, g, trunc, entries)
-    x = CohomologyElement(ring, {
+    x = element_of(ring, {
         k: series(p, trunc, [(q, 3 - ring.degree(k) // 2 - q, 0, p - 1) for q in range(trunc + 1)])
         for k in range(n)
     })
@@ -669,7 +677,7 @@ def _verify_ring_all_pairs(ring, trunc=None):
     table = ring.steenrod.get(ring.prime, {})
     for i in table:
         try:
-            ring.full_steenrod(i, trunc)
+            ring.steenrod_of(basis_class(ring, ring.basis[i].name, trunc))
         except MissingSteenrodData as exc:
             findings.append("steenrod table: %s" % exc)
     return findings

@@ -29,7 +29,6 @@ from qsteenrod.fp import fp_inv
 from qsteenrod.manifold_io import dump_manifold, ring_from_data
 from qsteenrod.oracles import builtin_manifold, builtin_ring, s2_closed_form
 from qsteenrod.ring import (
-    CohomologyElement,
     _class_product,
     basis_class,
     classical_product,
@@ -40,15 +39,7 @@ from qsteenrod.ring import (
     verify_ring,
     zero_element,
 )
-from qsteenrod.series import (
-    Monomial,
-    SeriesElement,
-    _pack,
-    _slot_bytes,
-    _unpack,
-    format_series,
-    series,
-)
+from qsteenrod.series import Monomial, SeriesElement, _pack, _slot_bytes, _unpack, series_mul
 from qsteenrod.solver import (
     initial_layer,
     qsigma_apply,
@@ -60,11 +51,12 @@ from qsteenrod.solver import (
     tzero_layer,
     verify_covariant_constancy,
 )
+from test_series import add, element_of, format_series, series, times_monomial
 
 
 def _times_series(x, s):
     """Each component of x times the series s (series_mul)."""
-    return CohomologyElement(x.ring, {k: f * s for k, f in x.components.items()})
+    return element_of(x.ring, {k: series_mul(f, s) for k, f in x.components.items()})
 
 
 def _divisor_blocks(ring, div):
@@ -373,10 +365,10 @@ def _ref_full_steenrod(ring, i, trunc):
                 raise MissingSteenrodData("theta-sector Steenrod data unsupported for even classes")
             if ring.degree(k) + 2 * t_exp != p * deg:
                 raise MissingSteenrodData("inhomogeneous Steenrod entry for %s mod %d" % (name, p))
-            f = comps.get(k, SeriesElement(p, trunc, {}))
-            comps[k] = f + SeriesElement(p, trunc, {Monomial(0, t_exp, 0): c})
-        st = CohomologyElement(ring, comps)
-        t_zero = CohomologyElement(
+            term = series(p, trunc, [(0, t_exp, 0, c)])
+            comps[k] = add(comps[k], term) if k in comps else term
+        st = element_of(ring, comps)
+        t_zero = element_of(
             ring,
             {
                 k: SeriesElement(p, trunc, {m: c for m, c in f.terms.items() if m.t == 0})
@@ -394,7 +386,7 @@ def _ref_full_steenrod(ring, i, trunc):
     sign = -1 if (deg // 2) % 2 else 1
     st = _ref_cup_power(ring, i, p, trunc)
     if lead_t > 0:
-        lead = SeriesElement(p, trunc, {Monomial(0, lead_t, 0): sign})
+        lead = series(p, trunc, [(0, lead_t, 0, sign)])
         st = st + _times_series(basis_class(ring, name, trunc), lead)
     return st
 
@@ -484,7 +476,8 @@ def test_seeds_match_the_element_based_reference(p):
     for ring in _seed_problems(p):
         for i, b in enumerate(ring.basis):
             want = _seed_outcome(lambda: _ref_full_steenrod(ring, i, 2))
-            assert _seed_outcome(lambda: ring.full_steenrod(i, 2)) == want, (ring.name, b.name)
+            got = _seed_outcome(lambda: ring.steenrod_of(basis_class(ring, b.name, 2)))
+            assert got == want, (ring.name, b.name)
             kinds.add(want[0] if type(want) is tuple else "element")
             for trunc in (None, 0, 1, 3):
                 for new, ref in ((initial_layer, _ref_initial_layer), (tzero_layer, _ref_tzero_layer)):
@@ -1223,14 +1216,13 @@ def test_qst_via_generators_taint_covers_the_tail_taint(p):
     base, _ = qsigma_apply("h_2", tail, ring, out.trunc)
     rng = random.Random(p)
     for _ in range(3):
-        comps = dict(tail.components)
+        comps = {k: f.terms for k, f in tail.components.items()}
         for k, qv in tail_taint:
             t_exp = (4 * p - ring.degree(k) - ring.q_degree * qv) // 2
-            f = comps.get(k, SeriesElement(p, out.trunc, {}))
-            terms = {m: c for m, c in f.terms.items() if m.q != qv}
+            terms = {m: c for m, c in comps.get(k, {}).items() if m.q != qv}
             terms[Monomial(qv, t_exp, 0)] = rng.randrange(1, p)
-            comps[k] = SeriesElement(p, out.trunc, terms)
-        moved, _ = qsigma_apply("h_2", CohomologyElement(ring, comps), ring, out.trunc)
+            comps[k] = terms
+        moved, _ = qsigma_apply("h_2", element_from_terms(ring, out.trunc, comps), ring, out.trunc)
         changed = {(k, m.q) for k, f in (moved - base).components.items() for m in f.terms}
         assert changed and changed <= taint
 
@@ -1276,7 +1268,7 @@ def test_qst_auto_explicit_default_truncation():
 
 
 def _slot_series(endo, i, j, d, c, trunc):
-    return SeriesElement(endo.ring.prime, trunc, {Monomial(d, endo.kappa(i, j, d), 0): c})
+    return series(endo.ring.prime, trunc, [(d, endo.kappa(i, j, d), 0, c)])
 
 
 def _column_term_by_term(endo, name):
@@ -1285,7 +1277,7 @@ def _column_term_by_term(endo, name):
     out = zero_element(ring, endo.trunc)
     for (i2, j, d), c in endo.entries.items():
         if i2 == i:
-            out = out + CohomologyElement(ring, {j: _slot_series(endo, i, j, d, c, endo.trunc)})
+            out = out + element_of(ring, {j: _slot_series(endo, i, j, d, c, endo.trunc)})
     return out
 
 
@@ -1295,8 +1287,8 @@ def _apply_term_by_term(endo, x):
     for (i, j, d), c in endo.entries.items():
         f = x.components.get(i)
         if f is not None:
-            term = f.times_monomial(q=d, t=endo.kappa(i, j, d), coeff=c)
-            out = out + CohomologyElement(ring, {j: term})
+            term = times_monomial(f, q=d, t=endo.kappa(i, j, d), coeff=c)
+            out = out + element_of(ring, {j: term})
     return out
 
 
@@ -1305,7 +1297,7 @@ def _format_endo_term_by_term(endo):
     pairs = {}
     for (i, j, d), c in endo.entries.items():
         f = pairs.get((i, j), SeriesElement(ring.prime, endo.trunc, {}))
-        pairs[(i, j)] = f + _slot_series(endo, i, j, d, c, endo.trunc)
+        pairs[(i, j)] = add(f, _slot_series(endo, i, j, d, c, endo.trunc))
     lines = [
         "  (%s -> %s) = %s" % (ring.basis[i].name, ring.basis[j].name, format_series(pairs[(i, j)]))
         for (i, j) in sorted(pairs)
@@ -1347,6 +1339,8 @@ def _term_loop_rows(endo):
 def _apply_by_term_loop(endo, x, trunc=None, rows=None):
     """The value of GradedEndomorphism.apply as a loop over row terms and x's terms."""
     trunc = x.trunc if trunc is None else trunc
+    if trunc is None:  # the zero x, uncut
+        return zero_element(endo.ring, None)
     rows = _term_loop_rows(endo) if rows is None else rows
     acc = {}  # j -> {monomial: unreduced coefficient}
     for i, f in x.components.items():
@@ -1409,7 +1403,7 @@ def test_apply_matches_the_term_loop(p):
         for i in range(n) for j in range(n) for d in range(trunc + 1)
         if kappa(ring, g, i, j, d) is not None
     })
-    x = CohomologyElement(ring, {
+    x = element_of(ring, {
         k: SeriesElement(p, trunc, {
             Monomial(q, (ring.dimension_top - ring.degree(k)) // 2 - q, 0): p - 1
             for q in range(trunc + 1)
@@ -1951,7 +1945,7 @@ def test_ungraded_q2_product_is_named():
         lambda ring: multiplication_matrix("h_2", ring, -1),
         lambda ring: basis_class(ring, "h_2", -1),
         lambda ring: element(ring, -1, [("h_2", 0, 0, 1)]),
-        lambda ring: series(3, -1, [(0, 0, 0, 1)]),
+        lambda ring: SeriesElement(3, -1),
         lambda ring: zero_element(ring, -1),
         lambda ring: basis_class(ring, "h_2", 3).retruncate(-1),
         lambda ring: multiplication_matrix("h_2", ring).apply(basis_class(ring, "h_2", 3), -1),
@@ -1988,3 +1982,30 @@ def test_an_operator_without_a_truncation_is_rejected():
     for entries in (None, {(0, 0, 0): 1}):
         with pytest.raises(ValueError, match=r"truncation must be non-negative, got trunc=None"):
             GradedEndomorphism(ring, 0, None, entries)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ring: basis_class(ring, "h_2", None),
+        lambda ring: element(ring, None, [("h_2", 0, 0, 1)]),
+        lambda ring: element(ring, None, []),
+        lambda ring: element_from_terms(ring, None, {1: {(0, 0, 0): 1}}),
+        lambda ring: basis_class(ring, "h_2", 3).retruncate(None),
+        lambda ring: zero_element(ring, None).retruncate(None),
+    ],
+    ids=["basis_class", "element", "empty element", "element_from_terms", "retruncate",
+         "zero retruncate"],
+)
+def test_an_element_without_a_truncation_is_rejected(call):
+    ring = builtin_ring("cubic_surface", 2)
+    with pytest.raises(ValueError) as info:
+        call(ring)
+    assert str(info.value) == "the q-truncation must be non-negative, got trunc=None"
+
+
+def test_the_zero_element_takes_no_truncation():
+    ring = builtin_ring("cubic_surface", 2)
+    zero = zero_element(ring, None)
+    assert zero.is_zero() and zero.trunc is None and zero == zero_element(ring, 3)
+    assert quantum_product(zero, basis_class(ring, "h_2", 3)) == zero

@@ -1,6 +1,6 @@
 """Every module parses as Python 3.10, the oldest version pyproject.toml admits,
-builds the series form of an element only where it may, and imports nothing that
-would slow the package's start-up."""
+builds the series form of an element only where it may, keeps no arithmetic on it,
+and imports nothing that would slow the package's start-up."""
 
 import ast
 from pathlib import Path
@@ -50,6 +50,23 @@ def test_only_the_components_view_builds_the_series_form_outside_series_py():
              for call in _calls(path, SERIES_FORM)]
     assert set(calls) <= SERIES_FORM_ALLOWED, calls
     assert calls  # the view itself is found, so the walk sees the calls it guards
+
+
+# The package computes on rows: of the series form, series.py keeps SeriesElement's
+# constructor and its checks and, of its public functions, series_mul alone.
+SERIES_ELEMENT_BODY = {"_fields", "__init__", "__post_init__", "is_zero", "_check"}
+
+
+def test_series_py_keeps_no_arithmetic_on_the_series_form():
+    tree = ast.parse(SOURCES[0].with_name("series.py").read_text(encoding="utf-8"))
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {name for name in functions if not name.startswith("_")} == {"series_mul"}
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "SeriesElement"]
+    body = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    body |= {target.id for node in cls.body if isinstance(node, ast.Assign)
+             for target in node.targets}
+    assert body == SERIES_ELEMENT_BODY, body
 
 
 # Importing the package loads neither dataclasses nor typing, and fractions only

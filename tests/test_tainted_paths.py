@@ -26,10 +26,8 @@ from qsteenrod.errors import InconsistentSeed, NegativePowerResidue
 from qsteenrod.fp import fp_inv, solve_mod_p
 from qsteenrod.manifold_io import _endo_result_text, ring_from_data
 from qsteenrod.oracles import builtin_ring
-from qsteenrod.ring import (
-    CohomologyElement, basis_class, connection_apply, element, quantum_product, zero_element
-)
-from qsteenrod.series import _slot_bytes, derivation_apply, series_one
+from qsteenrod.ring import basis_class, connection_apply, element, quantum_product, zero_element
+from qsteenrod.series import _slot_bytes
 from qsteenrod.solver import (
     SolveReport,
     initial_layer,
@@ -42,6 +40,7 @@ from qsteenrod.solver import (
     tzero_layer,
 )
 from test_rows import _pack_series, _unpack_series
+from test_series import derivation_apply, element_of, times_monomial
 from test_solver import _cpn
 
 BUILTINS = ("s2", "cubic_surface", "quadric_intersection")
@@ -133,9 +132,9 @@ def _set_mask_solve(b, ring, trunc):
 def _element_nabla(ring, x):
     """nabla_a x = t lambda_a q d/dq x + a * x on an element, a * x on A's rows."""
     lam = ring.primary.pairing
-    deriv = {k: derivation_apply(lam, f).times_monomial(t=1) for k, f in x.components.items()}
+    deriv = {k: times_monomial(derivation_apply(lam, f), t=1) for k, f in x.components.items()}
     a_x = _apply_rows(ring, 2, solver._divisor_map(ring, ring.primary)[0], x, x.trunc)
-    return CohomologyElement(ring, deriv) + a_x
+    return element_of(ring, deriv) + a_x
 
 
 def _element_rewrite(ring, target_index):
@@ -196,7 +195,7 @@ def _entries_qsigma_lambda(beta, ring):
             by_order.setdefault(mono.q, {})[i] = c
     entries, taint = {}, set()
     for d0, comps in sorted(by_order.items()):
-        layer = CohomologyElement(ring, {i: series_one(p, 0).scale(c) for i, c in comps.items()})
+        layer = element(ring, 0, [(ring.basis[i].name, 0, 0, c) for i, c in comps.items()])
         if layer.is_zero():
             continue
         sub, _ = solve_qsigma(layer, ring)
