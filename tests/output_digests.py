@@ -16,8 +16,19 @@ standard output and standard error of
 The solver group
 writes OP ``solve`` and FORMAT ``trunc=T`` for T in default, 0, 1 and 3: its
 digest is over, for every class, the class name and either the entries, taint
-and report of ``solve_qsigma(CLASS, ring, T)`` or the error it raised.  A diff
-of two runs names what moved.  Run from the root of a source checkout:
+and report of ``solve_qsigma(CLASS, ring, T)`` or the error it raised.  The
+library group writes three lines, FORMAT ``library``, each digest over a label
+per call and then either its result or the error it raised:
+
+- OP ``qst_auto``: ``qst_auto(CLASS, ring)`` for every class, as the element,
+  its sorted taint and its route;
+- OP ``qsigma_apply``: ``qsigma_apply(B, e_K, ring)`` for every pair of classes,
+  e_K at QSigma_B's default truncation, as the element and its sorted taint;
+- OP ``qst_via_generators``: the fixed expressions of ``words`` below, each as
+  the element and its sorted taint.
+
+An element is its truncation and its sorted pieces.  A diff of two runs names
+what moved.  Run from the root of a source checkout:
 
     PYTHONPATH=src python tests/output_digests.py > tests/golden/output_digests.txt
 
@@ -30,9 +41,10 @@ import hashlib
 import io
 import sys
 
-from qsteenrod import QSteenrodError, solve_qsigma
+from qsteenrod import QSteenrodError, qsigma_apply, qst_auto, qst_via_generators, solve_qsigma
 from qsteenrod.cli import main
 from qsteenrod.oracles import builtin_manifold, builtin_ring
+from qsteenrod.ring import basis_class
 
 MANIFOLDS = ("s2", "cubic_surface", "quadric_intersection")
 PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 211)
@@ -75,6 +87,47 @@ def _solve_parts(ring, classes, trunc):
                         repr(report))
 
 
+def words(ring):
+    """The qst_via_generators expressions of the library group: for the primary divisor a
+    and every class c, a c and a a c; a c minus each class c' of its degree times q^m,
+    m >= 1; the unit; and the last class squared, which raises NotGenerated where that
+    class is no divisor."""
+    a, classes = ring.basis[ring.primary.index].name, ring.basis
+    exprs = [[(1, 0, (a, c.name))] for c in classes] + [[(1, 0, (a, a, c.name))] for c in classes]
+    exprs += [[(1, 0, (a, c.name)), (-1, m, (e.name,))] for c in classes for e in classes
+              for m in range(1, 3) if e.degree + ring.q_degree * m == c.degree + 2]
+    exprs += [[(1, 0, ())], [(1, 0, (classes[-1].name, classes[-1].name))]]
+    return exprs
+
+
+def _element_parts(elem, taint):
+    return repr(elem.trunc), repr(sorted((key, sorted(rows.items()))
+                                         for key, rows in elem.pieces.items())), repr(sorted(taint))
+
+
+def _library_parts(calls):
+    """For each (label, call): the label and either call()'s element parts or its error."""
+    for label, call in calls:
+        try:
+            result = call()
+        except QSteenrodError as exc:
+            yield from (label, "%s: %s" % (type(exc).__name__, exc))
+        else:
+            yield from (label,) + _element_parts(*result[:2]) + tuple(result[2:])
+
+
+def _library_lines(name, p, ring, classes):
+    trunc = {b: solve_qsigma(b, ring)[0].trunc for b in classes}
+    groups = {
+        "qst_auto": [(c, lambda c=c: qst_auto(c, ring)) for c in classes],
+        "qsigma_apply": [("%s(%s)" % (b, k), lambda b=b, k=k: qsigma_apply(
+            b, basis_class(ring, k, trunc[b]), ring)) for b in classes for k in classes],
+        "qst_via_generators": [(repr(e), lambda e=e: qst_via_generators(e, ring))
+                               for e in words(ring)],
+    }
+    return [_line(name, p, op, "library", _library_parts(calls)) for op, calls in groups.items()]
+
+
 def digest_lines(primes=PRIMES):
     """The lines for every built-in manifold at each prime, manifold-major."""
     lines = []
@@ -91,6 +144,7 @@ def digest_lines(primes=PRIMES):
             for trunc in TRUNCATIONS:
                 fmt = "trunc=%s" % ("default" if trunc is None else trunc)
                 lines.append(_line(name, p, "solve", fmt, _solve_parts(ring, classes, trunc)))
+            lines += _library_lines(name, p, ring, classes)
     return lines
 
 
