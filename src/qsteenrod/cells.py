@@ -232,11 +232,14 @@ def relation_primitive(which, k, p, cap=9):
 
 
 def is_boundary(target, degree, p, cap=9, chain_complex="product"):
-    """Decide by linear algebra whether target bounds, within the caps."""
+    """Decide by linear algebra whether target bounds, within the caps, in the "product" or
+    the "eq" complex."""
     if chain_complex == "product":
         gens, bfun = product_cells_of_degree(degree + 1, cap, p), product_boundary
-    else:
+    elif chain_complex == "eq":
         gens, bfun = eq_cells_of_degree(degree - 1, cap, p), d_eq
+    else:
+        raise ValueError("chain_complex must be 'product' or 'eq', got %r" % (chain_complex,))
     images = [bfun({g: 1}, p) for g in gens]
     cells = sorted(set(target).union(*images))
     index = {c: i for i, c in enumerate(cells)}

@@ -9,14 +9,26 @@ happens.
 from .errors import NegativeValuation, ZeroInverse
 
 
+# Miller-Rabin to the first 13 primes decides primality exactly below _PRIME_BOUND, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(p):
+    """Whether p is a prime int, by deterministic Miller-Rabin; ValueError from _PRIME_BOUND
+    on, unless a witness divides p."""
     if not isinstance(p, int) or p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    if p >= _PRIME_BOUND:
+        raise ValueError("primality is decided only below %d, got %d" % (_PRIME_BOUND, p))
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    for a in _WITNESSES:
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and all(pow(x, 1 << r, p) != p - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 

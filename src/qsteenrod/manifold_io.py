@@ -90,7 +90,12 @@ def validate_manifold_data(data):
             raise ManifoldFormatError(
                 "steenrod: prime keys must be digit strings", field="steenrod.%s" % pstr
             )
-        if str(int(pstr)) != pstr or not is_prime(int(pstr)):
+        try:
+            prime = str(int(pstr)) == pstr and is_prime(int(pstr))
+        except ValueError as exc:  # too long to read, or past is_prime's bound
+            raise ManifoldFormatError("steenrod: prime key %r: %s" % (pstr, exc),
+                                      field="steenrod.%s" % pstr) from exc
+        if not prime:
             raise ManifoldFormatError(
                 "steenrod: prime key %r is not a prime in plain decimal form" % pstr,
                 field="steenrod.%s" % pstr,
@@ -106,63 +111,12 @@ def validate_manifold_data(data):
 
 
 def ring_from_data(data, prime):
-    """Bind a validated manifold description to a prime."""
-    validate_manifold_data(data)
-    names = [b["name"] for b in data["basis"]]
-    index = {n: i for i, n in enumerate(names)}
-    basis = [(b["name"], b["degree"]) for b in data["basis"]]
-    divisors = [
-        (index[d["name"]], d["pairing"], d.get("primary", False))
-        for d in data["divisors"]
-    ]
-    products = {}
-    seen_pairs = set()
-    for pr in data["products"]:
-        i, j, d = index[pr["left"]], index[pr["right"]], pr["q"]
-        seen_pairs.add((min(i, j), max(i, j)))
-        terms = {}
-        for term in pr["terms"]:
-            k = index[term["basis"]]
-            terms[k] = terms.get(k, 0) + term["coeff"]
-        key = (i, j, d)
-        if key in products:
-            raise ManifoldFormatError(
-                "duplicate product entry (%s, %s, q^%d)" % (pr["left"], pr["right"], d),
-                field="products",
-            )
-        products[key] = terms
-    steenrod = {}
-    for pstr, table in data.get("steenrod", {}).items():
-        entry = {}
-        for gen, terms in table.items():
-            entry[index[gen]] = [
-                (index[t["basis"]], t["t"], t["theta"], t["coeff"]) for t in terms
-            ]
-        steenrod[int(pstr)] = entry
+    """QuantumRing(data, prime), each ValueError of a bad ring definition raised as
+    ManifoldFormatError."""
     try:
-        ring = QuantumRing(
-            name=data["name"],
-            prime=prime,
-            basis=basis,
-            q_degree=data["q_degree"],
-            dimension_top=data["dimension_top"],
-            divisors=divisors,
-            products=products,
-            steenrod=steenrod,
-            default_leading_steenrod=data.get("default_leading_steenrod", True),
-        )
+        return QuantumRing(data, prime)
     except ValueError as exc:
         raise ManifoldFormatError(str(exc)) from exc
-    # checked once the ring has checked the basis, so a bad class is named as such
-    nonunit = [i for i, b in enumerate(data["basis"]) if b["degree"] > 0]
-    for a in nonunit:
-        for b in nonunit:
-            if a <= b and (a, b) not in seen_pairs:
-                raise ManifoldFormatError(
-                    "missing product entry for (%s, %s)" % (names[a], names[b]),
-                    field="products",
-                )
-    return ring
 
 
 def dump_manifold(data):

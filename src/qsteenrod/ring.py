@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement, permutations
 from operator import add
 from types import MappingProxyType
 
-from .errors import MissingSteenrodData, MixedContext, NotDivisor
+from .errors import ManifoldFormatError, MissingSteenrodData, MixedContext, NotDivisor
 from .fp import require_prime
 from .series import (
     Monomial, SeriesElement, _check_truncation, _format_terms, _label_formats, _labels, _pack,
@@ -36,40 +36,41 @@ Divisor = namedtuple("Divisor", "index pairing primary")
 
 
 class QuantumRing:
-    def __init__(
-        self,
-        name,
-        prime,
-        basis,
-        q_degree,
-        dimension_top,
-        divisors,
-        products,
-        steenrod=None,
-        default_leading_steenrod=True,
-    ):
-        """products: dict (i, j, d) -> dict {k: integer coefficient}.
+    def __init__(self, data, prime):
+        """The ring of a manifold description (validate_manifold_data's form) at a prime.
 
-        Entries are stored symmetrically; the unit's products are implied by
-        the unit law and must not appear.  The ring is read-only once built:
-        solve_qsigma memoises its results on it.
+        Each product's terms are summed per class and stored symmetrically; the unit's
+        products are implied by the unit law and must not appear.  The ring copies what it
+        reads from data and is read-only once built: solve_qsigma memoises its results on it.
         """
-        self.name = name
-        self.prime = require_prime(prime)
-        self.basis = tuple(BasisElement(n, d) for n, d in basis)
-        self.q_degree = q_degree
-        self.dimension_top = dimension_top
-        self.default_leading_steenrod = default_leading_steenrod
-        self.steenrod = MappingProxyType(
-            {
-                prime_key: MappingProxyType({i: tuple(st) for i, st in table.items()})
-                for prime_key, table in (steenrod or {}).items()
-            }
-        )
+        from .manifold_io import validate_manifold_data  # manifold_io imports this module
 
-        names = [b.name for b in self.basis]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate basis names")
+        validate_manifold_data(data)
+        names = [b["name"] for b in data["basis"]]
+        index = {n: i for i, n in enumerate(names)}
+        products = {}
+        for pr in data["products"]:
+            key = (index[pr["left"]], index[pr["right"]], pr["q"])
+            if key in products:
+                raise ManifoldFormatError(
+                    "duplicate product entry (%s, %s, q^%d)" % (pr["left"], pr["right"], key[2]),
+                    field="products",
+                )
+            products[key] = _summed((index[t["basis"]], t["coeff"]) for t in pr["terms"])
+        self.name = data["name"]
+        self.prime = require_prime(prime)
+        self.basis = tuple(BasisElement(b["name"], b["degree"]) for b in data["basis"])
+        self.q_degree = q_degree = data["q_degree"]
+        self.dimension_top = dimension_top = data["dimension_top"]
+        self.default_leading_steenrod = data.get("default_leading_steenrod", True)
+        self.steenrod = MappingProxyType({
+            int(pstr): MappingProxyType({
+                index[gen]: tuple((index[t["basis"]], t["t"], t["theta"], t["coeff"]) for t in st)
+                for gen, st in table.items()
+            })
+            for pstr, table in data.get("steenrod", {}).items()
+        })
+
         if not self.basis or self.basis[0] != BasisElement("1", 0):
             raise ValueError('basis must start with the unit "1" of degree 0')
         if sum(1 for b in self.basis if b.degree == 0) != 1:
@@ -86,10 +87,11 @@ class QuantumRing:
                 % (dimension_top, top)
             )
 
-        self.divisors = tuple(Divisor(i, lam, prim) for i, lam, prim in divisors)
-        for n, div in enumerate(self.divisors):
-            if div.index in (d.index for d in self.divisors[:n]):
-                raise ValueError("divisor %s listed twice" % names[div.index])
+        self.divisors = tuple(
+            Divisor(index[d["name"]], d["pairing"], d.get("primary", False))
+            for d in data["divisors"]
+        )
+        for div in self.divisors:
             if self.basis[div.index].degree != 2:
                 raise NotDivisor("divisor %s has degree != 2" % names[div.index])
         if sum(1 for d in self.divisors if d.primary) != 1:
@@ -104,14 +106,16 @@ class QuantumRing:
                 )
             if d < 0:
                 raise ValueError("negative q-order in product (%s, %s, q^%d)" % entry)
-            clean = {k: int(c) for k, c in terms.items() if int(c) != 0}
-            for key in ((i, j, d), (j, i, d)):
-                if key in self._sc and self._sc[key] != clean:
-                    raise ValueError(
-                        "conflicting product entry (%s, %s, q^%d)"
-                        % (names[key[0]], names[key[1]], d)
-                    )
-                self._sc[key] = clean
+            if self._sc.get((i, j, d), terms) != terms:  # set by the entry (j, i, d)
+                raise ValueError("conflicting product entry (%s, %s, q^%d)" % entry)
+            self._sc[i, j, d] = self._sc[j, i, d] = terms
+        listed = {(i, j) for i, j, _ in self._sc}
+        nonunit = [i for i, b in enumerate(self.basis) if b.degree > 0]
+        for i, j in combinations_with_replacement(nonunit, 2):
+            if (i, j) not in listed:
+                raise ManifoldFormatError(
+                    "missing product entry for (%s, %s)" % (names[i], names[j]), field="products"
+                )
         self._mult = {}  # divisor index -> solver._divisor_map
         self._degrees = tuple(b.degree for b in self.basis)  # read by endo.kappa, slot_text
         self._context = (self.prime, self.basis, q_degree, dimension_top)  # _check_compatible
@@ -227,6 +231,10 @@ class QuantumRing:
                     raise MissingSteenrodData(
                         "theta-sector Steenrod data unsupported for even classes"
                     )
+                if t_exp < 0:
+                    raise MissingSteenrodData(
+                        "St(%s) mod %d has a negative t-exponent t^%d" % (name, p, t_exp)
+                    )
                 if self.degree(k) + 2 * t_exp != p * deg:
                     raise MissingSteenrodData(
                         "inhomogeneous Steenrod entry for %s mod %d" % (name, p)
@@ -259,12 +267,17 @@ class QuantumRing:
         return CohomologyElement._trusted(self, b.trunc, _pieces(self, b.trunc, terms))
 
 
-def _reduced(pairs, p):
-    """The vector {key: c}, nonzero mod p, that sums the (key, c) pairs."""
+def _summed(pairs):
+    """The vector {key: c}, without zero entries, that sums the (key, c) pairs."""
     acc = {}
     for key, c in pairs:
         acc[key] = acc.get(key, 0) + c
-    return {key: c % p for key, c in acc.items() if c % p}
+    return {key: c for key, c in acc.items() if c}
+
+
+def _reduced(pairs, p):
+    """The vector {key: c}, nonzero mod p, that sums the (key, c) pairs."""
+    return {key: c % p for key, c in _summed(pairs).items() if c % p}
 
 
 # -- cohomology elements ---------------------------------------------------

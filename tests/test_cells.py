@@ -192,6 +192,12 @@ def test_cochain_localization_classes():
             assert is_boundary(rel, 2 * k, p, chain_complex="eq")
 
 
+def test_is_boundary_rejects_an_unknown_chain_complex():
+    # a misspelt complex once decided the eq complex's question without comment
+    with pytest.raises(ValueError, match="^chain_complex must be 'product' or 'eq', got 'prodcut'$"):
+        is_boundary({(0, "Q", 0): 1}, 0, 3, chain_complex="prodcut")
+
+
 def test_verify_cells_battery():
     for p in WIDE_PRIMES:
         assert verify_cells(p, cap=9) == []

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from qsteenrod import cells, cli, manifold_io, oracles
 from qsteenrod.cli import main
 from qsteenrod.endo import GradedEndomorphism, identity_endo
+from qsteenrod.errors import QSteenrodError
 from qsteenrod.manifold_io import (
     dump_manifold,
     dump_result,
@@ -19,7 +21,7 @@ from qsteenrod.manifold_io import (
     ring_from_data,
 )
 from qsteenrod.oracles import builtin_manifold, builtin_ring
-from qsteenrod.ring import basis_class, zero_element
+from qsteenrod.ring import QuantumRing, basis_class, zero_element
 from qsteenrod.solver import SolveReport, _residuals
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -448,6 +450,15 @@ REJECTED = [
      "conflicting product entry (h_4, h_2, q^0)"),
     (lambda d: d.update(products=[e for e in d["products"] if e["left"] + e["right"] != "h_2h_6"]),
      "missing product entry for (h_2, h_6)"),
+    (lambda d: d["products"].append(_product("h_2", "h_2", 0, "h_4", 4)),
+     "duplicate product entry (h_2, h_2, q^0)"),
+    # two faults: the error names the one the checks reach first
+    (lambda d: (d["basis"][3].update(degree=7),
+                d["products"].append(_product("h_2", "h_2", 0, "h_4", 4))),
+     "duplicate product entry (h_2, h_2, q^0)", "odd degree and a duplicate entry"),
+    (lambda d: (d.update(q_degree=3),
+                d.update(products=[e for e in d["products"] if e["left"] + e["right"] != "h_2h_6"])),
+     "q_degree must be a positive even integer", "bad q_degree and a missing entry"),
 ]
 
 
@@ -462,6 +473,9 @@ def test_rejected_ring_definition_names_the_cause(tmp_path, capsys, change, mess
     code, out = run_cli(["compute", "--manifold", str(path), "--prime", "5", "--class", "h_2"])
     # one error line and no traceback
     assert (code, out, capsys.readouterr().err) == (1, "", "error: %s\n" % message)
+    with pytest.raises((QSteenrodError, ValueError)) as info:  # built directly: the same text
+        QuantumRing(data, 5)
+    assert str(info.value) == message
 
 
 def test_tainted_qst_lists_its_taint():
@@ -544,9 +558,10 @@ def test_malformed_manifold_is_rejected_by_field(tmp_path, capsys, where, change
         obj = obj[key]
     change(obj)
     text = json.dumps(data)
-    with pytest.raises(manifold_io.ManifoldFormatError) as info:
-        load_manifold(text)
-    assert str(info.value) == message
+    for call in (load_manifold, lambda text: QuantumRing(json.loads(text), 2)):
+        with pytest.raises(manifold_io.ManifoldFormatError) as info:
+            call(text)
+        assert str(info.value) == message
     path = tmp_path / "malformed.json"
     path.write_text(text)
     code, out = run_cli(["compute", "--manifold", str(path), "--prime", "2", "--class", "h_2"])
@@ -570,6 +585,26 @@ def test_a_steenrod_prime_key_must_be_a_prime_in_plain_decimal_form(change, fiel
         with pytest.raises(manifold_io.ManifoldFormatError) as info:
             call(json.dumps(data))
         assert info.value.field == field
+
+
+def test_a_long_steenrod_prime_key_loads_at_once():
+    # primality was trial division: this 19-digit prime took minutes
+    data = builtin_manifold("cubic_surface")
+    data["steenrod"]["1000000000000000003"] = {}
+    start = time.perf_counter()
+    load_manifold(json.dumps(data))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_steenrod_prime_key_past_the_primality_bound_names_its_field():
+    data = builtin_manifold("cubic_surface")
+    key = "3317044064679887385961981"
+    data["steenrod"][key] = {}
+    with pytest.raises(manifold_io.ManifoldFormatError) as info:
+        load_manifold(json.dumps(data))
+    assert info.value.field == "steenrod." + key
+    assert str(info.value) == "steenrod: prime key '%s': primality is decided only below %s, got %s" % (
+        key, key, key)
 
 
 def test_a_divisor_listed_twice_is_rejected(tmp_path, capsys):
@@ -664,6 +699,21 @@ def test_steenrod_entry_vanishing_mod_p_exits_one_naming_it(tmp_path, capsys):
     code, text = run_cli(["verify", "--manifold", str(bad), "--prime", "3", "--suite", "ring"])
     assert code == 1
     assert text == "FAIL ring: ring: steenrod table: %s\n" % message
+
+
+def test_negative_steenrod_t_exponent_exits_one_naming_it(tmp_path, capsys):
+    """St(h_2) + t^-1 h_6 is homogeneous at p = 2 but has no slot: it once passed the ring
+    suite and failed compute on a dead slot."""
+    data = builtin_manifold("quadric_intersection")
+    data["steenrod"]["2"]["h_2"].append({"basis": "h_6", "t": -1, "theta": 0, "coeff": 1})
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_manifold(data))
+    message = "St(h_2) mod 2 has a negative t-exponent t^-1"
+    argv = ["--manifold", str(bad), "--prime", "2"]
+    code, text = run_cli(["compute"] + argv + ["--class", "h_2", "--op", "qsigma"])
+    assert (code, text, capsys.readouterr().err) == (1, "", "error: %s\n" % message)
+    code, text = run_cli(["verify"] + argv + ["--suite", "ring"])
+    assert (code, text) == (1, "FAIL ring: ring: steenrod table: %s\n" % message)
 
 
 def test_primary_pairing_vanishing_mod_p_exits_one_naming_it(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,36 @@ def test_primality():
         require_prime(6)
     with pytest.raises(ValueError):
         require_prime(1)
+
+
+def _by_trial_division(n):
+    if not isinstance(n, int) or n < 2:
+        return False
+    return all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    for n in list(range(-5, 10 ** 5)) + [2.0, 7.0, "7", None, True]:
+        assert is_prime(n) == _by_trial_division(n), n
+
+
+def test_primality_of_large_numbers_is_exact_and_fast():
+    start = time.perf_counter()
+    assert is_prime(10 ** 18 + 3) and is_prime(10 ** 14 + 31) and is_prime(2 ** 61 - 1)
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases, and a Carmichael number
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, 561):
+        assert not is_prime(n), n
+    assert time.perf_counter() - start < 0.1
+    assert not is_prime(3 * 10 ** 30)  # a small factor decides it past the bound
+
+
+def test_primality_past_the_bound_raises_naming_it():
+    bound = 3317044064679887385961981  # a strong pseudoprime to every base up to 41
+    with pytest.raises(ValueError, match="^primality is decided only below %d, got %d$" % (
+            bound, bound)):
+        is_prime(bound)
+    with pytest.raises(ValueError, match="decided only below"):
+        require_prime(2 ** 89 - 1)
 
 
 def fact(n):

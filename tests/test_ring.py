@@ -64,16 +64,34 @@ def test_ring_is_read_only():
 
 
 def test_ring_built_directly_rejects_duplicate_names():
-    # a manifold file is stopped earlier, by validate_manifold_data
-    with pytest.raises(ValueError, match="duplicate basis names"):
-        ring_mod.QuantumRing("x", 3, [("1", 0), ("h", 2), ("h", 4)], 4, 4, [(1, 1, True)], {})
+    # the ring validates its description itself, so a direct build is stopped as a file is
+    data = builtin_manifold("s2")
+    data["basis"].append({"name": "h", "degree": 4})
+    with pytest.raises(ManifoldFormatError, match=r"^basis\[2\]\.name: duplicate class 'h'$"):
+        ring_mod.QuantumRing(data, 3)
 
 
 def test_ring_built_directly_rejects_a_divisor_listed_twice():
-    # a manifold file is stopped earlier, by validate_manifold_data
-    basis = [("1", 0), ("h", 2)]
-    with pytest.raises(ValueError, match="^divisor h listed twice$"):
-        ring_mod.QuantumRing("x", 3, basis, 4, 2, [(1, 1, True), (1, 1, False)], {})
+    data = builtin_manifold("s2")
+    data["divisors"].append(dict(data["divisors"][0], primary=False))
+    with pytest.raises(ManifoldFormatError, match=r"^divisors\[1\]\.name: duplicate divisor 'h'$"):
+        ring_mod.QuantumRing(data, 3)
+
+
+def test_changing_the_data_after_the_build_leaves_the_ring_unchanged():
+    data = builtin_manifold("quadric_intersection")
+    ring = ring_mod.QuantumRing(data, 3)
+    data["name"] = "other"
+    data["basis"][1]["name"] = "x"
+    data["divisors"][0]["pairing"] = 7
+    data["products"][0]["terms"][0]["coeff"] = 5
+    data["products"].clear()
+    data["steenrod"]["2"]["h_2"][0]["t"] = 9
+    data["steenrod"].clear()
+    fresh = builtin_ring("quadric_intersection", 3)
+    for attr in ("name", "basis", "q_degree", "dimension_top", "divisors", "steenrod", "_sc"):
+        assert getattr(ring, attr) == getattr(fresh, attr), attr
+    assert solve_qsigma("h_2", ring)[0].rows == solve_qsigma("h_2", fresh)[0].rows
 
 
 def test_s2_products():
