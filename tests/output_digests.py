@@ -27,6 +27,16 @@ per call and then either its result or the error it raised:
 - OP ``qst_via_generators``: the fixed expressions of ``words`` below, each as
   the element and its sorted taint.
 
+The composite group writes two lines, FORMAT ``composite``, each digest over a
+label per call and then either the operator's sorted rows, its sorted taint
+rows and, for a solve, its report, or the error it raised:
+
+- OP ``qsigma_lambda``: ``qsigma_lambda(a * e_B, ring)`` for the primary divisor
+  a and every class B, a * e_B the quantum product the compose suite of
+  ``verify`` builds;
+- OP ``scaled``: ``solve_qsigma(c e_K, ring, T)`` for c in 2 and p - 1, every
+  class K and T in default and 3.
+
 An element is its truncation and its sorted pieces.  A diff of two runs names
 what moved.  Run from the root of a source checkout:
 
@@ -41,10 +51,17 @@ import hashlib
 import io
 import sys
 
-from qsteenrod import QSteenrodError, qsigma_apply, qst_auto, qst_via_generators, solve_qsigma
+from qsteenrod import (
+    QSteenrodError,
+    qsigma_apply,
+    qsigma_lambda,
+    qst_auto,
+    qst_via_generators,
+    solve_qsigma,
+)
 from qsteenrod.cli import main
 from qsteenrod.oracles import builtin_manifold, builtin_ring
-from qsteenrod.ring import basis_class
+from qsteenrod.ring import basis_class, quantum_product
 
 MANIFOLDS = ("s2", "cubic_surface", "quadric_intersection")
 PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 211)
@@ -128,6 +145,35 @@ def _library_lines(name, p, ring, classes):
     return [_line(name, p, op, "library", _library_parts(calls)) for op, calls in groups.items()]
 
 
+def _operator_parts(calls):
+    """For each (label, call): the label and either the operator call() returns (with
+    its report, for a solve) or the error it raised."""
+    for label, call in calls:
+        try:
+            result = call()
+        except (QSteenrodError, ValueError) as exc:
+            yield from (label, "%s: %s" % (type(exc).__name__, exc))
+        else:
+            endo, rest = result if isinstance(result, tuple) else (result, None)
+            yield from (label, repr(sorted(endo.rows.items())), repr(sorted(endo.taint_rows.items())))
+            if rest is not None:
+                yield repr(rest)
+
+
+def _composite_lines(name, p, ring, classes):
+    a_name = ring.basis[ring.primary.index].name
+    trunc = max(ring.default_truncation(b.degree) for b in ring.basis) + ring.max_q_order()
+    a = basis_class(ring, a_name, trunc)
+    groups = {
+        "qsigma_lambda": [(b, lambda b=b: qsigma_lambda(
+            quantum_product(a, basis_class(ring, b, trunc)), ring)) for b in classes],
+        "scaled": [("%d %s trunc=%s" % (c, k, t), lambda c=c, k=k, t=t: solve_qsigma(
+            basis_class(ring, k, 0).scale(c), ring, t))
+            for c in (2, p - 1) for k in classes for t in (None, 3)],
+    }
+    return [_line(name, p, op, "composite", _operator_parts(calls)) for op, calls in groups.items()]
+
+
 def digest_lines(primes=PRIMES):
     """The lines for every built-in manifold at each prime, manifold-major."""
     lines = []
@@ -145,6 +191,7 @@ def digest_lines(primes=PRIMES):
                 fmt = "trunc=%s" % ("default" if trunc is None else trunc)
                 lines.append(_line(name, p, "solve", fmt, _solve_parts(ring, classes, trunc)))
             lines += _library_lines(name, p, ring, classes)
+            lines += _composite_lines(name, p, ring, classes)
     return lines
 
 

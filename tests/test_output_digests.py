@@ -18,6 +18,6 @@ def test_compute_outputs_match_the_committed_digests():
     elapsed = time.perf_counter() - start
     assert got == want
     # each built-in has one divisor: 3 ops in 2 formats, verify, 4 truncations of the
-    # solver and 3 library calls
-    assert len(got) == 3 * len(PRIMES) * (6 + 1 + len(output_digests.TRUNCATIONS) + 3)
+    # solver, 3 library calls and 2 composite-class groups
+    assert len(got) == 3 * len(PRIMES) * (6 + 1 + len(output_digests.TRUNCATIONS) + 3 + 2)
     assert elapsed < 3.0
