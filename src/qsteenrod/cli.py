@@ -20,8 +20,8 @@ from .fp import require_prime
 from .manifold_io import (
     _element_result_text,
     _endo_result_text,
+    _parse_manifold,
     dump_manifold,
-    load_manifold,
     ring_from_data,
 )
 from .oracles import (
@@ -53,14 +53,17 @@ from .solver import (
 )
 
 def _load_data(source):
+    """The manifold description of builtin:NAME or of a file, parsed but not validated:
+    ring_from_data validates it."""
     if source.startswith("builtin:"):
         return _builtin_data(source[len("builtin:"):])  # read, never changed
     with open(source, "r", encoding="utf-8") as handle:
-        return load_manifold(handle.read())
+        return _parse_manifold(handle.read())
 
 
 def cmd_compute(args, out):
-    ring = ring_from_data(_load_data(args.manifold), require_prime(args.prime))
+    # the ring checks the data, then the prime; verify checks the prime first
+    ring = ring_from_data(_load_data(args.manifold), args.prime)
     trunc = args.truncate
     meta = {
         "manifold": ring.name,

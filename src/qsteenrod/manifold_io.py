@@ -124,12 +124,16 @@ def dump_manifold(data):
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def load_manifold(text):
+def _parse_manifold(text):
+    """The JSON document of a manifold file, not yet validated."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifoldFormatError("line %d: %s" % (exc.lineno, exc.msg)) from exc
-    return validate_manifold_data(data)
+
+
+def load_manifold(text):
+    return validate_manifold_data(_parse_manifold(text))
 
 
 # -- result files --------------------------------------------------------------

@@ -46,6 +46,7 @@ class QuantumRing:
         from .manifold_io import validate_manifold_data  # manifold_io imports this module
 
         validate_manifold_data(data)
+        self.prime = require_prime(prime)  # after the data, before the ring's own checks
         names = [b["name"] for b in data["basis"]]
         index = {n: i for i, n in enumerate(names)}
         products = {}
@@ -58,7 +59,6 @@ class QuantumRing:
                 )
             products[key] = _summed((index[t["basis"]], t["coeff"]) for t in pr["terms"])
         self.name = data["name"]
-        self.prime = require_prime(prime)
         self.basis = tuple(BasisElement(b["name"], b["degree"]) for b in data["basis"])
         self.q_degree = q_degree = data["q_degree"]
         self.dimension_top = dimension_top = data["dimension_top"]

@@ -19,6 +19,14 @@ pinned by the t^0 seeds or by degree pruning is marked tainted, and taint
 propagates forward through later right-hand sides.  The solver reports; it
 never guesses.
 
+QSigma is linear in the class: for c != 0 mod p the t^0 seed of c e_k is
+c^p = c times e_k's, the q^0 seed c times e_k's, and the recurrence is linear
+with a taint mask that reads no value.  So a scaled unit class c e_k, c != 1,
+takes c times the rows of e_k's solve, and e_k's taint rows and report
+(_scaled).  When e_k's solve raises, or its re-check lists a failure, c e_k
+runs its own recurrence (_recurrence), so every error and failure text is
+its own.  A class of two or more basis terms always runs its own.
+
 A is built once per ring and divisor (_divisor_map), for the solve and its
 re-check: per block, the commutator X -> [X, A_e] as one list per flat slot
 s = i*n + j of the slots it touches (_ad_map), which both the values and the
@@ -41,7 +49,14 @@ is one _shifted_sum.
 
 import functools
 
-from .errors import InconsistentSeed, NegativePowerResidue, NotDivisor, NotGenerated, Record
+from .errors import (
+    InconsistentSeed,
+    NegativePowerResidue,
+    NotDivisor,
+    NotGenerated,
+    QSteenrodError,
+    Record,
+)
 from .endo import (
     GradedEndomorphism,
     _apply_rows,
@@ -255,19 +270,20 @@ def solve_qsigma(b, ring, trunc=None):
 
     Solved once per (ring, class, resolved truncation); repeated calls return
     an equal endomorphism and the same report, which callers must not mutate.
+    A scaled unit class c e_k, c != 0, 1 mod p, is c QSigma_{e_k}, read off
+    e_k's solve (_scaled), unless that solve raises or reports a residual
+    failure.
     """
     b = basis_class(ring, b, 0) if isinstance(b, str) else b
     if b.is_zero():
         raise ValueError("b must be nonzero")
     vector, deg = _seed_class(b, ring, "solve_qsigma")
     p = ring.prime
-    g = p * deg
     if trunc is None:
         trunc = ring.default_truncation(deg)
     _check_truncation(trunc)
     div = ring.primary
-    lam = div.pairing % p
-    if lam == 0:
+    if div.pairing % p == 0:
         name = ring.basis[div.index].name
         raise NotDivisor("primary divisor %s has pairing %d, which vanishes mod %d"
                          % (name, div.pairing, p))
@@ -277,11 +293,52 @@ def solve_qsigma(b, ring, trunc=None):
     # a hit rebuilds the endo without normalising it again.
     cls = sorted((k, c % p) for (k, _), c in vector.items())
     key = (tuple(cls), trunc)
-    if key in ring._solved:
-        rows, taint_rows, report = ring._solved[key]
-        return GradedEndomorphism._trusted(ring, g, trunc, rows, taint_rows), report
-    n = len(ring.basis)
-    tables = _divisor_map(ring, div)[1]
+    entry = ring._solved.get(key)
+    if entry is None and len(cls) == 1 and cls[0][1] != 1:
+        entry = _scaled(cls[0], deg, ring, trunc, key)
+    if entry is None:
+        entry = _recurrence(b, deg, ring, trunc, key)
+    rows, taint_rows, report = entry
+    return GradedEndomorphism._trusted(ring, p * deg, trunc, rows, taint_rows), report
+
+
+def _scaled(unit, deg, ring, trunc, key):
+    """The solve of c e_k as c times e_k's, for unit = (k, c); None to solve it directly.
+
+    QSigma is linear in the class: the t^0 seed (c e_k)^(*p) = c^p e_k^(*p) =
+    c e_k^(*p) mod p, the q^0 seed St(c e_k) = c St(e_k), and the recurrence
+    is linear, with a taint mask that reads no value.  So the rows scale by c
+    and the taint rows, seed counts and residual count are e_k's.  When e_k's
+    solve raises or lists a residual failure, whose texts print values, this
+    returns None and the scaled class is solved directly, with its own texts.
+    """
+    k, c = unit
+    unit_key = (((k, 1),), trunc)
+    entry = ring._solved.get(unit_key)
+    if entry is None:
+        try:
+            entry = _recurrence(ring.basis[k].name, deg, ring, trunc, unit_key)
+        except QSteenrodError:
+            return None
+    rows, taint_rows, report = entry
+    if any(report.residual_failures.values()):
+        return None
+    p = ring.prime
+    rows = {s: tuple([c * v % p for v in row]) for s, row in rows.items()}
+    report = SolveReport(report.taint, report.taint_text, report.seed_checks,
+                         report.seeds_resolving_taint, report.residual_checked,
+                         {name: [] for name in report.residual_failures})
+    entry = ring._solved[key] = (rows, taint_rows, report)
+    return entry
+
+
+def _recurrence(b, deg, ring, trunc, key):
+    """Solve QSigma_b order by order and re-check it; returns the cache entry
+    (rows, taint_rows, report), also stored in ring._solved[key]."""
+    n, p = len(ring.basis), ring.prime
+    g = p * deg
+    lam = ring.primary.pairing % p
+    tables = _divisor_map(ring, ring.primary)[1]
     # Slot s = i*n + j has t-exponent exps[s] - (q_degree/2) d at order d:
     # live above that floor, a t^0 seed at it, dead below it.
     degrees = ring._degrees
@@ -377,8 +434,8 @@ def solve_qsigma(b, ring, trunc=None):
         residual_checked=checked,
         residual_failures=failures,
     )
-    ring._solved[key] = (rows, taint_rows, report)
-    return endo, report
+    entry = ring._solved[key] = (rows, taint_rows, report)
+    return entry
 
 
 def _residuals(endo, ring):
@@ -471,7 +528,10 @@ def qst(b, ring, trunc=None):
 def qsigma_lambda(beta, ring, trunc=None):
     """Extension of b -> QSigma_b to classes with q-coefficients.
 
-    beta = sum_d q^d b_d gives QSigma_beta = sum_d q^(p d) QSigma_{b_d}.
+    beta = sum_d q^d b_d gives QSigma_beta = sum_d q^(p d) QSigma_{b_d}: each
+    layer's rows and taint rows move p d orders up.  A layer that is a scaled
+    unit class c e_k is solved as c QSigma_{e_k} (solve_qsigma), and directly
+    when e_k's solve raises or lists a residual failure.
     """
     _check_truncation(trunc)
     _check_compatible(ring, beta.ring, "qsigma_lambda")
@@ -490,20 +550,26 @@ def qsigma_lambda(beta, ring, trunc=None):
             if t or h:
                 raise ValueError("beta may carry q-coefficients only")
             by_order.setdefault(d0, {})[i] = (c,)
-    entries = {}
-    taint = set()
+    sums, masks = {}, {}
+    pad = (0,) * (trunc + 1)
     for d0, comps in sorted(by_order.items()):
         layer = CohomologyElement._trusted(ring, 0, {(deg - ring.q_degree * d0, 0): comps})
         sub, _ = solve_qsigma(layer, ring)
-        shift = p * d0  # each sub-solve row moves up by q^shift
-        for (i, j), row in sub.rows.items():
-            for d, c in enumerate(row):
-                if c:
-                    key = (i, j, d + shift)
-                    entries[key] = entries.get(key, 0) + c
-        taint.update((i, j, d + shift) for i, j, d in _taint_slots(sub.taint_rows))
-    # the constructor drops orders past trunc and the values of tainted slots
-    return GradedEndomorphism(ring, g, trunc, entries, taint)
+        shift = p * d0  # each sub-solve row moves up by q^shift; orders past trunc drop
+        for s, row in sub.rows.items():
+            row = ((0,) * shift + row + pad)[:trunc + 1]
+            sums[s] = [u + v for u, v in zip(sums[s], row)] if s in sums else row
+        for s, m in sub.taint_rows.items():
+            masks[s] = masks.get(s, 0) | m << shift
+    full = (1 << trunc + 1) - 1
+    taint_rows = {s: masks[s] & full for s in sorted(masks) if masks[s] & full}
+    rows = {}
+    for s in sorted(sums):  # reduced, with the values of tainted slots dropped
+        m = taint_rows.get(s, 0)
+        row = tuple([0 if m >> d & 1 else c % p for d, c in enumerate(sums[s])])
+        if any(row):
+            rows[s] = row
+    return GradedEndomorphism._trusted(ring, g, trunc, rows, taint_rows)
 
 
 def _rewrite_in_connection_powers(ring, target_index):

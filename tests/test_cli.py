@@ -399,12 +399,69 @@ def test_oracle_suite_runs_only_on_builtin_data(tmp_path, name):
 def test_verify_loads_the_manifold_once(tmp_path, monkeypatch):
     path = tmp_path / "s2.json"
     run_cli(["export", "--manifold", "builtin:s2", "--out", str(path)])
-    calls, real = [], cli.load_manifold
-    monkeypatch.setattr(cli, "load_manifold", lambda text: calls.append(text) or real(text))
+    calls, real = [], cli._parse_manifold
+    monkeypatch.setattr(cli, "_parse_manifold", lambda text: calls.append(text) or real(text))
     code, text = run_cli(["verify", "--manifold", str(path), "--prime", "3", "--suite", "all"])
     assert code == 0 and text.count("PASS") == 5
     assert "PASS oracle: closed forms, rational pipeline, tabulated values\n" in text
     assert len(calls) == 1  # the oracle suite compares the data the ring was built from
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "--class", "h_2", "--op", "qsigma"],
+    ["verify", "--suite", "all", "--cap", "2"],
+])
+def test_a_manifold_file_is_validated_once(tmp_path, monkeypatch, command):
+    # load_manifold validated it, and then the ring built from it validated it again
+    path = tmp_path / "quadric.json"
+    run_cli(["export", "--manifold", "builtin:quadric_intersection", "--out", str(path)])
+    calls, real = [], manifold_io.validate_manifold_data
+
+    def counted(data):
+        if all(data is not table for table in oracles._BUILTINS.values()):  # the oracle suite's
+            calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(manifold_io, "validate_manifold_data", counted)
+    argv = command[:1] + ["--manifold", str(path), "--prime", "3"] + command[1:]
+    assert run_cli(argv)[0] == 0
+    assert len(calls) == 1
+
+
+def _broken(name, change):
+    data = builtin_manifold("cubic_surface")
+    change(data)
+    return name, json.dumps(data)
+
+
+# (file, its text, the error of compute, the error of verify), each at --prime 4:
+# compute reads the file first, verify the prime
+PRECEDENCE = [
+    ("not JSON", '{\n  "name": "s2",\n  oops\n}',
+     "line 3: Expecting property name enclosed in double quotes", "not a prime: 4"),
+    _broken("a missing field", lambda d: d["basis"][1].pop("degree"))
+    + ("basis[1]: missing field 'degree'", "not a prime: 4"),
+    _broken("a duplicate class", lambda d: d["basis"].append(dict(d["basis"][1])))
+    + ("basis[3].name: duplicate class 'h_2'", "not a prime: 4"),
+    # the ring's own checks come after the prime's, under both commands
+    _broken("a duplicate product", lambda d: d["products"].append(dict(d["products"][0])))
+    + ("not a prime: 4", "not a prime: 4"),
+    _broken("an odd degree", lambda d: d["basis"][1].__setitem__("degree", 3))
+    + ("not a prime: 4", "not a prime: 4"),
+]
+
+
+@pytest.mark.parametrize("name, text, compute_error, verify_error", PRECEDENCE,
+                         ids=[case[0] for case in PRECEDENCE])
+def test_a_bad_file_and_a_bad_prime_report_one_error(tmp_path, capsys, name, text,
+                                                     compute_error, verify_error):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for command, error in ((["compute", "--class", "h_2"], compute_error),
+                           (["verify", "--suite", "ring"], verify_error)):
+        argv = command[:1] + ["--manifold", str(path), "--prime", "4"] + command[1:]
+        assert run_cli(argv) == (1, "")
+        assert capsys.readouterr().err == "error: %s\n" % error
 
 
 def test_the_oracle_suite_builds_each_sphere_closed_form_once(monkeypatch):

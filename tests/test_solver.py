@@ -12,6 +12,7 @@ from qsteenrod.errors import (
     MixedContext,
     NegativePowerResidue,
     NotGenerated,
+    QSteenrodError,
 )
 from qsteenrod.endo import (
     GradedEndomorphism,
@@ -584,16 +585,20 @@ def test_solve_cache_shares_equal_problems(monkeypatch):
     assert low.trunc == 2 and len(solves) == 2
     again, again_report = solve_qsigma(h_2, ring, 2)
     assert _state(again) == _state(low) and again_report == low_report
-    solve_qsigma(h_2.scale(2), ring)
-    assert len(solves) == 3
+    # 2 h_2 is read off the cached QSigma_{h_2}: no third solve
+    scaled, scaled_report = solve_qsigma(h_2.scale(2), ring)
+    assert len(solves) == 2
+    assert scaled.entries == {s: 2 * c % 3 for s, c in fresh.entries.items()}
+    assert scaled.taint == fresh.taint and scaled_report == fresh_report
 
 
 @pytest.mark.parametrize(
     "line, solves",
     [
-        # solve_qsigma is called 5, 24, 4 and 5 times by these commands
+        # solve_qsigma is called 5, 24, 4 and 5 times by these commands; under
+        # --suite all the compose suite's scaled class is read off a cached solve
         ("verify --manifold builtin:quadric_intersection --prime 3 --suite constancy", 4),
-        ("verify --manifold builtin:quadric_intersection --prime 3 --suite all", 5),
+        ("verify --manifold builtin:quadric_intersection --prime 3 --suite all", 4),
         ("compute --manifold builtin:quadric_intersection --prime 5 --class h_6 --op qst", 3),
         ("compute --manifold builtin:cubic_surface --prime 31 --class h_4 --op qst", 3),
     ],
@@ -602,6 +607,77 @@ def test_cli_solves_each_problem_once(monkeypatch, line, solves):
     calls = _count_solves(monkeypatch)
     assert cli.main(line.split(), out=io.StringIO()) == 0
     assert len(calls) == solves
+
+
+def _scaled_outcomes(ring_of, cls, c, trunc):
+    """solve_qsigma(c e_cls) on a ring that has e_cls solved and on one that has not, and
+    the recurrence run on c e_cls itself: each as (rows, taint rows, report) or the error."""
+
+    def outcome(solve):
+        try:
+            return solve()
+        except (QSteenrodError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    def via_route(ring):
+        endo, report = solve_qsigma(basis_class(ring, cls, 0).scale(c), ring, trunc)
+        return endo.rows, endo.taint_rows, report
+
+    cached = ring_of()
+    outcome(lambda: solve_qsigma(cls, cached, trunc))
+    direct = ring_of()
+    b = basis_class(direct, cls, 0).scale(c)
+    deg = b.degree
+    key = (((direct.index(cls), c % direct.prime),), trunc)
+    want = outcome(lambda: solver._recurrence(b, deg, direct, direct.default_truncation(deg)
+                                              if trunc is None else trunc, key))
+    return [outcome(lambda: via_route(ring)) for ring in (cached, ring_of())], want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 101])
+def test_a_scaled_class_solves_as_the_scaled_unit_class(p):
+    # QSigma_{c e_k} = c QSigma_{e_k}: the rows scale, the taint rows and the report stay
+    kinds = set()
+    for name in ("s2", "cubic_surface", "quadric_intersection"):
+        for cls in [b.name for b in builtin_ring(name, p).basis]:
+            for c in sorted({2 % p, p - 1} - {0}):
+                for trunc in (None, 0, 1, 3):
+                    got, want = _scaled_outcomes(lambda: builtin_ring(name, p), cls, c, trunc)
+                    assert got == [want, want], (name, cls, c, trunc)
+                    kinds.add(bool(want[1]))
+    assert kinds == {True, False}  # tainted and untainted solves
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_scaled_class_whose_unit_solve_raises_raises_its_own_error(p):
+    # the error texts print values, so the scaled class runs its own recurrence
+    raised = 0
+    for n in (4, 6, 8):
+        for cls in ["h%d" % k for k in range(1, n + 1)]:
+            for c in sorted({2 % p, p - 1} - {0}):
+                got, want = _scaled_outcomes(lambda: ring_from_data(_cpn(n), p), cls, c, None)
+                assert got == [want, want], (n, cls, c)
+                raised += isinstance(want[0], type)
+    assert raised
+
+
+def test_a_scaled_class_whose_unit_solve_fails_the_re_check_is_solved_directly(monkeypatch):
+    # a bent commutator map makes the re-check list failures, whose texts print values
+    real = solver._ad_map
+    monkeypatch.setattr(solver, "_ad_map", lambda block, n: [
+        tuple((t, 2 * c) for t, c in row) for row in real(block, n)])
+    failing = 0
+    for name in ("cubic_surface", "quadric_intersection"):
+        for cls in [b.name for b in builtin_ring(name, 5).basis[1:]]:
+            got, want = _scaled_outcomes(lambda: builtin_ring(name, 5), cls, 3, None)
+            assert got == [want, want], (name, cls)
+            failing += len(want) == 3 and any(want[2].residual_failures.values())
+    assert failing
+    ring = builtin_ring("cubic_surface", 5)
+    solves = _count_solves(monkeypatch)
+    solve_qsigma("h_2", ring)
+    solve_qsigma(basis_class(ring, "h_2", 0).scale(3), ring)
+    assert len(solves) == 2
 
 
 def test_solve_cache_keeps_no_cycle_through_the_ring(monkeypatch):

@@ -103,7 +103,7 @@ def test_no_module_imports_dataclasses_or_typing_or_fractions_at_import_time():
 # The generator route reads a * e_i through ring._class_product, like the rest of
 # the package; the solver's cached map of a divisor serves only the sweep and the
 # re-check.
-DIVISOR_MAP_CALLERS = {"solve_qsigma", "verify_covariant_constancy", "_divisor_map"}
+DIVISOR_MAP_CALLERS = {"_recurrence", "verify_covariant_constancy", "_divisor_map"}
 
 
 def test_only_the_sweep_and_the_re_check_read_the_divisor_map():
@@ -122,12 +122,12 @@ def test_only_the_word_evaluator_applies_qsigma():
 
 
 # Each invertible q-order is solved by one step compiled from the divisor map's
-# commutator lists: only solve_qsigma builds and calls it, and code is compiled
+# commutator lists: only the recurrence builds and calls it, and code is compiled
 # with exec only there and in the records' constructors.
 def test_only_the_solver_calls_the_step_and_only_two_places_exec():
     steps = {call for path in SOURCES for call in _calls(path, {"_compile_step"})}
-    assert steps == {("solver.py", "solve_qsigma")}, steps
+    assert steps == {("solver.py", "_recurrence")}, steps
     solver_steps = set(_calls(SOURCES[0].with_name("solver.py"), {"step"}))
-    assert solver_steps == {("solver.py", "solve_qsigma")}, solver_steps
+    assert solver_steps == {("solver.py", "_recurrence")}, solver_steps
     execs = {call for path in SOURCES for call in _calls(path, {"exec"})}
     assert execs == {("errors.py", "Record.__init_subclass__"), ("solver.py", "_compile_step")}, execs
