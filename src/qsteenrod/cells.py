@@ -1,7 +1,8 @@
 """Finite verification of the equivariant cellular algebra.
 
-One table, _SPHERE, describes the rotated two-sphere: the fixed points P
-and Q, the 1-cells L_j and the 2-cells B_j for j in Z/p, with
+One complex, _SPHERE, describes the rotated two-sphere by its sigma-orbits:
+the fixed points P and Q and the free orbits of the 1-cells L_j and the
+2-cells B_j, j in Z/p, with
 
     d L_j = Q - P,    d B_j = L_j - L_(j+1),    sigma X_j = X_(j+1).
 
@@ -13,77 +14,58 @@ Three complexes are derived from it:
   F_p coefficients: d(D_i x X_j) = (d D_i) x X_j + (-1)^i D_i x d X_j, where
   the rotated cell tau^r D_i x X_j is D_i x X_(j+r) (product_boundary, read
   from the chain table of the equivariant complex below);
-* the cochain complex of the sphere, sphere_cochain_complex, and its
-  equivariant complex C[[t, theta]] with the twisted differential d_eq.
-  EquivariantComplex builds the whole of C[[t, theta]], with no t-cap, for
-  any finite complex C with a Z/p action; the corrected theta-multiplication
-  and its homotopies live there.
+* the sphere's cochain complex and its equivariant complex C[[t, theta]]
+  with the twisted differential d_eq.  EquivariantComplex builds the whole
+  of C[[t, theta]], with no t-cap, for any finite complex C given by its
+  orbits; the corrected theta-multiplication and its homotopies live there.
 
-Chains are plain dicts cell -> coefficient.  Everything is finite: D-cells
-are capped in dimension, and the cells checked one by one in t-exponent.
-The operator identities on C[[t, theta]] are checked on t-linear tables,
-one column per generator x theta^eps; the rest cell by cell or by small
-linear algebra mod p.
+Chains are plain dicts cell -> coefficient.  An operator on C[[t, theta]]
+commutes with sigma and t, so it is a table with one column per orbit
+generator, each entry in the group algebra F_p[Z/p] of one orbit (the
+periodic resolution of a cyclic group).  Tables compose by packed products
+and are compared whole; the rest is checked cell by cell or by small linear
+algebra mod p.  D-cells are capped in dimension, the relations in t-exponent.
 """
 
 from functools import lru_cache
 
 from .errors import CapExceeded, Record
 from .fp import require_prime, solve_mod_p
+from .series import _pack, _slot_bytes, _unpack
 
 
-def _add(chain, cell, coeff, mod=None):
+def _add(chain, cell, coeff):
     c = chain.get(cell, 0) + coeff
-    if mod:
-        c %= mod
     if c:
         chain[cell] = c
     else:
         chain.pop(cell, None)
 
 
-def _combine(*pairs, mod=None):
-    out = {}
-    for chain, scale in pairs:
-        for cell, c in chain.items():
-            _add(out, cell, c * scale, mod)
-    return out
+class FiniteComplex(Record):
+    """A finite cochain complex with a Z/p action, given by its sigma-orbits.
+
+    orbits: tuple of (X, degree, free), free for the cells X_j, j in Z/p, with
+    sigma X_j = X_(j+1), else one fixed cell X; diff: X -> d X_0 as terms
+    (Y, r, c) standing for c Y_r (Y itself when Y is fixed); d X_j is d X_0
+    rotated by j.
+    """
+
+    _fields = ("orbits", "diff")
 
 
 # -- the rotated two-sphere ----------------------------------------------------
 
-# cell X -> (dim X, d X_0 as terms (Y, r, c) standing for c Y_r); d X_j is
-# d X_0 rotated by j.  P and Q are fixed: P_j = P.
-_SPHERE = {
-    "P": (0, ()),
-    "Q": (0, ()),
-    "L": (1, (("Q", 0, 1), ("P", 0, -1))),
-    "B": (2, (("L", 0, 1), ("L", 1, -1))),
-}
-_FIXED = ("P", "Q")
-
-
-def _sphere_boundary(x):
-    if x not in _SPHERE:
-        raise ValueError("unknown sphere cell %r" % (x,))
-    return _SPHERE[x][1]
+# C_{-*}(S^2) as a cohomological complex, the cell X in degree -dim X.
+_SPHERE = FiniteComplex(
+    (("P", 0, False), ("Q", 0, False), ("L", -1, True), ("B", -2, True)),
+    {"L": (("Q", 0, 1), ("P", 0, -1)), "B": (("L", 0, 1), ("L", 1, -1))},
+)
 
 
 def _rotated_cells(p):
     """(X, dim X, j) for every cell X_j, X-major."""
-    return [
-        (x, dim, j)
-        for x, (dim, _) in _SPHERE.items()
-        for j in ((0,) if x in _FIXED else range(p))
-    ]
-
-
-def _cell_name(x, j):
-    """The basis name of X_j in sphere_cochain_complex."""
-    if x in _FIXED:
-        return x
-    _sphere_boundary(x)
-    return "%s%d" % (x, j)
+    return [(x, -deg, j) for x, deg, free in _SPHERE.orbits for j in (range(p) if free else (0,))]
 
 
 # -- the infinite sphere, Z coefficients --------------------------------------
@@ -113,10 +95,22 @@ def sinf_boundary(chain, p):
 # -- the product with the sphere, F_p coefficients ----------------------------
 
 
-def product_cell(i, x, j=0):
-    if x in _FIXED:
-        j = 0
-    return (i, x, j)
+def _checked(eq, chain, product=False):
+    """chain on cells (X, j, k, eps) of the sphere's C[[t, theta]], each checked, j = 0 on a
+    fixed cell; when product, chain is on cells (i, X, j), with (k, eps) = divmod(i, 2)."""
+    out = {}
+    for cell, c in chain.items():
+        x, j, k, eps = (cell[1], cell[2]) + divmod(cell[0], 2) if product else cell
+        if x not in eq._size:
+            raise ValueError("unknown sphere cell %r" % (x,))
+        if eq._size[x] > 1 and not 0 <= j < eq.p:
+            raise ValueError("rotation %r outside 0..%d in the cell %r" % (j, eq.p - 1, cell))
+        if k < 0:
+            raise ValueError("negative %s in the cell %r" % ("D-index" if product else "t-power", cell))
+        if eps not in (0, 1):
+            raise ValueError("theta-exponent %r other than 0 and 1 in the cell %r" % (eps, cell))
+        _add(out, (x, j % eq._size[x], k, eps), c)
+    return out
 
 
 def product_boundary(chain, p):
@@ -126,11 +120,9 @@ def product_boundary(chain, p):
     table of the sphere's EquivariantComplex, where D_(2k+eps) x X_j is
     X_j t^k theta^eps; terms below D_0 are dropped.
     """
-    eq, cells = _sphere_eq(p)
-    image = eq._apply(eq._chain, {(_cell_name(x, j),) + divmod(i, 2): c
-                                  for (i, x, j), c in chain.items()})
-    return {product_cell(2 * k + eps, *cells[name]): c
-            for (name, k, eps), c in image.items() if k >= 0}
+    eq = _sphere_eq(p)
+    image = eq._apply(eq._chain, _checked(eq, chain, product=True))
+    return {(2 * k + eps, x, j): c for (x, j, k, eps), c in image.items() if k >= 0}
 
 
 def product_cells_of_degree(n, cap, p):
@@ -140,23 +132,20 @@ def product_cells_of_degree(n, cap, p):
 
 # -- the equivariant cochain complex of the sphere ----------------------------
 #
-# Cells (X, j, k, eps) stand for sigma^j X t^k theta^eps; the grading is
-# -dim(X) + 2k + eps.
+# Cells (X, j, k, eps) stand for X_j t^k theta^eps, j = 0 on a fixed cell; the
+# grading is -dim(X) + 2k + eps.
 
 
 @lru_cache(maxsize=8)
 def _sphere_eq(p):
-    """EquivariantComplex on sphere_cochain_complex(p), and the map from its
-    basis names back to (X, j)."""
-    eq = EquivariantComplex(sphere_cochain_complex(p), p)
-    return eq, {_cell_name(x, j): (x, j) for x, _, j in _rotated_cells(p)}
+    """EquivariantComplex on sphere_cochain_complex()."""
+    return EquivariantComplex(_SPHERE, p)
 
 
 def d_eq(chain, p):
     """The twisted differential of EquivariantComplex on cells (X, j, k, eps)."""
-    eq, cells = _sphere_eq(p)
-    image = eq.d_eq({(_cell_name(x, j), k, eps): c for (x, j, k, eps), c in chain.items()})
-    return {cells[name] + (k, eps): c for (name, k, eps), c in image.items()}
+    eq = _sphere_eq(p)
+    return eq.d_eq(_checked(eq, chain))
 
 
 def eq_cells_of_degree(n, tcap, p):
@@ -196,6 +185,8 @@ def relation_primitive(which, k, p, cap=9):
     the naive transcription; the p = 2 statements agree either way.
     """
     require_prime(p)
+    if k < 0:
+        raise ValueError("the %r relation needs k >= 0, got k=%d" % (which, k))
     if which in ("even", "odd"):
         # the relation: D_i x (Q_0 - P_0) minus, for k >= 1, the orbit sum of D_(i-2) x B_0
         i = 2 * k + (which == "odd")
@@ -254,50 +245,32 @@ def is_boundary(target, degree, p, cap=9, chain_complex="product"):
 # -- generic equivariant complexes and the corrected theta --------------------
 
 
-class FiniteComplex(Record):
-    """A finite cochain complex with a Z/p action.
-
-    basis: tuple of (name, degree); diff and sigma: name -> {name: coeff}.
-    """
-
-    _fields = ("basis", "diff", "sigma")
-
-
 def trivial_complex():
-    return FiniteComplex((("x", 0),), {}, {"x": {"x": 1}})
+    return FiniteComplex((("x", 0, False),), {})
 
 
-def free_module_complex(p):
-    basis = tuple(("g%d" % i, 0) for i in range(p))
-    sigma = {"g%d" % i: {"g%d" % ((i + 1) % p): 1} for i in range(p)}
-    return FiniteComplex(basis, {}, sigma)
+def free_module_complex():
+    return FiniteComplex((("g", 0, True),), {})
 
 
-def sphere_cochain_complex(p):
-    """C_{-*}(S^2) with the rotation action, as a cohomological complex.
-
-    The cell X_j of _SPHERE is named X when fixed and "Xj" otherwise, and
-    sits in degree -dim X.
-    """
-    basis, diff, sigma = [], {}, {}
-    for x, dim, j in sorted(_rotated_cells(p), key=lambda cell: cell[2]):
-        name = _cell_name(x, j)
-        basis.append((name, -dim))
-        if _SPHERE[x][1]:
-            diff[name] = {_cell_name(y, (j + r) % p): c for y, r, c in _SPHERE[x][1]}
-        sigma[name] = {_cell_name(x, (j + 1) % p): 1}
-    return FiniteComplex(tuple(basis), diff, sigma)
+def sphere_cochain_complex():
+    """C_{-*}(S^2) with the rotation action, as a cohomological complex: the orbits
+    of _SPHERE, the cell X in degree -dim X."""
+    return _SPHERE
 
 
 class EquivariantComplex:
-    """C[[t, theta]] with the twisted differential, for finite C.
+    """C[[t, theta]] with the twisted differential, for finite C given by its orbits.
 
-    Each operator commutes with t, so it is stored as a table of the images
-    of the generators x theta^eps: (name, eps) -> {(name2, dk, eps2): c} for
-    x t^k theta^eps -> c name2 t^(k+dk) theta^eps2.  No t-order is dropped,
-    so sums and composites of operators are again such tables (_table_sum,
-    _compose), and two of them agree on every x t^k theta^eps exactly when
-    their tables are equal.
+    Each operator commutes with sigma and t, so it is stored as a table of the
+    images of the orbit generators X_0 theta^eps: (X, eps) -> {(Y, dk, eps2): g}
+    for X_0 t^k theta^eps -> g Y_0 t^(k+dk) theta^eps2, where the tuple g stands
+    for sum_m g[m] sigma^m in the group algebra of Y's orbit, of length p on a
+    free orbit and 1 on a fixed cell.  X_j's image is X_0's rotated by j, and a
+    fixed cell's image is sigma-invariant.  No t-order is dropped, so sums and
+    composites of operators are again such tables (_table_sum, _compose), and
+    two of them agree on every X_j t^k theta^eps exactly when their tables are
+    equal.
 
     _chain is the Borel chain complex on the same generators, D_(2k+eps) x x
     standing for x t^k theta^eps: D_2k x x -> D_(2k-1) x Nx + D_2k x dx and
@@ -308,66 +281,86 @@ class EquivariantComplex:
     def __init__(self, cpx, p):
         self.cpx = cpx
         self.p = require_prime(p)
-        norm = self._orbit_sums([1] * p)
-        self._weighted = self._orbit_sums(range(p))
-        self._sigma, self._t, self._d, self._theta, self._h, self._chain = {}, {}, {}, {}, {}, {}
-        for name, deg in cpx.basis:
+        self._size = {name: p if free else 1 for name, _, free in cpx.orbits}
+        one = [1] + [0] * (p - 1)
+        sigma, norm, weighted = one[-1:] + one[:-1], [1] * p, range(p)
+        self._sigma, self._t = self._times(sigma), self._times(one, 1)
+        self._d, self._theta, self._h, self._chain = {}, {}, {}, {}
+        for name, deg, _ in cpx.orbits:
             s = -1 if deg % 2 else 1
-            x, sx, dx = {name: 1}, cpx.sigma.get(name, {}), cpx.diff.get(name, {})
-            for eps in (0, 1):
-                self._sigma[name, eps] = self._image((sx, 0, eps, 1))
-                self._t[name, eps] = self._image((x, 1, eps, 1))
+            x, sx, nx, wx = ({name: g} for g in (one, sigma, norm, weighted))
+            dx = {}
+            for y, r, c in cpx.diff.get(name, ()):
+                dx.setdefault(y, [0] * p)[r % p] += c
             # d x = dx + (-1)^|x| (sigma - 1) x theta, d(x theta) = dx theta + (-1)^|x| N x t
             self._d[name, 0] = self._image((dx, 0, 0, 1), (sx, 0, 1, s), (x, 0, 1, -s))
-            self._d[name, 1] = self._image((dx, 0, 1, 1), (norm[name], 1, 0, s))
+            self._d[name, 1] = self._image((dx, 0, 1, 1), (nx, 1, 0, s))
             self._theta[name, 0] = self._image((x, 0, 1, s))
-            self._theta[name, 1] = self._image((self._weighted[name], 1, 0, s))
+            self._theta[name, 1] = self._image((wx, 1, 0, s))
             self._h[name, 0] = {}
             self._h[name, 1] = self._image((x, 1, 0, s))
-            self._chain[name, 0] = self._image((norm[name], -1, 1, 1), (dx, 0, 0, 1))
+            self._chain[name, 0] = self._image((nx, -1, 1, 1), (dx, 0, 0, 1))
             self._chain[name, 1] = self._image((sx, 0, 0, 1), (x, 0, 0, -1), (dx, 0, 1, -1))
 
-    def _orbit_sums(self, weights):
-        """{name: sum_j weights[j] sigma^j name} for every basis name."""
-        sigma, p = self.cpx.sigma, self.p
-        step = lambda vec: _combine(*((sigma.get(n, {}), c) for n, c in vec.items()), mod=p)
-        return {name: self._power_sum({name: 1}, step, weights) for name, _ in self.cpx.basis}
-
-    def _power_sum(self, vec, step, weights):
-        """sum_j weights[j] step^j(vec), one step at a time, added up in place."""
-        acc = {}
-        for w in weights:
-            for n, c in vec.items():
-                _add(acc, n, c * w, self.p)
-            vec = step(vec)
-        return acc
-
     def _image(self, *parts):
-        """The sum of s * vec t^dk theta^eps over parts (vec, dk, eps, s)."""
-        out = {}
+        """The column of the sum of s * vec t^dk theta^eps over parts (vec, dk, eps, s),
+        vec {Y: coefficients of sigma^0, sigma^1, ... on Y_0, fewer than 2p}: each sum
+        folded onto Y's orbit mod p, zeros dropped."""
+        p, acc, column = self.p, {}, {}
         for vec, dk, eps, s in parts:
-            for name, c in vec.items():
-                _add(out, (name, dk, eps), s * c, self.p)
-        return out
+            for name, coeffs in vec.items():
+                row = acc.setdefault((name, dk, eps), [0] * (2 * p - 1))
+                for m, c in enumerate(coeffs):
+                    row[m] += s * c
+        for key, row in acc.items():
+            n = self._size[key[0]]
+            g = tuple(sum(row[m::n]) % p for m in range(n))
+            if any(g):
+                column[key] = g
+        return column
+
+    def _times(self, coeffs, dk=0):
+        """The table of multiplication by sum_m coeffs[m] sigma^m and by t^dk."""
+        return {(name, eps): self._image(({name: coeffs}, dk, eps, 1))
+                for name in self._size for eps in (0, 1)}
 
     def _apply(self, table, chain):
+        """The image of a chain on cells (X, j, k, eps): each entry of X's column rotated by j."""
         out = {}
-        for (name, k, eps), c in chain.items():
-            for (name2, dk, eps2), c2 in table[name, eps].items():
-                cell = (name2, k + dk, eps2)
-                out[cell] = out.get(cell, 0) + c * c2
+        for (name, j, k, eps), c in chain.items():
+            for (name2, dk, eps2), g in table[name, eps].items():
+                n = len(g)
+                for m, c2 in enumerate(g):
+                    cell = (name2, (j + m) % n, k + dk, eps2)
+                    out[cell] = out.get(cell, 0) + c * c2
         p = self.p
         return {cell: c % p for cell, c in out.items() if c % p}
 
     def _compose(self, a, b):
-        """The table of the operator a after the operator b."""
-        return {key: self._apply(a, column) for key, column in b.items()}
+        """The table of the operator a after the operator b.
+
+        Each entry g of a column of b meets each entry f of a's column at g's cell in one
+        packed product g * f of group-algebra elements, folded onto the target orbit.
+        """
+        p, out = self.p, {}
+        for key, column in b.items():
+            pairs = [((name2, dk + dk2, eps2), g, f)
+                     for (name, dk, eps), g in column.items()
+                     for (name2, dk2, eps2), f in a[name, eps].items()]
+            # A slot sums, over the pairs, at most p products below p^2.
+            w = _slot_bytes((len(pairs) * p * (p - 1) ** 2).bit_length())
+            acc = {}
+            for cell, g, f in pairs:
+                acc[cell] = acc.get(cell, 0) + _pack(g, w) * _pack(f, w)
+            out[key] = self._image(*(({name: _unpack(z, w, 2 * p - 1)}, dk, eps, 1)
+                                     for (name, dk, eps), z in acc.items()))
+        return out
 
     def _table_sum(self, *pairs):
         """The table of the sum of s * table over pairs (table, s)."""
-        return {
-            key: _combine(*((table[key], s) for table, s in pairs), mod=self.p) for key in pairs[0][0]
-        }
+        return {key: self._image(*(({name: g}, dk, eps, s) for table, s in pairs
+                                   for (name, dk, eps), g in table[key].items()))
+                for key in pairs[0][0]}
 
     def sigma(self, chain):
         return self._apply(self._sigma, chain)
@@ -420,23 +413,20 @@ def homotopy_check(p):
     report = {"group_algebra": group_algebra_identities(p)}
     fixtures = {
         "trivial": EquivariantComplex(trivial_complex(), p),
-        "free_module": EquivariantComplex(free_module_complex(p), p),
-        "sphere": _sphere_eq(p)[0],
+        "free_module": EquivariantComplex(free_module_complex(), p),
+        "sphere": _sphere_eq(p),
     }
+    below = _binom_sigma_power(p - 3, p)  # zero at p = 2, where H is h
+    u = [-c for c in below[-1:] + below[:-1]]  # H = u h, u = -sigma (sigma - 1)^(p-3)
     for label, eq in fixtures.items():
-        after, add, weighted = eq._compose, eq._table_sum, eq._weighted
+        after, add = eq._compose, eq._table_sum
         d, h, sigma, t, square = eq._d, eq._h, eq._sigma, eq._t, after(eq._theta, eq._theta)
-        big_h = h
-        if p > 2:  # H = u h, u = sum_m -c_m sigma^(m+1), (sigma - 1)^(p-3) = sum_m c_m sigma^m
-            weights = [0] + [-c for c in _binom_sigma_power(p - 3, p)[:-1]]
-            u = {(n, e): eq._power_sum({(n, 0, e): 1}, eq.sigma, weights) for n, e in sigma}
-            big_h = after(u, h)
+        big_h = h if p == 2 else after(eq._times(u), h)
         report[label] = {
             "d_eq_squared_zero": not any(after(d, d).values()),
             "sigma_t_homotopic_to_t": add((after(d, h), 1), (after(h, d), 1))
             == add((after(t, sigma), 1), (t, -1)),
-            "theta_tilde_square_identity": square
-            == {(n, eps): {(n2, 1, eps): c for n2, c in weighted[n].items()} for n, eps in square},
+            "theta_tilde_square_identity": square == eq._times(range(p), 1),
             "theta_tilde_square_homotopy": add((after(d, big_h), 1), (after(big_h, d), 1))
             == (add((square, 1), (t, -1)) if p == 2 else square),
         }
@@ -465,19 +455,19 @@ def verify_cells(p, cap=9):
         for r in range(p):
             if sinf_boundary(sinf_boundary({("D", i, r): 1}, p), p):
                 failures.append("d^2 != 0 on D_%d (rot %d) over Z" % (i, r))
-    eq, _ = _sphere_eq(p)
-    # d^2 on D_i x X_j is the part of its composed column at D_0 and above
+    eq = _sphere_eq(p)
+    # d^2 on D_i x X_j is the part of X's composed column at D_0 and above, rotated by j
     chain_squared = eq._compose(eq._chain, eq._chain)
     for i in range(cap + 1):
         k, eps = divmod(i, 2)
         for x, _, j in _rotated_cells(p):
-            if any(k + dk >= 0 for _, dk, _ in chain_squared[_cell_name(x, j), eps]):
+            if any(k + dk >= 0 for _, dk, _ in chain_squared[x, eps]):
                 failures.append("d^2 != 0 on product cell (%d,%s,%d)" % (i, x, j))
     d_squared = eq._compose(eq._d, eq._d)
     for x, _, j in _rotated_cells(p):
         for k in range(cap - 1):
             for eps in (0, 1):
-                if d_squared[_cell_name(x, j), eps]:
+                if d_squared[x, eps]:
                     failures.append("d_eq^2 != 0 on (%s,%d,t^%d,%d)" % (x, j, k, eps))
     for which in ("even", "odd", "coh1", "coh2"):
         for k in range(4):

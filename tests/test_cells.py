@@ -1,4 +1,8 @@
 
+import itertools
+import random
+import re
+
 import pytest
 
 from qsteenrod import cells
@@ -134,12 +138,12 @@ def test_theta_tilde_formulas():
     p = 3
     eq = EquivariantComplex(trivial_complex(), p)
     # invariant x: theta_tilde(x theta) = (1 + 2) x t = 0 mod 3
-    assert eq.theta_tilde({("x", 0, 1): 1}) == {}
+    assert eq.theta_tilde({("x", 0, 0, 1): 1}) == {}
     # theta_tilde(x t^k) = (-1)^{|x|} x t^k theta
-    assert eq.theta_tilde({("x", 2, 0): 1}) == {("x", 2, 1): 1}
+    assert eq.theta_tilde({("x", 0, 2, 0): 1}) == {("x", 0, 2, 1): 1}
     # on the sphere complex, an odd-degree generator picks up the sign
-    eqs = EquivariantComplex(sphere_cochain_complex(p), p)
-    assert eqs.theta_tilde({("L0", 1, 0): 1}) == {("L0", 1, 1): p - 1}
+    eqs = EquivariantComplex(sphere_cochain_complex(), p)
+    assert eqs.theta_tilde({("L", 0, 1, 0): 1}) == {("L", 0, 1, 1): p - 1}
 
 
 def test_group_algebra_identities():
@@ -217,8 +221,8 @@ def test_verify_cells_applies_product_boundary_only_to_the_relations(monkeypatch
 
 
 def test_verify_cells_composes_a_bounded_number_of_tables(monkeypatch):
-    # H = -sigma (sigma - 1)^(p-3) h is one composition after a sum of sigma powers, each
-    # column walked one cell at a time: not p - 3 compositions on columns that grow to p cells
+    # every operator identity is checked on orbit tables, a bounded number of compositions
+    # whatever p; _apply reads only the relations' primitives, at most p cells each
     p, calls, cells_read = 101, {"_compose": 0, "_apply": 0}, []
     for name in calls:
         def counting(self, table, chain, _name=name, _real=getattr(EquivariantComplex, name)):
@@ -229,8 +233,8 @@ def test_verify_cells_composes_a_bounded_number_of_tables(monkeypatch):
 
         monkeypatch.setattr(EquivariantComplex, name, counting)
     assert verify_cells(p, 3) == []
-    assert calls["_compose"] <= p
-    assert sum(cells_read) <= 40 * p * p  # 26 p^2 here, 167 p^2 with p - 3 compositions
+    assert calls["_compose"] <= 26
+    assert sum(cells_read) <= 5 * p  # 4.1 p here, 2607 p with one column per cell
 
 
 def test_verify_cells_rejects_a_cap_below_two():
@@ -242,24 +246,81 @@ def test_verify_cells_rejects_a_cap_below_two():
 
 def test_table_compose_is_a_after_b():
     p = 5
-    eq = EquivariantComplex(sphere_cochain_complex(p), p)
+    eq = EquivariantComplex(sphere_cochain_complex(), p)
     # d and theta_tilde do not commute, so the order shows
     d_theta, theta_d = eq._compose(eq._d, eq._theta), eq._compose(eq._theta, eq._d)
     assert d_theta != theta_d
-    for name, eps in d_theta:
-        x = {(name, 0, eps): 1}
-        assert d_theta[name, eps] == eq.d_eq(eq.theta_tilde(x))
-        assert theta_d[name, eps] == eq.theta_tilde(eq.d_eq(x))
-        expected = dict(d_theta[name, eps])
-        for cell, c in theta_d[name, eps].items():
-            expected[cell] = (expected.get(cell, 0) + 2 * c) % p
-        sums = eq._table_sum((d_theta, 1), (theta_d, 2))[name, eps]
-        assert sums == {cell: c for cell, c in expected.items() if c}
+    sums = eq._table_sum((d_theta, 1), (theta_d, 2))
+    for name, _, free in eq.cpx.orbits:
+        for j, eps in itertools.product(range(p if free else 1), (0, 1)):
+            x = {(name, j, 0, eps): 1}
+            assert eq._apply(d_theta, x) == eq.d_eq(eq.theta_tilde(x))
+            assert eq._apply(theta_d, x) == eq.theta_tilde(eq.d_eq(x))
+            expected = eq._apply(d_theta, x)
+            for cell, c in eq._apply(theta_d, x).items():
+                expected[cell] = (expected.get(cell, 0) + 2 * c) % p
+            assert eq._apply(sums, x) == {cell: c for cell, c in expected.items() if c}
 
 
 def test_free_module_fixture():
     p = 5
-    eq = EquivariantComplex(free_module_complex(p), p)
-    x = {("g0", 0, 0): 1}
+    eq = EquivariantComplex(free_module_complex(), p)
+    x = {("g", 0, 0, 0): 1}
     # d_eq(x) = (sigma x - x) theta on a complex with zero differential
-    assert eq.d_eq(x) == {("g1", 0, 1): 1, ("g0", 0, 1): p - 1}
+    assert eq.d_eq(x) == {("g", 1, 0, 1): 1, ("g", 0, 0, 1): p - 1}
+
+
+@pytest.mark.parametrize("function, cell, message", [
+    (product_boundary, (0, "Z", 0), "unknown sphere cell 'Z'"),
+    (d_eq, ("Z", 0, 0, 0), "unknown sphere cell 'Z'"),
+    (product_boundary, (0, "L", 7), "rotation 7 outside 0..2 in the cell (0, 'L', 7)"),
+    (product_boundary, (2, "B", -1), "rotation -1 outside 0..2 in the cell (2, 'B', -1)"),
+    (d_eq, ("L", 3, 0, 0), "rotation 3 outside 0..2 in the cell ('L', 3, 0, 0)"),
+    (product_boundary, (-1, "L", 0), "negative D-index in the cell (-1, 'L', 0)"),
+    (d_eq, ("B", 0, -1, 1), "negative t-power in the cell ('B', 0, -1, 1)"),
+    (d_eq, ("L", 0, 0, 2), "theta-exponent 2 other than 0 and 1 in the cell ('L', 0, 0, 2)"),
+    (d_eq, ("P", 0, 0, -1), "theta-exponent -1 other than 0 and 1 in the cell ('P', 0, 0, -1)"),
+])
+def test_a_cell_outside_the_complex_is_named(function, cell, message):
+    # a rotation outside 0..p-1 once raised KeyError on an internal cell name
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        function({cell: 1}, 3)
+
+
+def test_a_fixed_cell_ignores_its_rotation():
+    p = 3
+    assert product_boundary({(1, "P", 5): 1, (2, "Q", 0): 2}, p) == {}
+    assert d_eq({("Q", 4, 1, 1): 1}, p) == d_eq({("Q", 0, 1, 1): 1}, p) == {}
+
+
+@pytest.mark.parametrize("which", ["even", "odd", "coh1", "coh2"])
+def test_relation_primitive_rejects_a_negative_k(which):
+    # even and odd once blamed their primitive; coh1 and coh2 returned chains at t^-1
+    with pytest.raises(ValueError, match="^the '%s' relation needs k >= 0, got k=-1$" % which):
+        relation_primitive(which, -1, 3)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_composed_dense_random_tables_act_as_the_composite_cell_by_cell(p):
+    # entries at every (orbit, t-shift, theta), coefficients up to p - 1: the most pairs a
+    # packed slot of _compose sums, so a slot width that ignores their number overflows;
+    # the image of a fixed cell is sigma-invariant, as it is for every operator here
+    eq = EquivariantComplex(sphere_cochain_complex(), p)
+    rng = random.Random(p)
+    cells_at = [(name, dk, eps) for name in eq._size for dk in range(3) for eps in (0, 1)]
+
+    def entry(source, target):
+        if eq._size[source] == 1:
+            return (rng.choice((1, p - 1)),) * eq._size[target]
+        return tuple(rng.choice((1, p - 1)) for _ in range(eq._size[target]))
+
+    def dense():
+        return {(name, eps): {cell: entry(name, cell[0]) for cell in cells_at}
+                for name in eq._size for eps in (0, 1)}
+
+    a, b = dense(), dense()
+    ab = eq._compose(a, b)
+    for name, _, free in eq.cpx.orbits:
+        for j, eps in itertools.product(range(p if free else 1), (0, 1)):
+            x = {(name, j, 0, eps): 1}
+            assert eq._apply(ab, x) == eq._apply(a, eq._apply(b, x)), (name, j, eps)

@@ -28,7 +28,7 @@ RECORDS = [
     (SeriesElement, ("prime", "trunc", "terms"), (5, 2, {Monomial(1, 0, 1): 3})),
     (RelationPrimitive, ("which", "primitive", "boundary", "complex"),
      ("even", {(2, "L", 0): 1}, {(2, "Q", 0): 1}, "product")),
-    (FiniteComplex, ("basis", "diff", "sigma"), ((("x", 0),), {}, {"x": {"x": 1}})),
+    (FiniteComplex, ("orbits", "diff"), ((("x", 0, False),), {"x": (("x", 0, 1),)})),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
