@@ -82,11 +82,16 @@ def _d_cell(i, r, p):
 
 
 def sinf_boundary(chain, p):
-    """Signed cellular differential on cells ("D", i, rot)."""
+    """Signed cellular differential on cells ("D", i, rot), i >= 0 and rot in 0..p-1."""
     out = {}
-    for (tag, i, r), c in chain.items():
+    for cell, c in chain.items():
+        tag, i, r = cell
         if tag != "D":
             raise ValueError("not an infinite-sphere cell: %r" % (tag,))
+        if not 0 <= r < p:
+            raise ValueError("rotation %r outside 0..%d in the cell %r" % (r, p - 1, cell))
+        if i < 0:
+            raise ValueError("negative D-index in the cell %r" % (cell,))
         for s, c2 in _d_cell(i, r, p):
             _add(out, ("D", i - 1, s), c * c2)
     return out

@@ -29,6 +29,7 @@ reaches (j, q + d) for every slot (j, d) of the operator's column k.
 """
 
 from collections import defaultdict
+from itertools import compress, count
 from types import MappingProxyType
 
 from .ring import (
@@ -124,9 +125,12 @@ def _slots(x):
             for q, c in enumerate(row) if c}
 
 
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask):
-    """The set bits of mask, lowest first."""
-    return [d for d, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    """The set bits of mask, lowest first: its binary digits, as bytes 0 and 1, select."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT)))
 
 
 def _supports(rows, taint_rows):
@@ -442,14 +446,19 @@ def qpi(divisor_name, s):
 
 
 def equal_on_untainted(s1, s2):
-    """Compare entries on slots untainted in both; never equal across incompatible rings."""
+    """Compare entries on slots untainted in both, each row whole to the smaller truncation
+    and order by order only where it differs; never equal across incompatible rings."""
     if s1.ring._context != s2.ring._context or s1.degree != s2.degree:
         return False
-    top, t1, t2 = min(s1.trunc, s2.trunc) + 1, s1.taint_rows, s2.taint_rows
-    bad = {s: t1.get(s, 0) | t2.get(s, 0) for s in t1.keys() | t2.keys()}
-    a, b = ({(i, j, d): c for (i, j), row in s.rows.items() for d, c in enumerate(row[:top])
-             if c and not bad.get((i, j), 0) >> d & 1} for s in (s1, s2))
-    return a == b
+    top = min(s1.trunc, s2.trunc) + 1
+    r1, r2, t1, t2, zeros = s1.rows, s2.rows, s1.taint_rows, s2.taint_rows, (0,) * top
+    for s in r1.keys() | r2.keys():
+        u, v = r1.get(s, zeros)[:top], r2.get(s, zeros)[:top]
+        if u != v:
+            m = t1.get(s, 0) | t2.get(s, 0)
+            if any(a != b and not m >> d & 1 for d, (a, b) in enumerate(zip(u, v))):
+                return False
+    return True
 
 
 def format_endo(s):

@@ -16,8 +16,11 @@ degree shift |e_j| - |e_i| of the (i, j) slots, which [., A_0] raises by 2,
 and is solved in one sweep by increasing shift.  When lambda*d vanishes mod
 p the order is undetermined up to the connection's kernel: every slot not
 pinned by the t^0 seeds or by degree pruning is marked tainted, and taint
-propagates forward through later right-hand sides.  The solver reports; it
-never guesses.
+propagates forward through later right-hand sides.  A tainted order's mask
+depends only on the masks of the orders it reads, so it is closed once per
+distinct tuple of them in a solve, and an order tainted on every slot skips
+the step, whose values would all be zeroed.  The solver reports; it never
+guesses.
 
 QSigma is linear in the class: for c != 0 mod p the t^0 seed of c e_k is
 c^p = c times e_k's, the q^0 seed c times e_k's, and the recurrence is linear
@@ -36,8 +39,9 @@ code, with the lists' coefficients as constants, that sets every slot of an
 invertible order from the orders before it, shared by all rings with equal
 lists.  Each q-order is a list of n^2 ints and its taint a bitmask with bit
 s set for a tainted slot s; a masked slot ORs in the bitmask of the slots
-its list names, and is zeroed after the step.  The operator's rows and taint
-bit rows (endo) are the transposes of the q-orders and their masks.  The
+its list names, and is zeroed after the step.  The operator's rows are the
+transpose of the q-orders; its taint bit rows (endo) are built once per
+distinct mask, the orders it taints spread to its slots.  The
 residual re-check multiplies by A itself, with compose's packed product, so
 a fault in the commutator lists cannot cancel out; the slots it skips are
 the taint rows OR-multiplied by A's supports.  The generator strategy reads
@@ -344,8 +348,10 @@ def _recurrence(b, deg, ring, trunc, key):
     degrees = ring._degrees
     exps = [(g + degrees[i] - degrees[j]) // 2 for i in range(n) for j in range(n)]
     order = sorted(range(n * n), key=exps.__getitem__, reverse=True)  # by increasing shift
-    live_end, live = n * n, (1 << n * n) - 1  # order[:live_end] is live, live its bits
+    full = (1 << n * n) - 1
+    live_end, live = n * n, full  # order[:live_end] is live, live its bits
     reach = None  # per block, each slot's table as a bitmask; built when taint first spreads
+    closed = {}  # masks[d:] -> (the closed mask, its bits), for this solve only
     step = _compile_step(tuple((e, tuple(table)) for e, table in tables.items()), tuple(order))
     m = max(tables)  # the top block
 
@@ -368,28 +374,37 @@ def _recurrence(b, deg, ring, trunc, key):
         if (lam * d) % p:
             # x_s = inv (rhs_s - [X, A_0]_s) by increasing shift, with
             # rhs = -sum_{e >= 1} [E_{d-e}, A_e]: one call of the step
-            x = step(*xs[d:], fp_inv(lam * d, p), p)
             if any(masks[d:]):
                 # The mask is the taint of the right-hand side closed under A_0
                 # by increasing shift: a masked slot taints every slot its table
                 # lists.  So the step carried a masked slot's value only into
-                # masked slots, and zeroing them all afterwards is exact.
-                if reach is None:
-                    reach = {f: [sum(1 << t for t, _ in ts) for ts in tab]
-                             for f, tab in tables.items()}
-                for e, tab in reach.items():
-                    if e:
-                        for s in _bits(masks[-e]):
-                            mask |= tab[s]
+                # masked slots, and zeroing them all afterwards is exact.  The
+                # closure reads masks[d:] alone, so it is made once per tuple.
+                tail = tuple(masks[d:])
+                if tail not in closed:
+                    if reach is None:
+                        reach = {f: [sum(1 << t for t, _ in ts) for ts in tab]
+                                 for f, tab in tables.items()}
+                    for e, tab in reach.items():
+                        if e:
+                            for s in _bits(tail[-e]):
+                                mask |= tab[s]
+                    if mask:
+                        for s in order:
+                            if mask >> s & 1:
+                                mask |= reach[0][s]
+                    closed[tail] = mask, _bits(mask)
+                mask, zeroed = closed[tail]
+            if mask != full:
+                x = step(*xs[d:], fp_inv(lam * d, p), p)
                 if mask:
-                    for s in order:
-                        if mask >> s & 1:
-                            mask |= reach[0][s]
-                    for s in _bits(mask):
+                    for s in zeroed:
                         x[s] = 0
+            else:  # the step's every value would be zeroed
+                x = [0] * (n * n)
         else:  # undetermined: every slot (the dead ones hold 0)
             x = [0] * (n * n)
-            mask = (1 << n * n) - 1
+            mask = full
         errors = []
         for s in order[live_end:]:  # the seeds, then the dead slots
             if exps[s] < floor:
@@ -418,11 +433,14 @@ def _recurrence(b, deg, ring, trunc, key):
         masks.append(mask & live)
 
     rows = {divmod(s, n): row for s, row in enumerate(zip(*xs[m:])) if any(row)}
-    bits = {}  # the per-order masks transposed: flat slot -> bit d set when tainted at q^d
+    orders = {}  # each distinct nonzero mask -> bit d set at every order d it taints
     for d, mask in enumerate(masks[m:]):
         if mask:
-            for s in _bits(mask):
-                bits[s] = bits.get(s, 0) | 1 << d
+            orders[mask] = orders.get(mask, 0) | 1 << d
+    bits = {}  # flat slot -> bit d set when tainted at q^d
+    for mask, ds in orders.items():
+        for s in _bits(mask):
+            bits[s] = bits.get(s, 0) | ds
     taint_rows = {divmod(s, n): bits[s] for s in sorted(bits)}
     endo = GradedEndomorphism._trusted(ring, g, trunc, rows, taint_rows)
     checked, failures = _residuals(endo, ring)
@@ -496,10 +514,12 @@ def verify_covariant_constancy(endo, divisor_name, ring, pi=None):
             skip[s] = skip.get(s, 0) | t & full
         out = []
         for s in rows.keys() | com.keys():
+            m = skip.get(s, 0)
+            if m == full:  # a row tainted or reached at every order
+                continue
             x = zip(weights, rows.get(s, ()) + zeros, _unpack(com.get(s, 0), k, count))
             res = [(w * u + v) % p for w, u, v in x]
             if any(res):
-                m = skip.get(s, 0)
                 out += [(d,) + s + (r,) for d, r in enumerate(res) if r and not m >> d & 1]
         return n * n * count - sum(m.bit_count() for m in skip.values()), sorted(out)
 

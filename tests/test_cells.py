@@ -287,6 +287,18 @@ def test_a_cell_outside_the_complex_is_named(function, cell, message):
         function({cell: 1}, 3)
 
 
+@pytest.mark.parametrize("cell, message", [
+    (("D", 3, 7), "rotation 7 outside 0..2 in the cell ('D', 3, 7)"),
+    (("D", 2, -1), "rotation -1 outside 0..2 in the cell ('D', 2, -1)"),
+    (("D", -1, 0), "negative D-index in the cell ('D', -1, 0)"),
+    (("L", 0, 0), "not an infinite-sphere cell: 'L'"),
+])
+def test_an_infinite_sphere_cell_outside_the_complex_is_named(cell, message):
+    # a rotation past p - 1 once passed through, and D_-1 had a boundary on D_-2
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        sinf_boundary({("D", 1, 0): 1, cell: 1}, 3)
+
+
 def test_a_fixed_cell_ignores_its_rotation():
     p = 3
     assert product_boundary({(1, "P", 5): 1, (2, "Q", 0): 2}, p) == {}

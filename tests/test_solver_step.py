@@ -119,3 +119,25 @@ def test_a_slot_of_thousands_of_terms_compiles_and_matches():
     tables = {0: ad0, 1: [((0, coeff()),) for _ in range(n2)]}
     assert sum(t == n2 - 1 for pairs in ad0 for t, _ in pairs) >= 5000
     assert _check_windows(tables, list(range(n2)), p, rng, 4)
+
+
+@pytest.mark.parametrize("name, b, steps", [("cubic_surface", "h_4", 101),
+                                            ("quadric_intersection", "h_6", 100)])
+def test_an_order_tainted_on_every_slot_calls_no_step(monkeypatch, name, b, steps):
+    # Past q^p these solves are tainted on every slot at almost every order,
+    # where the step's values would all be zeroed: the step runs on the others.
+    calls = []
+    compile_step = solver._compile_step
+
+    def counted(tables, order):
+        step = compile_step(tables, order)
+
+        def counted_step(*args):
+            calls.append(args)
+            return step(*args)
+        return counted_step
+
+    monkeypatch.setattr(solver, "_compile_step", counted)
+    endo, report = solve_qsigma(b, builtin_ring(name, 101))
+    assert endo.trunc > 150 and len(report.taint) > 800
+    assert len(calls) == steps

@@ -8,12 +8,14 @@ in test_tainted_paths.
 """
 
 import io
+import random
 
 import pytest
 
 from qsteenrod.cli import main
 from qsteenrod.endo import (
     GradedEndomorphism,
+    _bits,
     _or_product,
     _reach,
     _slots,
@@ -50,6 +52,17 @@ def _set_apply_taint(s, x, trunc):
     for i, j, d in s.taint:
         by_source.setdefault(i, []).append((j, d))
     return _reach(_slots(x), by_source, trunc)
+
+
+def _set_equal_on_untainted(s1, s2):
+    """equal_on_untainted as it was: slot dicts {(i, j, d): c} off the slots either taints."""
+    if s1.ring._context != s2.ring._context or s1.degree != s2.degree:
+        return False
+    top, t1, t2 = min(s1.trunc, s2.trunc) + 1, s1.taint_rows, s2.taint_rows
+    bad = {s: t1.get(s, 0) | t2.get(s, 0) for s in t1.keys() | t2.keys()}
+    a, b = ({(i, j, d): c for (i, j), row in s.rows.items() for d, c in enumerate(row[:top])
+             if c and not bad.get((i, j), 0) >> d & 1} for s in (s1, s2))
+    return a == b
 
 
 def _bent(s):
@@ -118,6 +131,52 @@ def test_or_product_is_the_support_product():
         for b in rows:
             want = {d1 + d2 for d1 in range(80) if a >> d1 & 1 for d2 in range(80) if b >> d2 & 1}
             assert _or_product(a, b) == sum(1 << d for d in want)
+
+
+def test_bits_are_the_set_bits_lowest_first():
+    rng = random.Random(7)
+    masks = [0, 1, 2, 0b1011, (1 << 300) - 1, 1 << 299]
+    masks += [sum(1 << rng.randrange(300) for _ in range(5)) for _ in range(20)]  # sparse
+    masks += [rng.getrandbits(300) | rng.getrandbits(300) for _ in range(20)]  # dense
+    for mask in masks:
+        assert _bits(mask) == [d for d, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def test_equal_on_untainted_matches_the_slot_dicts_on_random_rows():
+    # s2 is s1 with a few slots changed or one row dropped, the changed slots
+    # tainted in one operator half the time; the two truncations differ
+    rng = random.Random(11)
+    ring = builtin_ring("cubic_surface", 5)
+    g, seen = 10, dict.fromkeys([True, False, "a row in one operator", "equal, rows apart",
+                                "truncations apart"], 0)
+    shape, n = GradedEndomorphism(ring, g, 7), len(ring.basis)
+    live = [(i, j, d) for i in range(n) for j in range(n) for d in range(8)
+            if shape.kappa(i, j, d) is not None]
+    for _ in range(300):
+        t1, t2 = rng.randrange(1, 8), rng.randrange(1, 8)
+        entries = {s: rng.randrange(1, 5) for s in live if rng.random() < 0.6}
+        taints = [{s for s in live if rng.random() < 0.04} for _ in range(2)]
+        changed = dict(entries)
+        if rng.random() < 0.3:
+            i, j, _ = rng.choice(live)
+            bent = [s for s in live if s[:2] == (i, j)]
+            changed = {s: c for s, c in changed.items() if s[:2] != (i, j)}
+        else:
+            bent = rng.sample(live, rng.randrange(3))
+            changed.update((s, changed.get(s, 0) + rng.randrange(1, 5)) for s in bent)
+        if rng.random() < 0.5:
+            taints[rng.randrange(2)].update(bent)
+        s1 = GradedEndomorphism(ring, g, t1, entries, taints[0])
+        s2 = GradedEndomorphism(ring, g, t2, changed, taints[1])
+        want = _set_equal_on_untainted(s1, s2)
+        assert equal_on_untainted(s1, s2) == equal_on_untainted(s2, s1) == want
+        top = min(t1, t2) + 1
+        cut = [{key: row[:top] for key, row in x.rows.items() if any(row[:top])} for x in (s1, s2)]
+        seen[want] += 1
+        seen["a row in one operator"] += cut[0].keys() != cut[1].keys()
+        seen["equal, rows apart"] += want and cut[0] != cut[1]
+        seen["truncations apart"] += t1 != t2
+    assert min(seen.values()) > 30, seen
 
 
 # -- a session that never reads the taint view -----------------------------------
